@@ -21,10 +21,11 @@ from .jsonio import (canon_dumps, connectivity_from_json, connectivity_to_json,
                      witness_to_json)
 from .mobius import GroupSpec
 from .moduli import (CertificateInvalid, CertificationFailed, FamilyMismatch,
-                     connectivity_certificate, dim_cyclic, dim_dihedral,
-                     fujimura_cubic, milnor_coordinates, NotDegreeTwo,
-                     build_path, validate_connectivity_certificate,
+                     NormalizationFailed, connectivity_certificate, dim_cyclic,
+                     dim_dihedral, fujimura_cubic, milnor_coordinates,
+                     NotDegreeTwo, build_path, validate_connectivity_certificate,
                      validate_path_certificate)
+from .poly import InexactDivision
 from .ratmap import maps_equal
 from .symmetry import (NotAdmissible, WitnessUnavailable,
                        WitnessVerificationFailed, build_cyclic,
@@ -306,8 +307,8 @@ def main(argv=None) -> int:
     except (NotAdmissible, FamilyMismatch) as exc:
         sys.stderr.write(f"not admissible: {exc}\n")
         return EXIT_NOT_ADMISSIBLE
-    except (CertificationFailed, WitnessUnavailable,
-            WitnessVerificationFailed) as exc:
+    except (CertificationFailed, WitnessUnavailable, WitnessVerificationFailed,
+            NormalizationFailed, InexactDivision) as exc:
         sys.stderr.write(f"certification failed: {exc}\n")
         return EXIT_CERTIFICATION
     except CertificateInvalid as exc:

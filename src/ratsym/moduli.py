@@ -4,7 +4,10 @@
 * the normaliser action on family coefficients (scaling and inversion),
 * certified straight-line paths inside a normal-form family, with exact
   Sturm certificates over Q / Q(i) and certified interval subdivision
-  elsewhere,
+  elsewhere; the obstruction polynomial of a segment and its Sturm proof
+  come from the integer kernel of :mod:`ratsym.poly` (Bareiss determinants
+  over Z or Z[zeta_n], Descartes bisection over Z), exactly as over the
+  field,
 * chained connectivity certificates through explicit witness maps,
 * multiplier coordinates of degree-2 maps and the cubic relation cut out by
   the symmetric classes.
@@ -21,7 +24,8 @@ from typing import Optional, Union
 from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
                      QuadraticField, common_field, interval_embed, lift)
 from .mobius import MobiusMap, identity, mobius_order, scaling, translation
-from .poly import Poly, interpolate, poly_eval, poly_gcd, resultant, det, sturm_roots_in_interval
+from .poly import (Poly, det, interpolate, real_norm_supported, resultant,
+                   squarefree_norm, sturm_roots_in_interval)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
@@ -177,7 +181,11 @@ def act_invert(fam: CyclicFamily) -> CyclicFamily:
 class SturmProof:
     """Exact nonvanishing proof over [0, 1]: the stored rational polynomial
     (the square-free norm of the obstruction polynomial) has zero roots in
-    (0, 1], and the obstruction is nonzero at t = 0 and t = 1."""
+    (0, 1], and the obstruction is nonzero at t = 0 and t = 1.
+
+    The norm and the count are computed over Z (:func:`squarefree_norm`,
+    then Descartes bisection); they are the same polynomial and count as a
+    Sturm chain over Q gives, so stored proofs keep their meaning."""
     norm_poly: Poly                # over Q, square-free, monic
     roots_in_01: int
     value_at_0: FieldElement
@@ -243,68 +251,47 @@ def _formal_degrees(case: str, r: int) -> tuple[int, int]:
     return (r - 1, r) if case == "C" else (r, r)
 
 
-def _pencil_polys(fam0: CyclicFamily, fam1: CyclicFamily):
-    """Per-coefficient linear interpolations (1-t)*c0 + t*c1 as Polys in t."""
-    K = fam0.field
-    a_pencil = [Poly(K, (fam0.a[k], fam1.a[k] - fam0.a[k])) for k in range(fam0.r + 1)]
-    b_pencil = [Poly(K, (fam0.b[k], fam1.b[k] - fam0.b[k])) for k in range(fam0.r + 1)]
-    return a_pencil, b_pencil
-
-
 def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     """Polynomial in t whose nonvanishing on [0,1] certifies the segment:
-    pencil resultant at the case formal degrees, times the case conditions."""
+    pencil resultant at the case formal degrees, times the case conditions.
+
+    The resultant has degree at most m = the sum of the formal degrees; it
+    is taken at the nodes t = 0..m, stepping the pencils by their constant
+    difference, and interpolated.  Over Q and Q(zeta_n) both steps run on
+    the integer kernel of :mod:`ratsym.poly`."""
     K = fam0.field
     r, case = fam0.r, fam0.case
-    a_pencil, b_pencil = _pencil_polys(fam0, fam1)
     fdeg = _formal_degrees(case, r)
-    m = fdeg[0] + fdeg[1]
-    nodes = [K(j) for j in range(m + 1)]
+    P, Q = Poly(K, fam0.a), Poly(K, fam0.b)
+    dP, dQ = Poly(K, fam1.a) - P, Poly(K, fam1.b) - Q
     values = []
-    for t in nodes:
-        P = Poly(K, [poly_eval(p, t) for p in a_pencil])
-        Q = Poly(K, [poly_eval(p, t) for p in b_pencil])
+    for _ in range(sum(fdeg) + 1):
         values.append(resultant(P, Q, *fdeg))
-    R = interpolate(K, list(zip(nodes, values)))
-    G = R
+        P, Q = P + dP, Q + dQ
+    G = interpolate(K, values)
     if case == "A":
-        G = G * a_pencil[r] * b_pencil[0]
+        cond = _pencil(fam0.a[r], fam1.a[r]) * _pencil(fam0.b[0], fam1.b[0])
     elif case == "B":
-        G = G * a_pencil[r]
+        cond = _pencil(fam0.a[r], fam1.a[r])
     else:
-        G = G * b_pencil[r]
-    return G
+        cond = _pencil(fam0.b[r], fam1.b[r])
+    return G * cond
 
 
-def _rational_part(p: Poly) -> Poly:
-    """Convert a conj-fixed polynomial over Q or Q(i) to a Q-polynomial."""
-    if p.field == QQ:
-        return p
-    if isinstance(p.field, CyclotomicField) and p.field.n == 4:
-        coeffs = []
-        for c in p.coeffs:
-            re, im = c.payload
-            if im != 0:
-                raise ValueError("polynomial is not conj-fixed")
-            coeffs.append(QQ(re))
-        return Poly(QQ, coeffs)
-    raise ValueError("no rational part extraction for this field")
+def _pencil(c0: FieldElement, c1: FieldElement) -> Poly:
+    """(1-t)*c0 + t*c1 as a polynomial in t."""
+    return Poly(c0.field, (c0, c1 - c0))
 
 
 def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
     K = G.field
-    supported = K == QQ or (isinstance(K, CyclotomicField) and K.n == 4)
-    if not supported:
+    if not real_norm_supported(K):
         return None
-    g0 = poly_eval(G, K.zero())
-    g1 = poly_eval(G, K.one())
+    g0, g1 = G[0], sum(G.coeffs, K.zero())     # G(0) and G(1)
     if g0.is_zero() or g1.is_zero():
         return None
-    N = G if K == QQ else G * G.conj()
-    NQ = _rational_part(N)
-    sf = (NQ // poly_gcd(NQ, NQ.derivative())).monic()
-    count = sturm_roots_in_interval(sf, Fraction(0), Fraction(1))
-    if count != 0:
+    sf = squarefree_norm(G)
+    if sturm_roots_in_interval(sf, Fraction(0), Fraction(1)) != 0:
         return None
     return SturmProof(norm_poly=sf, roots_in_01=0, value_at_0=g0, value_at_1=g1)
 
@@ -367,9 +354,7 @@ def _certify_segment(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
     proof: Optional[Union[SturmProof, IntervalProof]] = None
     if strategy == "sturm":
         proof = _sturm_segment_proof(G)
-        if proof is None and not (fam0.field == QQ or
-                                  (isinstance(fam0.field, CyclotomicField)
-                                   and fam0.field.n == 4)):
+        if proof is None and not real_norm_supported(fam0.field):
             proof = _interval_segment_proof(G, precision)
     elif strategy == "interval":
         proof = _interval_segment_proof(G, precision)
@@ -553,7 +538,8 @@ def involution_to_standard(S: MobiusMap) -> MobiusMap:
     xi2 = ((a - d) - s) / two_c
     U = MobiusMap(K, K.one(), -xi1, K.one(), -xi2)
     check = U.compose(S.lift(K)).compose(U.inverse())
-    assert check == scaling(K(-1)), "involution normalisation failed"
+    if check != scaling(K(-1)):
+        raise NormalizationFailed("involution normalisation failed")
     return U
 
 
@@ -633,11 +619,13 @@ def connectivity_certificate(w0, w1, strategy: str = "sturm",
                                        source=leg.target, target=leg.source))
         else:
             legs.append(PathLeg(leg.prime,
-                                _reverse_path_certificate(leg.cert)))
+                                _reverse_path_certificate(leg.cert, precision)))
     return ConnectivityCertificate(d, tuple(legs))
 
 
-def _reverse_path_certificate(cert: PathCertificate) -> PathCertificate:
+def _reverse_path_certificate(cert: PathCertificate, precision: int) -> PathCertificate:
+    """The same path run backwards, each segment recertified with the
+    certificate's strategy at the caller's interval precision."""
     segs = tuple(PathSegment(start_a=s.end_a, start_b=s.end_b,
                              end_a=s.start_a, end_b=s.start_b, proof=s.proof)
                  for s in reversed(cert.segments))
@@ -645,7 +633,7 @@ def _reverse_path_certificate(cert: PathCertificate) -> PathCertificate:
     for s in segs:
         f0 = CyclicFamily(cert.n, cert.r, cert.case, s.start_a, s.start_b)
         f1 = CyclicFamily(cert.n, cert.r, cert.case, s.end_a, s.end_b)
-        seg = _certify_segment(f0, f1, cert.strategy, 128)
+        seg = _certify_segment(f0, f1, cert.strategy, precision)
         if seg is None:
             raise CertificationFailed("reversed segment failed certification")
         rebuilt.append(seg)

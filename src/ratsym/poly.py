@@ -1,25 +1,37 @@
 """Univariate polynomials over the exact fields, with the certification kit:
-Euclidean gcd, Sylvester resultants at *formal* degrees, and Sturm counting
-of real roots over Q.
+Euclidean gcd, Sylvester resultants at *formal* degrees, and counting of real
+roots over Q.
 
 Coefficients are stored ascending; the zero polynomial has an empty tuple and
 degree -1.  The resultant takes formal degrees as explicit parameters because
 degree drop must be detectable, not silently normalised away.
+
+The segment certificates run on an integer kernel.  Over Q and Q(zeta_n),
+:func:`resultant` clears denominators once and takes the Sylvester
+determinant in Z or Z[zeta_n] by Bareiss elimination, and
+:func:`interpolate` through the nodes 0..m uses integer forward
+differences; :func:`squarefree_norm` and :func:`sturm_roots_in_interval`
+work in Z[x], with a primitive pseudo-remainder gcd and Descartes
+bisection.  The results are the same exact values, polynomials and counts
+as over the field.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import (QQ, Field, FieldElement, FieldMismatch, cyclotomic_coeffs,
-                     lift)
+from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
+                     cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
     "poly_gcd",
     "resultant",
+    "real_norm_supported",
+    "squarefree_norm",
     "sturm_roots_in_interval",
     "poly_eval",
     "cyclotomic_polynomial",
@@ -27,11 +39,17 @@ __all__ = [
     "det",
     "nullspace",
     "BothZero",
+    "InexactDivision",
 ]
 
 
 class BothZero(ValueError):
     """gcd of two zero polynomials is undefined."""
+
+
+class InexactDivision(ArithmeticError):
+    """A division that the integer kernel requires to be exact left a
+    remainder.  Raised, never asserted, so that ``python -O`` keeps it."""
 
 
 class Poly:
@@ -262,6 +280,12 @@ def poly_eval(f: Poly, a: FieldElement) -> FieldElement:
 # gcd
 # ---------------------------------------------------------------------------
 
+def _trim(v: list) -> list:
+    while v and v[-1] == 0:
+        v.pop()
+    return v
+
+
 def _int_content(v: list[int]) -> int:
     g = 0
     for x in v:
@@ -269,14 +293,16 @@ def _int_content(v: list[int]) -> int:
     return g or 1
 
 
+def _exact_quo(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise InexactDivision(f"{d} does not divide {x}")
+    return q
+
+
 def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
     # primitive pseudo-remainder sequence over Z; inputs nonzero, ascending
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(list(f)), trim(list(g))
+    a, b = _trim(list(f)), _trim(list(g))
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -284,29 +310,21 @@ def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
         k = len(a) - len(b) + 1
         lb = b[-1]
         r = [x * lb ** k for x in a]
-        while len(r) >= len(b) and trim(r):
+        while len(r) >= len(b) and _trim(r):
             if len(r) < len(b):
                 break
-            c, idx = r[-1], len(r) - len(b)
-            if c % lb:
-                raise AssertionError("pseudo-division not exact")
-            q = c // lb
+            idx = len(r) - len(b)
+            q = _exact_quo(r[-1], lb)
             for j, y in enumerate(b):
                 r[idx + j] -= q * y
-            trim(r)
+            _trim(r)
         cont = _int_content(r)
         a, b = b, [x // cont for x in r]
     return a
 
 
 def _qq_gcd(f: Poly, g: Poly) -> Poly:
-    fz = [c.payload for c in f.coeffs]
-    gz = [c.payload for c in g.coeffs]
-    den_f = math.lcm(*(c.denominator for c in fz)) if fz else 1
-    den_g = math.lcm(*(c.denominator for c in gz)) if gz else 1
-    fi = [int(c * den_f) for c in fz]
-    gi = [int(c * den_g) for c in gz]
-    h = _primitive_prs_gcd(fi, gi)
+    h = _primitive_prs_gcd(_integer_poly(f), _integer_poly(g))
     return Poly(QQ, [Fraction(x) for x in h]).monic()
 
 
@@ -397,24 +415,20 @@ def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
     return basis
 
 
-def sylvester_matrix(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int):
-    m, n = formal_deg_f, formal_deg_g
-    field = f.field
-    size = m + n
+def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
+    """Sylvester matrix of two ascending coefficient lists, each padded to its
+    formal degree (its length minus one)."""
+    m, n = len(fa) - 1, len(ga) - 1
     rows = []
-    fc = [f[m - j] for j in range(m + 1)]   # descending, padded to formal degree
-    gc = [g[n - j] for j in range(n + 1)]
-    for i in range(n):
-        row = [field.zero()] * size
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [field.zero()] * size
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
+    for coeffs, count in ((fa[::-1], n), (ga[::-1], m)):
+        for i in range(count):
+            rows.append([zero] * i + coeffs + [zero] * (n + m - i - len(coeffs)))
     return rows
+
+
+def sylvester_matrix(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int):
+    return _sylvester_rows([f[k] for k in range(formal_deg_f + 1)],
+                           [g[k] for k in range(formal_deg_g + 1)], f.field.zero())
 
 
 def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
@@ -422,7 +436,9 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
 
     Vanishes exactly when the formal-degree homogenisations share a
     projective root: a common affine root, or a simultaneous degree drop
-    (a shared root at infinity).
+    (a shared root at infinity).  Over Q and Q(zeta_n) the determinant is
+    taken over Z or Z[zeta_n] by :func:`_bareiss_det`; over quadratic layers
+    by Gaussian elimination over the field.
     """
     if f.field != g.field:
         raise FieldMismatch("resultant operands in different fields")
@@ -430,26 +446,314 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
         raise ValueError("formal degree below actual degree")
     if formal_deg_f == 0 and formal_deg_g == 0:
         return f.field.one()
-    return det(sylvester_matrix(f, g, formal_deg_f, formal_deg_g), f.field)
+    ring = _integral_ring(f.field)
+    if ring is None:
+        return det(sylvester_matrix(f, g, formal_deg_f, formal_deg_g), f.field)
+    # every Sylvester row is scaled by the common denominator D
+    nf = formal_deg_f + 1
+    den, ints = ring.clear([f[k] for k in range(nf)]
+                           + [g[k] for k in range(formal_deg_g + 1)])
+    value = _bareiss_det(_sylvester_rows(ints[:nf], ints[nf:], ring.zero), ring)
+    return ring.to_field(value, den ** (formal_deg_f + formal_deg_g))
 
 
 # ---------------------------------------------------------------------------
-# Sturm counting over Q
+# the integer kernel: Z for Q, Z[zeta_n] for Q(zeta_n)
 # ---------------------------------------------------------------------------
 
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [v > 0 for v in values if v != 0]
+class _RationalIntegers:
+    """Z inside Q; elements are ints."""
+    zero, one = 0, 1
+    sub, mul = operator.sub, operator.mul
+
+    @staticmethod
+    def scale(a: int, k: int) -> int:
+        return a * k
+
+    @staticmethod
+    def quo(a: int, d: int) -> int:
+        return _exact_quo(a, d)
+
+    @staticmethod
+    def norm_cofactor(p: int) -> tuple[int, int]:
+        return 1, p
+
+    @staticmethod
+    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
+        """A common denominator D and the integers D * e."""
+        den = math.lcm(1, *(e.payload.denominator for e in elems))
+        return den, [e.payload.numerator * (den // e.payload.denominator)
+                     for e in elems]
+
+    @staticmethod
+    def to_field(a: int, den: int) -> FieldElement:
+        return QQ(Fraction(a, den))
+
+
+class _CyclotomicIntegers:
+    """Z[zeta_n] inside Q(zeta_n); elements are int tuples in the power basis
+    1, zeta, ..., zeta^(m-1).  Phi_n is monic with integer coefficients, so
+    products reduce to integer tuples."""
+
+    def __init__(self, field: CyclotomicField):
+        self.field = field
+        m = self.m = field.degree
+        n = field.n
+
+        def power(k):
+            return tuple(int(c) for c in field.zeta(k).payload)
+
+        self._reduction = [power(m + k) for k in range(m - 1)]
+        # sigma_k(zeta^j) = zeta^(jk) for the automorphisms other than 1
+        self._conjugations = [[power(j * k) for j in range(m)]
+                              for k in range(2, n) if math.gcd(k, n) == 1]
+        self.zero = (0,) * m
+        self.one = (1,) + (0,) * (m - 1)
+
+    @staticmethod
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
+
+    @staticmethod
+    def scale(a, k: int):
+        return tuple(x * k for x in a)
+
+    @staticmethod
+    def quo(a, d: int):
+        return tuple(_exact_quo(x, d) for x in a)
+
+    def mul(self, a, b):
+        m = self.m
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        out = conv[:m]
+        for c, row in zip(conv[m:], self._reduction):
+            if c:
+                for i, e in enumerate(row):
+                    out[i] += c * e
+        return tuple(out)
+
+    def norm_cofactor(self, p) -> tuple[tuple, int]:
+        """(c, N) with p * c = N: c is the product of the Galois conjugates
+        of p other than p, and N = N(p) is a rational integer."""
+        cof = self.one
+        for rows in self._conjugations:
+            sigma = [0] * self.m
+            for x, row in zip(p, rows):
+                if x:
+                    for i, e in enumerate(row):
+                        sigma[i] += x * e
+            cof = self.mul(cof, sigma)
+        norm = self.mul(p, cof)
+        if any(norm[1:]):
+            raise InexactDivision("the norm of a cyclotomic integer is not rational")
+        return cof, norm[0]
+
+    @staticmethod
+    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
+        """A common denominator D and the integer tuples D * e."""
+        den = math.lcm(1, *(c.denominator for e in elems for c in e.payload))
+        return den, [tuple(c.numerator * (den // c.denominator) for c in e.payload)
+                     for e in elems]
+
+    def to_field(self, a, den: int) -> FieldElement:
+        return FieldElement(self.field, tuple(Fraction(x, den) for x in a))
+
+
+_cyclotomic_integers: dict[int, _CyclotomicIntegers] = {}
+
+
+def _integral_ring(field: Field):
+    """The integer kernel's ring for Q and Q(zeta_n); None for quadratic
+    layers, which have no integral power basis here."""
+    if field == QQ:
+        return _RationalIntegers
+    if isinstance(field, CyclotomicField):
+        if field.n not in _cyclotomic_integers:
+            _cyclotomic_integers[field.n] = _CyclotomicIntegers(field)
+        return _cyclotomic_integers[field.n]
+    return None
+
+
+def _bareiss_det(rows: list[list], ring):
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968), with row swaps.  Step k divides exactly by the previous pivot p:
+    every entry is multiplied by the norm cofactor of p, then divided by the
+    integer N(p); a remainder raises :class:`InexactDivision`."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return ring.one
+    zero, sign = ring.zero, 1
+    cof, norm = ring.one, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k] != zero), None)
+        if piv is None:
+            return zero
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        p = ring.mul(top[k], cof)
+        for row in a[k + 1:]:
+            f = ring.mul(row[k], cof) if row[k] != zero else zero
+            for j in range(k + 1, n):
+                # Sylvester matrices are sparse: skip products with zero
+                v = ring.mul(p, row[j]) if row[j] != zero else zero
+                if f != zero and top[j] != zero:
+                    v = ring.sub(v, ring.mul(f, top[j]))
+                if norm != 1 and v != zero:
+                    v = ring.quo(v, norm)
+                row[j] = v
+        cof, norm = ring.norm_cofactor(top[k])
+    return a[n - 1][n - 1] if sign > 0 else ring.scale(a[n - 1][n - 1], -1)
+
+
+def _forward_differences(values: list) -> list:
+    """Coefficients of M! R, where R is the polynomial of degree at most M
+    with R(j) = values[j] for j = 0..M, by forward differences:
+    M! R(t) = sum_k (M!/k!) Delta^k R(0) t(t-1)...(t-k+1).  The values are
+    integers or field elements; only sums and integer multiples are taken."""
+    M = len(values) - 1
+    out = [0] * (M + 1)
+    falling = [1]                       # t(t-1)...(t-k+1), ascending
+    diffs = list(values)
+    weight = math.factorial(M)          # M!/k!
+    for k in range(M + 1):
+        for i, c in enumerate(falling):
+            if c:
+                out[i] = diffs[0] * (weight * c) + out[i]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
+        weight //= k + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# real roots over Z: square-free parts and Descartes bisection
+# ---------------------------------------------------------------------------
+
+def _integer_poly(f: Poly) -> list[int]:
+    """The primitive integer multiple of a nonzero polynomial over Q."""
+    _, v = _RationalIntegers.clear(f.coeffs)
+    cont = _int_content(v)
+    return [x // cont for x in v]
+
+
+def _zpoly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+    return out
+
+
+def _zpoly_exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g in Z[x]; a remainder raises :class:`InexactDivision`."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = _exact_quo(r[k + len(g) - 1], g[-1])
+        if c:
+            for j, y in enumerate(g):
+                r[k + j] -= c * y
+    if any(r):
+        raise InexactDivision("polynomial division leaves a remainder")
+    return q
+
+
+# the largest prime below 2^30: residues fit one CPython digit, and a
+# leading coefficient or discriminant that it divides by chance only sends
+# the square-free test down the exact PRS route
+_PRIME = 1073741789
+
+
+def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
+    """True when f and g stay coprime modulo _PRIME and the prime does not
+    divide lc(f).  Then they are coprime over Q: a common primitive factor
+    h of positive degree would divide both in Z[x], and its leading
+    coefficient, which divides lc(f), would survive the reduction."""
+    p = _PRIME
+    if f[-1] % p == 0:
+        return False
+    a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, off = a[-1] * inv % p, len(a) - len(b)
+            for j, y in enumerate(b):
+                a[off + j] = (a[off + j] - c * y) % p
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree_z(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a nonconstant integer polynomial f.  The primitive
+    PRS gcd runs only when f and f' are not already coprime modulo a large
+    prime, which proves f square-free at a fraction of the cost."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    if _coprime_mod_prime(f, df):
+        return f
+    g = _primitive_prs_gcd(f, df)
+    cont = _int_content(g)
+    return f if len(g) == 1 else _zpoly_exact_quo(f, [x // cont for x in g])
+
+
+def _taylor_shift(f: list[int], a: int) -> list[int]:
+    """Coefficients of f(x + a), by repeated synthetic division."""
+    f = list(f)
+    n = len(f)
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            f[k] += a * f[k + 1]
+    return f
+
+
+def _sign_changes(values: list[int]) -> int:
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of f in (lo, hi], by Sturm's theorem.
+def _roots_in_unit_interval(g: list[int]) -> int:
+    """Distinct roots in (0, 1) of a square-free integer polynomial, by
+    Descartes' rule of signs with bisection (Collins and Akritas, 1976).
 
-    Restricted to rational coefficients; the input is made square-free
-    before the chain is built.
+    The sign changes of (x + 1)^n g(1 / (x + 1)) bound the number of roots
+    in (0, 1) and equal it when they are 0 or 1.  Otherwise g is split at
+    1/2 into 2^n g(y / 2) and 2^n g((y + 1) / 2), counting a root at 1/2.
+    """
+    count, todo = 0, [g]
+    while todo:
+        g = todo.pop()
+        v = _sign_changes(_taylor_shift(g[::-1], 1))
+        if v <= 1:
+            count += v
+            continue
+        n = len(g) - 1
+        left = [c << (n - k) for k, c in enumerate(g)]
+        right = _taylor_shift(left, 1)
+        if right[0] == 0:
+            count += 1
+            right = right[1:]
+        todo += [left, right]
+    return count
+
+
+def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of f in (lo, hi].
+
+    Restricted to rational coefficients.  The count runs over Z: the
+    square-free part of f is mapped onto (0, 1] by x = lo + (hi - lo) y,
+    then counted by Descartes bisection, which gives the same count as a
+    Sturm sequence over Q.
     """
     if f.field != QQ:
-        raise FieldMismatch("Sturm counting is implemented over Q only")
+        raise FieldMismatch("real root counting is implemented over Q only")
     if f.is_zero():
         raise ValueError("zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -457,17 +761,41 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("need lo < hi")
     if f.degree == 0:
         return 0
-    sf = f // poly_gcd(f, f.derivative())
-    chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero():
-        nxt = -(chain[-2] % chain[-1])
-        chain.append(nxt)
-    chain.pop()
+    g = _squarefree_z(_integer_poly(f))
+    # c^n f((a + b y) / c) with a / c = lo and b / c = hi - lo
+    c = math.lcm(lo.denominator, hi.denominator)
+    a, b, n = int(lo * c), int((hi - lo) * c), len(g) - 1
+    g = _taylor_shift([x * c ** (n - k) for k, x in enumerate(g)], a)
+    g = [x * b ** k for k, x in enumerate(g)]
+    while g[0] == 0:        # a root at lo, which (lo, hi] leaves out
+        g = g[1:]
+    return int(sum(g) == 0) + _roots_in_unit_interval(g)
 
-    def variations(x: Fraction) -> int:
-        return _sign_changes([poly_eval(p, QQ(x)).payload for p in chain])
 
-    return variations(lo) - variations(hi)
+def real_norm_supported(field: Field) -> bool:
+    """True for Q and Q(i), the fields over which :func:`squarefree_norm`
+    decides the real roots of a polynomial exactly."""
+    return field == QQ or (isinstance(field, CyclotomicField) and field.n == 4)
+
+
+def squarefree_norm(G: Poly) -> Poly:
+    """Monic square-free part, over Q, of the norm N = G * conj(G) of a
+    nonzero polynomial over Q or Q(i): N is G itself over Q, and
+    Gr^2 + Gi^2 over Q(i), where G = Gr + i*Gi with Gr, Gi real.  A real t
+    is a root of G exactly when it is a root of N.  Computed over Z."""
+    K = G.field
+    if not real_norm_supported(K):
+        raise FieldMismatch(f"no real norm over {K}")
+    if G.is_zero():
+        raise ValueError("zero polynomial")
+    if K == QQ:
+        N = _integer_poly(G)
+    else:
+        _, v = _integral_ring(K).clear(G.coeffs)
+        re, im = [x for x, _ in v], [y for _, y in v]
+        N = [x + y for x, y in zip(_zpoly_mul(re, re), _zpoly_mul(im, im))]
+    sf = _squarefree_z(N) if len(N) > 1 else [1]
+    return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +807,23 @@ def cyclotomic_polynomial(n: int) -> Poly:
     return Poly(QQ, cyclotomic_coeffs(n))
 
 
-def interpolate(field: Field, points: Sequence[tuple[FieldElement, FieldElement]]) -> Poly:
-    """Lagrange interpolation through distinct nodes."""
-    result = Poly.zero(field)
-    xs = [field(x) for x, _ in points]
-    for i, (_, yi) in enumerate(points):
-        yi = field(yi) if not isinstance(yi, FieldElement) else yi
-        num = Poly(field, (field.one(),))
-        den = field.one()
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(field, (-xj, field.one()))
-            den = den * (xs[i] - xj)
-        result = result + num * (yi / den)
-    return result
+def interpolate(field: Field, values: Sequence[FieldElement]) -> Poly:
+    """The polynomial R of degree at most M with R(j) = values[j] for the
+    nodes j = 0, 1, ..., M, by forward differences and one division by M!
+    at the end.
+
+    Over Q and Q(zeta_n) the values share one denominator and the
+    differences run over Z, coordinate by coordinate in the power basis of
+    Z[zeta_n]; over quadratic layers they run in the field.
+    """
+    values = [field(v) for v in values]
+    scale = math.factorial(len(values) - 1)
+    ring = _integral_ring(field)
+    if ring is None:
+        return Poly(field, [c / scale for c in _forward_differences(values)])
+    den, ys = ring.clear(values)
+    if field == QQ:
+        coeffs = _forward_differences(ys)
+    else:
+        coeffs = zip(*(_forward_differences(list(c)) for c in zip(*ys)))
+    return Poly(field, [ring.to_field(c, den * scale) for c in coeffs])

@@ -10,6 +10,7 @@ emptiness itself by exhausting the finite group types containing orders p
 and 2 and by the automorphism search inside the rotation normaliser.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -329,3 +330,9 @@ def test_criterion_10_determinism():
     second = artifact_bytes()
     _report("criterion 10 (determinism)", first == second,
             f"{len(first)} bytes, byte-identical across runs")
+    # pinned byte for byte: a faster kernel must emit the same artifacts
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    _report("criterion 10 (pinned bytes)",
+            (len(first), digest) == (17519, "2aebf1359f33478827ce88bc9ea6de68"
+                                            "751816116dbc3fec645fee2e933d9a0a"),
+            f"{len(first)} bytes, sha256 {digest}")

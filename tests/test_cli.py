@@ -105,6 +105,24 @@ def test_path_connect_validate_roundtrip(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"valid": True}
 
 
+def test_normalization_failure_exits_with_certification_code(tmp_path, capsys,
+                                                             monkeypatch):
+    import ratsym.cli
+    from ratsym.moduli import NormalizationFailed
+
+    def fail(*args, **kwargs):
+        raise NormalizationFailed("involution normalisation failed")
+
+    monkeypatch.setattr(ratsym.cli, "connectivity_certificate", fail)
+    f0 = random_cyclic_family(random.Random(3), 3, 1, "A")
+    f1 = random_cyclic_family(random.Random(4), 2, 2, "B")
+    p0, p1 = tmp_path / "f0.json", tmp_path / "f1.json"
+    p0.write_text(canon_dumps(family_to_json(f0)))
+    p1.write_text(canon_dumps(family_to_json(f1)))
+    assert main(["connect", str(p0), str(p1)]) == EXIT_CERTIFICATION
+    assert "involution normalisation failed" in capsys.readouterr().err
+
+
 def test_validate_rejects_tampering(tmp_path, capsys):
     f0 = random_cyclic_family(random.Random(5), 2, 2, "B")
     f1 = random_cyclic_family(random.Random(6), 2, 2, "B")

@@ -1,0 +1,175 @@
+"""Differential tests of the integer certification kernel against sympy.
+
+The Sylvester resultants and the segment obstruction polynomials are
+compared with sympy's resultant over Q and Q(i), the square-free norms with
+sympy's ``sqf_part``, and the real-root count
+(:func:`sturm_roots_in_interval`) with sympy's ``count_roots``.  Both
+oracles are test-only imports: the module is skipped when sympy or
+hypothesis is absent.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from ratsym.fields import QQ, CyclotomicField  # noqa: E402
+from ratsym.moduli import _segment_obstruction  # noqa: E402
+from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
+                         squarefree_norm, sturm_roots_in_interval)
+from ratsym.symmetry import random_cyclic_family  # noqa: E402
+
+QI = CyclotomicField(4)
+X, T = sp.symbols("x t")
+TR = sp.Symbol("t", real=True)
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _to_sympy(c):
+    if c.field == QQ:
+        return sp.Rational(c.payload.numerator, c.payload.denominator)
+    re, im = c.payload
+    return sp.Rational(re.numerator, re.denominator) + \
+        sp.I * sp.Rational(im.numerator, im.denominator)
+
+
+def _from_sympy(value, K):
+    re, im = sp.re(value), sp.im(value)
+    if K == QQ:
+        assert im == 0
+        return QQ(Fraction(int(re.p), int(re.q)))
+    return K.from_coeffs([Fraction(int(re.p), int(re.q)),
+                          Fraction(int(im.p), int(im.q))])
+
+
+def _sympy_resultant(F, G, m, n):
+    # sympy's resultant(F, G) is Res(G, F) = (-1)^(mn) Res(F, G) when
+    # deg F < deg G, so the larger degree goes first
+    return sp.resultant(F, G, X) if m >= n else (-1) ** (m * n) * sp.resultant(G, F, X)
+
+
+def _coeff(K):
+    ints = st.integers(-4, 4)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if K == QQ:
+        return st.one_of(ints, small).map(lambda v: QQ(Fraction(v)))
+    return st.tuples(st.one_of(ints, small), ints).map(
+        lambda p: K.from_coeffs([Fraction(p[0]), Fraction(p[1])]))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    K = draw(st.sampled_from([QQ, QI]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    f = draw(st.lists(_coeff(K), min_size=m + 1, max_size=m + 1))
+    g = draw(st.lists(_coeff(K), min_size=n + 1, max_size=n + 1))
+    # sympy takes the actual degrees; keep them at the formal ones
+    hypothesis.assume(not f[-1].is_zero() and not g[-1].is_zero())
+    return f, g
+
+
+def _units_case(u, v):
+    # the Sylvester matrix of (u (1 + x^3), v x^3) needs row swaps, and its
+    # Bareiss pivots are units other than 1 (the obstruction of a segment
+    # starting at a = (1, 0, 0, 1), b = (0, 0, 0, 1) meets it at t = 0)
+    u, v, zero = QI.from_coeffs(u), QI.from_coeffs(v), QI.zero()
+    return [u, zero, zero, u], [zero, zero, zero, v]
+
+
+@SETTINGS
+@given(polynomial_pairs())
+@example(_units_case([1, 0], [1, 0]))
+@example(_units_case([0, 1], [-1, 0]))
+@example(_units_case([-1, 0], [0, -1]))
+def test_resultant_matches_sympy(pair):
+    f, g = pair
+    K, m, n = f[0].field, len(f) - 1, len(g) - 1
+    F = sum(_to_sympy(c) * X ** k for k, c in enumerate(f))
+    G = sum(_to_sympy(c) * X ** k for k, c in enumerate(g))
+    expect = _from_sympy(sp.expand(_sympy_resultant(F, G, m, n)), K)
+    assert resultant(Poly(K, f), Poly(K, g), m, n) == expect
+
+
+FAMILY_TYPES = [(2, 1, "A"), (2, 2, "B"), (3, 2, "A"), (2, 3, "B"), (2, 2, "C"),
+                (3, 3, "C")]
+
+
+@SETTINGS
+@given(st.sampled_from([QQ, QI]), st.sampled_from(FAMILY_TYPES),
+       st.integers(0, 10 ** 6))
+def test_segment_obstruction_matches_sympy(K, family_type, seed):
+    n, r, case = family_type
+    rng = random.Random(seed)
+    f0 = random_cyclic_family(rng, n, r, case, field=K)
+    f1 = random_cyclic_family(rng, n, r, case, field=K)
+
+    def pencil(c0, c1):
+        return [(1 - T) * _to_sympy(x) + T * _to_sympy(y) for x, y in zip(c0, c1)]
+
+    a, b = pencil(f0.a, f1.a), pencil(f0.b, f1.b)
+    m = r - 1 if case == "C" else r
+    # keep sympy's degrees in x at the formal degrees (m, r)
+    hypothesis.assume(sp.expand(a[m]) != 0 and sp.expand(b[r]) != 0)
+    P = sum(c * X ** k for k, c in enumerate(a[:m + 1]))
+    Q = sum(c * X ** k for k, c in enumerate(b))
+    cond = {"A": a[r] * b[0], "B": a[r], "C": b[r]}[case]
+    expect = sp.expand(_sympy_resultant(P, Q, m, r) * cond)
+    coeffs = sp.Poly(expect, T).all_coeffs()[::-1] if expect != 0 else []
+    assert _segment_obstruction(f0, f1) == Poly(K, [_from_sympy(c, K) for c in coeffs])
+
+
+@SETTINGS
+@given(st.sampled_from([QQ, QI]).flatmap(
+    lambda K: st.lists(_coeff(K), min_size=1, max_size=6)))
+def test_squarefree_norm_matches_sympy(coeffs):
+    G = Poly(coeffs[0].field, coeffs)
+    hypothesis.assume(not G.is_zero())
+    g = sum(_to_sympy(c) * TR ** k for k, c in enumerate(G.coeffs))
+    norm = sp.expand(g * sp.conjugate(g))
+    expect = sp.Poly(norm, TR).sqf_part().monic().all_coeffs()[::-1]
+    assert squarefree_norm(G) == Poly(QQ, [_from_sympy(c, QQ) for c in expect])
+
+
+ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@st.composite
+def root_problems(draw):
+    roots = draw(st.lists(ROOTS, min_size=0, max_size=4))
+    f = Poly(QQ, [draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))])
+    for r in roots:
+        f = f * Poly(QQ, [-r, 1])
+        for _ in range(draw(st.integers(0, 2))):     # repeated roots
+            f = f * Poly(QQ, [-r, 1])
+    # a factor with no rational roots, or roots of its own
+    extra = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    if any(extra):
+        f = f * Poly(QQ, extra)
+    # endpoints are often roots themselves
+    ends = roots + [draw(ROOTS), draw(ROOTS)]
+    lo, hi = sorted((draw(st.sampled_from(ends)), draw(st.sampled_from(ends))))
+    return f, lo, hi if lo < hi else lo + 1
+
+
+def _count_with_sympy(f, lo, hi):
+    g = sp.Poly([_to_sympy(c) for c in reversed(f.coeffs)], X)
+    closed = g.count_roots(sp.Rational(lo.numerator, lo.denominator),
+                           sp.Rational(hi.numerator, hi.denominator))
+    return closed - (1 if poly_eval(f, QQ(lo)).is_zero() else 0)
+
+
+@SETTINGS
+@given(root_problems())
+@example((Poly(QQ, [-1, 3]) * Poly(QQ, [-1, 3]) * Poly(QQ, [-2, 7]),
+          Fraction(1, 3), Fraction(9, 7)))
+@example((Poly(QQ, [0, 1]) * Poly(QQ, [-1, 1]) * Poly(QQ, [-1, 1]) * Poly(QQ, [-1, 1]),
+          Fraction(0), Fraction(1)))
+def test_sturm_roots_in_interval_matches_sympy(problem):
+    f, lo, hi = problem
+    assert sturm_roots_in_interval(f, lo, hi) == _count_with_sympy(f, lo, hi)

@@ -9,8 +9,10 @@ from ratsym.poly import Poly, poly_eval
 from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
 from ratsym.symmetry import (CyclicFamily, build_cyclic, cyclic_admissible,
                              dihedral_admissible, random_cyclic_family)
+from ratsym import moduli
 from ratsym.moduli import (CertificateInvalid, FamilyMismatch,
-                           GapMarker, NotDegreeTwo, act_invert, act_scale,
+                           GapMarker, IntervalProof, NormalizationFailed,
+                           NotDegreeTwo, PathLeg, act_invert, act_scale,
                            build_path, connectivity_certificate, dim_cyclic,
                            dim_dihedral, fujimura_cubic, involution_to_standard,
                            milnor_coordinates, validate_connectivity_certificate,
@@ -206,6 +208,13 @@ def test_involution_to_standard():
         assert U.compose(S.lift(K)).compose(U.inverse()) == scaling(K(-1))
 
 
+def test_involution_to_standard_raises_when_check_fails(monkeypatch):
+    # the final conjugation check is an exception, so python -O keeps it
+    monkeypatch.setattr(moduli, "scaling", lambda lam: scaling(lam.field(2)))
+    with pytest.raises(NormalizationFailed):
+        involution_to_standard(MobiusMap(QQ, 3, 4, 2, -3))
+
+
 def _order2(S):
     from ratsym.mobius import mobius_order
     return mobius_order(S) == 2
@@ -218,6 +227,21 @@ def test_connectivity_chain_d4():
     names = [type(leg).__name__ for leg in cert.legs]
     assert names == ["PathLeg", "ConjugationLeg", "PathLeg"]
     assert cert.is_gap_free()
+    validate_connectivity_certificate(cert)
+
+
+def test_reversed_legs_keep_the_callers_precision():
+    # the order-3 side comes second, so its path leg is certified forwards
+    # and then reversed; every interval proof must keep precision 64
+    f0 = random_cyclic_family(random.Random(9), 3, 1, "A")
+    f1 = random_cyclic_family(random.Random(10), 2, 2, "B")
+    cert = connectivity_certificate(f1, f0, "interval", random.Random(12),
+                                    precision=64)
+    legs = [leg for leg in cert.legs if isinstance(leg, PathLeg)]
+    assert legs[-1].prime == 3 and legs[-1].cert.segments
+    proofs = [seg.proof for leg in legs for seg in leg.cert.segments]
+    assert proofs and all(isinstance(p, IntervalProof) for p in proofs)
+    assert {p.precision for p in proofs} == {64}
     validate_connectivity_certificate(cert)
 
 

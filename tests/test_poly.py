@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField
-from ratsym.poly import (BothZero, Poly, cyclotomic_polynomial, interpolate,
-                         nullspace, poly_eval, poly_gcd, resultant,
-                         sturm_roots_in_interval)
+from ratsym import poly
+from ratsym.fields import QQ, CyclotomicField, QuadraticField
+from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
+                         det, interpolate, nullspace, poly_eval, poly_gcd,
+                         resultant, sturm_roots_in_interval, sylvester_matrix)
 
 
 def x():
@@ -68,6 +69,46 @@ def test_resultant_detects_common_root_and_multiplicativity():
         assert resultant(fh, g, fh.degree, g.degree) == rf * rh
         checked += 1
     assert checked > 40
+
+
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(3), CyclotomicField(5),
+                               CyclotomicField(12),
+                               QuadraticField(CyclotomicField(4),
+                                              CyclotomicField(4)(2))])
+def test_integer_kernel_matches_the_field_route(K):
+    # resultant: Bareiss over Z or Z[zeta_n] against Gaussian elimination
+    # over the field; interpolate: forward differences through 0..M recover
+    # a random polynomial from its values
+    rng = random.Random(31)
+    gens = [K.one()] + ([K.zeta()] if isinstance(K, CyclotomicField) else [])
+    if isinstance(K, QuadraticField):
+        gens.append(K.sqrt_delta())
+
+    def relem():
+        return sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * g for g in gens),
+                   K.zero())
+
+    def rpoly(deg, density):
+        return Poly(K, [relem() if rng.random() < density else K.zero()
+                        for _ in range(deg + 1)])
+
+    for m, n, density in ((1, 1, 1.0), (2, 3, 0.6), (3, 3, 0.4), (4, 2, 0.8)):
+        for _ in range(3):
+            f, g = rpoly(m, density), rpoly(n, density)
+            expect = det(sylvester_matrix(f, g, m, n), K) if m + n else K.one()
+            assert resultant(f, g, m, n) == expect
+        target = rpoly(m + n, density)
+        values = [poly_eval(target, K(j)) for j in range(m + n + 1)]
+        assert interpolate(K, values) == target
+
+
+def test_integer_kernel_divisions_raise():
+    # exact divisions are checks that python -O keeps
+    with pytest.raises(InexactDivision):
+        poly._zpoly_exact_quo([1, 0, 1], [1, 1])
+    ring = poly._integral_ring(CyclotomicField(4))
+    with pytest.raises(InexactDivision):
+        ring.quo((4, 6), 4)
 
 
 def test_nullspace():
@@ -138,8 +179,9 @@ def test_cyclotomic_polynomial_poly():
 
 def test_interpolation():
     target = Poly(QQ, [3, -2, 0, 1])
-    pts = [(QQ(i), poly_eval(target, QQ(i))) for i in range(5)]
-    assert interpolate(QQ, pts) == target
+    assert interpolate(QQ, [poly_eval(target, QQ(i)) for i in range(5)]) == target
+    # a value list longer than deg + 1 gives the same polynomial
+    assert interpolate(QQ, [poly_eval(target, QQ(i)) for i in range(7)]) == target
 
 
 def test_structure_maps():
