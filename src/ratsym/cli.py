@@ -3,8 +3,10 @@
 Subcommands: admissible, dims, witness, path, connect, milnor, validate.
 All output is canonical JSON (byte-identical for identical inputs and seed);
 tables can also be emitted as CSV or aligned text.  Exit codes: 0 success,
-1 parse/usage error, 2 not admissible, 3 certification or construction
-failed, 4 validation failed.
+1 parse/usage error (a degenerate map, ``DegenerateMap``, among them),
+2 not admissible, 3 certification or construction failed (an exact division
+that leaves a remainder, ``InexactDivision``, among them), 4 validation
+failed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import random
 import sys
 
+from .fields import InexactDivision
 from .jsonio import (canon_dumps, connectivity_from_json, connectivity_to_json,
                      elem_to_json, family_from_json, map_from_json,
                      path_cert_from_json, path_cert_to_json, witness_from_json,
@@ -25,7 +28,6 @@ from .moduli import (CertificateInvalid, CertificationFailed, FamilyMismatch,
                      dim_dihedral, fujimura_cubic, milnor_coordinates,
                      NotDegreeTwo, build_path, validate_connectivity_certificate,
                      validate_path_certificate)
-from .poly import InexactDivision
 from .ratmap import maps_equal
 from .symmetry import (NotAdmissible, WitnessUnavailable,
                        WitnessVerificationFailed, build_cyclic,

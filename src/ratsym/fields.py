@@ -33,6 +33,7 @@ __all__ = [
     "QQ",
     "ComplexBox",
     "FieldMismatch",
+    "InexactDivision",
     "field_arith",
     "complex_conjugate",
     "interval_embed",
@@ -46,6 +47,13 @@ __all__ = [
 
 class FieldMismatch(TypeError):
     """Raised when elements of incompatible fields are combined."""
+
+
+class InexactDivision(ArithmeticError):
+    """A division that exact arithmetic requires to be exact left a
+    remainder, or an inversion modulo an irreducible polynomial met a
+    nonconstant gcd.  Raised, never asserted, so that ``python -O`` keeps
+    it."""
 
 
 Scalar = Union[int, Fraction]
@@ -118,7 +126,9 @@ def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
             if n % d == 0:
                 den = _fp_mul(den, list(cyclotomic_coeffs(d)))
         q, r = _fp_divmod(num, den)
-        assert not r, "cyclotomic division must be exact"
+        if r:
+            raise InexactDivision(f"x^{n} - 1 is not divisible by the lower "
+                                  f"cyclotomic polynomials")
         _cyclo_cache[n] = tuple(q)
     return _cyclo_cache[n]
 
@@ -584,7 +594,8 @@ class CyclotomicField(Field):
                 ns[i] -= v
             _fp_trim(ns)
             r0, r1, s0, s1 = r1, r, s1, ns
-        assert len(r0) == 1, "nonconstant gcd against an irreducible modulus"
+        if len(r0) != 1:
+            raise InexactDivision("nonconstant gcd against an irreducible modulus")
         c = r0[0]
         return tuple(self._reduce([x / c for x in s0]))
 

@@ -10,6 +10,7 @@ generate the tetrahedral, octahedral and icosahedral groups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -178,14 +179,34 @@ def rotation(n: int) -> MobiusMap:
 
 # --- element order -----------------------------------------------------------
 
-def mobius_order(T: MobiusMap, cutoff: int = 120) -> Optional[int]:
+def _absolute_degree(field: Field) -> int:
+    if isinstance(field, QuadraticField):
+        return 2 * _absolute_degree(field.base)
+    return field.degree if isinstance(field, CyclotomicField) else 1
+
+
+@functools.lru_cache(maxsize=None)
+def _largest_order(bound: int) -> int:
+    """The largest m with phi(m) <= bound; phi(m) >= sqrt(m) for m > 6, so
+    every such m is at most max(6, bound^2), which a totient sieve covers."""
+    top = max(6, bound * bound)
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return max(m for m in range(1, top + 1) if phi[m] <= bound)
+
+
+def mobius_order(T: MobiusMap) -> Optional[int]:
     """Least k >= 1 with T^k projectively the identity, or None if infinite.
 
-    After the cutoff the element is certainly of infinite order: a finite
-    projective order n forces tr^2/det = 2 + 2 cos(2 pi k / n), an algebraic
-    number of degree phi(n)/2 over Q, and the coefficient fields in use have
-    bounded degree, so any finite order would have been found already.
+    A finite projective order m makes the ratio of the eigenvalues of T a
+    primitive m-th root of unity.  The eigenvalues lie in an extension of
+    degree at most 2 of the coefficient field K, so phi(m) <= 2 [K:Q], and
+    powers beyond the largest such m need not be tried.
     """
+    cutoff = _largest_order(2 * _absolute_degree(T.field))
     acc = T
     for k in range(1, cutoff + 1):
         if acc.is_identity():

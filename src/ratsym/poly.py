@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     cyclotomic_coeffs, lift)
+                     InexactDivision, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -45,11 +45,6 @@ __all__ = [
 
 class BothZero(ValueError):
     """gcd of two zero polynomials is undefined."""
-
-
-class InexactDivision(ArithmeticError):
-    """A division that the integer kernel requires to be exact left a
-    remainder.  Raised, never asserted, so that ``python -O`` keeps it."""
 
 
 class Poly:
@@ -464,7 +459,7 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
 class _RationalIntegers:
     """Z inside Q; elements are ints."""
     zero, one = 0, 1
-    sub, mul = operator.sub, operator.mul
+    add, sub, mul = operator.add, operator.sub, operator.mul
 
     @staticmethod
     def scale(a: int, k: int) -> int:
@@ -509,6 +504,10 @@ class _CyclotomicIntegers:
                               for k in range(2, n) if math.gcd(k, n) == 1]
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
+
+    @staticmethod
+    def add(a, b):
+        return tuple(map(operator.add, a, b))
 
     @staticmethod
     def sub(a, b):

@@ -3,17 +3,20 @@
 A :class:`RationalMap` is a reduced pair (P, Q) with a certified degree:
 gcd(P, Q) is constant and max(deg P, deg Q) = d >= 1, which together are
 equivalent to the nonvanishing of the Sylvester resultant at formal degrees
-(d, d).  Construction always goes through :func:`make_map`, so every later
-operation may assume nondegeneracy.  Derivatives may drop degree and are
-returned as unchecked :class:`FormalRatFunc` values instead.
+(d, d).  Construction goes through :func:`make_map`, so every later
+operation may assume nondegeneracy; only :func:`conjugate` and
+:meth:`RationalMap.lift` skip its gcd, because a Moebius substitution and a
+field extension both keep a reduced pair reduced.  Derivatives may drop
+degree and are returned as unchecked :class:`FormalRatFunc` values instead.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fields import Field, FieldElement, FieldMismatch, common_field, lift
-from .poly import Poly, poly_gcd
+from .poly import Poly, _integral_ring, poly_gcd
 
 __all__ = [
     "ProjPoint",
@@ -101,9 +104,11 @@ class RationalMap:
         return maps_equal(self, other)
 
     def lift(self, target: Field) -> "RationalMap":
+        # a coprime pair stays coprime over an extension, and keeps its scale
         if target == self.field:
             return self
-        return make_map(self.num.lift(target), self.den.lift(target))
+        return RationalMap(target, self.num.lift(target), self.den.lift(target),
+                           self.degree)
 
     def __call__(self, point):
         if isinstance(point, ProjPoint):
@@ -138,7 +143,15 @@ def make_map(P: Poly, Q: Poly) -> RationalMap:
     d = max(P.degree, Q.degree)
     if d < 1:
         raise DegenerateMap("reduced map is constant")
+    return _scaled(P, Q, d)
+
+
+def _scaled(P: Poly, Q: Poly, d: int) -> RationalMap:
+    """The coprime pair (P, Q) of degree d, scaled so that the degree-d
+    coefficient of P -- or of Q when P drops degree -- equals one."""
     scale = P[d] if not P[d].is_zero() else Q[d]
+    if scale.is_zero():
+        raise DegenerateMap(f"pair has dropped below degree {d}")
     inv = scale.inv()
     return RationalMap(P.field, P * inv, Q * inv, d)
 
@@ -199,53 +212,101 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     N = _subst_homogeneous(phi.num, phi.degree, psi.num, psi.den)
     D = _subst_homogeneous(phi.den, phi.degree, psi.num, psi.den)
     result = make_map(N, D)
-    assert result.degree == phi.degree * psi.degree, "composition degree drop"
+    if result.degree != phi.degree * psi.degree:
+        raise DegenerateMap("composition degree drop")
     return result
 
 
-def _twisted_reversal(f: Poly, d: int, mu: FieldElement) -> Poly:
-    """z^d * f(mu / z): coefficient k becomes f[d-k] * mu^(d-k)."""
-    field = f.field
-    pows = [field.one()]
+class _FieldRing:
+    """A quadratic layer's own elements, in place of the integral ring it
+    has no power basis for here."""
+    add, sub, mul = operator.add, operator.sub, operator.mul
+
+    def __init__(self, field: Field):
+        self.zero, self.one = field.zero(), field.one()
+
+    @staticmethod
+    def clear(elems):
+        return 1, list(elems)
+
+    @staticmethod
+    def to_field(a, den: int):
+        return a
+
+
+def _ring_mul(ring, f: list, g: list) -> list:
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x != zero:
+            for j, y in enumerate(g):
+                if y != zero:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _substitute(ring, fs: list, U: list, V: list) -> list:
+    """sum_k f_k U^k V^(d-k) for each coefficient list f in fs, all of
+    formal degree d, and linear U, V: Horner in U with the shared powers
+    of V, O(d^2) ring operations per f."""
+    d = len(fs[0]) - 1
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    vpows = [[ring.one]]
     for _ in range(d):
-        pows.append(pows[-1] * mu)
-    return Poly(field, tuple(f[d - k] * pows[d - k] for k in range(d + 1)))
+        vpows.append(_ring_mul(ring, vpows[-1], V))
+    out = []
+    for f in fs:
+        acc = [f[d]]
+        for k in range(d - 1, -1, -1):
+            acc = _ring_mul(ring, acc, U)
+            if f[k] != zero:
+                acc = [add(x, mul(f[k], v)) if v != zero else x
+                       for x, v in zip(acc, vpows[d - k])]
+        out.append(acc)
+    return out
 
 
-def conjugate(phi: RationalMap, T) -> RationalMap:
-    """T o phi o T^{-1} for a Moebius map T; degree is preserved.
+def _pencil(ring, s, f: list, t, g: list) -> list:
+    """s f + t g, coefficientwise."""
+    add, mul = ring.add, ring.mul
+    return [add(mul(s, x), mul(t, y)) for x, y in zip(f, g)]
 
-    Diagonal and antidiagonal conjugators (the members of the standard
-    rotation normaliser) take closed-form fast paths.
-    """
+
+def _integral_data(phi: RationalMap, T):
+    """phi and T over one field, their ring, and the numerator, denominator
+    and matrix entries with denominators cleared (each up to a scalar,
+    which changes neither the map nor the Moebius transformation)."""
     from .mobius import MobiusMap  # local import to avoid a cycle
     if not isinstance(T, MobiusMap):
         raise TypeError("conjugator must be a MobiusMap")
     if T.field != phi.field:
         k = common_field(phi.field, T.field)
-        phi = phi.lift(k)
-        T = T.lift(k)
-    field = phi.field
+        phi, T = phi.lift(k), T.lift(k)
+    ring = _integral_ring(phi.field) or _FieldRing(phi.field)
     d = phi.degree
-    if T.b.is_zero() and T.c.is_zero():
-        # T(z) = gamma z with gamma = a/d: coefficients pick up gamma powers
-        gamma = T.a / T.d
-        pows = [field.one()]
-        for _ in range(d + 1):
-            pows.append(pows[-1] * gamma)
-        N = Poly(field, tuple(phi.num[k] * pows[d + 1 - k] for k in range(d + 1)))
-        D = Poly(field, tuple(phi.den[k] * pows[d - k] for k in range(d + 1)))
-        result = make_map(N, D)
-    elif T.a.is_zero() and T.d.is_zero():
-        # T(z) = mu / z, an involution: new map is mu * D~ / N~
-        mu = T.b / T.c
-        Nt = _twisted_reversal(phi.num, d, mu)
-        Dt = _twisted_reversal(phi.den, d, mu)
-        result = make_map(Dt * mu, Nt)
-    else:
-        result = compose(compose(T.as_map(), phi), T.inverse().as_map())
-    assert result.degree == d
-    return result
+    _, pq = ring.clear([phi.num[k] for k in range(d + 1)]
+                       + [phi.den[k] for k in range(d + 1)])
+    _, abcd = ring.clear(T.entries())
+    return phi, ring, pq[:d + 1], pq[d + 1:], abcd
+
+
+def conjugate(phi: RationalMap, T) -> RationalMap:
+    """T o phi o T^{-1} for a Moebius map T = (az + b)/(cz + d).
+
+    With T^{-1} = (dw - b)/(-cw + a), phi o T^{-1} is the pair
+    (P, Q)(dw - b, -cw + a) of formal degree d = deg phi, and T o phi o T^{-1}
+    is (aP + bQ, cP + dQ) of that pair.  Computed over Z, Z[zeta_n] or a
+    quadratic layer's field by one Horner pass.  A Moebius map sends a
+    coprime homogeneous pair of degree d to another, so the result needs
+    no gcd, only the canonical scaling of :func:`make_map`.
+    """
+    phi, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    zero, sub = ring.zero, ring.sub
+    N, D = _substitute(ring, [P, Q], [sub(zero, b), e], [a, sub(zero, c)])
+    N, D = _pencil(ring, a, N, b, D), _pencil(ring, c, N, e, D)
+    field = phi.field
+    return _scaled(Poly(field, [ring.to_field(x, 1) for x in N]),
+                   Poly(field, [ring.to_field(x, 1) for x in D]), phi.degree)
 
 
 class FormalRatFunc:
@@ -284,5 +345,16 @@ def derivative(phi: RationalMap) -> FormalRatFunc:
 
 
 def is_automorphism(phi: RationalMap, T) -> bool:
-    """True when T o phi o T^{-1} equals phi projectively."""
-    return maps_equal(conjugate(phi, T), phi)
+    """True when the Moebius map T = (az + b)/(cz + d) commutes with phi.
+
+    Decides phi o T = T o phi without composing, inverting or reducing:
+    with A, B = (P, Q)(aw + b, cw + d) at the formal degree d of phi, both
+    sides are coprime pairs of formal degree d, so they agree exactly when
+    A (cP + dQ) = B (aP + bQ).  Over Q and Q(zeta_n) the test runs in Z or
+    Z[zeta_n] after clearing denominators once; over quadratic layers in
+    the field.
+    """
+    _, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    A, B = _substitute(ring, [P, Q], [b, a], [e, c])
+    return _ring_mul(ring, A, _pencil(ring, c, P, e, Q)) == \
+        _ring_mul(ring, B, _pencil(ring, a, P, b, Q))

@@ -730,6 +730,18 @@ def _unit_coset(mu0: FieldElement, M: int):
     return out
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by Newton's method from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _rational_perfect_root(fr: Fraction, M: int) -> Optional[Fraction]:
     num, den, sign = fr.numerator, fr.denominator, 1
     if num < 0:
@@ -738,12 +750,9 @@ def _rational_perfect_root(fr: Fraction, M: int) -> Optional[Fraction]:
         sign, num = -1, -num
     if num == 0:
         return None
-    rn = round(num ** (1.0 / M))
-    rd = round(den ** (1.0 / M))
-    for cn in (rn - 1, rn, rn + 1):
-        for cd in (rd - 1, rd, rd + 1):
-            if cn > 0 and cd > 0 and cn ** M == num and cd ** M == den:
-                return Fraction(sign * cn, cd)
+    rn, rd = _integer_root(num, M), _integer_root(den, M)
+    if rn ** M == num and rd ** M == den:
+        return Fraction(sign * rn, rd)
     return None
 
 

@@ -3,11 +3,14 @@ import random
 import subprocess
 import sys
 
-from ratsym.cli import EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_VALIDATION, main
-from ratsym.fields import QQ
+import pytest
+
+from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
+                        EXIT_VALIDATION, main)
+from ratsym.fields import QQ, InexactDivision
 from ratsym.jsonio import canon_dumps, family_to_json, map_to_json
 from ratsym.poly import Poly
-from ratsym.ratmap import make_map
+from ratsym.ratmap import DegenerateMap, make_map
 from ratsym.symmetry import random_cyclic_family
 
 
@@ -165,3 +168,25 @@ def test_console_script_subprocess(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["rows"][0]["d"] == 2
+
+
+def test_witness_of_order_127_validates(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "127", "128", "--out-file", str(out)], capsys)
+    assert code == 0
+    code, text = run_cli(["validate", str(out)], capsys)
+    assert code == 0 and json.loads(text) == {"valid": True}
+
+
+@pytest.mark.parametrize("exc, expected", [
+    (DegenerateMap("composition degree drop"), EXIT_PARSE),
+    (InexactDivision("cyclotomic division"), EXIT_CERTIFICATION),
+])
+def test_arithmetic_failures_map_to_exit_codes(monkeypatch, capsys, exc, expected):
+    from ratsym import cli
+
+    def fail(p, d):
+        raise exc
+    monkeypatch.setattr(cli, "lemma_witness", fail)
+    assert main(["witness", "3", "4"]) == expected
+    assert str(exc) in capsys.readouterr().err

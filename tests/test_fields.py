@@ -215,3 +215,21 @@ def test_serialization_roundtrip():
     assert elem_to_json(QQ(Fraction(-3, 7))) == "-3/7"
     blob = elem_to_json(F5.zeta())
     assert blob["conductor"] == 5 and blob["coeffs"] == ["0", "1", "0", "0"]
+
+
+def test_inexact_cyclotomic_division_raises(monkeypatch):
+    from ratsym import fields
+    monkeypatch.setattr(fields, "_cyclo_cache", {})
+    monkeypatch.setattr(fields, "_fp_divmod",
+                        lambda f, g: ([Fraction(1)], [Fraction(1)]))
+    with pytest.raises(fields.InexactDivision):
+        cyclotomic_coeffs(7)
+
+
+def test_inversion_modulo_a_reducible_modulus_raises(monkeypatch):
+    from ratsym.fields import InexactDivision
+    K = CyclotomicField(4)
+    # replace Phi_4 = x^2 + 1 by x^2 - 1, which shares the factor x + 1
+    monkeypatch.setattr(K, "phi_coeffs", (Fraction(-1), Fraction(0), Fraction(1)))
+    with pytest.raises(InexactDivision):
+        K.from_coeffs([1, 1]).inv()

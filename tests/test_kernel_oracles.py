@@ -3,9 +3,10 @@
 The Sylvester resultants and the segment obstruction polynomials are
 compared with sympy's resultant over Q and Q(i), the square-free norms with
 sympy's ``sqf_part``, and the real-root count
-(:func:`sturm_roots_in_interval`) with sympy's ``count_roots``.  Both
-oracles are test-only imports: the module is skipped when sympy or
-hypothesis is absent.
+(:func:`sturm_roots_in_interval`) with sympy's ``count_roots``.  At the map
+layer, :func:`conjugate` and :func:`is_automorphism` are compared with the
+route through two reduced compositions.  Both oracles are test-only
+imports: the module is skipped when sympy or hypothesis is absent.
 """
 
 import random
@@ -19,10 +20,13 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ratsym.fields import QQ, CyclotomicField  # noqa: E402
+from ratsym.mobius import MobiusMap  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
 from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
                          squarefree_norm, sturm_roots_in_interval)
-from ratsym.symmetry import random_cyclic_family  # noqa: E402
+from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
+                           is_automorphism, make_map, maps_equal)
+from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
 
 QI = CyclotomicField(4)
 X, T = sp.symbols("x t")
@@ -173,3 +177,59 @@ def _count_with_sympy(f, lo, hi):
 def test_sturm_roots_in_interval_matches_sympy(problem):
     f, lo, hi = problem
     assert sturm_roots_in_interval(f, lo, hi) == _count_with_sympy(f, lo, hi)
+
+
+# --- map layer: automorphism test and conjugation over Z and Z[i] ------------
+
+def _oracle_conjugate(phi, T):
+    """T o phi o T^{-1} by two compositions, each reduced by make_map."""
+    return compose(compose(T.as_map(), phi), T.inverse().as_map())
+
+
+@st.composite
+def mobius_maps(draw, K):
+    kind = draw(st.sampled_from(["diagonal", "antidiagonal", "general"]))
+    a, b, c, d = (draw(_coeff(K)) for _ in range(4))
+    if kind == "diagonal":
+        b = c = K.zero()
+    elif kind == "antidiagonal":
+        a = d = K.zero()
+    hypothesis.assume(not (a * d - b * c).is_zero())
+    return MobiusMap(K, a, b, c, d)
+
+
+@st.composite
+def maps_with_mobius(draw):
+    K = draw(st.sampled_from([QQ, QI]))
+    d = draw(st.integers(1, 4))
+    P, Q = (Poly(K, draw(st.lists(_coeff(K), min_size=d + 1, max_size=d + 1)))
+            for _ in range(2))
+    hypothesis.assume(not P.is_zero() and not Q.is_zero())
+    try:
+        phi = make_map(P, Q)
+    except DegenerateMap:
+        hypothesis.assume(False)
+    return phi, draw(mobius_maps(K))
+
+
+@SETTINGS
+@given(maps_with_mobius())
+def test_conjugate_and_automorphism_match_composition(pair):
+    phi, T = pair
+    expected = _oracle_conjugate(phi, T)
+    got = conjugate(phi, T)
+    assert (got.num, got.den, got.degree) == (expected.num, expected.den,
+                                               expected.degree)
+    assert is_automorphism(phi, T) is maps_equal(expected, phi)
+
+
+@settings(SETTINGS, max_examples=15)
+@given(st.sampled_from([QQ, QI]).flatmap(mobius_maps), st.sampled_from([(3, 4), (5, 6)]))
+def test_conjugated_witness_automorphisms_match_composition(T, pair):
+    w = lemma_witness(*pair)
+    phi = _oracle_conjugate(w.map, T)
+    for S, _ in w.autos:
+        S2 = T.compose(S).compose(T.inverse())
+        assert is_automorphism(phi, S2)
+        bad = make_map(phi.num + 1, phi.den)
+        assert is_automorphism(bad, S2) is maps_equal(_oracle_conjugate(bad, S2), bad)

@@ -95,3 +95,12 @@ def test_mobius_serialization_roundtrip():
     from ratsym.jsonio import mobius_to_json, mobius_from_json
     for T in (inversion(QQ), rotation(5), standard_generators(GroupSpec("A5"))[1]):
         assert mobius_from_json(mobius_to_json(T)) == T
+
+
+def test_order_bound_follows_the_field_degree():
+    # phi(127) = 126 = [Q(zeta_127):Q]; a fixed cutoff of 120 missed it
+    assert mobius_order(rotation(127)) == 127
+    assert mobius_order(rotation(7).compose(inversion(CyclotomicField(7)))) == 2
+    # infinite order over Q and over a cyclotomic field
+    assert mobius_order(scaling(QQ(2))) is None
+    assert mobius_order(scaling(CyclotomicField(12).zeta(1) * 2)) is None

@@ -1,0 +1,45 @@
+"""The certification routes keep their soundness checks under ``python -O``.
+
+``-O`` strips every ``assert``, so a check written as one would let a
+tampered certificate through.  These tests build and validate a witness in
+a subprocess of the optimising interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _ratsym_O(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-O", "-m", "ratsym.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_witness_validates_under_O(tmp_path):
+    out = tmp_path / "w.json"
+    built = _ratsym_O("witness", "3", "39", "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}
+
+    # change one coordinate of the involution's upper right entry: the trace
+    # stays zero, so the matrix still has order 2 but no longer commutes
+    # with the map, and only the automorphism check can reject it
+    doc = json.loads(out.read_text())
+    auto = next(a for a in doc["autos"] if a["order"] == 2)
+    coeffs = auto["matrix"]["entries"][1]["coeffs"]
+    coeffs[0] = str(int(coeffs[0]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rejected = _ratsym_O("validate", str(bad))
+    assert rejected.returncode != 0
+    assert "automorphism verification failed" in rejected.stdout
+    assert "Traceback" not in rejected.stderr

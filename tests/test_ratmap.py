@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ratsym.fields import QQ, CyclotomicField
-from ratsym.mobius import MobiusMap, identity, inversion, rotation, scaling
+from ratsym.mobius import (MobiusMap, icosahedral_field, identity, inversion,
+                           rotation, scaling)
 from ratsym.poly import Poly
-from ratsym.ratmap import (DegenerateMap, ProjPoint, compose, conjugate,
-                           derivative, eval_proj, is_automorphism, make_map,
-                           maps_equal)
+from ratsym.ratmap import (DegenerateMap, ProjPoint, RationalMap, compose,
+                           conjugate, derivative, eval_proj, is_automorphism,
+                           make_map, maps_equal)
+from ratsym.symmetry import lemma_witness
 
 
 def qpoly(*coeffs):
@@ -125,3 +128,122 @@ def test_automorphism_group_property():
     for T in verified:
         for S in verified:
             assert is_automorphism(inv2, T.compose(S))
+
+
+# --- the composition route as an oracle --------------------------------------
+
+def _oracle_conjugate(phi, T):
+    """T o phi o T^{-1} by two compositions, each reduced by make_map."""
+    return compose(compose(T.as_map(), phi), T.inverse().as_map())
+
+
+def _agrees_with_oracle(phi, T):
+    """Check conjugate and is_automorphism against the oracle; return the
+    automorphism verdict."""
+    expected = _oracle_conjugate(phi, T)
+    got = conjugate(phi, T)
+    assert (got.num, got.den, got.degree) == (expected.num, expected.den,
+                                               expected.degree)
+    verdict = maps_equal(expected, phi)
+    assert is_automorphism(phi, T) is verdict
+    return verdict
+
+
+QI, Q12 = CyclotomicField(4), CyclotomicField(12)
+ICOSA = icosahedral_field()
+
+
+def _random_element(K, rng):
+    """A small element: an integer in Q, at most two nonzero coordinates in
+    the power basis of a cyclotomic field, and a + b sqrt(delta) with
+    rational a, b in a quadratic layer."""
+    if K == QQ:
+        return K(rng.randint(-2, 2))
+    def rat():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+    if not isinstance(K, CyclotomicField):
+        return K.from_parts(rat(), rat())
+    v = [0] * K.degree
+    for i in rng.sample(range(K.degree), 2):
+        v[i] = rat()
+    return K.from_coeffs(v)
+
+
+def _random_mobius(K, kind, rng):
+    while True:
+        a, b, c, d = (_random_element(K, rng) for _ in range(4))
+        if kind == "diagonal":
+            b = c = K.zero()
+        elif kind == "antidiagonal":
+            a = d = K.zero()
+        try:
+            return MobiusMap(K, a, b, c, d)
+        except ValueError:
+            continue
+
+
+def _random_map(K, d, rng):
+    while True:
+        P, Q = (Poly(K, [_random_element(K, rng) for _ in range(d + 1)])
+                for _ in range(2))
+        if P.is_zero() or Q.is_zero():
+            continue                    # a constant map, not a degree-d one
+        try:
+            return make_map(P, Q)
+        except DegenerateMap:
+            continue
+
+
+@pytest.mark.parametrize("K", [QQ, QI, Q12, ICOSA], ids=["Q", "Qi", "Qz12", "icosa"])
+@pytest.mark.parametrize("kind", ["diagonal", "antidiagonal", "general"])
+def test_conjugate_and_automorphism_match_composition_route(K, kind):
+    rng = random.Random(f"{K!r}/{kind}")
+    count = 12 if K == ICOSA else 20
+    for _ in range(count):
+        phi = _random_map(K, rng.randint(1, 4 if K == ICOSA else 6), rng)
+        _agrees_with_oracle(phi, _random_mobius(K, kind, rng))
+
+
+@pytest.mark.parametrize("K", [QQ, QI, Q12, ICOSA], ids=["Q", "Qi", "Qz12", "icosa"])
+@pytest.mark.parametrize("kind", ["diagonal", "antidiagonal", "general"])
+def test_conjugated_witnesses_keep_their_automorphisms(K, kind):
+    """True cases: conjugating a verified witness (phi, S) by any T gives a
+    map with automorphism T S T^{-1}; adding 1 to its numerator changes the
+    verdict only as the oracle says.  The icosahedral layer holds the
+    fifth roots of unity but not the third."""
+    rng = random.Random(7)
+    pairs = [(5, 6)] if K == ICOSA else [(3, 4)]
+    if K == Q12 and kind == "diagonal":
+        pairs.append((3, 9))            # a tetrahedral witness
+    for p, d in pairs:
+        w = lemma_witness(p, d)
+        T = _random_mobius(K, kind, rng)
+        phi = _oracle_conjugate(w.map, T)
+        for S, order in w.autos:
+            S2 = T.compose(S).compose(T.inverse())
+            assert _agrees_with_oracle(phi, S2)
+            if order == 2:
+                _agrees_with_oracle(make_map(phi.num + 1, phi.den), S2)
+
+
+def test_perturbed_witness_rejected():
+    w = lemma_witness(3, 9)
+    S = next(T for T, order in w.autos if order == 2)
+    assert is_automorphism(w.map, S)
+    bad = make_map(w.map.num + 1, w.map.den)
+    assert not is_automorphism(bad, S)
+    assert not maps_equal(_oracle_conjugate(bad, S), bad)
+
+
+def test_degree_drops_raise_not_assert():
+    # RationalMap's constructor is internal; these pairs break its invariants
+    z = make_map(qpoly(0, 1), qpoly(1))
+    unreduced = RationalMap(QQ, qpoly(0, 0, 1), qpoly(0, 1), 2)
+    with pytest.raises(DegenerateMap):
+        compose(z, unreduced)
+    # a pair of degree 2 that claims degree 3: conjugators fixing infinity
+    # leave both degree-3 coefficients zero
+    overstated = RationalMap(QQ, qpoly(0, 0, 1), qpoly(1), 3)
+    for T in (scaling(QQ(2)), MobiusMap(QQ, 1, 1, 0, 2)):
+        with pytest.raises(DegenerateMap):
+            conjugate(overstated, T)

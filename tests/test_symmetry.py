@@ -277,3 +277,16 @@ def test_simple_families_cover_all_entries():
             for case, r in dihedral_admissible(d, n):
                 fam = simple_dihedral_family(d, n, case)
                 assert build_dihedral(fam).degree == d
+
+
+def test_rational_perfect_root_is_exact_on_large_inputs():
+    from fractions import Fraction
+    from ratsym.symmetry import _rational_perfect_root
+    big = Fraction(3 ** 700)
+    assert _rational_perfect_root(big, 2) == 3 ** 350
+    assert _rational_perfect_root(big, 7) == 3 ** 100
+    assert _rational_perfect_root(big, 700) == 3
+    assert _rational_perfect_root(big + 1, 2) is None
+    assert _rational_perfect_root(Fraction(3 ** 700, 2 ** 700), 700) == Fraction(3, 2)
+    assert _rational_perfect_root(Fraction(-3 ** 7), 7) == -3
+    assert _rational_perfect_root(Fraction(-9), 2) is None
