@@ -24,7 +24,7 @@ from .symmetry import (AutSearchIncomplete, BehaviorMismatch, CoefficientConditi
                        simple_dihedral_family)
 from .moduli import (CertificateInvalid, CertificationFailed, ConjugationLeg,
                      ConnectivityCertificate, DimensionReport, FamilyMismatch,
-                     GapMarker, IntervalProof, MilnorPoint, NormalizationFailed,
+                     IntervalProof, MilnorPoint, NormalizationFailed,
                      NotDegreeTwo, PathCertificate, PathLeg, PathSegment,
                      SturmProof, act_invert, act_scale, build_path,
                      connectivity_certificate, dim_cyclic, dim_dihedral,

@@ -670,6 +670,12 @@ class QuadraticField(Field):
         delta = base(delta)
         if delta.is_zero():
             raise ValueError("radicand must be nonzero")
+        if isinstance(base, RationalField):
+            fr = delta.payload
+            if fr > 0 and all(math.isqrt(v) ** 2 == v
+                              for v in (fr.numerator, fr.denominator)):
+                # sqrt(delta) would be rational: 2 - sqrt(4) is a zero divisor
+                raise ValueError(f"radicand {fr} is a square in Q")
         self.base = base
         self.delta = delta
         self._sqrt_sign = None  # +1 real branch, -1 imaginary branch

@@ -15,9 +15,8 @@ from fractions import Fraction
 from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
                      QuadraticField, RationalField)
 from .mobius import GroupSpec, MobiusMap
-from .moduli import (ConjugationLeg, ConnectivityCertificate, GapMarker,
-                     IntervalProof, PathCertificate, PathLeg, PathSegment,
-                     SturmProof)
+from .moduli import (ConjugationLeg, ConnectivityCertificate, IntervalProof,
+                     PathCertificate, PathLeg, PathSegment, SturmProof)
 from .poly import Poly
 from .ratmap import RationalMap, make_map
 from .symmetry import CyclicFamily, WitnessReport
@@ -239,7 +238,6 @@ def path_cert_to_json(cert: PathCertificate):
             "end_b": [elem_to_json(c) for c in seg.end_b],
             "proof": _proof_to_json(seg.proof),
         } for seg in cert.segments],
-        "conjugators": [mobius_to_json(T) for T in cert.conjugators],
     }
 
 
@@ -253,9 +251,8 @@ def path_cert_from_json(obj) -> PathCertificate:
             end_a=tuple(elem_from_json(c, field) for c in rec["end_a"]),
             end_b=tuple(elem_from_json(c, field) for c in rec["end_b"]),
             proof=_proof_from_json(rec["proof"], field)))
-    conjugators = tuple(mobius_from_json(t) for t in obj.get("conjugators", []))
     return PathCertificate(obj["n"], obj["r"], obj["case"], field,
-                           obj["strategy"], tuple(segments), conjugators)
+                           obj["strategy"], tuple(segments))
 
 
 def connectivity_to_json(cert: ConnectivityCertificate):
@@ -269,10 +266,6 @@ def connectivity_to_json(cert: ConnectivityCertificate):
                          "conjugator": mobius_to_json(leg.conjugator),
                          "source": map_to_json(leg.source),
                          "target": map_to_json(leg.target)})
-        elif isinstance(leg, GapMarker):
-            legs.append({"type": "gap", "reason": leg.reason,
-                         "from_family": family_to_json(leg.from_family),
-                         "to_family": family_to_json(leg.to_family)})
         else:
             raise TypeError(f"unknown leg {leg!r}")
     return {"certificate_type": "connectivity", "degree": cert.degree,
@@ -290,10 +283,6 @@ def connectivity_from_json(obj) -> ConnectivityCertificate:
                 conjugator=mobius_from_json(rec["conjugator"]),
                 source=map_from_json(rec["source"]),
                 target=map_from_json(rec["target"])))
-        elif rec["type"] == "gap":
-            legs.append(GapMarker(reason=rec["reason"],
-                                  from_family=family_from_json(rec["from_family"]),
-                                  to_family=family_from_json(rec["to_family"])))
         else:
             raise ValueError(f"unknown leg type {rec['type']!r}")
     return ConnectivityCertificate(obj["degree"], tuple(legs))

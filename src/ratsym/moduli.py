@@ -23,15 +23,16 @@ from typing import Optional, Union
 
 from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
                      QuadraticField, common_field, interval_embed, lift)
-from .mobius import MobiusMap, identity, mobius_order, scaling, translation
+from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
+                     translation)
 from .poly import (Poly, det, interpolate, real_norm_supported, resultant,
                    squarefree_norm, sturm_roots_in_interval)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
-                       WitnessReport, build_cyclic, cyclic_admissible,
-                       cyclic_family_from_map, dihedral_admissible, lemma_witness,
-                       random_cyclic_family)
+                       build_cyclic, cyclic_admissible, cyclic_family_from_map,
+                       dihedral_admissible, lemma_witness, random_cyclic_family,
+                       simple_dihedral_family)
 
 __all__ = [
     "DimensionReport",
@@ -47,7 +48,6 @@ __all__ = [
     "validate_path_certificate",
     "PathLeg",
     "ConjugationLeg",
-    "GapMarker",
     "ConnectivityCertificate",
     "connectivity_certificate",
     "validate_connectivity_certificate",
@@ -98,7 +98,8 @@ class DimensionReport:
 
 def dim_cyclic(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
     """Complex dimension of the degree-d locus with an order-n rotation:
-    2(d-1)/n, (2d-n)/n or 2(d+1-n)/n for d congruent to 1, 0, -1 mod n."""
+    2(d-1)/n, (2d-n)/n or 2(d+1-n)/n for d congruent to 1, 0, -1 mod n,
+    that is 2r, 2r - 1 or 2r - 2 in the inner degree r of case A, B or C."""
     cases = dict(cyclic_admissible(d, n))
     if not cases:
         raise NotAdmissible(f"order {n} does not occur in degree {d}")
@@ -108,18 +109,14 @@ def dim_cyclic(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
         case = next(iter(cases))
     if case not in cases:
         raise NotAdmissible(f"case {case} does not occur for (d, n) = ({d}, {n})")
-    if case == "A":
-        num = 2 * (d - 1)
-    elif case == "B":
-        num = 2 * d - n
-    else:
-        num = 2 * (d + 1 - n)
-    assert num % n == 0
-    return DimensionReport(d, n, "cyclic", case, num // n)
+    r = cases[case]
+    dimension = {"A": 2 * r, "B": 2 * r - 1, "C": 2 * r - 2}[case]
+    return DimensionReport(d, n, "cyclic", case, dimension)
 
 
 def dim_dihedral(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
-    """Dimension of the dihedral locus: (d-1)/n or (d+1-n)/n."""
+    """Dimension of the dihedral locus: (d-1)/n = r in case I, (d+1-n)/n =
+    r - 1 in case II."""
     cases = dict(dihedral_admissible(d, n))
     if not cases:
         raise NotAdmissible(f"dihedral symmetry of order 2*{n} does not occur "
@@ -130,9 +127,8 @@ def dim_dihedral(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
         case = next(iter(cases))
     if case not in cases:
         raise NotAdmissible(f"case {case} does not occur for (d, n) = ({d}, {n})")
-    num = (d - 1) if case == "I" else (d + 1 - n)
-    assert num % n == 0
-    return DimensionReport(d, n, "dihedral", case, num // n)
+    r = cases[case]
+    return DimensionReport(d, n, "dihedral", case, r if case == "I" else r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +228,6 @@ class PathCertificate:
     field: Field
     strategy: str
     segments: tuple[PathSegment, ...]
-    conjugators: tuple[MobiusMap, ...] = ()
 
     def start_family(self) -> CyclicFamily:
         if not self.segments:
@@ -486,19 +481,9 @@ class ConjugationLeg:
 
 
 @dataclass(frozen=True)
-class GapMarker:
-    reason: str
-    from_family: CyclicFamily
-    to_family: CyclicFamily
-
-
-@dataclass(frozen=True)
 class ConnectivityCertificate:
     degree: int
     legs: tuple
-
-    def is_gap_free(self) -> bool:
-        return all(not isinstance(leg, GapMarker) for leg in self.legs)
 
 
 def _exact_sqrt(x: FieldElement) -> FieldElement:
@@ -543,12 +528,19 @@ def involution_to_standard(S: MobiusMap) -> MobiusMap:
     return U
 
 
-def _locus_input(w) -> CyclicFamily:
-    if isinstance(w, CyclicFamily):
-        return w
-    if isinstance(w, WitnessReport):
-        return w.family
-    raise TypeError("expected a CyclicFamily or WitnessReport")
+def _standard_involution_leg(source: RationalMap, S: MobiusMap):
+    """The leg conjugating ``source`` so that its involution S becomes -z,
+    and the order-2 family its target belongs to."""
+    U = involution_to_standard(S)
+    c2fam, J = cyclic_family_from_map(conjugate(source, U), 2)
+    V = J.compose(U) if not J.is_identity() else U
+    target = build_cyclic(c2fam)
+    return ConjugationLeg(conjugator=V, source=source, target=target), c2fam
+
+
+def _inverted(leg: ConjugationLeg) -> ConjugationLeg:
+    return ConjugationLeg(conjugator=leg.conjugator.inverse(),
+                          source=leg.target, target=leg.source)
 
 
 def _reduce_to_order2(fam: CyclicFamily, strategy: str, rng, precision: int):
@@ -558,18 +550,36 @@ def _reduce_to_order2(fam: CyclicFamily, strategy: str, rng, precision: int):
     w = lemma_witness(p, d)
     wfam = w.family.lift(fam.field) if w.family.field != fam.field else w.family
     leg = PathLeg(p, build_path(fam, wfam, strategy, rng, precision))
-    source = build_cyclic(wfam)
     S = next(T for T, order in w.autos if order == 2)
-    U = involution_to_standard(S)
-    phi2 = conjugate(source, U)
-    c2fam, J = cyclic_family_from_map(phi2, 2)
-    V = J.compose(U) if not J.is_identity() else U
-    target = build_cyclic(c2fam)
-    conj_leg = ConjugationLeg(conjugator=V, source=source, target=target)
+    conj_leg, c2fam = _standard_involution_leg(build_cyclic(wfam), S)
     return [leg, conj_leg], c2fam
 
 
-def connectivity_certificate(w0, w1, strategy: str = "sturm",
+def _same_order_legs(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
+                     rng, precision: int) -> list:
+    """Legs between two families of one rotation order and degree.
+
+    An order has one family in each degree, except order 2 in odd degree,
+    which has two: case A and case C.  They meet at the member D of the D2
+    family ``simple_dihedral_family(d, 2, "I", sign=-1)``, which is case A
+    for -z and also commutes with 1/z; putting 1/z in -z position lands in
+    case C.  Each leg is built in the direction it is used.
+    """
+    n = fam0.n
+    if (fam0.case, fam0.r) == (fam1.case, fam1.r):
+        return [PathLeg(n, build_path(fam0, fam1, strategy, rng, precision))]
+    D = simple_dihedral_family(fam0.degree, 2, "I", sign=-1).to_cyclic()
+    to_c, cfam = _standard_involution_leg(build_cyclic(D), inversion(QQ))
+    if fam0.case == "A":
+        return [PathLeg(n, build_path(fam0, D, strategy, rng, precision)), to_c,
+                PathLeg(n, build_path(cfam, fam1, strategy, rng, precision))]
+    return [PathLeg(n, build_path(fam0, cfam, strategy, rng, precision)),
+            _inverted(to_c),
+            PathLeg(n, build_path(D, fam1, strategy, rng, precision))]
+
+
+def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
+                             strategy: str = "sturm",
                              rng: Optional[random.Random] = None,
                              precision: int = 128) -> ConnectivityCertificate:
     """Chain of certified legs connecting two symmetric classes of one degree.
@@ -577,46 +587,27 @@ def connectivity_certificate(w0, w1, strategy: str = "sturm",
     Each endpoint is a rotation normal-form family for a prime order (2 or an
     odd prime).  Odd-prime sides are routed through an explicit witness map
     carrying an extra involution, which is then conjugated into -z standard
-    position (conjugator recorded); the middle leg runs inside the order-2
-    locus.  When two legs land in different (case, r) families of the same
-    rotation order, a :class:`GapMarker` records the unbridged step instead
-    of fabricating one.
+    position (conjugator recorded); the middle legs run inside the order-2
+    locus, through its D2 member when they join case A to case C.
     """
     if rng is None:
         rng = random.Random(0)
-    fam0, fam1 = _locus_input(w0), _locus_input(w1)
     if fam0.degree != fam1.degree:
         raise ValueError("endpoints have different degrees")
     d = fam0.degree
-    legs: list = []
     if fam0.n == fam1.n:
-        if (fam0.case, fam0.r) == (fam1.case, fam1.r):
-            legs.append(PathLeg(fam0.n, build_path(fam0, fam1, strategy, rng, precision)))
-        else:
-            legs.append(GapMarker(
-                reason=(f"families ({fam0.case}, r={fam0.r}) and "
-                        f"({fam1.case}, r={fam1.r}) of the order-{fam0.n} locus "
-                        f"have no constructed bridge"),
-                from_family=fam0, to_family=fam1))
-        return ConnectivityCertificate(d, tuple(legs))
+        return ConnectivityCertificate(
+            d, tuple(_same_order_legs(fam0, fam1, strategy, rng, precision)))
 
     pre0, c2fam0 = ([], fam0) if fam0.n == 2 else _reduce_to_order2(
         fam0, strategy, rng, precision)
     pre1, c2fam1 = ([], fam1) if fam1.n == 2 else _reduce_to_order2(
         fam1, strategy, rng, precision)
 
-    legs.extend(pre0)
-    if (c2fam0.case, c2fam0.r) == (c2fam1.case, c2fam1.r):
-        legs.append(PathLeg(2, build_path(c2fam0, c2fam1, strategy, rng, precision)))
-    else:
-        legs.append(GapMarker(
-            reason=(f"order-2 families ({c2fam0.case}, r={c2fam0.r}) and "
-                    f"({c2fam1.case}, r={c2fam1.r}) have no constructed bridge"),
-            from_family=c2fam0, to_family=c2fam1))
+    legs = pre0 + _same_order_legs(c2fam0, c2fam1, strategy, rng, precision)
     for leg in reversed(pre1):
         if isinstance(leg, ConjugationLeg):
-            legs.append(ConjugationLeg(conjugator=leg.conjugator.inverse(),
-                                       source=leg.target, target=leg.source))
+            legs.append(_inverted(leg))
         else:
             legs.append(PathLeg(leg.prime,
                                 _reverse_path_certificate(leg.cert, precision)))
@@ -638,7 +629,7 @@ def _reverse_path_certificate(cert: PathCertificate, precision: int) -> PathCert
             raise CertificationFailed("reversed segment failed certification")
         rebuilt.append(seg)
     return PathCertificate(cert.n, cert.r, cert.case, cert.field,
-                           cert.strategy, tuple(rebuilt), cert.conjugators)
+                           cert.strategy, tuple(rebuilt))
 
 
 def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
@@ -662,8 +653,6 @@ def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
             if prev_map is not None and not maps_equal(prev_map, leg.source):
                 raise CertificateInvalid(f"leg {idx}: hand-off mismatch")
             prev_map = leg.target
-        elif isinstance(leg, GapMarker):
-            prev_map = None
         else:
             raise CertificateInvalid(f"leg {idx}: unknown leg type")
 

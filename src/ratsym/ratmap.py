@@ -128,18 +128,13 @@ def make_map(P: Poly, Q: Poly) -> RationalMap:
     """
     if P.field != Q.field:
         raise FieldMismatch("numerator and denominator over different fields")
-    if P.is_zero() and Q.is_zero():
-        raise DegenerateMap("0/0 is not a map")
     if P.is_zero() or Q.is_zero():
-        # monomial-free side: still a valid map (0 or infinity) only if the
-        # other side is nonconstant; covered by the degree check below
-        pass
-    g = None
-    if not P.is_zero() and not Q.is_zero():
-        g = poly_gcd(P, Q)
-        if g.degree > 0:
-            P = P // g
-            Q = Q // g
+        # 0/0, or gcd(0, Q) = Q: the pair reduces to the constant 0 or infinity
+        raise DegenerateMap("a zero numerator or denominator gives no map")
+    g = poly_gcd(P, Q)
+    if g.degree > 0:
+        P = P // g
+        Q = Q // g
     d = max(P.degree, Q.degree)
     if d < 1:
         raise DegenerateMap("reduced map is constant")

@@ -108,6 +108,31 @@ def test_path_connect_validate_roundtrip(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"valid": True}
 
 
+def test_connect_case_a_to_case_c_and_reject_a_gap_leg(tmp_path, capsys):
+    fa = random_cyclic_family(random.Random(21), 2, 2, "A")
+    fc = random_cyclic_family(random.Random(22), 2, 3, "C")
+    p0, p1 = tmp_path / "fa.json", tmp_path / "fc.json"
+    p0.write_text(canon_dumps(family_to_json(fa)))
+    p1.write_text(canon_dumps(family_to_json(fc)))
+    conn_file = tmp_path / "conn.json"
+    code, _ = run_cli(["connect", str(p0), str(p1), "--out-file", str(conn_file)],
+                      capsys)
+    assert code == 0
+    code, out = run_cli(["validate", str(conn_file)], capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
+
+    # an unbridged step is no longer a leg a certificate may contain
+    doc = json.loads(conn_file.read_text())
+    assert [leg["type"] for leg in doc["legs"]] == ["path", "conjugation", "path"]
+    doc["legs"][1] = {"type": "gap", "reason": "no constructed bridge",
+                      "from_family": family_to_json(fa),
+                      "to_family": family_to_json(fc)}
+    gap_file = tmp_path / "gap.json"
+    gap_file.write_text(canon_dumps(doc))
+    code, out = run_cli(["validate", str(gap_file)], capsys)
+    assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
+
+
 def test_normalization_failure_exits_with_certification_code(tmp_path, capsys,
                                                              monkeypatch):
     import ratsym.cli

@@ -181,6 +181,17 @@ def test_quadratic_over_cyclotomic():
         QuadraticField(K, s)  # no nested towers
 
 
+def test_rational_square_radicand_rejected():
+    for delta in (QQ(4), QQ(Fraction(9, 4)), QQ(1)):
+        with pytest.raises(ValueError):
+            QuadraticField(QQ, delta)
+    for delta in (QQ(2), QQ(-4), QQ(Fraction(1, 2))):
+        K = QuadraticField(QQ, delta)
+        s = K.sqrt_delta()
+        x = s + K(2)        # a zero divisor if delta were 4
+        assert s * s == K(delta.payload) and x * x.inv() == K.one()
+
+
 def test_negative_radicand_branch():
     K = QuadraticField(QQ, QQ(-1))
     s = K.sqrt_delta()

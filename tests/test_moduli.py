@@ -10,8 +10,8 @@ from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
 from ratsym.symmetry import (CyclicFamily, build_cyclic, cyclic_admissible,
                              dihedral_admissible, random_cyclic_family)
 from ratsym import moduli
-from ratsym.moduli import (CertificateInvalid, FamilyMismatch,
-                           GapMarker, IntervalProof, NormalizationFailed,
+from ratsym.moduli import (CertificateInvalid, ConjugationLeg, FamilyMismatch,
+                           IntervalProof, NormalizationFailed,
                            NotDegreeTwo, PathLeg, act_invert, act_scale,
                            build_path, connectivity_certificate, dim_cyclic,
                            dim_dihedral, fujimura_cubic, involution_to_standard,
@@ -226,8 +226,12 @@ def test_connectivity_chain_d4():
     cert = connectivity_certificate(w0, w1, "sturm", random.Random(0))
     names = [type(leg).__name__ for leg in cert.legs]
     assert names == ["PathLeg", "ConjugationLeg", "PathLeg"]
-    assert cert.is_gap_free()
+    assert _all_legs_certified(cert)
     validate_connectivity_certificate(cert)
+
+
+def _all_legs_certified(cert):
+    return all(isinstance(leg, (PathLeg, ConjugationLeg)) for leg in cert.legs)
 
 
 def test_reversed_legs_keep_the_callers_precision():
@@ -245,17 +249,41 @@ def test_reversed_legs_keep_the_callers_precision():
     validate_connectivity_certificate(cert)
 
 
-def test_connectivity_same_family_and_gap():
+def test_connectivity_same_family_and_order2_bridge():
     fam = random_cyclic_family(random.Random(13), 2, 3, "B")
     cert = connectivity_certificate(fam, fam)
-    assert cert.is_gap_free() and len(cert.legs) == 1
+    assert _all_legs_certified(cert) and len(cert.legs) == 1
     validate_connectivity_certificate(cert)
+    # degree 3: case A and case C of the order-2 locus meet at the D2 member
     g0 = random_cyclic_family(random.Random(16), 2, 1, "A")
     g1 = random_cyclic_family(random.Random(17), 2, 2, "C")
-    gap = connectivity_certificate(g0, g1)
-    assert not gap.is_gap_free()
-    assert any(isinstance(leg, GapMarker) for leg in gap.legs)
-    validate_connectivity_certificate(gap)
+    bridge = connectivity_certificate(g0, g1)
+    names = [type(leg).__name__ for leg in bridge.legs]
+    assert names == ["PathLeg", "ConjugationLeg", "PathLeg"]
+    assert [leg.cert.case for leg in bridge.legs[::2]] == ["A", "C"]
+    validate_connectivity_certificate(bridge)
+
+
+@pytest.mark.parametrize("d", range(3, 22, 2))
+def test_order2_case_a_and_case_c_chains(d):
+    from ratsym.jsonio import (canon_dumps, connectivity_from_json,
+                               connectivity_to_json)
+    rng = random.Random(100 + d)
+    fa = random_cyclic_family(rng, 2, (d - 1) // 2, "A")
+    fc = random_cyclic_family(rng, 2, (d + 1) // 2, "C")
+    for f0, f1 in ((fa, fc), (fc, fa)):
+        cert = connectivity_certificate(f0, f1, "sturm", random.Random(d))
+        assert [type(leg).__name__ for leg in cert.legs] == \
+            ["PathLeg", "ConjugationLeg", "PathLeg"]
+        assert [leg.cert.case for leg in cert.legs[::2]] == [f0.case, f1.case]
+        assert maps_equal(build_cyclic(cert.legs[0].cert.start_family()),
+                          build_cyclic(f0))
+        assert maps_equal(build_cyclic(cert.legs[-1].cert.end_family()),
+                          build_cyclic(f1))
+        blob = connectivity_to_json(cert)
+        back = connectivity_from_json(blob)
+        assert canon_dumps(connectivity_to_json(back)) == canon_dumps(blob)
+        validate_connectivity_certificate(back)
 
 
 def test_milnor_cusp_and_square():

@@ -1,15 +1,19 @@
 """The certification routes keep their soundness checks under ``python -O``.
 
 ``-O`` strips every ``assert``, so a check written as one would let a
-tampered certificate through.  These tests build and validate a witness in
-a subprocess of the optimising interpreter.
+tampered certificate through.  These tests build and validate a witness
+and a connectivity chain in a subprocess of the optimising interpreter.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+
+from ratsym.jsonio import canon_dumps, family_to_json
+from ratsym.symmetry import random_cyclic_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,3 +47,19 @@ def test_witness_validates_under_O(tmp_path):
     assert rejected.returncode != 0
     assert "automorphism verification failed" in rejected.stdout
     assert "Traceback" not in rejected.stderr
+
+
+def test_case_a_to_case_c_chain_validates_under_O(tmp_path):
+    fams = [random_cyclic_family(random.Random(31), 2, 3, "A"),
+            random_cyclic_family(random.Random(32), 2, 4, "C")]
+    paths = [tmp_path / "fa.json", tmp_path / "fc.json"]
+    for fam, path in zip(fams, paths):
+        path.write_text(canon_dumps(family_to_json(fam)))
+    out = tmp_path / "chain.json"
+    built = _ratsym_O("connect", *map(str, paths), "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    legs = json.loads(out.read_text())["legs"]
+    assert [leg["type"] for leg in legs] == ["path", "conjugation", "path"]
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}

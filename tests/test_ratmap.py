@@ -31,6 +31,14 @@ def test_make_map_examples():
         make_map(qpoly(0), qpoly(0))
 
 
+def test_make_map_rejects_a_zero_side():
+    # gcd(0, z^2) = z^2, so 0/z^2 is the constant 0, not a map of degree 2
+    for P, Q in ((qpoly(0), qpoly(0, 0, 1)), (qpoly(0, 0, 1), qpoly(0)),
+                 (qpoly(0), qpoly(3)), (qpoly(1, 1), qpoly(0))):
+        with pytest.raises(DegenerateMap):
+            make_map(P, Q)
+
+
 def test_canonical_scale():
     m = make_map(qpoly(0, 0, 3), qpoly(6))
     assert m.num[2] == 1 and m.den[0] == 2
