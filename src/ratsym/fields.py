@@ -816,11 +816,6 @@ def common_field(f1: Field, f2: Field) -> Field:
     raise FieldMismatch(f"no common field for {f1} and {f2}")
 
 
-def to_common(x: FieldElement, y: FieldElement) -> tuple[FieldElement, FieldElement]:
-    k = common_field(x.field, y.field)
-    return lift(x, k), lift(y, k)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 * closed-form complex dimensions of the symmetric loci,
 * the normaliser action on family coefficients (scaling and inversion),
 * certified straight-line paths inside a normal-form family, with exact
-  Sturm certificates over Q / Q(i) and certified interval subdivision
-  elsewhere; the obstruction polynomial of a segment and its Sturm proof
-  come from the integer kernel of :mod:`ratsym.poly` (Bareiss determinants
-  over Z or Z[zeta_n], Descartes bisection over Z), exactly as over the
-  field,
+  Sturm certificates over every supported field, and interval subdivision
+  only when the ``interval`` strategy asks for it; the obstruction
+  polynomial of a segment and its Sturm proof come from the integer kernel
+  of :mod:`ratsym.poly` (Bareiss determinants over Z or Z[zeta_n], the
+  full norm, Descartes bisection over Z), exactly as over the field,
 * chained connectivity certificates through explicit witness maps,
 * multiplier coordinates of degree-2 maps and the cubic relation cut out by
   the symmetric classes.
@@ -25,8 +25,8 @@ from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
                      QuadraticField, common_field, interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
-from .poly import (Poly, det, interpolate, real_norm_supported, resultant,
-                   squarefree_norm, sturm_roots_in_interval)
+from .poly import (Poly, det, interpolate, resultant, squarefree_norm,
+                   sturm_roots_in_interval)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
@@ -175,9 +175,10 @@ def act_invert(fam: CyclicFamily) -> CyclicFamily:
 
 @dataclass(frozen=True)
 class SturmProof:
-    """Exact nonvanishing proof over [0, 1]: the stored rational polynomial
-    (the square-free norm of the obstruction polynomial) has zero roots in
-    (0, 1], and the obstruction is nonzero at t = 0 and t = 1.
+    """Exact nonvanishing proof over [0, 1] over any supported field: the
+    stored rational polynomial (the square-free norm over Q of the
+    obstruction polynomial, whose real roots include the obstruction's)
+    has zero roots in (0, 1], and the obstruction is nonzero at t = 0 and 1.
 
     The norm and the count are computed over Z (:func:`squarefree_norm`,
     then Descartes bisection); they are the same polynomial and count as a
@@ -279,10 +280,7 @@ def _pencil(c0: FieldElement, c1: FieldElement) -> Poly:
 
 
 def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
-    K = G.field
-    if not real_norm_supported(K):
-        return None
-    g0, g1 = G[0], sum(G.coeffs, K.zero())     # G(0) and G(1)
+    g0, g1 = G[0], sum(G.coeffs, G.field.zero())     # G(0) and G(1)
     if g0.is_zero() or g1.is_zero():
         return None
     sf = squarefree_norm(G)
@@ -349,8 +347,6 @@ def _certify_segment(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
     proof: Optional[Union[SturmProof, IntervalProof]] = None
     if strategy == "sturm":
         proof = _sturm_segment_proof(G)
-        if proof is None and not real_norm_supported(fam0.field):
-            proof = _interval_segment_proof(G, precision)
     elif strategy == "interval":
         proof = _interval_segment_proof(G, precision)
     else:
@@ -548,10 +544,9 @@ def _reduce_to_order2(fam: CyclicFamily, strategy: str, rng, precision: int):
     resulting order-2 family."""
     p, d = fam.n, fam.degree
     w = lemma_witness(p, d)
-    wfam = w.family.lift(fam.field) if w.family.field != fam.field else w.family
-    leg = PathLeg(p, build_path(fam, wfam, strategy, rng, precision))
+    leg = PathLeg(p, build_path(fam, w.family, strategy, rng, precision))
     S = next(T for T, order in w.autos if order == 2)
-    conj_leg, c2fam = _standard_involution_leg(build_cyclic(wfam), S)
+    conj_leg, c2fam = _standard_involution_leg(w.map, S)
     return [leg, conj_leg], c2fam
 
 

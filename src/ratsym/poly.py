@@ -1,6 +1,6 @@
 """Univariate polynomials over the exact fields, with the certification kit:
-Euclidean gcd, Sylvester resultants at *formal* degrees, and counting of real
-roots over Q.
+Euclidean gcd, Sylvester resultants at *formal* degrees, the norm over Q of
+a polynomial over any supported field, and counting of real roots over Q.
 
 Coefficients are stored ascending; the zero polynomial has an empty tuple and
 degree -1.  The resultant takes formal degrees as explicit parameters because
@@ -10,10 +10,10 @@ The segment certificates run on an integer kernel.  Over Q and Q(zeta_n),
 :func:`resultant` clears denominators once and takes the Sylvester
 determinant in Z or Z[zeta_n] by Bareiss elimination, and
 :func:`interpolate` through the nodes 0..m uses integer forward
-differences; :func:`squarefree_norm` and :func:`sturm_roots_in_interval`
-work in Z[x], with a primitive pseudo-remainder gcd and Descartes
-bisection.  The results are the same exact values, polynomials and counts
-as over the field.
+differences; :func:`squarefree_norm` (a product of Galois conjugates) and
+:func:`sturm_roots_in_interval` work in Z[x], with a primitive
+pseudo-remainder gcd and Descartes bisection.  The results are the same
+exact values, polynomials and counts as over the field.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     InexactDivision, cyclotomic_coeffs, lift)
+                     InexactDivision, QuadraticField, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
     "poly_gcd",
     "resultant",
-    "real_norm_supported",
     "squarefree_norm",
     "sturm_roots_in_interval",
     "poly_eval",
@@ -474,6 +473,14 @@ class _RationalIntegers:
         return 1, p
 
     @staticmethod
+    def conjugates(p: int) -> list[int]:
+        return []
+
+    @staticmethod
+    def rational(a: int) -> int:
+        return a
+
+    @staticmethod
     def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
         """A common denominator D and the integers D * e."""
         den = math.lcm(1, *(e.payload.denominator for e in elems))
@@ -535,21 +542,31 @@ class _CyclotomicIntegers:
                     out[i] += c * e
         return tuple(out)
 
-    def norm_cofactor(self, p) -> tuple[tuple, int]:
-        """(c, N) with p * c = N: c is the product of the Galois conjugates
-        of p other than p, and N = N(p) is a rational integer."""
-        cof = self.one
+    def conjugates(self, p) -> list[tuple]:
+        """sigma_k(p) for the automorphisms sigma_k other than 1."""
+        out = []
         for rows in self._conjugations:
             sigma = [0] * self.m
             for x, row in zip(p, rows):
                 if x:
                     for i, e in enumerate(row):
                         sigma[i] += x * e
-            cof = self.mul(cof, sigma)
-        norm = self.mul(p, cof)
-        if any(norm[1:]):
+            out.append(tuple(sigma))
+        return out
+
+    @staticmethod
+    def rational(a) -> int:
+        if any(a[1:]):
             raise InexactDivision("the norm of a cyclotomic integer is not rational")
-        return cof, norm[0]
+        return a[0]
+
+    def norm_cofactor(self, p) -> tuple[tuple, int]:
+        """(c, N) with p * c = N: c is the product of the Galois conjugates
+        of p other than p, and N = N(p) is a rational integer."""
+        cof = self.one
+        for sigma in self.conjugates(p):
+            cof = self.mul(cof, sigma)
+        return cof, self.rational(self.mul(p, cof))
 
     @staticmethod
     def clear(elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
@@ -575,6 +592,17 @@ def _integral_ring(field: Field):
             _cyclotomic_integers[field.n] = _CyclotomicIntegers(field)
         return _cyclotomic_integers[field.n]
     return None
+
+
+def _ring_mul(ring, f: list, g: list) -> list:
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        if x != zero:
+            for j, y in enumerate(g):
+                if y != zero:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
 def _bareiss_det(rows: list[list], ring):
@@ -640,15 +668,6 @@ def _integer_poly(f: Poly) -> list[int]:
     _, v = _RationalIntegers.clear(f.coeffs)
     cont = _int_content(v)
     return [x // cont for x in v]
-
-
-def _zpoly_mul(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x:
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-    return out
 
 
 def _zpoly_exact_quo(f: list[int], g: list[int]) -> list[int]:
@@ -771,29 +790,27 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
     return int(sum(g) == 0) + _roots_in_unit_interval(g)
 
 
-def real_norm_supported(field: Field) -> bool:
-    """True for Q and Q(i), the fields over which :func:`squarefree_norm`
-    decides the real roots of a polynomial exactly."""
-    return field == QQ or (isinstance(field, CyclotomicField) and field.n == 4)
-
-
 def squarefree_norm(G: Poly) -> Poly:
-    """Monic square-free part, over Q, of the norm N = G * conj(G) of a
-    nonzero polynomial over Q or Q(i): N is G itself over Q, and
-    Gr^2 + Gi^2 over Q(i), where G = Gr + i*Gi with Gr, Gi real.  A real t
-    is a root of G exactly when it is a root of N.  Computed over Z."""
-    K = G.field
-    if not real_norm_supported(K):
-        raise FieldMismatch(f"no real norm over {K}")
+    """Monic square-free part, over Q, of the norm N = prod_sigma sigma(G)
+    of a nonzero polynomial G over any supported field, over all its
+    embeddings sigma into C (Trager, SYMSAC 1976).  Over a quadratic layer
+    G is first multiplied by its image under sqrt(delta) -> -sqrt(delta),
+    which lies over the base; over Q(zeta_n) by its images under
+    zeta -> zeta^k, in Z[zeta_n].  The declared embedding of G is a factor
+    of N, so a real root of G is a root of N.  Computed over Z."""
     if G.is_zero():
         raise ValueError("zero polynomial")
-    if K == QQ:
-        N = _integer_poly(G)
-    else:
-        _, v = _integral_ring(K).clear(G.coeffs)
-        re, im = [x for x, _ in v], [y for _, y in v]
-        N = [x + y for x, y in zip(_zpoly_mul(re, re), _zpoly_mul(im, im))]
-    sf = _squarefree_z(N) if len(N) > 1 else [1]
+    K = G.field
+    if isinstance(K, QuadraticField):
+        A, B = (Poly(K.base, (c.payload[i] for c in G.coeffs)) for i in (0, 1))
+        return squarefree_norm(A * A - B * B * K.delta)
+    ring = _integral_ring(K)
+    _, N = ring.clear(G.coeffs)
+    for sigma in zip(*[ring.conjugates(c) for c in N]):
+        N = _ring_mul(ring, N, sigma)
+    N = [ring.rational(c) for c in N]
+    cont = _int_content(N)
+    sf = _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
     return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
 
 

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 
 from .fields import Field, FieldElement, FieldMismatch, common_field, lift
-from .poly import Poly, _integral_ring, poly_gcd
+from .poly import Poly, _integral_ring, _ring_mul, poly_gcd
 
 __all__ = [
     "ProjPoint",
@@ -227,17 +227,6 @@ class _FieldRing:
     @staticmethod
     def to_field(a, den: int):
         return a
-
-
-def _ring_mul(ring, f: list, g: list) -> list:
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, x in enumerate(f):
-        if x != zero:
-            for j, y in enumerate(g):
-                if y != zero:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return out
 
 
 def _substitute(ring, fs: list, U: list, V: list) -> list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
+from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      common_field, lift, root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
@@ -573,9 +573,10 @@ def lemma_witness(p: int, d: int) -> WitnessReport:
 
 def _coeff_samplers(rng, field: Field):
     """Small-height samplers; Gaussian integers when the field contains i."""
-    i_unit = None
-    if isinstance(field, CyclotomicField) and field.n % 4 == 0:
+    try:
         i_unit = lift(root_of_unity(4), field)
+    except FieldMismatch:
+        i_unit = None
 
     def any_coeff() -> FieldElement:
         x = field(rng.randint(-9, 9))

@@ -133,6 +133,22 @@ def test_connect_case_a_to_case_c_and_reject_a_gap_leg(tmp_path, capsys):
     assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
 
 
+def test_connect_through_a_tetrahedral_witness(tmp_path, capsys):
+    # the order-3 side of degree 9 reaches order 2 through the A4 witness
+    # over Q(zeta_12)
+    f3 = random_cyclic_family(random.Random(23), 3, 3, "B")
+    f2 = random_cyclic_family(random.Random(24), 2, 4, "A")
+    p0, p1 = tmp_path / "f3.json", tmp_path / "f2.json"
+    p0.write_text(canon_dumps(family_to_json(f3)))
+    p1.write_text(canon_dumps(family_to_json(f2)))
+    conn_file = tmp_path / "conn.json"
+    code, _ = run_cli(["connect", str(p0), str(p1), "--out-file", str(conn_file)],
+                      capsys)
+    assert code == 0
+    code, out = run_cli(["validate", str(conn_file)], capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
+
+
 def test_normalization_failure_exits_with_certification_code(tmp_path, capsys,
                                                              monkeypatch):
     import ratsym.cli

@@ -1,12 +1,14 @@
 """Differential tests of the integer certification kernel against sympy.
 
 The Sylvester resultants and the segment obstruction polynomials are
-compared with sympy's resultant over Q and Q(i), the square-free norms with
-sympy's ``sqf_part``, and the real-root count
-(:func:`sturm_roots_in_interval`) with sympy's ``count_roots``.  At the map
-layer, :func:`conjugate` and :func:`is_automorphism` are compared with the
-route through two reduced compositions.  Both oracles are test-only
-imports: the module is skipped when sympy or hypothesis is absent.
+compared with sympy's resultant over Q and Q(i), the square-free norms over
+every kind of supported field with ``sqf_part`` of sympy's resultants
+against the minimal polynomials of zeta_n and sqrt(delta), and the
+real-root count (:func:`sturm_roots_in_interval`) with sympy's
+``count_roots``.  At the map layer, :func:`conjugate` and
+:func:`is_automorphism` are compared with the route through two reduced
+compositions.  Both oracles are test-only imports: the module is skipped
+when sympy or hypothesis is absent.
 """
 
 import random
@@ -19,8 +21,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ratsym.fields import QQ, CyclotomicField  # noqa: E402
-from ratsym.mobius import MobiusMap  # noqa: E402
+from ratsym.fields import QQ, CyclotomicField, QuadraticField  # noqa: E402
+from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
 from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
                          squarefree_norm, sturm_roots_in_interval)
@@ -128,15 +130,54 @@ def test_segment_obstruction_matches_sympy(K, family_type, seed):
     assert _segment_obstruction(f0, f1) == Poly(K, [_from_sympy(c, K) for c in coeffs])
 
 
+NORM_FIELDS = [QQ, QI, CyclotomicField(3), CyclotomicField(5), CyclotomicField(12),
+               QuadraticField(QQ, QQ(2)), QuadraticField(QQ, QQ(-3)),
+               icosahedral_field()]
+Y = sp.Symbol("y")
+
+
+def _element(K):
+    """Small elements of any supported field, in its power basis."""
+    if isinstance(K, QuadraticField):
+        return st.tuples(_element(K.base), _element(K.base)).map(
+            lambda p: K.from_parts(*p))
+    if K == QQ:
+        return _coeff(QQ)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    return st.lists(small, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
+
+
+def _power_basis_expr(c):
+    """c as a polynomial in X = zeta_n and Y = sqrt(delta)."""
+    if isinstance(c.field, QuadraticField):
+        a, b = c.payload
+        return _power_basis_expr(a) + Y * _power_basis_expr(b)
+    if c.field == QQ:
+        return sp.Rational(c.payload.numerator, c.payload.denominator)
+    return sum(sp.Rational(v.numerator, v.denominator) * X ** j
+               for j, v in enumerate(c.payload))
+
+
+def _sympy_norm(G):
+    """resultant(Phi_n(x), resultant(y^2 - delta, G, y), x), the product of
+    the images of G under every embedding of its field."""
+    K, g = G.field, sum(_power_basis_expr(c) * TR ** k for k, c in enumerate(G.coeffs))
+    if isinstance(K, QuadraticField):
+        g = sp.resultant(Y ** 2 - _power_basis_expr(K.delta), g, Y)
+        K = K.base
+    if isinstance(K, CyclotomicField):
+        g = sp.resultant(sp.cyclotomic_poly(K.n, X), g, X)
+    return sp.expand(g)
+
+
 @SETTINGS
-@given(st.sampled_from([QQ, QI]).flatmap(
-    lambda K: st.lists(_coeff(K), min_size=1, max_size=6)))
+@given(st.sampled_from(NORM_FIELDS).flatmap(
+    lambda K: st.lists(_element(K), min_size=1,
+                       max_size=4 if isinstance(K, QuadraticField) else 6)))
 def test_squarefree_norm_matches_sympy(coeffs):
     G = Poly(coeffs[0].field, coeffs)
     hypothesis.assume(not G.is_zero())
-    g = sum(_to_sympy(c) * TR ** k for k, c in enumerate(G.coeffs))
-    norm = sp.expand(g * sp.conjugate(g))
-    expect = sp.Poly(norm, TR).sqf_part().monic().all_coeffs()[::-1]
+    expect = sp.Poly(_sympy_norm(G), TR).sqf_part().monic().all_coeffs()[::-1]
     assert squarefree_norm(G) == Poly(QQ, [_from_sympy(c, QQ) for c in expect])
 
 

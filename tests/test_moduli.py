@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField
+from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import MobiusMap, inversion, rotation, scaling
 from ratsym.poly import Poly, poly_eval
 from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
-from ratsym.symmetry import (CyclicFamily, build_cyclic, cyclic_admissible,
+from ratsym.symmetry import (CoefficientConditionViolated, CyclicFamily,
+                             build_cyclic, cyclic_admissible,
                              dihedral_admissible, random_cyclic_family)
 from ratsym import moduli
 from ratsym.moduli import (CertificateInvalid, ConjugationLeg, FamilyMismatch,
                            IntervalProof, NormalizationFailed,
-                           NotDegreeTwo, PathLeg, act_invert, act_scale,
+                           NotDegreeTwo, PathCertificate, PathLeg, PathSegment,
+                           SturmProof, act_invert, act_scale,
                            build_path, connectivity_certificate, dim_cyclic,
                            dim_dihedral, fujimura_cubic, involution_to_standard,
                            milnor_coordinates, validate_connectivity_certificate,
@@ -132,6 +134,64 @@ def test_engineered_degenerate_segment_rerouted():
         assert len(cert.segments) == 2
         assert cert.field == CyclotomicField(4)
         validate_path_certificate(cert)
+
+
+def _mixed_family(rng, n, r, case, K):
+    """A valid family over K whose coefficients x + u*y, with u = zeta_n or
+    sqrt(delta), are not real."""
+    u = K.sqrt_delta() if isinstance(K, QuadraticField) else K.zeta()
+    while True:
+        x, y = (random_cyclic_family(rng, n, r, case, field=K) for _ in range(2))
+        try:
+            return CyclicFamily(n, r, case, *(tuple(p + u * q for p, q in zip(xs, ys))
+                                              for xs, ys in ((x.a, y.a), (x.b, y.b))))
+        except CoefficientConditionViolated:
+            continue
+
+
+STURM_FIELDS = [CyclotomicField(3), CyclotomicField(5), CyclotomicField(12),
+                QuadraticField(QQ, QQ(-3))]
+
+
+@pytest.mark.parametrize("K", STURM_FIELDS, ids=repr)
+def test_sturm_route_covers_every_field(K):
+    from ratsym.jsonio import path_cert_from_json, path_cert_to_json
+    rng = random.Random(41)
+    for n, r, case in ((2, 1, "A"), (3, 1, "B"), (2, 2, "C")):
+        f0, f1 = (_mixed_family(rng, n, r, case, K) for _ in range(2))
+        cert = build_path(f0, f1, "sturm", rng=random.Random(7))
+        assert cert.segments
+        assert all(isinstance(seg.proof, SturmProof) for seg in cert.segments)
+        back = path_cert_from_json(path_cert_to_json(cert))
+        validate_path_certificate(back)
+        # one changed coefficient of a stored norm is caught
+        seg = back.segments[0]
+        norm = seg.proof.norm_poly
+        forged = SturmProof(Poly(QQ, (norm[0] + 1,) + norm.coeffs[1:]),
+                            0, seg.proof.value_at_0, seg.proof.value_at_1)
+        bad = PathCertificate(back.n, back.r, back.case, back.field, back.strategy,
+                              (PathSegment(seg.start_a, seg.start_b, seg.end_a,
+                                           seg.end_b, forged),) + back.segments[1:])
+        with pytest.raises(CertificateInvalid):
+            validate_path_certificate(bad)
+
+
+def test_sturm_path_with_interval_proofs_still_validates():
+    # older versions of the "sturm" strategy wrote interval proofs off Q and
+    # Q(i), so their files name the strategy "sturm" and carry interval proofs
+    from ratsym.jsonio import canon_dumps, path_cert_from_json, path_cert_to_json
+    K = CyclotomicField(3)
+    rng = random.Random(43)
+    f0, f1 = (_mixed_family(rng, 2, 1, "A", K) for _ in range(2))
+    cert = build_path(f0, f1, "interval", rng=random.Random(5), precision=64)
+    old = PathCertificate(cert.n, cert.r, cert.case, cert.field, "sturm",
+                          cert.segments)
+    blob = path_cert_to_json(old)
+    assert blob["strategy"] == "sturm"
+    assert {seg["proof"]["type"] for seg in blob["segments"]} == {"interval"}
+    back = path_cert_from_json(blob)
+    assert canon_dumps(path_cert_to_json(back)) == canon_dumps(blob)
+    validate_path_certificate(back)
 
 
 def test_path_certificate_samples_stay_valid():
@@ -264,10 +324,23 @@ def test_connectivity_same_family_and_order2_bridge():
     validate_connectivity_certificate(bridge)
 
 
-@pytest.mark.parametrize("d", range(3, 22, 2))
-def test_order2_case_a_and_case_c_chains(d):
+def _check_chain(cert, f0, f1):
+    """The chain runs from f0 to f1, survives a JSON round trip byte for
+    byte, and validates."""
     from ratsym.jsonio import (canon_dumps, connectivity_from_json,
                                connectivity_to_json)
+    assert maps_equal(build_cyclic(cert.legs[0].cert.start_family()),
+                      build_cyclic(f0))
+    assert maps_equal(build_cyclic(cert.legs[-1].cert.end_family()),
+                      build_cyclic(f1))
+    blob = connectivity_to_json(cert)
+    back = connectivity_from_json(blob)
+    assert canon_dumps(connectivity_to_json(back)) == canon_dumps(blob)
+    validate_connectivity_certificate(back)
+
+
+@pytest.mark.parametrize("d", range(3, 22, 2))
+def test_order2_case_a_and_case_c_chains(d):
     rng = random.Random(100 + d)
     fa = random_cyclic_family(rng, 2, (d - 1) // 2, "A")
     fc = random_cyclic_family(rng, 2, (d + 1) // 2, "C")
@@ -276,14 +349,25 @@ def test_order2_case_a_and_case_c_chains(d):
         assert [type(leg).__name__ for leg in cert.legs] == \
             ["PathLeg", "ConjugationLeg", "PathLeg"]
         assert [leg.cert.case for leg in cert.legs[::2]] == [f0.case, f1.case]
-        assert maps_equal(build_cyclic(cert.legs[0].cert.start_family()),
-                          build_cyclic(f0))
-        assert maps_equal(build_cyclic(cert.legs[-1].cert.end_family()),
-                          build_cyclic(f1))
-        blob = connectivity_to_json(cert)
-        back = connectivity_from_json(blob)
-        assert canon_dumps(connectivity_to_json(back)) == canon_dumps(blob)
-        validate_connectivity_certificate(back)
+        _check_chain(cert, f0, f1)
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_tetrahedral_hand_off_chains(d):
+    # at d = 3r with r odd the order-3 locus meets order 2 only in
+    # tetrahedral maps over Q(zeta_12); chains reach both order-2 families
+    rng = random.Random(300 + d)
+    f3 = random_cyclic_family(rng, 3, d // 3, "B")
+    fa = random_cyclic_family(rng, 2, (d - 1) // 2, "A")
+    fc = random_cyclic_family(rng, 2, (d + 1) // 2, "C")
+    for f0, f1 in ((f3, fa), (fa, f3), (f3, fc), (fc, f3)):
+        cert = connectivity_certificate(f0, f1, "sturm", random.Random(d))
+        leg3 = cert.legs[0] if f0.n == 3 else cert.legs[-1]
+        assert leg3.prime == 3 and leg3.cert.field == CyclotomicField(12)
+        assert all(isinstance(seg.proof, SturmProof)
+                   for leg in cert.legs if isinstance(leg, PathLeg)
+                   for seg in leg.cert.segments)
+        _check_chain(cert, f0, f1)
 
 
 def test_milnor_cusp_and_square():

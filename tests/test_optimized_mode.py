@@ -1,8 +1,9 @@
 """The certification routes keep their soundness checks under ``python -O``.
 
 ``-O`` strips every ``assert``, so a check written as one would let a
-tampered certificate through.  These tests build and validate a witness
-and a connectivity chain in a subprocess of the optimising interpreter.
+tampered certificate through.  These tests build and validate a witness,
+a connectivity chain and a Sturm path over Q(zeta_5) in a subprocess of the
+optimising interpreter.
 """
 
 import json
@@ -10,10 +11,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from ratsym.fields import CyclotomicField
 from ratsym.jsonio import canon_dumps, family_to_json
-from ratsym.symmetry import random_cyclic_family
+from ratsym.symmetry import CyclicFamily, random_cyclic_family
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,3 +66,36 @@ def test_case_a_to_case_c_chain_validates_under_O(tmp_path):
     checked = _ratsym_O("validate", str(out))
     assert checked.returncode == 0, checked.stderr
     assert json.loads(checked.stdout) == {"valid": True}
+
+
+def test_sturm_path_over_q_zeta5_validates_under_O(tmp_path):
+    K = CyclotomicField(5)
+    rng = random.Random(51)
+    fams = []
+    for _ in range(2):
+        x, y = (random_cyclic_family(rng, 2, 1, "A", field=K) for _ in range(2))
+        fams.append(CyclicFamily(2, 1, "A",
+                                 tuple(p + K.zeta() * q for p, q in zip(x.a, y.a)),
+                                 tuple(p + K.zeta(2) * q for p, q in zip(x.b, y.b))))
+    paths = [tmp_path / "f0.json", tmp_path / "f1.json"]
+    for fam, path in zip(fams, paths):
+        path.write_text(canon_dumps(family_to_json(fam)))
+    out = tmp_path / "path.json"
+    built = _ratsym_O("path", *map(str, paths), "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    doc = json.loads(out.read_text())
+    assert doc["segments"]
+    assert {seg["proof"]["type"] for seg in doc["segments"]} == {"sturm"}
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}
+
+    # one changed coefficient of the stored norm: exit 4, no traceback
+    norm = doc["segments"][0]["proof"]["norm_poly"]
+    norm[0] = str(Fraction(norm[0]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rejected = _ratsym_O("validate", str(bad))
+    assert rejected.returncode == 4
+    assert "stored norm polynomial differs" in rejected.stdout
+    assert "Traceback" not in rejected.stderr
