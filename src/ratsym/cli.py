@@ -3,10 +3,12 @@
 Subcommands: admissible, dims, witness, path, connect, milnor, validate.
 All output is canonical JSON (byte-identical for identical inputs and seed);
 tables can also be emitted as CSV or aligned text.  Exit codes: 0 success,
-1 parse/usage error (a degenerate map, ``DegenerateMap``, among them),
-2 not admissible, 3 certification or construction failed (an exact division
-that leaves a remainder, ``InexactDivision``, among them), 4 validation
-failed.
+1 parse/usage error (a degenerate map, ``DegenerateMap``, and a division by
+a zero divisor of a quadratic layer whose radicand is a square in its base,
+``ZeroDivisionError``, among them), 2 not admissible, 3 certification or
+construction failed (an exact division that leaves a remainder,
+``InexactDivision``, among them), 4 validation failed (a zero divisor met
+while validating among them).
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def cmd_validate(args) -> int:
                 raise CertificateInvalid("family does not rebuild the map")
         else:
             raise ParseError(f"unknown certificate type {kind!r}")
-    except (CertificateInvalid, ValueError, KeyError, TypeError) as exc:
+    except (CertificateInvalid, ValueError, KeyError, TypeError,
+            ZeroDivisionError) as exc:
         if isinstance(exc, ParseError):
             raise
         _emit(canon_dumps({"valid": False, "reason": str(exc)}), args.out_file)
@@ -319,7 +322,7 @@ def main(argv=None) -> int:
     except NotDegreeTwo as exc:
         sys.stderr.write(f"not admissible: {exc}\n")
         return EXIT_NOT_ADMISSIBLE
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -6,11 +6,13 @@
   Sturm certificates over every supported field, and interval subdivision
   only when the ``interval`` strategy asks for it; the obstruction
   polynomial of a segment and its Sturm proof come from the integer kernel
-  of :mod:`ratsym.poly` (Bareiss determinants over Z or Z[zeta_n], the
-  full norm, Descartes bisection over Z), exactly as over the field,
+  of :mod:`ratsym.poly` (fraction-free determinants over the field's
+  integral ring, the full norm, Descartes bisection over Z), exactly as
+  over the field,
 * chained connectivity certificates through explicit witness maps,
-* multiplier coordinates of degree-2 maps and the cubic relation cut out by
-  the symmetric classes.
+* multiplier coordinates of degree-2 maps, as ratios of the coefficients of
+  a resultant in the multiplier, and the cubic relation cut out by the
+  symmetric classes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
                      QuadraticField, common_field, interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
-from .poly import (Poly, det, interpolate, resultant, squarefree_norm,
+from .poly import (Poly, interpolate, resultant, squarefree_norm,
                    sturm_roots_in_interval)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
@@ -665,55 +667,6 @@ class MilnorPoint:
     sigma3: FieldElement
 
 
-def _mat_mul(A, B, field):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)), start=field.zero())
-             for j in range(n)] for i in range(n)]
-
-
-def _mat_eye(n, field):
-    return [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_poly(p: Poly, M, field):
-    n = len(M)
-    acc = [[field.zero()] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
-        acc = _mat_mul(acc, M, field)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
-    return acc
-
-
-def _mat_inv(A, field):
-    n = len(A)
-    aug = [list(A[i]) + list(_mat_eye(n, field)[i]) for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _trace(A, field):
-    t = field.zero()
-    for i in range(len(A)):
-        t = t + A[i][i]
-    return t
-
-
 def milnor_coordinates(phi: RationalMap) -> MilnorPoint:
     """Exact multiplier coordinates of a degree-2 map.
 
@@ -721,9 +674,12 @@ def milnor_coordinates(phi: RationalMap) -> MilnorPoint:
     never unfix infinity, so the deterministic search applies 1/(z+c) for
     c = 0, 1, 2, ... until -c is not a fixed point; at most two finite fixed
     points exist, so this terminates by c = 2).  Then F(z) = z*Q(z) - P(z)
-    is a genuine cubic whose roots are the fixed points; the multipliers are
-    the derivative evaluated on the companion matrix of F, and the symmetric
-    functions are traces and determinants -- no root extraction needed.
+    is a genuine cubic whose roots z_1, z_2, z_3 are the fixed points.  With
+    U/V = phi', the multiplier polynomial
+    chi(lam) = Res_z(F, lam V - U) = lc(F)^e prod_i (lam V(z_i) - U(z_i)),
+    e = max(deg U, deg V), is a cubic in lam with roots the multipliers; it
+    is interpolated from four resultants, and the symmetric functions are
+    ratios of its coefficients -- no root extraction needed.
     """
     if phi.degree != 2:
         raise NotDegreeTwo(f"degree {phi.degree}")
@@ -742,25 +698,15 @@ def milnor_coordinates(phi: RationalMap) -> MilnorPoint:
     F = Poly.x(field) * Q - P
     if F.degree != 3:
         raise NormalizationFailed("fixed-point polynomial is not cubic")
-    F = F.monic()
-    # companion matrix of F = x^3 + f2 x^2 + f1 x + f0
-    f0, f1, f2 = F[0], F[1], F[2]
-    zero, one = field.zero(), field.one()
-    M = [[zero, zero, -f0],
-         [one, zero, -f1],
-         [zero, one, -f2]]
     dphi = derivative(phi)
-    VM = _mat_poly(dphi.den, M, field)
-    VMi = _mat_inv(VM, field)
-    if VMi is None:
+    U, V = dphi.num, dphi.den
+    e = max(U.degree, V.degree)
+    chi = interpolate(field, [resultant(F, V * lam - U, 3, e) for lam in range(4)])
+    if chi[3].is_zero():    # Res(F, V): V vanishes at a fixed point
         raise NormalizationFailed("derivative denominator singular on fixed points")
-    UM = _mat_poly(dphi.num, M, field)
-    L = _mat_mul(UM, VMi, field)
-    s1 = _trace(L, field)
-    t2 = _trace(_mat_mul(L, L, field), field)
-    s2 = (s1 * s1 - t2) / field(2)
-    s3 = det(L, field)
-    return MilnorPoint(sigma1=s1, sigma2=s2, sigma3=s3)
+    inv = chi[3].inv()
+    return MilnorPoint(sigma1=-(chi[2] * inv), sigma2=chi[1] * inv,
+                       sigma3=-(chi[0] * inv))
 
 
 def fujimura_cubic(pt: Union[MilnorPoint, tuple]) -> FieldElement:

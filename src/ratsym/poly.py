@@ -6,14 +6,15 @@ Coefficients are stored ascending; the zero polynomial has an empty tuple and
 degree -1.  The resultant takes formal degrees as explicit parameters because
 degree drop must be detectable, not silently normalised away.
 
-The segment certificates run on an integer kernel.  Over Q and Q(zeta_n),
-:func:`resultant` clears denominators once and takes the Sylvester
-determinant in Z or Z[zeta_n] by Bareiss elimination, and
-:func:`interpolate` through the nodes 0..m uses integer forward
-differences; :func:`squarefree_norm` (a product of Galois conjugates) and
-:func:`sturm_roots_in_interval` work in Z[x], with a primitive
-pseudo-remainder gcd and Descartes bisection.  The results are the same
-exact values, polynomials and counts as over the field.
+Every supported field has an integral ring here: Z for Q, Z[zeta_n] for
+Q(zeta_n), and pairs over the base's ring for a quadratic layer.
+:func:`det`, :func:`resultant` and :func:`nullspace` clear denominators
+once and run one fraction-free Bareiss elimination over that ring;
+:func:`interpolate` takes forward differences in it, :func:`squarefree_norm`
+walks the tower down through it to Z, and :func:`sturm_roots_in_interval`
+counts in Z[x] by a primitive pseudo-remainder gcd and Descartes bisection.
+The results are the same exact values, polynomials and counts as over the
+field.
 """
 
 from __future__ import annotations
@@ -164,9 +165,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, s) -> "Poly":
-        return self * s
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -206,9 +204,6 @@ class Poly:
         if target == self.field:
             return self
         return Poly(target, (lift(c, target) for c in self.coeffs))
-
-    def conj(self) -> "Poly":
-        return Poly(self.field, (c.conj() for c in self.coeffs))
 
     def inflate(self, n: int) -> "Poly":
         """Substitute x -> x^n."""
@@ -344,67 +339,85 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# determinants and resultants
+# determinants, resultants and null spaces by one fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def det(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldElement:
-    """Exact determinant by Gaussian elimination with nonzero pivoting."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    res = field.one()
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+def _echelon(rows: list[list], ncols: int, ring) -> tuple[list[list], list[int], int]:
+    """Row echelon form by Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968), with row swaps; a column with no pivot is skipped.  Returns
+    the rows, the pivot columns and the sign of the row permutation.
+
+    Step k divides exactly by the previous pivot p: every entry is multiplied
+    by the norm cofactor of p, then divided by the integer N(p); a remainder
+    raises :class:`InexactDivision`.  Each entry is then a minor of the
+    input, and the last pivot of a square matrix of full rank is its
+    determinant up to the sign."""
+    a = [list(r) for r in rows]
+    zero, sign, pivots = ring.zero, 1, []
+    cof, norm = ring.one, 1
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][col] != zero), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pv = m[col][col]
-        res = res * pv
-        inv = pv.inv()
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if factor.is_zero():
-                continue
-            factor = factor * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return res if sign > 0 else -res
+        top = a[k]
+        if k + 1 < len(a):
+            if pivots:
+                cof, norm = ring.norm_cofactor(a[k - 1][pivots[-1]])
+            p = ring.mul(top[col], cof)
+            for row in a[k + 1:]:
+                f = ring.mul(row[col], cof) if row[col] != zero else zero
+                for j in range(col + 1, ncols):
+                    # Sylvester matrices are sparse: skip products with zero
+                    v = ring.mul(p, row[j]) if row[j] != zero else zero
+                    if f != zero and top[j] != zero:
+                        v = ring.sub(v, ring.mul(f, top[j]))
+                    if norm != 1 and v != zero:
+                        v = ring.quo(v, norm)
+                    row[j] = v
+                row[col] = zero
+        pivots.append(col)
+    return a, pivots, sign
+
+
+def det(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldElement:
+    """Exact determinant: each row is cleared of denominators once, and the
+    matrix is reduced over the field's integral ring by :func:`_echelon`."""
+    n = len(rows)
+    ring = _integral_ring(field)
+    cleared = [ring.clear(r) for r in rows]
+    m, pivots, sign = _echelon([r for _, r in cleared], n, ring)
+    if len(pivots) < n:
+        return field.zero()
+    value = m[-1][-1] if n else ring.one
+    return ring.to_field(value if sign > 0 else ring.scale(value, -1),
+                         math.prod(den for den, _ in cleared))
 
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
               field: Field) -> list[list[FieldElement]]:
-    """Exact basis of {v : rows * v = 0} by reduction to row echelon form.
+    """Exact basis of {v : rows * v = 0}: each row is cleared of
+    denominators, :func:`_echelon` reduces them over the field's integral
+    ring, and the back substitution runs over the field.
 
     One basis vector per free column, in column order: it is one at that
     column, zero at the other free columns, and solves for the pivots.
     """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        k = len(pivots)
-        pivot = next((i for i in range(k, len(m)) if not m[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        m[k], m[pivot] = m[pivot], m[k]
-        inv = m[k][col].inv()
-        m[k] = [c * inv for c in m[k]]
-        for i in range(len(m)):
-            factor = m[i][col]
-            if i != k and not factor.is_zero():
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-        pivots.append(col)
-    basis = []
+    ring = _integral_ring(field)
+    m, pivots, _ = _echelon([ring.clear(r)[1] for r in rows], ncols, ring)
+    # per pivot row: its column, the inverse pivot, the later nonzero entries
+    ech = [(pc, ring.to_field(row[pc], 1).inv(),
+            [(j, ring.to_field(row[j], 1)) for j in range(pc + 1, ncols)
+             if row[j] != ring.zero]) for row, pc in zip(m, pivots)]
+    zero, basis = field.zero(), []
     for free in (c for c in range(ncols) if c not in pivots):
-        v = [field.zero()] * ncols
+        v = [zero] * ncols
         v[free] = field.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][free]
+        for pc, inv, entries in reversed(ech):
+            v[pc] = -sum((x * v[j] for j, x in entries if not v[j].is_zero()), zero) * inv
         basis.append(v)
     return basis
 
@@ -420,19 +433,14 @@ def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
     return rows
 
 
-def sylvester_matrix(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int):
-    return _sylvester_rows([f[k] for k in range(formal_deg_f + 1)],
-                           [g[k] for k in range(formal_deg_g + 1)], f.field.zero())
-
-
 def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
     """Determinant of the Sylvester matrix at the stated formal degrees.
 
     Vanishes exactly when the formal-degree homogenisations share a
     projective root: a common affine root, or a simultaneous degree drop
-    (a shared root at infinity).  Over Q and Q(zeta_n) the determinant is
-    taken over Z or Z[zeta_n] by :func:`_bareiss_det`; over quadratic layers
-    by Gaussian elimination over the field.
+    (a shared root at infinity).  Each coefficient vector is cleared of
+    denominators once, and the determinant is taken over the field's
+    integral ring by :func:`_echelon`.
     """
     if f.field != g.field:
         raise FieldMismatch("resultant operands in different fields")
@@ -441,23 +449,25 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
     if formal_deg_f == 0 and formal_deg_g == 0:
         return f.field.one()
     ring = _integral_ring(f.field)
-    if ring is None:
-        return det(sylvester_matrix(f, g, formal_deg_f, formal_deg_g), f.field)
-    # every Sylvester row is scaled by the common denominator D
-    nf = formal_deg_f + 1
-    den, ints = ring.clear([f[k] for k in range(nf)]
-                           + [g[k] for k in range(formal_deg_g + 1)])
-    value = _bareiss_det(_sylvester_rows(ints[:nf], ints[nf:], ring.zero), ring)
-    return ring.to_field(value, den ** (formal_deg_f + formal_deg_g))
+    # the rows of f are scaled by its denominator, those of g by its own
+    df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
+    dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
+    n = formal_deg_f + formal_deg_g
+    m, pivots, sign = _echelon(_sylvester_rows(fa, ga, ring.zero), n, ring)
+    if len(pivots) < n:
+        return f.field.zero()
+    value = m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
+    return ring.to_field(value, df ** formal_deg_g * dg ** formal_deg_f)
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel: Z for Q, Z[zeta_n] for Q(zeta_n)
+# the integral rings: Z for Q, Z[zeta_n] for Q(zeta_n), pairs for a
+# quadratic layer
 # ---------------------------------------------------------------------------
 
 class _RationalIntegers:
     """Z inside Q; elements are ints."""
-    zero, one = 0, 1
+    zero, one, base = 0, 1, None
     add, sub, mul = operator.add, operator.sub, operator.mul
 
     @staticmethod
@@ -471,14 +481,6 @@ class _RationalIntegers:
     @staticmethod
     def norm_cofactor(p: int) -> tuple[int, int]:
         return 1, p
-
-    @staticmethod
-    def conjugates(p: int) -> list[int]:
-        return []
-
-    @staticmethod
-    def rational(a: int) -> int:
-        return a
 
     @staticmethod
     def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
@@ -496,6 +498,7 @@ class _CyclotomicIntegers:
     """Z[zeta_n] inside Q(zeta_n); elements are int tuples in the power basis
     1, zeta, ..., zeta^(m-1).  Phi_n is monic with integer coefficients, so
     products reduce to integer tuples."""
+    base = _RationalIntegers
 
     def __init__(self, field: CyclotomicField):
         self.field = field
@@ -555,7 +558,7 @@ class _CyclotomicIntegers:
         return out
 
     @staticmethod
-    def rational(a) -> int:
+    def to_base(a) -> int:
         if any(a[1:]):
             raise InexactDivision("the norm of a cyclotomic integer is not rational")
         return a[0]
@@ -566,7 +569,7 @@ class _CyclotomicIntegers:
         cof = self.one
         for sigma in self.conjugates(p):
             cof = self.mul(cof, sigma)
-        return cof, self.rational(self.mul(p, cof))
+        return cof, self.to_base(self.mul(p, cof))
 
     @staticmethod
     def clear(elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
@@ -579,19 +582,85 @@ class _CyclotomicIntegers:
         return FieldElement(self.field, tuple(Fraction(x, den) for x in a))
 
 
-_cyclotomic_integers: dict[int, _CyclotomicIntegers] = {}
+class _QuadraticIntegers:
+    """R[sqrt(D)] inside base(sqrt(delta)), for the base's ring R; elements
+    are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
+    clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta)."""
+
+    def __init__(self, field: QuadraticField):
+        self.field = field
+        base = self.base = _integral_ring(field.base)
+        self.k, (kdelta,) = base.clear([field.delta])
+        self.D = base.scale(kdelta, self.k)
+        self.zero = (base.zero, base.zero)
+        self.one = (base.one, base.zero)
+
+    def add(self, x, y):
+        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+
+    def sub(self, x, y):
+        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
+
+    def scale(self, x, k: int):
+        return (self.base.scale(x[0], k), self.base.scale(x[1], k))
+
+    def quo(self, x, d: int):
+        return (self.base.quo(x[0], d), self.base.quo(x[1], d))
+
+    def mul(self, x, y):
+        base = self.base
+        (a, b), (c, e) = x, y
+        return (base.add(base.mul(a, c), base.mul(self.D, base.mul(b, e))),
+                base.add(base.mul(a, e), base.mul(b, c)))
+
+    def conjugates(self, p) -> list[tuple]:
+        """[conj(p)]: the image of p under sqrt(D) -> -sqrt(D)."""
+        return [(p[0], self.base.scale(p[1], -1))]
+
+    def to_base(self, p):
+        if p[1] != self.base.zero:
+            raise InexactDivision("the norm of a quadratic integer lies in the base")
+        return p[0]
+
+    def norm_cofactor(self, p) -> tuple[tuple, int]:
+        """(c, N) with p * c = N: c is conj(p) times the base cofactor of
+        a^2 - D b^2, and N is the rational integer of the base."""
+        base = self.base
+        a, b = p
+        n = base.sub(base.mul(a, a), base.mul(self.D, base.mul(b, b)))
+        if n == base.zero:
+            raise ZeroDivisionError("norm vanishes; radicand is a square in the base")
+        cof, N = base.norm_cofactor(n)
+        return (base.mul(a, cof), base.scale(base.mul(b, cof), -1)), N
+
+    def clear(self, elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
+        """A common denominator E and the pairs E * e."""
+        base, k = self.base, self.k
+        den, ints = base.clear([e.payload[0] for e in elems]
+                               + [e.payload[1] for e in elems])
+        n = len(elems)
+        return den * k, [(base.scale(a, k), b) for a, b in zip(ints[:n], ints[n:])]
+
+    def to_field(self, x, den: int) -> FieldElement:
+        base = self.base
+        return FieldElement(self.field, (base.to_field(x[0], den),
+                                         base.to_field(base.scale(x[1], self.k), den)))
+
+
+_rings: dict[tuple, object] = {}
 
 
 def _integral_ring(field: Field):
-    """The integer kernel's ring for Q and Q(zeta_n); None for quadratic
-    layers, which have no integral power basis here."""
+    """The integral ring of the kernel for any supported field, cached by
+    the field's key: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
+    base's ring for a quadratic layer."""
     if field == QQ:
         return _RationalIntegers
-    if isinstance(field, CyclotomicField):
-        if field.n not in _cyclotomic_integers:
-            _cyclotomic_integers[field.n] = _CyclotomicIntegers(field)
-        return _cyclotomic_integers[field.n]
-    return None
+    key = field.key()
+    if key not in _rings:
+        kind = _QuadraticIntegers if isinstance(field, QuadraticField) else _CyclotomicIntegers
+        _rings[key] = kind(field)
+    return _rings[key]
 
 
 def _ring_mul(ring, f: list, g: list) -> list:
@@ -605,55 +674,21 @@ def _ring_mul(ring, f: list, g: list) -> list:
     return out
 
 
-def _bareiss_det(rows: list[list], ring):
-    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
-    1968), with row swaps.  Step k divides exactly by the previous pivot p:
-    every entry is multiplied by the norm cofactor of p, then divided by the
-    integer N(p); a remainder raises :class:`InexactDivision`."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return ring.one
-    zero, sign = ring.zero, 1
-    cof, norm = ring.one, 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if a[i][k] != zero), None)
-        if piv is None:
-            return zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top = a[k]
-        p = ring.mul(top[k], cof)
-        for row in a[k + 1:]:
-            f = ring.mul(row[k], cof) if row[k] != zero else zero
-            for j in range(k + 1, n):
-                # Sylvester matrices are sparse: skip products with zero
-                v = ring.mul(p, row[j]) if row[j] != zero else zero
-                if f != zero and top[j] != zero:
-                    v = ring.sub(v, ring.mul(f, top[j]))
-                if norm != 1 and v != zero:
-                    v = ring.quo(v, norm)
-                row[j] = v
-        cof, norm = ring.norm_cofactor(top[k])
-    return a[n - 1][n - 1] if sign > 0 else ring.scale(a[n - 1][n - 1], -1)
-
-
-def _forward_differences(values: list) -> list:
+def _forward_differences(values: list, ring) -> list:
     """Coefficients of M! R, where R is the polynomial of degree at most M
     with R(j) = values[j] for j = 0..M, by forward differences:
-    M! R(t) = sum_k (M!/k!) Delta^k R(0) t(t-1)...(t-k+1).  The values are
-    integers or field elements; only sums and integer multiples are taken."""
+    M! R(t) = sum_k (M!/k!) Delta^k R(0) t(t-1)...(t-k+1).  The values lie
+    in the ring; only sums and integer multiples are taken."""
     M = len(values) - 1
-    out = [0] * (M + 1)
+    out = [ring.zero] * (M + 1)
     falling = [1]                       # t(t-1)...(t-k+1), ascending
     diffs = list(values)
     weight = math.factorial(M)          # M!/k!
     for k in range(M + 1):
         for i, c in enumerate(falling):
             if c:
-                out[i] = diffs[0] * (weight * c) + out[i]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                out[i] = ring.add(out[i], ring.scale(diffs[0], weight * c))
+        diffs = [ring.sub(b, a) for a, b in zip(diffs, diffs[1:])]
         falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
         weight //= k + 1
     return out
@@ -793,22 +828,20 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
 def squarefree_norm(G: Poly) -> Poly:
     """Monic square-free part, over Q, of the norm N = prod_sigma sigma(G)
     of a nonzero polynomial G over any supported field, over all its
-    embeddings sigma into C (Trager, SYMSAC 1976).  Over a quadratic layer
-    G is first multiplied by its image under sqrt(delta) -> -sqrt(delta),
-    which lies over the base; over Q(zeta_n) by its images under
-    zeta -> zeta^k, in Z[zeta_n].  The declared embedding of G is a factor
-    of N, so a real root of G is a root of N.  Computed over Z."""
+    embeddings sigma into C (Trager, SYMSAC 1976).  The tower is walked
+    down over the integral rings: G is multiplied by its conjugates over
+    the layer below (sqrt(D) -> -sqrt(D) over a quadratic layer,
+    zeta -> zeta^k over Z[zeta_n]), which puts the product in the ring
+    below, until the ring is Z.  The declared embedding of G is a factor
+    of N, so a real root of G is a root of N."""
     if G.is_zero():
         raise ValueError("zero polynomial")
-    K = G.field
-    if isinstance(K, QuadraticField):
-        A, B = (Poly(K.base, (c.payload[i] for c in G.coeffs)) for i in (0, 1))
-        return squarefree_norm(A * A - B * B * K.delta)
-    ring = _integral_ring(K)
+    ring = _integral_ring(G.field)
     _, N = ring.clear(G.coeffs)
-    for sigma in zip(*[ring.conjugates(c) for c in N]):
-        N = _ring_mul(ring, N, sigma)
-    N = [ring.rational(c) for c in N]
+    while ring.base is not None:
+        for sigma in zip(*[ring.conjugates(c) for c in N]):
+            N = _ring_mul(ring, N, sigma)
+        N, ring = [ring.to_base(c) for c in N], ring.base
     cont = _int_content(N)
     sf = _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
     return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
@@ -826,20 +859,11 @@ def cyclotomic_polynomial(n: int) -> Poly:
 def interpolate(field: Field, values: Sequence[FieldElement]) -> Poly:
     """The polynomial R of degree at most M with R(j) = values[j] for the
     nodes j = 0, 1, ..., M, by forward differences and one division by M!
-    at the end.
-
-    Over Q and Q(zeta_n) the values share one denominator and the
-    differences run over Z, coordinate by coordinate in the power basis of
-    Z[zeta_n]; over quadratic layers they run in the field.
+    at the end.  The values share one denominator, and the differences run
+    over the field's integral ring.
     """
     values = [field(v) for v in values]
-    scale = math.factorial(len(values) - 1)
     ring = _integral_ring(field)
-    if ring is None:
-        return Poly(field, [c / scale for c in _forward_differences(values)])
     den, ys = ring.clear(values)
-    if field == QQ:
-        coeffs = _forward_differences(ys)
-    else:
-        coeffs = zip(*(_forward_differences(list(c)) for c in zip(*ys)))
-    return Poly(field, [ring.to_field(c, den * scale) for c in coeffs])
+    den *= math.factorial(len(values) - 1)
+    return Poly(field, [ring.to_field(c, den) for c in _forward_differences(ys, ring)])

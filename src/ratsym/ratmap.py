@@ -8,11 +8,12 @@ operation may assume nondegeneracy; only :func:`conjugate` and
 :meth:`RationalMap.lift` skip its gcd, because a Moebius substitution and a
 field extension both keep a reduced pair reduced.  Derivatives may drop
 degree and are returned as unchecked :class:`FormalRatFunc` values instead.
+:func:`conjugate` and :func:`is_automorphism` run over the integral ring
+of :mod:`ratsym.poly` that every supported field has.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .fields import Field, FieldElement, FieldMismatch, common_field, lift
@@ -212,23 +213,6 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     return result
 
 
-class _FieldRing:
-    """A quadratic layer's own elements, in place of the integral ring it
-    has no power basis for here."""
-    add, sub, mul = operator.add, operator.sub, operator.mul
-
-    def __init__(self, field: Field):
-        self.zero, self.one = field.zero(), field.one()
-
-    @staticmethod
-    def clear(elems):
-        return 1, list(elems)
-
-    @staticmethod
-    def to_field(a, den: int):
-        return a
-
-
 def _substitute(ring, fs: list, U: list, V: list) -> list:
     """sum_k f_k U^k V^(d-k) for each coefficient list f in fs, all of
     formal degree d, and linear U, V: Horner in U with the shared powers
@@ -266,7 +250,7 @@ def _integral_data(phi: RationalMap, T):
     if T.field != phi.field:
         k = common_field(phi.field, T.field)
         phi, T = phi.lift(k), T.lift(k)
-    ring = _integral_ring(phi.field) or _FieldRing(phi.field)
+    ring = _integral_ring(phi.field)
     d = phi.degree
     _, pq = ring.clear([phi.num[k] for k in range(d + 1)]
                        + [phi.den[k] for k in range(d + 1)])
@@ -279,8 +263,9 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
 
     With T^{-1} = (dw - b)/(-cw + a), phi o T^{-1} is the pair
     (P, Q)(dw - b, -cw + a) of formal degree d = deg phi, and T o phi o T^{-1}
-    is (aP + bQ, cP + dQ) of that pair.  Computed over Z, Z[zeta_n] or a
-    quadratic layer's field by one Horner pass.  A Moebius map sends a
+    is (aP + bQ, cP + dQ) of that pair.  Computed over the field's integral
+    ring (Z, Z[zeta_n], or pairs over it for a quadratic layer) by one
+    Horner pass.  A Moebius map sends a
     coprime homogeneous pair of degree d to another, so the result needs
     no gcd, only the canonical scaling of :func:`make_map`.
     """
@@ -334,9 +319,8 @@ def is_automorphism(phi: RationalMap, T) -> bool:
     Decides phi o T = T o phi without composing, inverting or reducing:
     with A, B = (P, Q)(aw + b, cw + d) at the formal degree d of phi, both
     sides are coprime pairs of formal degree d, so they agree exactly when
-    A (cP + dQ) = B (aP + bQ).  Over Q and Q(zeta_n) the test runs in Z or
-    Z[zeta_n] after clearing denominators once; over quadratic layers in
-    the field.
+    A (cP + dQ) = B (aP + bQ).  The test runs over the field's integral ring
+    after clearing denominators once.
     """
     _, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
     A, B = _substitute(ring, [P, Q], [b, a], [e, c])

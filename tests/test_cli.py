@@ -231,3 +231,37 @@ def test_arithmetic_failures_map_to_exit_codes(monkeypatch, capsys, exc, expecte
     monkeypatch.setattr(cli, "lemma_witness", fail)
     assert main(["witness", "3", "4"]) == expected
     assert str(exc) in capsys.readouterr().err
+
+
+def _zero_divisor_map_json():
+    # s - sqrt(delta) is a zero divisor when delta = s^2 with
+    # s = 6 - 2 (zeta_12 + zeta_12^-1) = 6 - 2 sqrt 3, so the pair
+    # (1 + z^2, 1 + (s - sqrt(delta)) z) cannot be reduced by a gcd
+    from ratsym.fields import CyclotomicField, QuadraticField, lift
+    from ratsym.ratmap import RationalMap
+    F = CyclotomicField(12)
+    s = 6 - 2 * (F.zeta() + F.zeta(11))
+    K = QuadraticField(F, s * s)
+    num = Poly(K, [1, 0, 1])
+    den = Poly(K, [K.one(), lift(s, K) - K.sqrt_delta()])
+    return map_to_json(RationalMap(K, num, den, 2))
+
+
+def test_zero_divisor_exits_1_outside_validate(tmp_path, capsys):
+    target = tmp_path / "map.json"
+    target.write_text(canon_dumps(_zero_divisor_map_json()))
+    assert main(["milnor", str(target)]) == EXIT_PARSE
+    assert "norm vanishes" in capsys.readouterr().err
+
+
+def test_zero_divisor_exits_4_inside_validate(tmp_path, capsys):
+    good = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "3", "4", "--out-file", str(good)], capsys)
+    assert code == 0
+    doc = json.loads(good.read_text())
+    doc["map"] = _zero_divisor_map_json()
+    bad = tmp_path / "bad.json"
+    bad.write_text(canon_dumps(doc))
+    code, out = run_cli(["validate", str(bad)], capsys)
+    assert code == EXIT_VALIDATION
+    assert json.loads(out)["valid"] is False

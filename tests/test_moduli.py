@@ -6,7 +6,8 @@ import pytest
 from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import MobiusMap, inversion, rotation, scaling
 from ratsym.poly import Poly, poly_eval
-from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
+from ratsym.ratmap import (DegenerateMap, conjugate, is_automorphism, make_map,
+                           maps_equal)
 from ratsym.symmetry import (CoefficientConditionViolated, CyclicFamily,
                              build_cyclic, cyclic_admissible,
                              dihedral_admissible, random_cyclic_family)
@@ -417,6 +418,84 @@ def test_milnor_conjugation_invariance():
         p0 = milnor_coordinates(phi)
         p1 = milnor_coordinates(conjugate(phi, T))
         assert (p0.sigma1, p0.sigma2) == (p1.sigma1, p1.sigma2)
+        done += 1
+
+
+def _companion_milnor(phi):
+    """Reference multiplier coordinates: the multipliers are phi' evaluated
+    on the companion matrix M of the fixed-point cubic, sigma1 and sigma2
+    come from traces of L = U(M) V(M)^-1, and sigma3 = det L."""
+    from ratsym.ratmap import ProjPoint, derivative, eval_proj
+    field = phi.field
+    zero, one = field.zero(), field.one()
+
+    def mul(A, B):
+        return [[sum((A[i][k] * B[k][j] for k in range(3)), zero)
+                 for j in range(3)] for i in range(3)]
+
+    def at(p, M):
+        acc = [[zero] * 3 for _ in range(3)]
+        for c in reversed(p.coeffs):
+            acc = mul(acc, M)
+            for i in range(3):
+                acc[i][i] = acc[i][i] + c
+        return acc
+
+    def inverse(A):
+        aug = [list(A[i]) + [one if i == j else zero for j in range(3)]
+               for i in range(3)]
+        for col in range(3):
+            piv = next(r for r in range(col, 3) if not aug[r][col].is_zero())
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv = aug[col][col].inv()
+            aug[col] = [x * inv for x in aug[col]]
+            for r in range(3):
+                if r != col and not aug[r][col].is_zero():
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        return [row[3:] for row in aug]
+
+    if eval_proj(phi, ProjPoint.infinity(field)).is_infinity():
+        c = next(c for c in range(8)
+                 if eval_proj(phi, ProjPoint.finite(field(-c))) != ProjPoint.finite(field(-c)))
+        phi = conjugate(phi, MobiusMap(field, 0, 1, 1, field(c)))
+    F = (Poly.x(field) * phi.den - phi.num).monic()
+    M = [[zero, zero, -F[0]], [one, zero, -F[1]], [zero, one, -F[2]]]
+    dphi = derivative(phi)
+    L = mul(at(dphi.num, M), inverse(at(dphi.den, M)))
+    s1 = L[0][0] + L[1][1] + L[2][2]
+    L2 = mul(L, L)
+    s2 = (s1 * s1 - (L2[0][0] + L2[1][1] + L2[2][2])) / 2
+    s3 = (L[0][0] * (L[1][1] * L[2][2] - L[1][2] * L[2][1])
+          - L[0][1] * (L[1][0] * L[2][2] - L[1][2] * L[2][0])
+          + L[0][2] * (L[1][0] * L[2][1] - L[1][1] * L[2][0]))
+    return s1, s2, s3
+
+
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(4), CyclotomicField(3)], ids=repr)
+def test_milnor_matches_the_companion_matrix(K):
+    rng = random.Random(53)
+    gens = [K.one()] + ([K.zeta()] if isinstance(K, CyclotomicField) else [])
+
+    def relem():
+        return sum((Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * g for g in gens),
+                   K.zero())
+
+    done = 0
+    while done < 40:
+        # every fourth map fixes infinity, which the normalisation conjugates away
+        dlen = 2 if done % 4 == 0 else 3
+        P, Q = Poly(K, [relem() for _ in range(3)]), Poly(K, [relem() for _ in range(dlen)])
+        if P.is_zero() or Q.is_zero():
+            continue
+        try:
+            phi = make_map(P, Q)
+        except DegenerateMap:
+            continue
+        if phi.degree != 2:
+            continue
+        pt = milnor_coordinates(phi)
+        assert (pt.sigma1, pt.sigma2, pt.sigma3) == _companion_milnor(phi)
         done += 1
 
 

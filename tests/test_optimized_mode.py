@@ -2,8 +2,8 @@
 
 ``-O`` strips every ``assert``, so a check written as one would let a
 tampered certificate through.  These tests build and validate a witness,
-a connectivity chain and a Sturm path over Q(zeta_5) in a subprocess of the
-optimising interpreter.
+a connectivity chain, and Sturm paths over Q(zeta_5) and over the quadratic
+layer Q(sqrt(-3)) in a subprocess of the optimising interpreter.
 """
 
 import json
@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ratsym.fields import CyclotomicField
+from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.jsonio import canon_dumps, family_to_json
 from ratsym.symmetry import CyclicFamily, random_cyclic_family
 
@@ -99,3 +99,27 @@ def test_sturm_path_over_q_zeta5_validates_under_O(tmp_path):
     assert rejected.returncode == 4
     assert "stored norm polynomial differs" in rejected.stdout
     assert "Traceback" not in rejected.stderr
+
+
+def test_sturm_path_over_a_quadratic_layer_validates_under_O(tmp_path):
+    # the resultants, interpolation and norms run over pairs of integers
+    K = QuadraticField(QQ, QQ(-3))
+    rng = random.Random(57)
+    fams = []
+    for _ in range(2):
+        x, y = (random_cyclic_family(rng, 2, 2, "B", field=K) for _ in range(2))
+        fams.append(CyclicFamily(2, 2, "B",
+                                 tuple(p + K.sqrt_delta() * q for p, q in zip(x.a, y.a)),
+                                 tuple(p - K.sqrt_delta() * q for p, q in zip(x.b, y.b))))
+    paths = [tmp_path / "f0.json", tmp_path / "f1.json"]
+    for fam, path in zip(fams, paths):
+        path.write_text(canon_dumps(family_to_json(fam)))
+    out = tmp_path / "path.json"
+    built = _ratsym_O("path", *map(str, paths), "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    doc = json.loads(out.read_text())
+    assert doc["field"]["kind"] == "quadratic"
+    assert {seg["proof"]["type"] for seg in doc["segments"]} == {"sturm"}
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ratsym import poly
-from ratsym.fields import QQ, CyclotomicField, QuadraticField
+from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
+from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
                          det, interpolate, nullspace, poly_eval, poly_gcd,
-                         resultant, sturm_roots_in_interval, sylvester_matrix)
+                         resultant, sturm_roots_in_interval)
 
 
 def x():
@@ -71,22 +72,97 @@ def test_resultant_detects_common_root_and_multiplicativity():
     assert checked > 40
 
 
-@pytest.mark.parametrize("K", [QQ, CyclotomicField(3), CyclotomicField(5),
-                               CyclotomicField(12),
-                               QuadraticField(CyclotomicField(4),
-                                              CyclotomicField(4)(2))])
-def test_integer_kernel_matches_the_field_route(K):
-    # resultant: Bareiss over Z or Z[zeta_n] against Gaussian elimination
-    # over the field; interpolate: forward differences through 0..M recover
-    # a random polynomial from its values
-    rng = random.Random(31)
-    gens = [K.one()] + ([K.zeta()] if isinstance(K, CyclotomicField) else [])
+def gaussian_det(rows, field):
+    """Reference determinant: Gaussian elimination over the field."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    res = field.one()
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if not m[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            return field.zero()
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        pv = m[col][col]
+        res = res * pv
+        inv = pv.inv()
+        for r in range(col + 1, n):
+            factor = m[r][col]
+            if factor.is_zero():
+                continue
+            factor = factor * inv
+            for c in range(col, n):
+                m[r][c] = m[r][c] - factor * m[col][c]
+    return res if sign > 0 else -res
+
+
+def gauss_jordan_nullspace(rows, ncols, field):
+    """Reference null space: Gauss-Jordan reduction over the field."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(m)) if not m[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        m[k], m[pivot] = m[pivot], m[k]
+        inv = m[k][col].inv()
+        m[k] = [c * inv for c in m[k]]
+        for i in range(len(m)):
+            factor = m[i][col]
+            if i != k and not factor.is_zero():
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][free]
+        basis.append(v)
+    return basis
+
+
+def _tetrahedral_layer():
+    # the layer of the tetrahedral hand-off; its radicand is (6 - 2 sqrt 3)^2
+    F = CyclotomicField(12)
+    z = F.zeta()
+    return QuadraticField(F, 48 - 48 * z + 24 * z ** 3)
+
+
+KERNEL_FIELDS = [QQ, CyclotomicField(3), CyclotomicField(5), CyclotomicField(12),
+                 QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)),
+                 QuadraticField(QQ, QQ(Fraction(-3, 4))),
+                 icosahedral_field(), _tetrahedral_layer()]
+
+
+def _random_elements(K, rng):
+    gens = [K.one()]
+    base = K.base if isinstance(K, QuadraticField) else K
+    if isinstance(base, CyclotomicField):
+        gens.append(lift(base.zeta(), K))
     if isinstance(K, QuadraticField):
-        gens.append(K.sqrt_delta())
+        gens += [g * K.sqrt_delta() for g in gens]
 
     def relem():
         return sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * g for g in gens),
                    K.zero())
+    return relem
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS)
+def test_integer_kernel_matches_the_field_route(K):
+    # resultant: fraction-free elimination over the integral ring against
+    # Gaussian elimination over the field; interpolate: forward differences
+    # through 0..M recover a random polynomial from its values
+    rng = random.Random(31)
+    relem = _random_elements(K, rng)
 
     def rpoly(deg, density):
         return Poly(K, [relem() if rng.random() < density else K.zero()
@@ -95,11 +171,38 @@ def test_integer_kernel_matches_the_field_route(K):
     for m, n, density in ((1, 1, 1.0), (2, 3, 0.6), (3, 3, 0.4), (4, 2, 0.8)):
         for _ in range(3):
             f, g = rpoly(m, density), rpoly(n, density)
-            expect = det(sylvester_matrix(f, g, m, n), K) if m + n else K.one()
+            rows = poly._sylvester_rows([f[k] for k in range(m + 1)],
+                                        [g[k] for k in range(n + 1)], K.zero())
+            expect = gaussian_det(rows, K) if m + n else K.one()
             assert resultant(f, g, m, n) == expect
+            assert det(rows, K) == expect
         target = rpoly(m + n, density)
         values = [poly_eval(target, K(j)) for j in range(m + n + 1)]
         assert interpolate(K, values) == target
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS)
+def test_nullspace_matches_gauss_jordan(K):
+    # random matrices of rank k < min(rows, cols), with a zero row and a
+    # zero column spliced in, and the matrix with no rows
+    rng = random.Random(37)
+    relem = _random_elements(K, rng)
+    zero = K.zero()
+    for nrows, ncols, rank in ((3, 4, 2), (4, 3, 1), (5, 6, 3), (2, 5, 1), (4, 4, 3)):
+        left = [[relem() for _ in range(rank)] for _ in range(nrows)]
+        right = [[relem() for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum((a * right[t][j] for t, a in enumerate(row)), zero)
+                 for j in range(ncols)] for row in left]
+        i, j = rng.randrange(nrows + 1), rng.randrange(ncols + 1)
+        rows.insert(i, [zero] * ncols)
+        rows = [row[:j] + [zero] + row[j:] for row in rows]
+        basis = nullspace(rows, ncols + 1, K)
+        assert basis == gauss_jordan_nullspace(rows, ncols + 1, K)
+        assert len(basis) == ncols + 1 - rank
+        for v in basis:
+            for row in rows:
+                assert sum((a * b for a, b in zip(row, v)), zero).is_zero()
+    assert nullspace([], 3, K) == gauss_jordan_nullspace([], 3, K)
 
 
 def test_integer_kernel_divisions_raise():
@@ -109,6 +212,27 @@ def test_integer_kernel_divisions_raise():
     ring = poly._integral_ring(CyclotomicField(4))
     with pytest.raises(InexactDivision):
         ring.quo((4, 6), 4)
+    pairs = poly._integral_ring(QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)))
+    with pytest.raises(InexactDivision):
+        pairs.quo(((4, 8), (4, 6)), 4)
+    with pytest.raises(InexactDivision):
+        poly._integral_ring(QuadraticField(QQ, QQ(-3))).quo((4, 6), 4)
+
+
+def test_zero_divisor_pivot_raises():
+    # over the tetrahedral layer s - sqrt(delta) with s = 6 - 2 sqrt 3 is a
+    # zero divisor; as a pivot it raises like a field inversion would
+    K = _tetrahedral_layer()
+    z = lift(K.base.zeta(), K)
+    s = 6 - 2 * (z + z ** 11)
+    assert s * s == lift(K.delta, K)
+    rows = [[s - K.sqrt_delta(), K.one(), K.zero()],
+            [K.one(), K.zero(), K.one()],
+            [K.zero(), K.one(), K.one()]]
+    with pytest.raises(ZeroDivisionError):
+        gaussian_det(rows, K)
+    with pytest.raises(ZeroDivisionError):
+        det(rows, K)
 
 
 def test_nullspace():
