@@ -9,7 +9,8 @@ degree drop must be detectable, not silently normalised away.
 Every supported field has an integral ring here: Z for Q, Z[zeta_n] for
 Q(zeta_n), and pairs over the base's ring for a quadratic layer.
 :func:`det`, :func:`resultant` and :func:`nullspace` clear denominators
-once and run one fraction-free Bareiss elimination over that ring;
+once and run one fraction-free Bareiss elimination over that ring
+(:func:`nullspace` only on the rows that are independent modulo a prime);
 :func:`interpolate` takes forward differences in it, :func:`squarefree_norm`
 walks the tower down through it to Z, and :func:`sturm_roots_in_interval`
 counts in Z[x] by a primitive pseudo-remainder gcd and Descartes bisection.
@@ -227,7 +228,9 @@ class Poly:
         return Poly(self.field, out)
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
+        """Multiply by x^k, for k >= 0."""
+        if k < 0:
+            raise ValueError("shift needs k >= 0")
         if self.is_zero() or k == 0:
             return self
         return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
@@ -399,27 +402,117 @@ def det(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldElement:
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
               field: Field) -> list[list[FieldElement]]:
-    """Exact basis of {v : rows * v = 0}: each row is cleared of
-    denominators, :func:`_echelon` reduces them over the field's integral
-    ring, and the back substitution runs over the field.
+    """Exact basis of {v : rows * v = 0}.
+
+    Each row is cleared of denominators into the field's integral ring and
+    mapped to F_p by the ring's residue homomorphism; the rows that are
+    independent modulo p are picked greedily (:func:`_independent_mod_prime`).
+    A minor that is nonzero modulo p is nonzero in the ring, so those rows
+    are independent over the field: when there are ``ncols`` of them the
+    kernel is {0}.  Otherwise :func:`_kernel_basis` eliminates the picked
+    rows only and back-substitutes over the ring (Bareiss, Math. Comp. 22,
+    1968, after Cabay's modular rank test, SYMSAC 1971), and every basis
+    vector is checked exactly against the other rows.  The kernel of the
+    picked rows contains the full kernel, so if every vector passes the two
+    are equal; if one fails (an unlucky prime), or the ring has no residue
+    map (a quadratic layer), the elimination runs on all rows.
 
     One basis vector per free column, in column order: it is one at that
     column, zero at the other free columns, and solves for the pivots.
+    This reduced echelon basis depends only on the kernel, so the route
+    taken does not change it.
     """
     ring = _integral_ring(field)
-    m, pivots, _ = _echelon([ring.clear(r)[1] for r in rows], ncols, ring)
-    # per pivot row: its column, the inverse pivot, the later nonzero entries
-    ech = [(pc, ring.to_field(row[pc], 1).inv(),
-            [(j, ring.to_field(row[j], 1)) for j in range(pc + 1, ncols)
-             if row[j] != ring.zero]) for row, pc in zip(m, pivots)]
-    zero, basis = field.zero(), []
+    rows = [ring.clear(r)[1] for r in rows]
+    picked = _independent_mod_prime(rows, ncols, ring)
+    if picked is not None:
+        if len(picked) == ncols:
+            return []
+        basis = _kernel_basis([rows[i] for i in picked], ncols, ring, field)
+        chosen = set(picked)
+        others = [row for i, row in enumerate(rows) if i not in chosen]
+        if all(_annihilates(others, v, ring) for v in basis):
+            return basis
+    return _kernel_basis(rows, ncols, ring, field)
+
+
+def _kernel_basis(rows: list[list], ncols: int, ring, field: Field) -> list[list[FieldElement]]:
+    """The reduced echelon kernel basis of rows over the ring.
+
+    :func:`_echelon` leaves the last pivot delta, the determinant of the
+    pivot block, and by Cramer's rule delta times each basis vector lies in
+    the ring.  So the back substitution runs over the ring, dividing
+    exactly by each pivot through its norm cofactor, and each vector is
+    divided by delta once at the end."""
+    m, pivots, _ = _echelon(rows, ncols, ring)
+    zero = ring.zero
+    delta = m[len(pivots) - 1][pivots[-1]] if pivots else ring.one
+    cof, norm = ring.norm_cofactor(delta)
+    # per pivot row: its column, minus the pivot's norm cofactor, its norm,
+    # and the later nonzero entries
+    ech = []
+    for row, pc in zip(m, pivots):
+        pcof, pnorm = ring.norm_cofactor(row[pc])
+        ech.append((pc, ring.scale(pcof, -1), pnorm,
+                    [(j, row[j]) for j in range(pc + 1, ncols) if row[j] != zero]))
+    basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
-        v[free] = field.one()
-        for pc, inv, entries in reversed(ech):
-            v[pc] = -sum((x * v[j] for j, x in entries if not v[j].is_zero()), zero) * inv
-        basis.append(v)
+        v[free] = delta
+        for pc, neg_cof, pnorm, entries in reversed(ech):
+            acc = zero
+            for j, x in entries:
+                if v[j] != zero:
+                    acc = ring.add(acc, ring.mul(x, v[j]))
+            if acc != zero:
+                v[pc] = ring.quo(ring.mul(acc, neg_cof), pnorm)
+        basis.append([ring.to_field(ring.mul(x, cof), norm) for x in v])
     return basis
+
+
+def _independent_mod_prime(rows: list[list], ncols: int, ring) -> list[int] | None:
+    """Indices of rows, in order, that are linearly independent modulo the
+    ring's prime, picked greedily until ``ncols`` are found; None when the
+    ring has no residue map.  Their residues form an echelon system with
+    distinct pivots, so some maximal minor is nonzero modulo p."""
+    if ring.residue is None:
+        return None
+    p, residue = ring.prime, ring.residue
+    reduced: dict[int, list[int]] = {}      # pivot column -> row, 1 at the pivot
+    picked = []
+    for i, row in enumerate(rows):
+        v = [residue(x) for x in row]
+        for col in range(ncols):
+            c = v[col]
+            if not c:
+                continue
+            b = reduced.get(col)
+            if b is None:
+                inv = pow(c, -1, p)
+                reduced[col] = [x * inv % p for x in v]
+                picked.append(i)
+                break
+            for j in range(col, ncols):
+                if b[j]:
+                    v[j] = (v[j] - c * b[j]) % p
+        if len(picked) == ncols:
+            break
+    return picked
+
+
+def _annihilates(rows: list[list], v: list[FieldElement], ring) -> bool:
+    """Whether every row times v is exactly zero, over the ring."""
+    zero, mul, add = ring.zero, ring.mul, ring.add
+    _, w = ring.clear(v)
+    support = [(j, x) for j, x in enumerate(w) if x != zero]
+    for row in rows:
+        acc = zero
+        for j, x in support:
+            if row[j] != zero:
+                acc = add(acc, mul(row[j], x))
+        if acc != zero:
+            return False
+    return True
 
 
 def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
@@ -461,14 +554,77 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
 
 
 # ---------------------------------------------------------------------------
+# residue maps to F_p, for the modular rank test of nullspace
+# ---------------------------------------------------------------------------
+
+class BadResidueMap(ValueError):
+    """A residue map whose prime or root of unity fails its exact check."""
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _residue_prime(n: int) -> int:
+    """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds the
+    n-th roots of unity."""
+    p = (2 ** 30 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    return p
+
+
+def _root_of_unity_mod(field: CyclotomicField, p: int) -> int:
+    """A root w of Phi_n modulo the prime p = 1 (mod n): the first
+    g^((p-1)/n), g = 2, 3, ..., at which Phi_n vanishes.  A p that is not
+    such a prime, or a search that finds no root, raises
+    :class:`BadResidueMap`."""
+    n = field.n
+    if not _is_prime(p) or (p - 1) % n:
+        raise BadResidueMap(f"{p} is not a prime = 1 (mod {n})")
+    phi = [int(c) for c in field.phi_coeffs]
+    for g in range(2, min(p, 1000)):
+        w = pow(g, (p - 1) // n, p)
+        if sum(c * pow(w, k, p) for k, c in enumerate(phi)) % p == 0:
+            return w
+    raise BadResidueMap(f"no root of Phi_{n} found modulo {p}")
+
+
+# ---------------------------------------------------------------------------
 # the integral rings: Z for Q, Z[zeta_n] for Q(zeta_n), pairs for a
 # quadratic layer
 # ---------------------------------------------------------------------------
 
 class _RationalIntegers:
-    """Z inside Q; elements are ints."""
+    """Z inside Q; elements are ints.  Its residue map is a -> a mod p."""
     zero, one, base = 0, 1, None
     add, sub, mul = operator.add, operator.sub, operator.mul
+    prime = _residue_prime(1)
+
+    @staticmethod
+    def residue(a: int) -> int:
+        return a % _RationalIntegers.prime
 
     @staticmethod
     def scale(a: int, k: int) -> int:
@@ -497,7 +653,9 @@ class _RationalIntegers:
 class _CyclotomicIntegers:
     """Z[zeta_n] inside Q(zeta_n); elements are int tuples in the power basis
     1, zeta, ..., zeta^(m-1).  Phi_n is monic with integer coefficients, so
-    products reduce to integer tuples."""
+    products reduce to integer tuples.  The residue map sends zeta to a
+    root w of Phi_n modulo the least prime p > 2^30 with p = 1 (mod n); it
+    is a ring homomorphism onto F_p because Phi_n(w) = 0 there."""
     base = _RationalIntegers
 
     def __init__(self, field: CyclotomicField):
@@ -514,6 +672,12 @@ class _CyclotomicIntegers:
                               for k in range(2, n) if math.gcd(k, n) == 1]
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
+        p = self.prime = _residue_prime(n)
+        w = _root_of_unity_mod(field, p)
+        self._weights = [pow(w, k, p) for k in range(m)]
+
+    def residue(self, a) -> int:
+        return sum(map(operator.mul, a, self._weights)) % self.prime
 
     @staticmethod
     def add(a, b):
@@ -585,7 +749,9 @@ class _CyclotomicIntegers:
 class _QuadraticIntegers:
     """R[sqrt(D)] inside base(sqrt(delta)), for the base's ring R; elements
     are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
-    clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta)."""
+    clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta).
+    It has no residue map, since sqrt(D) need not exist modulo a prime."""
+    residue = None
 
     def __init__(self, field: QuadraticField):
         self.field = field

@@ -27,9 +27,10 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      common_field, lift, root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
-from .poly import Poly, nullspace, poly_gcd
-from .ratmap import (RationalMap, conjugate, eval_proj, is_automorphism,
-                     make_map, maps_equal, ProjPoint)
+from .poly import (Poly, _integral_ring, _is_prime, _ring_mul, nullspace,
+                   poly_gcd)
+from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
+                     maps_equal, ProjPoint)
 
 __all__ = [
     "CyclicFamily",
@@ -223,17 +224,24 @@ class CyclicFamily:
 def build_cyclic(fam: CyclicFamily) -> RationalMap:
     """phi(z) = z * psi(z^n), reduced, with the case-certified degree.
 
-    Families whose coefficients violate the case conditions or whose psi is
-    reducible are rejected at validation; the degree check here is a
-    defensive backstop only.
+    A validated family has P and Q coprime, so z * P(z^n) and Q(z^n) share
+    at most the single factor z, exactly when b_0 = 0 (cases B and C, where
+    a_0 != 0).  Then the reduced pair is P(z^n) over Q(z^n) / z, and no gcd
+    is taken.  Families whose coefficients violate the case conditions or
+    whose psi is reducible are rejected at validation; the degree check
+    here is a defensive backstop only.
     """
-    num = fam.psi_num().inflate(fam.n).shift(1)
+    num = fam.psi_num().inflate(fam.n)
     den = fam.psi_den().inflate(fam.n)
-    phi = make_map(num, den)
-    if phi.degree != fam.degree:
+    if fam.b[0].is_zero():
+        den = Poly(fam.field, den.coeffs[1:])
+    else:
+        num = num.shift(1)
+    degree = max(num.degree, den.degree)
+    if degree != fam.degree:
         raise UnexpectedDegree(
-            f"built degree {phi.degree}, case {fam.case} demands {fam.degree}")
-    return phi
+            f"built degree {degree}, case {fam.case} demands {fam.degree}")
+    return _scaled(num, den, degree)
 
 
 def _rotation_in(field: Field, n: int) -> MobiusMap:
@@ -362,17 +370,6 @@ class WitnessReport:
         return True
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def simple_cyclic_family(d: int, n: int, case: str, field: Field = QQ) -> CyclicFamily:
     """Deterministic sparse representative of each admissible family."""
     pairs = dict(cyclic_admissible(d, n))
@@ -460,40 +457,54 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     lam = +-c^((d-1)/2).  For each sign this is a linear system in the
     a_k, b_k over Q(zeta_12); the first kernel basis vector that gives a
     valid family of exact degree d is taken, scaled to a_r = 1.
+
+    The system is built in Z[zeta_12]: the entries of M are cleared once,
+    to s, t, u, w with a common denominator e, and the columns are the
+    products U^j V^(d-j) of U = t + s z and V = w + u z, with the lam terms
+    sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
+    the entry over the field, and is divided by e^d once at the end.  The
+    sign that fails has kernel {0}, which :func:`nullspace` settles by its
+    rank modulo a prime.
     """
     T, B = standard_generators(GroupSpec("A4"))
     field = B.field
+    ring = _integral_ring(field)
     r = d // 3
-    s, t, u, w = B.entries()
-    c = B.compose(B).a
+    e, (s, t, u, w) = ring.clear(B.entries())
     # unknowns a_0..a_r, b_1..b_r as (is a numerator coefficient, exponent)
     unknowns = ([(True, 3 * k) for k in range(r + 1)]
                 + [(False, 3 * k - 1) for k in range(1, r + 1)])
     # z^j at formal degree d, after substituting z -> (s z + t) / (u z + w)
-    U, V = Poly(field, (t, s)), Poly(field, (w, u))
-    upow, vpow = [Poly(field, (1,))], [Poly(field, (1,))]
+    upow, vpow = [[ring.one]], [[ring.one]]
     for _ in range(d):
-        upow.append(upow[-1] * U)
-        vpow.append(vpow[-1] * V)
-    subs = [upow[j] * vpow[d - j] for _, j in unknowns]
+        upow.append(_ring_mul(ring, upow[-1], [t, s]))
+        vpow.append(_ring_mul(ring, vpow[-1], [w, u]))
+    subs = [_ring_mul(ring, upow[j], vpow[d - j]) for _, j in unknowns]
+    scale = e ** d
+    entries = [[ring.to_field(x, scale) for x in sub] for sub in subs]
+    c_half = ring.one                 # c^((d-1)/2), times e^(d-1)
+    for _ in range((d - 1) // 2):
+        c_half = ring.mul(c_half, ring.add(ring.mul(s, s), ring.mul(t, u)))
     zero = field.zero()
+    blank = [zero] * (d + 1)
     for sign in (1, -1):
-        lam = c ** ((d - 1) // 2) * sign
+        lam = ring.scale(c_half, sign)
         # each unknown's column: the coefficients of Phi(M v) - lam * M Phi(v)
         cols = []
-        for (in_num, j), sub in zip(unknowns, subs):
-            top = [sub[i] if in_num else zero for i in range(d + 1)]
-            bottom = [zero if in_num else sub[i] for i in range(d + 1)]
-            top[j] = top[j] - lam * (s if in_num else t)
-            bottom[j] = bottom[j] - lam * (u if in_num else w)
-            cols.append(top + bottom)
+        for (in_num, j), sub, entry in zip(unknowns, subs, entries):
+            col = entry + blank if in_num else blank + entry
+            top, bottom = (sub[j], ring.zero) if in_num else (ring.zero, sub[j])
+            hi, lo = (s, u) if in_num else (t, w)
+            col[j] = ring.to_field(ring.sub(top, ring.mul(lam, hi)), scale)
+            col[d + 1 + j] = ring.to_field(ring.sub(bottom, ring.mul(lam, lo)), scale)
+            cols.append(col)
         rows = [[col[i] for col in cols] for i in range(2 * d + 2)]
         for v in nullspace(rows, len(unknowns), field):
             if v[r].is_zero():
                 continue
-            scale = v[r].inv()
-            a = tuple(x * scale for x in v[:r + 1])
-            b = (zero,) + tuple(x * scale for x in v[r + 1:])
+            norm = v[r].inv()
+            a = tuple(x * norm for x in v[:r + 1])
+            b = (zero,) + tuple(x * norm for x in v[r + 1:])
             try:
                 fam = CyclicFamily(3, r, "B", a, b)
                 phi = build_cyclic(fam)

@@ -7,7 +7,8 @@ against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
-compositions.  Both oracles are test-only imports: the module is skipped
+compositions.  The residue maps of Z[zeta_n] that the modular rank test of
+``nullspace`` uses are checked to respect sums and products.  Both oracles are test-only imports: the module is skipped
 when sympy or hypothesis is absent.
 """
 
@@ -24,8 +25,8 @@ from hypothesis import strategies as st  # noqa: E402
 from ratsym.fields import QQ, CyclotomicField, QuadraticField  # noqa: E402
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
-                         squarefree_norm, sturm_roots_in_interval)
+from ratsym.poly import (Poly, _integral_ring, poly_eval,  # noqa: E402
+                         resultant, squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
@@ -274,3 +275,24 @@ def test_conjugated_witness_automorphisms_match_composition(T, pair):
         assert is_automorphism(phi, S2)
         bad = make_map(phi.num + 1, phi.den)
         assert is_automorphism(bad, S2) is maps_equal(_oracle_conjugate(bad, S2), bad)
+
+
+@st.composite
+def cyclotomic_integer_pairs(draw):
+    ring = _integral_ring(CyclotomicField(draw(st.sampled_from([3, 4, 5, 8, 12]))))
+    ints = st.integers(-10 ** 12, 10 ** 12)
+    a, b = (tuple(draw(st.lists(ints, min_size=ring.m, max_size=ring.m)))
+            for _ in range(2))
+    return ring, a, b
+
+
+@SETTINGS
+@given(cyclotomic_integer_pairs())
+def test_residue_map_is_a_ring_homomorphism(triple):
+    # zeta -> w with Phi_n(w) = 0 mod p: the map Z[zeta_n] -> F_p respects
+    # add and mul, so a minor that is nonzero mod p is nonzero in the ring
+    ring, a, b = triple
+    p, h = ring.prime, ring.residue
+    assert h(ring.add(a, b)) == (h(a) + h(b)) % p
+    assert h(ring.mul(a, b)) == h(a) * h(b) % p
+    assert h(ring.one) == 1 and h(ring.zero) == 0

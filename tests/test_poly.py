@@ -252,6 +252,76 @@ def test_nullspace():
     assert nullspace([], 2, QQ) == [[QQ(1), QQ(0)], [QQ(0), QQ(1)]]
 
 
+def _kernel_routes(monkeypatch):
+    # the row counts that _kernel_basis is called with, in order
+    calls = []
+    real = poly._kernel_basis
+
+    def spy(rows, ncols, ring, field):
+        calls.append(len(rows))
+        return real(rows, ncols, ring, field)
+    monkeypatch.setattr(poly, "_kernel_basis", spy)
+    return calls
+
+
+def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
+    # an entry that is a multiple of the prime over Q, and zeta - w over
+    # Q(zeta_12), vanishes modulo p: the picked rows then have a kernel too
+    # large, the exact check rejects it, and all rows are eliminated
+    F = CyclotomicField(12)
+    w = poly._integral_ring(F)._weights[1]
+    for K, small in ((QQ, QQ(poly._RationalIntegers.prime)), (F, F.zeta() - F(w))):
+        ring = poly._integral_ring(K)
+        assert ring.residue(ring.clear([small])[1][0]) == 0
+        one, zero = K.one(), K.zero()
+        rows = [[one, one, zero, one],
+                [zero, small, zero, small],
+                [one + one, one + one, zero, one + one]]
+        calls = _kernel_routes(monkeypatch)
+        basis = nullspace(rows, 4, K)
+        assert calls == [1, 3]
+        assert basis == gauss_jordan_nullspace(rows, 4, K)
+        assert len(basis) == 2
+        monkeypatch.undo()
+
+
+def test_nullspace_full_rank_mod_p_returns_nothing(monkeypatch):
+    # ncols rows independent modulo p: the kernel is {0} with no elimination
+    F = CyclotomicField(12)
+    z = F.zeta()
+    rows = [[F(1), z, F(0)], [F(2), F(2) * z, F(0)], [z, F(0), F(1)],
+            [F(0), F(3), z ** 3]]
+    calls = _kernel_routes(monkeypatch)
+    assert nullspace(rows, 3, F) == [] == gauss_jordan_nullspace(rows, 3, F)
+    assert calls == []
+
+
+def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
+    # rank 2 in 4 rows: two rows are eliminated, and the check on the other
+    # two passes
+    F = CyclotomicField(12)
+    z = F.zeta()
+    r1, r2 = [F(1), z, F(0), F(2)], [F(0), F(1), z, z ** 2]
+    rows = [r1, r2, [a + z * b for a, b in zip(r1, r2)], [a * 3 for a in r2]]
+    calls = _kernel_routes(monkeypatch)
+    assert nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
+    assert calls == [2]
+
+
+def test_residue_map_checks_its_prime():
+    F = CyclotomicField(12)
+    p = poly._integral_ring(F).prime
+    assert p > 2 ** 30 and p % 12 == 1 and poly._is_prime(p)
+    with pytest.raises(poly.BadResidueMap):
+        poly._root_of_unity_mod(F, poly._RationalIntegers.prime)    # = 7 mod 12
+    with pytest.raises(poly.BadResidueMap):
+        poly._root_of_unity_mod(F, p + 12)                           # not prime
+    assert [n for n in range(2, 60) if poly._is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not poly._is_prime(3215031751)
+
+
 def test_sturm_examples():
     t = x()
     assert sturm_roots_in_interval(t * t - Fraction(1, 4), 0, 1) == 1
@@ -316,4 +386,6 @@ def test_structure_maps():
         Poly(QQ, [1, 1]).deflate(2)
     assert f.shift(2)[2] == 1 and f.shift(2).degree == 4
     assert f.reverse() == Poly(QQ, [3, 2, 1])
+    with pytest.raises(ValueError):
+        f.shift(-1)
     assert Poly(QQ, [0, 0, 5, 1]).valuation() == 2

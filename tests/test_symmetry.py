@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from test_poly import gauss_jordan_nullspace
 
-from ratsym.fields import QQ
-from ratsym.mobius import GroupSpec, inversion, mobius_order, rotation
+from ratsym import symmetry
+from ratsym.fields import QQ, CyclotomicField
+from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
+                           standard_generators)
 from ratsym.poly import Poly
 from ratsym.ratmap import (conjugate, eval_proj, is_automorphism, make_map,
                            maps_equal, ProjPoint)
@@ -68,6 +72,21 @@ def test_build_cyclic_examples():
     phi3 = build_cyclic(CyclicFamily(2, 1, "B", (QQ(1), QQ(1)), (QQ(0), QQ(1))))
     assert phi3.degree == 2
     assert maps_equal(phi3, make_map(Poly(QQ, [1, 0, 1]), Poly(QQ, [0, 1])))
+
+
+def test_build_cyclic_matches_make_map():
+    # a validated family shares at most the factor z between z P(z^n) and
+    # Q(z^n); the reduction by a shift agrees with the gcd route
+    rng = random.Random(228)
+    checked = 0
+    for field in (QQ, CyclotomicField(4), CyclotomicField(3), CyclotomicField(12)):
+        for n, r, case, _ in itertools.product((2, 3, 4), (1, 2, 3), "ABC", range(2)):
+            fam = random_cyclic_family(rng, n, r, case, field=field)
+            num = fam.psi_num().inflate(n).shift(1)
+            phi, ref = build_cyclic(fam), make_map(num, fam.psi_den().inflate(n))
+            assert (phi.num, phi.den, phi.degree) == (ref.num, ref.den, ref.degree)
+            checked += 1
+    assert checked == 216
 
 
 def test_degree_law_and_equivariance():
@@ -191,6 +210,69 @@ def test_lemma_gap_classification():
         with pytest.raises(WitnessUnavailable) as info:
             lemma_witness(p, d)
         assert info.value.analysis == "provably_empty"
+
+
+def _reference_tetrahedral_rows(d, sign):
+    # the A4 system as the Poly products of U = t + s z and V = w + u z
+    # over Q(zeta_12), kept to check the construction over Z[zeta_12]
+    _, B = standard_generators(GroupSpec("A4"))
+    field = B.field
+    s, t, u, w = B.entries()
+    c = B.compose(B).a
+    r = d // 3
+    unknowns = ([(True, 3 * k) for k in range(r + 1)]
+                + [(False, 3 * k - 1) for k in range(1, r + 1)])
+    U, V = Poly(field, (t, s)), Poly(field, (w, u))
+    upow, vpow = [Poly(field, (1,))], [Poly(field, (1,))]
+    for _ in range(d):
+        upow.append(upow[-1] * U)
+        vpow.append(vpow[-1] * V)
+    zero = field.zero()
+    lam = c ** ((d - 1) // 2) * sign
+    cols = []
+    for in_num, j in unknowns:
+        sub = upow[j] * vpow[d - j]
+        top = [sub[i] if in_num else zero for i in range(d + 1)]
+        bottom = [zero if in_num else sub[i] for i in range(d + 1)]
+        top[j] = top[j] - lam * (s if in_num else t)
+        bottom[j] = bottom[j] - lam * (u if in_num else w)
+        cols.append(top + bottom)
+    return [[col[i] for col in cols] for i in range(2 * d + 2)]
+
+
+@pytest.mark.parametrize("d", [3, 9, 15, 21])
+def test_tetrahedral_system_matches_poly_products(monkeypatch, d):
+    # the A4 system built over Z[zeta_12] has the same rows as the Poly
+    # products over the field, and the witness is the first valid vector of
+    # the reference kernel (Gauss-Jordan over the field)
+    seen = []
+    real = symmetry.nullspace
+
+    def spy(rows, ncols, field):
+        seen.append(rows)
+        return real(rows, ncols, field)
+    monkeypatch.setattr(symmetry, "nullspace", spy)
+    report = symmetry._tetrahedral_witness(d)
+    refs = [_reference_tetrahedral_rows(d, sign) for sign in (1, -1)]
+    assert seen and seen == refs[:len(seen)]
+    field, r = report.family.field, d // 3
+    expected = None
+    for rows in refs:
+        for v in gauss_jordan_nullspace(rows, len(rows[0]), field):
+            if v[r].is_zero():
+                continue
+            a = tuple(x / v[r] for x in v[:r + 1])
+            b = (field.zero(),) + tuple(x / v[r] for x in v[r + 1:])
+            try:
+                expected = CyclicFamily(3, r, "B", a, b)
+                build_cyclic(expected)
+                break
+            except (CoefficientConditionViolated, symmetry.UnexpectedDegree):
+                expected = None
+        if expected is not None:
+            break
+    assert report.family == expected
+    assert report.map == build_cyclic(expected)
 
 
 def test_lemma_witness_failed_verification_raises(monkeypatch):
