@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
-                     QuadraticField, RationalField)
+from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
+                     RationalField)
 from .mobius import GroupSpec, MobiusMap
 from .moduli import (ConjugationLeg, ConnectivityCertificate, IntervalProof,
                      PathCertificate, PathLeg, PathSegment, SturmProof)
@@ -186,16 +186,6 @@ def witness_from_json(obj) -> WitnessReport:
 
 # --- path and connectivity certificates -----------------------------------------
 
-def _box_to_json(box: ComplexBox):
-    return {"re_lo": _frac_str(box.re_lo), "re_hi": _frac_str(box.re_hi),
-            "im_lo": _frac_str(box.im_lo), "im_hi": _frac_str(box.im_hi)}
-
-
-def _box_from_json(obj) -> ComplexBox:
-    return ComplexBox(_frac_parse(obj["re_lo"]), _frac_parse(obj["re_hi"]),
-                      _frac_parse(obj["im_lo"]), _frac_parse(obj["im_hi"]))
-
-
 def _proof_to_json(proof):
     if isinstance(proof, SturmProof):
         return {"type": "sturm",
@@ -205,9 +195,8 @@ def _proof_to_json(proof):
                 "value_at_1": elem_to_json(proof.value_at_1)}
     if isinstance(proof, IntervalProof):
         return {"type": "interval", "precision": proof.precision,
-                "boxes": [{"t_lo": _frac_str(lo), "t_hi": _frac_str(hi),
-                           "box": _box_to_json(box)}
-                          for (lo, hi, box) in proof.boxes]}
+                "boxes": [{"t_lo": _frac_str(lo), "t_hi": _frac_str(hi)}
+                          for (lo, hi) in proof.boxes]}
     raise TypeError(f"unknown proof {proof!r}")
 
 
@@ -219,8 +208,9 @@ def _proof_from_json(obj, field: Field):
             value_at_0=elem_from_json(obj["value_at_0"], field),
             value_at_1=elem_from_json(obj["value_at_1"], field))
     if obj["type"] == "interval":
-        boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]),
-                       _box_from_json(rec["box"])) for rec in obj["boxes"])
+        # older files also store each tile's enclosure as "box": ignored
+        boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]))
+                      for rec in obj["boxes"])
         return IntervalProof(precision=obj["precision"], boxes=boxes)
     raise ValueError(f"unknown proof type {obj['type']!r}")
 

@@ -28,7 +28,7 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
 from .poly import (Poly, _integral_ring, _is_prime, _ring_mul, nullspace,
-                   poly_gcd)
+                   poly_gcd, resultant)
 from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
                      maps_equal, ProjPoint)
 
@@ -205,7 +205,9 @@ class CyclicFamily:
         P, Q = self.psi_num(), self.psi_den()
         if P.is_zero() or Q.is_zero():
             raise CoefficientConditionViolated("psi must be a nonzero quotient")
-        if poly_gcd(P, Q).degree > 0:
+        # coprime exactly when the resultant at the actual degrees is
+        # nonzero; it is taken on the integral ring, with no field division
+        if resultant(P, Q, P.degree, Q.degree).is_zero():
             raise CoefficientConditionViolated(
                 "numerator and denominator of psi must be coprime")
 
@@ -242,13 +244,6 @@ def build_cyclic(fam: CyclicFamily) -> RationalMap:
         raise UnexpectedDegree(
             f"built degree {degree}, case {fam.case} demands {fam.degree}")
     return _scaled(num, den, degree)
-
-
-def _rotation_in(field: Field, n: int) -> MobiusMap:
-    """The order-n rotation with entries lifted into ``field``."""
-    w = root_of_unity(n)
-    target = common_field(field, w.field)
-    return scaling(lift(w, target))
 
 
 # ---------------------------------------------------------------------------

@@ -265,3 +265,28 @@ def test_zero_divisor_exits_4_inside_validate(tmp_path, capsys):
     code, out = run_cli(["validate", str(bad)], capsys)
     assert code == EXIT_VALIDATION
     assert json.loads(out)["valid"] is False
+
+
+def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
+                                                             monkeypatch):
+    from ratsym import moduli
+    f0 = random_cyclic_family(random.Random(5), 2, 1, "A")
+    f1 = random_cyclic_family(random.Random(6), 2, 1, "A")
+    p0, p1 = tmp_path / "f0.json", tmp_path / "f1.json"
+    p0.write_text(canon_dumps(family_to_json(f0)))
+    p1.write_text(canon_dumps(family_to_json(f1)))
+    cert_file = tmp_path / "cert.json"
+    code, _ = run_cli(["path", str(p0), str(p1), "--strategy", "interval",
+                       "--precision", "32", "--out-file", str(cert_file)], capsys)
+    assert code == 0
+    doc = json.loads(cert_file.read_text())
+    doc["segments"][0]["proof"]["precision"] = 10 ** 9
+    bad = tmp_path / "bad.json"
+    bad.write_text(canon_dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("interval_embed ran")
+    monkeypatch.setattr(moduli, "interval_embed", refuse)
+    code, out = run_cli(["validate", str(bad)], capsys)
+    assert code == EXIT_VALIDATION
+    assert "precision" in json.loads(out)["reason"]

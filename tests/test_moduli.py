@@ -195,6 +195,85 @@ def test_sturm_path_with_interval_proofs_still_validates():
     validate_path_certificate(back)
 
 
+# A path over Q certified with "interval" at precision 32, as files were
+# written before interval proofs dropped their enclosures: each tile carries
+# the "box" that the validator then compared with its own recomputation.
+_V1_INTERVAL_PATH = (
+    '{"case":"A","certificate_type":"path","field":{"kind":"rational"},"n":2,'
+    '"r":1,"segments":[{"end_a":["-4","-3"],"end_b":["-9","8"],"proof":{"boxes":'
+    '[{"box":{"im_hi":"0","im_lo":"0","re_hi":"81437/256","re_lo":"6837/256"},'
+    '"t_hi":"1/4","t_lo":"0"},{"box":{"im_hi":"0","im_lo":"0","re_hi":'
+    '"172191/256","re_lo":"63055/256"},"t_hi":"1/2","t_lo":"1/4"},{"box":'
+    '{"im_hi":"0","im_lo":"0","re_hi":"56311/32","re_lo":"13927/32"},"t_hi":"1",'
+    '"t_lo":"1/2"}],"precision":32,"type":"interval"},"start_a":["-1","-5"],'
+    '"start_b":["-2","-2"]}],"strategy":"interval"}')
+
+
+def _tiled_path():
+    """The path of ``_V1_INTERVAL_PATH``: one segment whose enclosure on
+    [0, 1] contains zero, so its proof is subdivided into three tiles."""
+    f0 = CyclicFamily(2, 1, "A", (QQ(-1), QQ(-5)), (QQ(-2), QQ(-2)))
+    f1 = CyclicFamily(2, 1, "A", (QQ(-4), QQ(-3)), (QQ(-9), QQ(8)))
+    return build_path(f0, f1, "interval", precision=32)
+
+
+def _with_tiles(cert, tiles, precision=32):
+    seg = cert.segments[0]
+    proof = IntervalProof(precision, tuple((Fraction(lo), Fraction(hi))
+                                           for lo, hi in tiles))
+    return PathCertificate(cert.n, cert.r, cert.case, cert.field, cert.strategy,
+                           (PathSegment(seg.start_a, seg.start_b, seg.end_a,
+                                        seg.end_b, proof),))
+
+
+def test_interval_proof_stores_only_its_tiling():
+    import json
+    from ratsym.jsonio import canon_dumps, path_cert_from_json, path_cert_to_json
+    cert = _tiled_path()
+    q = Fraction(1, 4)
+    assert cert.segments[0].proof == IntervalProof(32, ((0, q), (q, 2 * q),
+                                                        (2 * q, 1)))
+    text = canon_dumps(path_cert_to_json(cert))
+    assert '"box"' not in text
+    assert canon_dumps(path_cert_to_json(path_cert_from_json(json.loads(text)))) == text
+    # the older file of the same path reads to the same certificate and
+    # still validates, its stored enclosures ignored
+    old = path_cert_from_json(json.loads(_V1_INTERVAL_PATH))
+    assert old == cert
+    validate_path_certificate(old)
+
+
+@pytest.mark.parametrize("tiles, reason", [
+    ([("1/4", "1/2"), ("1/2", 1)], "do not tile"),                 # late start
+    ([(0, "1/4"), ("1/2", 1)], "do not tile"),                     # gap
+    ([(0, "1/4"), ("1/8", "1/2"), ("1/2", 1)], "do not tile"),     # overlap
+    ([(0, "1/4"), ("1/4", "1/2")], "stops early"),
+    ([], "stops early"),
+    ([(0, "1/4"), ("1/4", "1/4"), ("1/4", "1/2"), ("1/2", 1)], "empty subinterval"),
+    ([(0, 1)], "contains zero"),                                   # merged
+], ids=["late-start", "gap", "overlap", "early-stop", "no-tiles", "empty-tile",
+        "merged"])
+def test_validator_rejects_a_tampered_tiling(tiles, reason):
+    cert = _tiled_path()
+    validate_path_certificate(cert)
+    with pytest.raises(CertificateInvalid, match=reason):
+        validate_path_certificate(_with_tiles(cert, tiles))
+
+
+@pytest.mark.parametrize("precision", [0, -1, moduli.MAX_PRECISION + 1, 10 ** 9])
+def test_interval_precision_is_bounded_before_any_embedding(monkeypatch, precision):
+    def refuse(*args):
+        raise AssertionError("interval_embed ran")
+    cert = _with_tiles(_tiled_path(), [(0, "1/4"), ("1/4", "1/2"), ("1/2", 1)],
+                       precision)
+    monkeypatch.setattr(moduli, "interval_embed", refuse)
+    with pytest.raises(ValueError, match="precision"):
+        validate_path_certificate(cert)
+    with pytest.raises(ValueError, match="precision"):
+        build_path(cert.start_family(), cert.end_family(), "interval",
+                   precision=precision)
+
+
 def test_path_certificate_samples_stay_valid():
     rng = random.Random(12)
     fam0 = random_cyclic_family(rng, 3, 2, "A")

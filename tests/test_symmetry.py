@@ -5,7 +5,7 @@ import pytest
 from test_poly import gauss_jordan_nullspace
 
 from ratsym import symmetry
-from ratsym.fields import QQ, CyclotomicField
+from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
                            standard_generators)
 from ratsym.poly import Poly
@@ -101,9 +101,34 @@ def test_degree_law_and_equivariance():
                     assert is_automorphism(phi, rotation(n))
 
 
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(4), CyclotomicField(12),
+                               QuadraticField(QQ, QQ(2))], ids=repr)
+def test_coprimality_by_resultant_agrees_with_gcd(K):
+    # small coefficients x + u*y share a factor often enough to test both ways
+    from ratsym.poly import poly_gcd
+    u = K.sqrt_delta() if isinstance(K, QuadraticField) else \
+        K.zeta() if isinstance(K, CyclotomicField) else K.one()
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(150):
+        a, b = ([K(rng.randint(-1, 1)) + u * K(rng.randint(-1, 1)) for _ in range(3)]
+                for _ in range(2))
+        if a[2].is_zero() or b[0].is_zero():
+            continue
+        coprime = poly_gcd(Poly(K, a), Poly(K, b)).degree == 0
+        try:
+            CyclicFamily(2, 2, "A", tuple(a), tuple(b))
+            accepted = True
+        except CoefficientConditionViolated:
+            accepted = False
+        assert accepted == coprime
+        outcomes.add(coprime)
+    assert outcomes == {True, False}
+
+
 def test_case_c_forces_nonzero_constant_term():
     # with b_0 = 0 the denominator is divisible by u, so coprimality forces
-    # a_0 != 0; the validator must reject a_0 = 0 via the gcd condition
+    # a_0 != 0; the validator must reject a_0 = 0 via the coprimality check
     with pytest.raises(CoefficientConditionViolated):
         CyclicFamily(3, 2, "C", (QQ(0), QQ(1), QQ(0)), (QQ(0), QQ(0), QQ(1)))
     rng = random.Random(1)
