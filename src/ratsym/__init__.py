@@ -2,9 +2,8 @@
 projective line with prescribed finite symmetry groups."""
 
 from .fields import (QQ, ComplexBox, CyclotomicField, FieldElement, FieldMismatch,
-                     QuadraticField, RationalField, complex_conjugate,
-                     common_field, field_arith, interval_embed, lift, refine_box,
-                     root_of_unity, sign_real)
+                     QuadraticField, RationalField, common_field, interval_embed,
+                     lift, refine_box, root_of_unity, sign_real)
 from .poly import (BothZero, Poly, cyclotomic_polynomial, interpolate, poly_eval,
                    poly_gcd, resultant, sturm_roots_in_interval)
 from .ratmap import (DegenerateMap, FormalRatFunc, ProjPoint, RationalMap,

@@ -248,50 +248,50 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ratsym",
         description="exact symmetric rational maps: tables, witnesses, "
                     "certified paths and multiplier coordinates")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--strategy", choices=("sturm", "interval"),
+    # each subcommand takes only the options it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-file", default=None)
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--dmax", type=int, required=True)
+    table.add_argument("--output", choices=("json", "csv", "pretty"),
+                       default="json")
+    search = argparse.ArgumentParser(add_help=False, parents=[out])
+    search.add_argument("family0")
+    search.add_argument("family1")
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--strategy", choices=("sturm", "interval"),
                         default="sturm")
-    common.add_argument("--precision", type=int, default=128)
-    common.add_argument("--output", choices=("json", "csv", "pretty"),
-                        default="json")
-    common.add_argument("--out-file", default=None)
+    search.add_argument("--precision", type=int, default=128)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("admissible", parents=[common],
+    p = sub.add_parser("admissible", parents=[table],
                        help="admissible symmetry types for each degree")
-    p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(func=cmd_admissible)
 
-    p = sub.add_parser("dims", parents=[common],
+    p = sub.add_parser("dims", parents=[table],
                        help="dimensions of the symmetric loci")
-    p.add_argument("--dmax", type=int, required=True)
     p.set_defaults(func=cmd_dims)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=[out],
                        help="witness map with symmetries of orders p and 2")
     p.add_argument("p", type=int)
     p.add_argument("d", type=int)
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("path", parents=[common],
+    p = sub.add_parser("path", parents=[search],
                        help="certified path between two family members")
-    p.add_argument("family0")
-    p.add_argument("family1")
     p.set_defaults(func=cmd_path)
 
-    p = sub.add_parser("connect", parents=[common],
+    p = sub.add_parser("connect", parents=[search],
                        help="chained connectivity certificate")
-    p.add_argument("family0")
-    p.add_argument("family1")
     p.set_defaults(func=cmd_connect)
 
-    p = sub.add_parser("milnor", parents=[common],
+    p = sub.add_parser("milnor", parents=[out],
                        help="multiplier coordinates of a degree-2 map")
     p.add_argument("map")
     p.set_defaults(func=cmd_milnor)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[out],
                        help="re-validate a stored certificate")
     p.add_argument("certificate")
     p.set_defaults(func=cmd_validate)

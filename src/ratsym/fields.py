@@ -1,4 +1,5 @@
-"""Exact coefficient fields: rationals, cyclotomic fields and quadratic extensions.
+"""Exact coefficient fields and their integral rings: rationals, cyclotomic
+fields and quadratic extensions.
 
 Three kinds of field are supported, forming a small tower:
 
@@ -14,13 +15,22 @@ fields never mix implicitly -- use :func:`lift` / :func:`common_field`.  The
 declared complex embedding sends zeta_n to exp(2*pi*i/n) and picks the branch
 of sqrt(delta) with nonnegative real part (positive imaginary part on ties);
 :func:`interval_embed` returns certified rectangles for it.
+
+Every field also has an integral ring, on which the polynomial kernel runs:
+Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the base's ring for a
+quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
+zeta^j for j < n; a cyclotomic field clears denominators and takes its
+products, inverses (a norm cofactor over the norm) and conjugates there.
+The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
+``poly.nullspace`` uses for its modular rank test.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import mpmath
 
@@ -34,8 +44,6 @@ __all__ = [
     "ComplexBox",
     "FieldMismatch",
     "InexactDivision",
-    "field_arith",
-    "complex_conjugate",
     "interval_embed",
     "lift",
     "common_field",
@@ -51,51 +59,40 @@ class FieldMismatch(TypeError):
 
 class InexactDivision(ArithmeticError):
     """A division that exact arithmetic requires to be exact left a
-    remainder, or an inversion modulo an irreducible polynomial met a
-    nonconstant gcd.  Raised, never asserted, so that ``python -O`` keeps
-    it."""
+    remainder, or a norm that must be rational was not.  Raised, never
+    asserted, so that ``python -O`` keeps it."""
+
+
+class BadResidueMap(ValueError):
+    """A residue map whose prime or root of unity fails its exact check."""
 
 
 Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (ascending coefficient lists of Fractions)
+# exact integer division
 # ---------------------------------------------------------------------------
 
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _exact_quo(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise InexactDivision(f"{d} does not divide {x}")
+    return q
 
 
-def _fp_mul(f, g):
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _fp_trim(out)
-
-
-def _fp_divmod(f, g):
-    # exact division over Q; g must be nonzero
-    f = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv_lead = 1 / g[-1]
-    while len(f) >= len(g) and _fp_trim(f):
-        if len(f) < len(g):
-            break
-        c = f[-1] * inv_lead
-        k = len(f) - len(g)
-        q[k] = c
-        for j, b in enumerate(g):
-            f[k + j] -= c * b
-        _fp_trim(f)
-    return _fp_trim(q), f
+def _zpoly_exact_quo(f: list[int], g: list[int]) -> list[int]:
+    """f / g in Z[x]; a remainder raises :class:`InexactDivision`."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = _exact_quo(r[k + len(g) - 1], g[-1])
+        if c:
+            for j, y in enumerate(g):
+                r[k + j] -= c * y
+    if any(r):
+        raise InexactDivision("polynomial division leaves a remainder")
+    return q
 
 
 def euler_phi(n: int) -> int:
@@ -119,17 +116,12 @@ def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     if n not in _cyclo_cache:
-        # (x^n - 1) divided by the product of all lower-level factors
-        num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-        den = [Fraction(1)]
+        # x^n - 1 divided exactly, over Z, by each lower-level factor
+        f = [-1] + [0] * (n - 1) + [1]
         for d in range(1, n):
             if n % d == 0:
-                den = _fp_mul(den, list(cyclotomic_coeffs(d)))
-        q, r = _fp_divmod(num, den)
-        if r:
-            raise InexactDivision(f"x^{n} - 1 is not divisible by the lower "
-                                  f"cyclotomic polynomials")
-        _cyclo_cache[n] = tuple(q)
+                f = _zpoly_exact_quo(f, [int(c) for c in cyclotomic_coeffs(d)])
+        _cyclo_cache[n] = tuple(map(Fraction, f))
     return _cyclo_cache[n]
 
 
@@ -483,6 +475,11 @@ _cyclo_fields: dict[int, "CyclotomicField"] = {}
 class CyclotomicField(Field):
     """Q(zeta_n) for n >= 3, reduced power-basis representation mod Phi_n.
 
+    Payloads are tuples of Fractions.  Products, inverses and conjugates
+    clear denominators and run on the integral ring Z[zeta_n]
+    (``self.ring``), whose table of the powers of zeta is the field's only
+    reduction data.
+
     For n in {1, 2} use ``QQ`` (the root of unity is rational there);
     :func:`root_of_unity_field` makes that choice automatically.
     """
@@ -495,29 +492,8 @@ class CyclotomicField(Field):
         self = super().__new__(cls)
         self.n = n
         self.degree = euler_phi(n)
-        phi = cyclotomic_coeffs(n)
-        self.phi_coeffs = phi
-        m = self.degree
-        # reduction rows: x^(m+k) mod Phi_n for k = 0..m-2, built by
-        # shifting and folding the spilled top term through x^m = -(lower Phi)
-        rows = [tuple(-phi[i] for i in range(m))]
-        for _ in range(m - 2):
-            prev = rows[-1]
-            shifted = [Fraction(0)] + list(prev[:-1])
-            top = prev[-1]
-            if top:
-                first = rows[0]
-                shifted = [shifted[i] + top * first[i] for i in range(m)]
-            rows.append(tuple(shifted))
-        self._red_rows = rows
-        # zeta^j in the power basis, j = 0..n-1
-        pows = []
-        cur = [Fraction(0)] * m
-        cur[0] = Fraction(1)
-        for _ in range(n):
-            pows.append(tuple(cur))
-            cur = self._reduce([Fraction(0)] + list(cur))
-        self._zeta_pows = pows
+        self.phi_coeffs = cyclotomic_coeffs(n)
+        self.ring = _CyclotomicIntegers(self)
         _cyclo_fields[n] = self
         return self
 
@@ -527,21 +503,6 @@ class CyclotomicField(Field):
     def __repr__(self):
         return f"QQ(zeta_{self.n})"
 
-    def _reduce(self, coeffs):
-        m = self.degree
-        coeffs = list(coeffs)
-        for j in range(len(coeffs) - 1, m - 1, -1):
-            c = coeffs[j]
-            if c:
-                row = self._red_rows[j - m]
-                for i in range(m):
-                    if row[i]:
-                        coeffs[i] += c * row[i]
-            del coeffs[j]
-        while len(coeffs) < m:
-            coeffs.append(Fraction(0))
-        return coeffs
-
     def from_fraction(self, fr):
         v = [Fraction(0)] * self.degree
         v[0] = fr
@@ -550,13 +511,13 @@ class CyclotomicField(Field):
     def from_coeffs(self, coeffs: Iterable[Scalar]) -> FieldElement:
         v = [Fraction(c) for c in coeffs]
         if len(v) > self.degree:
-            v = self._reduce(v)
-        while len(v) < self.degree:
-            v.append(Fraction(0))
+            den, x = _clear(v)
+            return FieldElement(self, _fractions(self.ring.at_power(x, 1), den))
+        v += [Fraction(0)] * (self.degree - len(v))
         return FieldElement(self, tuple(v))
 
     def zeta(self, power: int = 1) -> FieldElement:
-        return FieldElement(self, self._zeta_pows[power % self.n])
+        return FieldElement(self, _fractions(self.ring.pows[power % self.n], 1))
 
     def p_add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -565,57 +526,27 @@ class CyclotomicField(Field):
         return tuple(-x for x in a)
 
     def p_mul(self, a, b):
-        if all(x == 0 for x in a) or all(x == 0 for x in b):
+        if not any(a) or not any(b):
             return self.from_fraction(Fraction(0))
-        m = self.degree
-        conv = [Fraction(0)] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return tuple(self._reduce(conv))
+        da, x = _clear(a)
+        db, y = _clear(b)
+        return _fractions(self.ring.mul(x, y), da * db)
 
     def p_inv(self, a):
-        # extended Euclid against Phi_n in Q[x]; Phi_n irreducible, so any
-        # nonzero residue is invertible
-        f = _fp_trim(list(a))
-        if not f:
-            raise ZeroDivisionError
-        r0, r1 = list(self.phi_coeffs), f
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _fp_divmod(r0, r1)
-            qs = _fp_mul(q, s1)
-            ns = [Fraction(0)] * max(len(s0), len(qs))
-            for i, v in enumerate(s0):
-                ns[i] += v
-            for i, v in enumerate(qs):
-                ns[i] -= v
-            _fp_trim(ns)
-            r0, r1, s0, s1 = r1, r, s1, ns
-        if len(r0) != 1:
-            raise InexactDivision("nonconstant gcd against an irreducible modulus")
-        c = r0[0]
-        return tuple(self._reduce([x / c for x in s0]))
+        # with a = x / D and x * cof = N(x), a rational integer:
+        # 1 / a = D * cof / N(x)
+        den, x = _clear(a)
+        if not any(x):
+            raise ZeroDivisionError("division by zero field element")
+        cof, norm = self.ring.norm_cofactor(x)
+        return _fractions(self.ring.scale(cof, den), norm)
 
     def p_is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def galois(self, a, k: int):
-        # zeta -> zeta^k on the payload; k must be coprime to n for a field map
-        m = self.degree
-        out = [Fraction(0)] * m
-        for j, c in enumerate(a):
-            if c:
-                row = self._zeta_pows[(j * k) % self.n]
-                for i in range(m):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        return not any(a)
 
     def p_conj(self, a):
-        return self.galois(a, self.n - 1)
+        den, x = _clear(a)
+        return _fractions(self.ring.at_power(x, -1), den)
 
     def p_embed(self, a, prec):
         box = ComplexBox.exact(Fraction(0))
@@ -786,12 +717,10 @@ def lift(x: FieldElement, target: Field) -> FieldElement:
             return FieldElement(target, (lift(x, target.base), target.base.zero()))
     if isinstance(src, CyclotomicField):
         if isinstance(target, CyclotomicField) and target.n % src.n == 0:
-            k = target.n // src.n
-            out = target.zero()
-            for j, c in enumerate(x.payload):
-                if c:
-                    out = out + target.zeta(j * k) * c
-            return out
+            # zeta_m = zeta_n^(n/m), read from the target's table
+            den, v = _clear(x.payload)
+            return FieldElement(target, _fractions(
+                target.ring.at_power(v, target.n // src.n), den))
         if isinstance(target, QuadraticField):
             return FieldElement(target, (lift(x, target.base), target.base.zero()))
     raise FieldMismatch(f"no declared embedding of {src} into {target}")
@@ -819,23 +748,6 @@ def common_field(f1: Field, f2: Field) -> Field:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Exact field arithmetic on two elements of the same field."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def complex_conjugate(a: FieldElement) -> FieldElement:
-    return a.conj()
-
 
 def interval_embed(a: FieldElement, precision: int = 128) -> ComplexBox:
     """Certified box containing the complex embedding of ``a``.
@@ -872,3 +784,301 @@ def sign_real(a: FieldElement) -> int:
             return -1
         prec *= 2
     raise RuntimeError("sign determination exceeded precision cap")
+
+
+# ---------------------------------------------------------------------------
+# residue maps to F_p, for the modular rank test of poly.nullspace
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _residue_prime(n: int) -> int:
+    """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds the
+    n-th roots of unity."""
+    p = (2 ** 30 // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    return p
+
+
+def _root_of_unity_mod(field: CyclotomicField, p: int) -> int:
+    """A root w of Phi_n modulo the prime p = 1 (mod n): the first
+    g^((p-1)/n), g = 2, 3, ..., at which Phi_n vanishes.  A p that is not
+    such a prime, or a search that finds no root, raises
+    :class:`BadResidueMap`."""
+    n = field.n
+    if not _is_prime(p) or (p - 1) % n:
+        raise BadResidueMap(f"{p} is not a prime = 1 (mod {n})")
+    phi = [int(c) for c in field.phi_coeffs]
+    for g in range(2, min(p, 1000)):
+        w = pow(g, (p - 1) // n, p)
+        if sum(c * pow(w, k, p) for k, c in enumerate(phi)) % p == 0:
+            return w
+    raise BadResidueMap(f"no root of Phi_{n} found modulo {p}")
+
+
+# ---------------------------------------------------------------------------
+# the integral rings: Z for Q, Z[zeta_n] for Q(zeta_n), pairs for a
+# quadratic layer
+# ---------------------------------------------------------------------------
+
+def _clear(payload) -> tuple[int, list[int]]:
+    """The least denominator D of a cyclotomic payload and the integer
+    coordinates of D times it."""
+    den = math.lcm(*[c.denominator for c in payload])
+    return den, [c.numerator * (den // c.denominator) for c in payload]
+
+
+def _fractions(v, den: int) -> tuple[Fraction, ...]:
+    """The payload of the integer coordinates v divided by den."""
+    if den == 1:
+        return tuple(map(Fraction, v))
+    return tuple(Fraction(x, den) for x in v)
+
+
+class _RationalIntegers:
+    """Z inside Q; elements are ints.  Its residue map is a -> a mod p."""
+    zero, one, base = 0, 1, None
+    add, sub, mul = operator.add, operator.sub, operator.mul
+    prime = _residue_prime(1)
+
+    @staticmethod
+    def residue(a: int) -> int:
+        return a % _RationalIntegers.prime
+
+    @staticmethod
+    def scale(a: int, k: int) -> int:
+        return a * k
+
+    @staticmethod
+    def quo(a: int, d: int) -> int:
+        return _exact_quo(a, d)
+
+    @staticmethod
+    def norm_cofactor(p: int) -> tuple[int, int]:
+        return 1, p
+
+    @staticmethod
+    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
+        """A common denominator D and the integers D * e."""
+        den = math.lcm(1, *(e.payload.denominator for e in elems))
+        return den, [e.payload.numerator * (den // e.payload.denominator)
+                     for e in elems]
+
+    @staticmethod
+    def to_field(a: int, den: int) -> FieldElement:
+        return QQ(Fraction(a, den))
+
+
+class _CyclotomicIntegers:
+    """Z[zeta_n] inside Q(zeta_n); elements are int tuples in the power basis
+    1, zeta, ..., zeta^(m-1), m = phi(n).
+
+    Phi_n is monic with integer coefficients, so every power of zeta has
+    integer coordinates.  One table holds them for zeta^j, j < n, and serves
+    reduction, conjugation and lifting (:meth:`at_power`).  The residue map
+    sends zeta to a root w of Phi_n modulo the least prime p > 2^30 with
+    p = 1 (mod n); it is a ring homomorphism onto F_p because Phi_n(w) = 0
+    there."""
+    base = _RationalIntegers
+
+    def __init__(self, field: CyclotomicField):
+        self.field = field
+        n, m = self.n, self.m = field.n, field.degree
+        phi = [int(c) for c in field.phi_coeffs]
+        # zeta^(j+1) = zeta * zeta^j, folding zeta^m = -(Phi_n - x^m)
+        pows, cur = [], [1] + [0] * (m - 1)
+        for _ in range(n):
+            pows.append(tuple(cur))
+            top, cur = cur[-1], [0] + cur[:-1]
+            if top:
+                cur = [c - top * f for c, f in zip(cur, phi)]
+        self.pows = pows
+        self._units = [k for k in range(2, n) if math.gcd(k, n) == 1]
+        self.zero = (0,) * m
+        self.one = pows[0]
+        p = self.prime = _residue_prime(n)
+        w = _root_of_unity_mod(field, p)
+        self._weights = [pow(w, k, p) for k in range(m)]
+
+    def residue(self, a) -> int:
+        return sum(map(operator.mul, a, self._weights)) % self.prime
+
+    @staticmethod
+    def add(a, b):
+        return tuple(map(operator.add, a, b))
+
+    @staticmethod
+    def sub(a, b):
+        return tuple(map(operator.sub, a, b))
+
+    @staticmethod
+    def scale(a, k: int):
+        return tuple(x * k for x in a)
+
+    @staticmethod
+    def quo(a, d: int):
+        return tuple(_exact_quo(x, d) for x in a)
+
+    def mul(self, a, b):
+        m, n, pows = self.m, self.n, self.pows
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        out = conv[:m]
+        for k in range(m, 2 * m - 1):
+            c = conv[k]
+            if c:
+                for i, e in enumerate(pows[k % n]):
+                    out[i] += c * e
+        return tuple(out)
+
+    def at_power(self, p, k: int) -> tuple:
+        """p(zeta^k) in the power basis, for integer coordinates p of any
+        length: sigma_k(p) for k prime to n, the reduction of p for k = 1,
+        and the image of p in Z[zeta_(n/k)] inside Z[zeta_n] for k | n."""
+        n, pows = self.n, self.pows
+        out = [0] * self.m
+        for j, c in enumerate(p):
+            if c:
+                for i, e in enumerate(pows[j * k % n]):
+                    if e:
+                        out[i] += c * e
+        return tuple(out)
+
+    def conjugates(self, p) -> list[tuple]:
+        """sigma_k(p) for the automorphisms sigma_k other than 1."""
+        return [self.at_power(p, k) for k in self._units]
+
+    @staticmethod
+    def to_base(a) -> int:
+        if any(a[1:]):
+            raise InexactDivision("the norm of a cyclotomic integer is not rational")
+        return a[0]
+
+    def norm_cofactor(self, p) -> tuple[tuple, int]:
+        """(c, N) with p * c = N: c is the product of the Galois conjugates
+        of p other than p, and N = N(p) is a rational integer."""
+        cof = self.one
+        for sigma in self.conjugates(p):
+            cof = self.mul(cof, sigma)
+        return cof, self.to_base(self.mul(p, cof))
+
+    @staticmethod
+    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
+        """A common denominator D and the integer tuples D * e."""
+        den = math.lcm(1, *(c.denominator for e in elems for c in e.payload))
+        return den, [tuple(c.numerator * (den // c.denominator) for c in e.payload)
+                     for e in elems]
+
+    def to_field(self, a, den: int) -> FieldElement:
+        return FieldElement(self.field, _fractions(a, den))
+
+
+class _QuadraticIntegers:
+    """R[sqrt(D)] inside base(sqrt(delta)), for the base's ring R; elements
+    are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
+    clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta).
+    It has no residue map, since sqrt(D) need not exist modulo a prime."""
+    residue = None
+
+    def __init__(self, field: QuadraticField):
+        self.field = field
+        base = self.base = _integral_ring(field.base)
+        self.k, (kdelta,) = base.clear([field.delta])
+        self.D = base.scale(kdelta, self.k)
+        self.zero = (base.zero, base.zero)
+        self.one = (base.one, base.zero)
+
+    def add(self, x, y):
+        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+
+    def sub(self, x, y):
+        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
+
+    def scale(self, x, k: int):
+        return (self.base.scale(x[0], k), self.base.scale(x[1], k))
+
+    def quo(self, x, d: int):
+        return (self.base.quo(x[0], d), self.base.quo(x[1], d))
+
+    def mul(self, x, y):
+        base = self.base
+        (a, b), (c, e) = x, y
+        return (base.add(base.mul(a, c), base.mul(self.D, base.mul(b, e))),
+                base.add(base.mul(a, e), base.mul(b, c)))
+
+    def conjugates(self, p) -> list[tuple]:
+        """[conj(p)]: the image of p under sqrt(D) -> -sqrt(D)."""
+        return [(p[0], self.base.scale(p[1], -1))]
+
+    def to_base(self, p):
+        if p[1] != self.base.zero:
+            raise InexactDivision("the norm of a quadratic integer lies in the base")
+        return p[0]
+
+    def norm_cofactor(self, p) -> tuple[tuple, int]:
+        """(c, N) with p * c = N: c is conj(p) times the base cofactor of
+        a^2 - D b^2, and N is the rational integer of the base."""
+        base = self.base
+        a, b = p
+        n = base.sub(base.mul(a, a), base.mul(self.D, base.mul(b, b)))
+        if n == base.zero:
+            raise ZeroDivisionError("norm vanishes; radicand is a square in the base")
+        cof, N = base.norm_cofactor(n)
+        return (base.mul(a, cof), base.scale(base.mul(b, cof), -1)), N
+
+    def clear(self, elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
+        """A common denominator E and the pairs E * e."""
+        base, k = self.base, self.k
+        den, ints = base.clear([e.payload[0] for e in elems]
+                               + [e.payload[1] for e in elems])
+        n = len(elems)
+        return den * k, [(base.scale(a, k), b) for a, b in zip(ints[:n], ints[n:])]
+
+    def to_field(self, x, den: int) -> FieldElement:
+        base = self.base
+        return FieldElement(self.field, (base.to_field(x[0], den),
+                                         base.to_field(base.scale(x[1], self.k), den)))
+
+
+_rings: dict[tuple, object] = {}
+
+
+def _integral_ring(field: Field):
+    """The integral ring of the kernel for any supported field: Z for Q,
+    the ring a cyclotomic field holds for Q(zeta_n), and pairs over the
+    base's ring for a quadratic layer, cached by the field's key."""
+    if field == QQ:
+        return _RationalIntegers
+    if isinstance(field, CyclotomicField):
+        return field.ring
+    key = field.key()
+    if key not in _rings:
+        _rings[key] = _QuadraticIntegers(field)
+    return _rings[key]

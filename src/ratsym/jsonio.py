@@ -35,6 +35,11 @@ __all__ = [
     "connectivity_to_json", "connectivity_from_json",
 ]
 
+# the largest cyclotomic conductor a document may name: the tables of
+# Z[zeta_n] hold n * phi(n) integers, so an unchecked conductor from an
+# untrusted file could ask for unbounded memory
+MAX_CONDUCTOR = 256
+
 
 def canon_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -67,7 +72,12 @@ def field_from_json(obj) -> Field:
     if kind == "rational":
         return QQ
     if kind == "cyclotomic":
-        return CyclotomicField(obj["conductor"])
+        n = obj["conductor"]
+        # JSON true would pass as the integer 1
+        if type(n) is not int or not 3 <= n <= MAX_CONDUCTOR:
+            raise ValueError(f"conductor {n!r} is not an integer in "
+                             f"[3, {MAX_CONDUCTOR}]")
+        return CyclotomicField(n)
     if kind == "quadratic":
         base = field_from_json(obj["base"])
         delta = elem_from_json(obj["delta"], base)
@@ -211,7 +221,10 @@ def _proof_from_json(obj, field: Field):
         # older files also store each tile's enclosure as "box": ignored
         boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]))
                       for rec in obj["boxes"])
-        return IntervalProof(precision=obj["precision"], boxes=boxes)
+        precision = obj["precision"]
+        if type(precision) is not int:
+            raise ValueError(f"interval precision {precision!r} is not an integer")
+        return IntervalProof(precision=precision, boxes=boxes)
     raise ValueError(f"unknown proof type {obj['type']!r}")
 
 

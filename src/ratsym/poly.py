@@ -6,11 +6,12 @@ Coefficients are stored ascending; the zero polynomial has an empty tuple and
 degree -1.  The resultant takes formal degrees as explicit parameters because
 degree drop must be detectable, not silently normalised away.
 
-Every supported field has an integral ring here: Z for Q, Z[zeta_n] for
-Q(zeta_n), and pairs over the base's ring for a quadratic layer.
-:func:`det`, :func:`resultant` and :func:`nullspace` clear denominators
-once and run one fraction-free Bareiss elimination over that ring
-(:func:`nullspace` only on the rows that are independent modulo a prime);
+The kernel runs on the integral ring that :mod:`ratsym.fields` defines for
+every supported field: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
+base's ring for a quadratic layer.  :func:`det`, :func:`resultant` and
+:func:`nullspace` clear denominators once and run one fraction-free Bareiss
+elimination over that ring (:func:`nullspace` only on the rows that are
+independent modulo a prime, by the ring's residue map);
 :func:`interpolate` takes forward differences in it, :func:`squarefree_norm`
 walks the tower down through it to Z, and :func:`sturm_roots_in_interval`
 counts in Z[x] by a primitive pseudo-remainder gcd and Descartes bisection.
@@ -21,12 +22,12 @@ field.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     InexactDivision, QuadraticField, cyclotomic_coeffs, lift)
+from .fields import (QQ, Field, FieldElement, FieldMismatch, InexactDivision,
+                     _exact_quo, _integral_ring, _RationalIntegers,
+                     _zpoly_exact_quo, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -283,13 +284,6 @@ def _int_content(v: list[int]) -> int:
     for x in v:
         g = math.gcd(g, x)
     return g or 1
-
-
-def _exact_quo(x: int, d: int) -> int:
-    q, r = divmod(x, d)
-    if r:
-        raise InexactDivision(f"{d} does not divide {x}")
-    return q
 
 
 def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
@@ -554,280 +548,8 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
 
 
 # ---------------------------------------------------------------------------
-# residue maps to F_p, for the modular rank test of nullspace
+# polynomial arithmetic over the integral rings
 # ---------------------------------------------------------------------------
-
-class BadResidueMap(ValueError):
-    """A residue map whose prime or root of unity fails its exact check."""
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, which is
-    deterministic below 3.3 * 10^24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for q in bases:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _residue_prime(n: int) -> int:
-    """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds the
-    n-th roots of unity."""
-    p = (2 ** 30 // n + 1) * n + 1
-    while not _is_prime(p):
-        p += n
-    return p
-
-
-def _root_of_unity_mod(field: CyclotomicField, p: int) -> int:
-    """A root w of Phi_n modulo the prime p = 1 (mod n): the first
-    g^((p-1)/n), g = 2, 3, ..., at which Phi_n vanishes.  A p that is not
-    such a prime, or a search that finds no root, raises
-    :class:`BadResidueMap`."""
-    n = field.n
-    if not _is_prime(p) or (p - 1) % n:
-        raise BadResidueMap(f"{p} is not a prime = 1 (mod {n})")
-    phi = [int(c) for c in field.phi_coeffs]
-    for g in range(2, min(p, 1000)):
-        w = pow(g, (p - 1) // n, p)
-        if sum(c * pow(w, k, p) for k, c in enumerate(phi)) % p == 0:
-            return w
-    raise BadResidueMap(f"no root of Phi_{n} found modulo {p}")
-
-
-# ---------------------------------------------------------------------------
-# the integral rings: Z for Q, Z[zeta_n] for Q(zeta_n), pairs for a
-# quadratic layer
-# ---------------------------------------------------------------------------
-
-class _RationalIntegers:
-    """Z inside Q; elements are ints.  Its residue map is a -> a mod p."""
-    zero, one, base = 0, 1, None
-    add, sub, mul = operator.add, operator.sub, operator.mul
-    prime = _residue_prime(1)
-
-    @staticmethod
-    def residue(a: int) -> int:
-        return a % _RationalIntegers.prime
-
-    @staticmethod
-    def scale(a: int, k: int) -> int:
-        return a * k
-
-    @staticmethod
-    def quo(a: int, d: int) -> int:
-        return _exact_quo(a, d)
-
-    @staticmethod
-    def norm_cofactor(p: int) -> tuple[int, int]:
-        return 1, p
-
-    @staticmethod
-    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
-        """A common denominator D and the integers D * e."""
-        den = math.lcm(1, *(e.payload.denominator for e in elems))
-        return den, [e.payload.numerator * (den // e.payload.denominator)
-                     for e in elems]
-
-    @staticmethod
-    def to_field(a: int, den: int) -> FieldElement:
-        return QQ(Fraction(a, den))
-
-
-class _CyclotomicIntegers:
-    """Z[zeta_n] inside Q(zeta_n); elements are int tuples in the power basis
-    1, zeta, ..., zeta^(m-1).  Phi_n is monic with integer coefficients, so
-    products reduce to integer tuples.  The residue map sends zeta to a
-    root w of Phi_n modulo the least prime p > 2^30 with p = 1 (mod n); it
-    is a ring homomorphism onto F_p because Phi_n(w) = 0 there."""
-    base = _RationalIntegers
-
-    def __init__(self, field: CyclotomicField):
-        self.field = field
-        m = self.m = field.degree
-        n = field.n
-
-        def power(k):
-            return tuple(int(c) for c in field.zeta(k).payload)
-
-        self._reduction = [power(m + k) for k in range(m - 1)]
-        # sigma_k(zeta^j) = zeta^(jk) for the automorphisms other than 1
-        self._conjugations = [[power(j * k) for j in range(m)]
-                              for k in range(2, n) if math.gcd(k, n) == 1]
-        self.zero = (0,) * m
-        self.one = (1,) + (0,) * (m - 1)
-        p = self.prime = _residue_prime(n)
-        w = _root_of_unity_mod(field, p)
-        self._weights = [pow(w, k, p) for k in range(m)]
-
-    def residue(self, a) -> int:
-        return sum(map(operator.mul, a, self._weights)) % self.prime
-
-    @staticmethod
-    def add(a, b):
-        return tuple(map(operator.add, a, b))
-
-    @staticmethod
-    def sub(a, b):
-        return tuple(map(operator.sub, a, b))
-
-    @staticmethod
-    def scale(a, k: int):
-        return tuple(x * k for x in a)
-
-    @staticmethod
-    def quo(a, d: int):
-        return tuple(_exact_quo(x, d) for x in a)
-
-    def mul(self, a, b):
-        m = self.m
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = conv[:m]
-        for c, row in zip(conv[m:], self._reduction):
-            if c:
-                for i, e in enumerate(row):
-                    out[i] += c * e
-        return tuple(out)
-
-    def conjugates(self, p) -> list[tuple]:
-        """sigma_k(p) for the automorphisms sigma_k other than 1."""
-        out = []
-        for rows in self._conjugations:
-            sigma = [0] * self.m
-            for x, row in zip(p, rows):
-                if x:
-                    for i, e in enumerate(row):
-                        sigma[i] += x * e
-            out.append(tuple(sigma))
-        return out
-
-    @staticmethod
-    def to_base(a) -> int:
-        if any(a[1:]):
-            raise InexactDivision("the norm of a cyclotomic integer is not rational")
-        return a[0]
-
-    def norm_cofactor(self, p) -> tuple[tuple, int]:
-        """(c, N) with p * c = N: c is the product of the Galois conjugates
-        of p other than p, and N = N(p) is a rational integer."""
-        cof = self.one
-        for sigma in self.conjugates(p):
-            cof = self.mul(cof, sigma)
-        return cof, self.to_base(self.mul(p, cof))
-
-    @staticmethod
-    def clear(elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
-        """A common denominator D and the integer tuples D * e."""
-        den = math.lcm(1, *(c.denominator for e in elems for c in e.payload))
-        return den, [tuple(c.numerator * (den // c.denominator) for c in e.payload)
-                     for e in elems]
-
-    def to_field(self, a, den: int) -> FieldElement:
-        return FieldElement(self.field, tuple(Fraction(x, den) for x in a))
-
-
-class _QuadraticIntegers:
-    """R[sqrt(D)] inside base(sqrt(delta)), for the base's ring R; elements
-    are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
-    clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta).
-    It has no residue map, since sqrt(D) need not exist modulo a prime."""
-    residue = None
-
-    def __init__(self, field: QuadraticField):
-        self.field = field
-        base = self.base = _integral_ring(field.base)
-        self.k, (kdelta,) = base.clear([field.delta])
-        self.D = base.scale(kdelta, self.k)
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-
-    def add(self, x, y):
-        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
-
-    def sub(self, x, y):
-        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
-
-    def scale(self, x, k: int):
-        return (self.base.scale(x[0], k), self.base.scale(x[1], k))
-
-    def quo(self, x, d: int):
-        return (self.base.quo(x[0], d), self.base.quo(x[1], d))
-
-    def mul(self, x, y):
-        base = self.base
-        (a, b), (c, e) = x, y
-        return (base.add(base.mul(a, c), base.mul(self.D, base.mul(b, e))),
-                base.add(base.mul(a, e), base.mul(b, c)))
-
-    def conjugates(self, p) -> list[tuple]:
-        """[conj(p)]: the image of p under sqrt(D) -> -sqrt(D)."""
-        return [(p[0], self.base.scale(p[1], -1))]
-
-    def to_base(self, p):
-        if p[1] != self.base.zero:
-            raise InexactDivision("the norm of a quadratic integer lies in the base")
-        return p[0]
-
-    def norm_cofactor(self, p) -> tuple[tuple, int]:
-        """(c, N) with p * c = N: c is conj(p) times the base cofactor of
-        a^2 - D b^2, and N is the rational integer of the base."""
-        base = self.base
-        a, b = p
-        n = base.sub(base.mul(a, a), base.mul(self.D, base.mul(b, b)))
-        if n == base.zero:
-            raise ZeroDivisionError("norm vanishes; radicand is a square in the base")
-        cof, N = base.norm_cofactor(n)
-        return (base.mul(a, cof), base.scale(base.mul(b, cof), -1)), N
-
-    def clear(self, elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
-        """A common denominator E and the pairs E * e."""
-        base, k = self.base, self.k
-        den, ints = base.clear([e.payload[0] for e in elems]
-                               + [e.payload[1] for e in elems])
-        n = len(elems)
-        return den * k, [(base.scale(a, k), b) for a, b in zip(ints[:n], ints[n:])]
-
-    def to_field(self, x, den: int) -> FieldElement:
-        base = self.base
-        return FieldElement(self.field, (base.to_field(x[0], den),
-                                         base.to_field(base.scale(x[1], self.k), den)))
-
-
-_rings: dict[tuple, object] = {}
-
-
-def _integral_ring(field: Field):
-    """The integral ring of the kernel for any supported field, cached by
-    the field's key: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
-    base's ring for a quadratic layer."""
-    if field == QQ:
-        return _RationalIntegers
-    key = field.key()
-    if key not in _rings:
-        kind = _QuadraticIntegers if isinstance(field, QuadraticField) else _CyclotomicIntegers
-        _rings[key] = kind(field)
-    return _rings[key]
-
 
 def _ring_mul(ring, f: list, g: list) -> list:
     zero, add, mul = ring.zero, ring.add, ring.mul
@@ -869,20 +591,6 @@ def _integer_poly(f: Poly) -> list[int]:
     _, v = _RationalIntegers.clear(f.coeffs)
     cont = _int_content(v)
     return [x // cont for x in v]
-
-
-def _zpoly_exact_quo(f: list[int], g: list[int]) -> list[int]:
-    """f / g in Z[x]; a remainder raises :class:`InexactDivision`."""
-    r = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = _exact_quo(r[k + len(g) - 1], g[-1])
-        if c:
-            for j, y in enumerate(g):
-                r[k + j] -= c * y
-    if any(r):
-        raise InexactDivision("polynomial division leaves a remainder")
-    return q
 
 
 # the largest prime below 2^30: residues fit one CPython digit, and a

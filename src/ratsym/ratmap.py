@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldMismatch, common_field, lift
-from .poly import Poly, _integral_ring, _ring_mul, poly_gcd
+from .fields import (Field, FieldElement, FieldMismatch, _integral_ring,
+                     common_field, lift)
+from .poly import Poly, _ring_mul, poly_gcd
 
 __all__ = [
     "ProjPoint",

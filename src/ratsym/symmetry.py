@@ -24,11 +24,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
-                     common_field, lift, root_of_unity, root_of_unity_field)
+                     _integral_ring, _is_prime, common_field, lift,
+                     root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
-from .poly import (Poly, _integral_ring, _is_prime, _ring_mul, nullspace,
-                   poly_gcd, resultant)
+from .poly import Poly, _ring_mul, nullspace, poly_gcd, resultant
 from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
                      maps_equal, ProjPoint)
 

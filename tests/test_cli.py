@@ -8,7 +8,8 @@ import pytest
 from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
 from ratsym.fields import QQ, InexactDivision
-from ratsym.jsonio import canon_dumps, family_to_json, map_to_json
+from ratsym.jsonio import (MAX_CONDUCTOR, canon_dumps, family_to_json,
+                           map_to_json)
 from ratsym.poly import Poly
 from ratsym.ratmap import DegenerateMap, make_map
 from ratsym.symmetry import random_cyclic_family
@@ -269,6 +270,7 @@ def test_zero_divisor_exits_4_inside_validate(tmp_path, capsys):
 
 def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
                                                              monkeypatch):
+    # out of range, and not an integer: JSON true would pass as 1
     from ratsym import moduli
     f0 = random_cyclic_family(random.Random(5), 2, 1, "A")
     f1 = random_cyclic_family(random.Random(6), 2, 1, "A")
@@ -280,13 +282,53 @@ def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
                        "--precision", "32", "--out-file", str(cert_file)], capsys)
     assert code == 0
     doc = json.loads(cert_file.read_text())
-    doc["segments"][0]["proof"]["precision"] = 10 ** 9
-    bad = tmp_path / "bad.json"
-    bad.write_text(canon_dumps(doc))
 
     def refuse(*args):
         raise AssertionError("interval_embed ran")
     monkeypatch.setattr(moduli, "interval_embed", refuse)
+    for precision in (10 ** 9, True, 32.5, "32"):
+        doc["segments"][0]["proof"]["precision"] = precision
+        bad = tmp_path / "bad.json"
+        bad.write_text(canon_dumps(doc))
+        code, out = run_cli(["validate", str(bad)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "precision" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("quadratic", [False, True])
+@pytest.mark.parametrize("conductor", [MAX_CONDUCTOR + 1, 10 ** 9, True, "12", 2])
+def test_validate_rejects_a_conductor_before_building_a_field(tmp_path, capsys,
+                                                              monkeypatch,
+                                                              conductor, quadratic):
+    from ratsym import jsonio
+    good = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "3", "4", "--out-file", str(good)], capsys)
+    assert code == 0
+    field = {"kind": "cyclotomic", "conductor": conductor}
+    if quadratic:
+        field = {"kind": "quadratic", "base": field, "delta": "2"}
+
+    def swap(obj):
+        # every field record of the witness, whichever the reader meets first
+        if isinstance(obj, dict):
+            return {k: field if k == "field" else swap(v) for k, v in obj.items()}
+        return [swap(v) for v in obj] if isinstance(obj, list) else obj
+    bad = tmp_path / "bad.json"
+    bad.write_text(canon_dumps(swap(json.loads(good.read_text()))))
+
+    def refuse(n):
+        raise AssertionError(f"CyclotomicField({n!r}) was built")
+    monkeypatch.setattr(jsonio, "CyclotomicField", refuse)
     code, out = run_cli(["validate", str(bad)], capsys)
     assert code == EXIT_VALIDATION
-    assert "precision" in json.loads(out)["reason"]
+    assert "conductor" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "3", "4", "--output", "csv", "--strategy", "interval"],
+    ["admissible", "--dmax", "3", "--seed", "1"],
+    ["validate", "cert.json", "--precision", "64"],
+])
+def test_subcommands_take_only_the_options_they_read(argv, capsys):
+    assert main(argv) == EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -8,8 +8,12 @@ real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
 compositions.  The residue maps of Z[zeta_n] that the modular rank test of
-``nullspace`` uses are checked to respect sums and products.  Both oracles are test-only imports: the module is skipped
-when sympy or hypothesis is absent.
+``nullspace`` uses are checked to respect sums and products.  Products,
+inverses and complex conjugates in Q(zeta_n), which run on the integral ring
+Z[zeta_n], are compared with sympy's remainder, inverse and substitution
+modulo Phi_n, and the field axioms are checked over the icosahedral layer.
+Both oracles are test-only imports: the module is skipped when sympy or
+hypothesis is absent.
 """
 
 import random
@@ -22,11 +26,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from ratsym.fields import QQ, CyclotomicField, QuadraticField  # noqa: E402
+from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
+                           _integral_ring)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _integral_ring, poly_eval,  # noqa: E402
-                         resultant, squarefree_norm, sturm_roots_in_interval)
+from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
+                         squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
@@ -296,3 +301,64 @@ def test_residue_map_is_a_ring_homomorphism(triple):
     assert h(ring.add(a, b)) == (h(a) + h(b)) % p
     assert h(ring.mul(a, b)) == h(a) * h(b) % p
     assert h(ring.one) == 1 and h(ring.zero) == 0
+
+
+CONDUCTORS = [3, 4, 5, 7, 8, 12, 15, 20]
+
+
+def _cyclotomic_element(F):
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return st.lists(coeff, min_size=F.degree, max_size=F.degree).map(F.from_coeffs)
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    F = CyclotomicField(draw(st.sampled_from(CONDUCTORS)))
+    return draw(_cyclotomic_element(F)), draw(_cyclotomic_element(F))
+
+
+def _to_sympy_poly(a):
+    return sum(sp.Rational(c.numerator, c.denominator) * X ** j
+               for j, c in enumerate(a.payload))
+
+
+def _reduced(expr, F):
+    """The element of F that a sympy polynomial in X is modulo Phi_n."""
+    rem = sp.Poly(sp.rem(sp.expand(expr), sp.cyclotomic_poly(F.n, X), X), X)
+    coeffs = rem.all_coeffs()[::-1] if not rem.is_zero else []
+    return F.from_coeffs([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+@SETTINGS
+@given(cyclotomic_pairs())
+def test_cyclotomic_arithmetic_matches_sympy(pair):
+    a, b = pair
+    F, A, B = a.field, _to_sympy_poly(a), _to_sympy_poly(b)
+    phi = sp.cyclotomic_poly(F.n, X)
+    assert a * b == _reduced(A * B, F)
+    assert a.conj() == _reduced(A.subs(X, X ** (F.n - 1)), F)
+    if not a.is_zero():
+        assert a.inv() == _reduced(sp.invert(A, phi, X), F)
+
+
+def _icosahedral_element(K):
+    F = K.base
+    return st.tuples(_cyclotomic_element(F), _cyclotomic_element(F)).map(
+        lambda p: K.from_parts(*p))
+
+
+ICOSAHEDRAL = icosahedral_field()
+
+
+@SETTINGS
+@given(st.tuples(*[_icosahedral_element(ICOSAHEDRAL)] * 3))
+def test_icosahedral_layer_field_axioms(triple):
+    a, b, c = triple
+    K = ICOSAHEDRAL
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + K.zero() == a and a * K.one() == a and (a - a).is_zero()
+    assert (a * b).conj() == a.conj() * b.conj() and a.conj().conj() == a
+    if not a.is_zero():
+        assert a * a.inv() == K.one() and (b / a) * a == b

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym import poly
+from ratsym import fields, poly
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
 from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
@@ -208,15 +208,15 @@ def test_nullspace_matches_gauss_jordan(K):
 def test_integer_kernel_divisions_raise():
     # exact divisions are checks that python -O keeps
     with pytest.raises(InexactDivision):
-        poly._zpoly_exact_quo([1, 0, 1], [1, 1])
-    ring = poly._integral_ring(CyclotomicField(4))
+        fields._zpoly_exact_quo([1, 0, 1], [1, 1])
+    ring = fields._integral_ring(CyclotomicField(4))
     with pytest.raises(InexactDivision):
         ring.quo((4, 6), 4)
-    pairs = poly._integral_ring(QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)))
+    pairs = fields._integral_ring(QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)))
     with pytest.raises(InexactDivision):
         pairs.quo(((4, 8), (4, 6)), 4)
     with pytest.raises(InexactDivision):
-        poly._integral_ring(QuadraticField(QQ, QQ(-3))).quo((4, 6), 4)
+        fields._integral_ring(QuadraticField(QQ, QQ(-3))).quo((4, 6), 4)
 
 
 def test_zero_divisor_pivot_raises():
@@ -269,9 +269,9 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
     # Q(zeta_12), vanishes modulo p: the picked rows then have a kernel too
     # large, the exact check rejects it, and all rows are eliminated
     F = CyclotomicField(12)
-    w = poly._integral_ring(F)._weights[1]
-    for K, small in ((QQ, QQ(poly._RationalIntegers.prime)), (F, F.zeta() - F(w))):
-        ring = poly._integral_ring(K)
+    w = fields._integral_ring(F)._weights[1]
+    for K, small in ((QQ, QQ(fields._RationalIntegers.prime)), (F, F.zeta() - F(w))):
+        ring = fields._integral_ring(K)
         assert ring.residue(ring.clear([small])[1][0]) == 0
         one, zero = K.one(), K.zero()
         rows = [[one, one, zero, one],
@@ -310,16 +310,16 @@ def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
 
 def test_residue_map_checks_its_prime():
     F = CyclotomicField(12)
-    p = poly._integral_ring(F).prime
-    assert p > 2 ** 30 and p % 12 == 1 and poly._is_prime(p)
-    with pytest.raises(poly.BadResidueMap):
-        poly._root_of_unity_mod(F, poly._RationalIntegers.prime)    # = 7 mod 12
-    with pytest.raises(poly.BadResidueMap):
-        poly._root_of_unity_mod(F, p + 12)                           # not prime
-    assert [n for n in range(2, 60) if poly._is_prime(n)] == \
+    p = fields._integral_ring(F).prime
+    assert p > 2 ** 30 and p % 12 == 1 and fields._is_prime(p)
+    with pytest.raises(fields.BadResidueMap):
+        fields._root_of_unity_mod(F, fields._RationalIntegers.prime)    # = 7 mod 12
+    with pytest.raises(fields.BadResidueMap):
+        fields._root_of_unity_mod(F, p + 12)                           # not prime
+    assert [n for n in range(2, 60) if fields._is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     # strong pseudoprime to the bases 2, 3, 5 and 7
-    assert not poly._is_prime(3215031751)
+    assert not fields._is_prime(3215031751)
 
 
 def test_sturm_examples():
