@@ -1,17 +1,17 @@
 """Exact construction, verification and connection of rational maps of the
 projective line with prescribed finite symmetry groups."""
 
-from .fields import (QQ, ComplexBox, CyclotomicField, FieldElement, FieldMismatch,
+from .fields import (QQ, CyclotomicField, FieldElement, FieldMismatch,
                      QuadraticField, RationalField, common_field, interval_embed,
-                     lift, refine_box, root_of_unity, sign_real)
+                     lift, root_of_unity, sign_real)
 from .poly import (BothZero, Poly, cyclotomic_polynomial, interpolate, poly_eval,
                    poly_gcd, resultant, sturm_roots_in_interval)
 from .ratmap import (DegenerateMap, FormalRatFunc, ProjPoint, RationalMap,
                      compose, conjugate, derivative, eval_proj, is_automorphism,
                      make_map, maps_equal)
 from .mobius import (CapExceeded, GroupSpec, MobiusMap, group_closure, identity,
-                     inversion, mobius_order, normalizer_elements, rotation,
-                     scaling, standard_generators, translation)
+                     inversion, mobius_order, rotation, scaling,
+                     standard_generators, translation)
 from .symmetry import (AutSearchIncomplete, BehaviorMismatch, CoefficientConditionViolated,
                        CyclicFamily, DihedralFamily, NotAdmissible, FixedPointBehavior,
                        UnexpectedDegree, WitnessReport, WitnessUnavailable,

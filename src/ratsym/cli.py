@@ -20,10 +20,10 @@ import random
 import sys
 
 from .fields import InexactDivision
-from .jsonio import (canon_dumps, connectivity_from_json, connectivity_to_json,
-                     elem_to_json, family_from_json, map_from_json,
-                     path_cert_from_json, path_cert_to_json, witness_from_json,
-                     witness_to_json)
+from .jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
+                     connectivity_from_json, connectivity_to_json, elem_to_json,
+                     family_from_json, map_from_json, path_cert_from_json,
+                     path_cert_to_json, witness_from_json, witness_to_json)
 from .mobius import GroupSpec
 from .moduli import (CertificateInvalid, CertificationFailed, FamilyMismatch,
                      NormalizationFailed, connectivity_certificate, dim_cyclic,
@@ -52,8 +52,8 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 def admissible_table(d_max: int) -> list[dict]:
-    if not 2 <= d_max <= 1000:
-        raise ParseError("d_max must be between 2 and 1000")
+    if not 2 <= d_max <= MAX_DEGREE:
+        raise ParseError(f"d_max must be between 2 and {MAX_DEGREE}")
     rows = []
     for d in range(2, d_max + 1):
         cyclic = []
@@ -79,8 +79,8 @@ def admissible_table(d_max: int) -> list[dict]:
 
 
 def dims_table(d_max: int) -> list[dict]:
-    if not 2 <= d_max <= 1000:
-        raise ParseError("d_max must be between 2 and 1000")
+    if not 2 <= d_max <= MAX_DEGREE:
+        raise ParseError(f"d_max must be between 2 and {MAX_DEGREE}")
     rows = []
     for d in range(2, d_max + 1):
         for n in range(2, d + 2):
@@ -180,6 +180,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    # write only what `validate` reads back: the witness lives over
+    # Q(zeta_p) and has degree d
+    if args.p > MAX_CONDUCTOR or args.d > MAX_DEGREE:
+        raise ParseError(f"need p <= {MAX_CONDUCTOR} and d <= {MAX_DEGREE}")
     report = lemma_witness(args.p, args.d)
     _emit(canon_dumps(witness_to_json(report)), args.out_file)
     return EXIT_OK

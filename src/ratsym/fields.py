@@ -14,7 +14,8 @@ an immutable payload; all arithmetic is exact and pure.  Elements of distinct
 fields never mix implicitly -- use :func:`lift` / :func:`common_field`.  The
 declared complex embedding sends zeta_n to exp(2*pi*i/n) and picks the branch
 of sqrt(delta) with nonnegative real part (positive imaginary part on ties);
-:func:`interval_embed` returns certified rectangles for it.
+:func:`interval_embed` encloses it in a rectangle whose corners are integers
+at one binary scale.
 
 Every field also has an integral ring, on which the polynomial kernel runs:
 Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the base's ring for a
@@ -27,6 +28,7 @@ The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -41,7 +43,6 @@ __all__ = [
     "CyclotomicField",
     "QuadraticField",
     "QQ",
-    "ComplexBox",
     "FieldMismatch",
     "InexactDivision",
     "interval_embed",
@@ -126,135 +127,39 @@ def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# certified complex boxes
+# certified enclosures: four integers (re_lo, re_hi, im_lo, im_hi) standing
+# for the rectangle [re_lo, re_hi] + [im_lo, im_hi]*i scaled by 2^-prec
 # ---------------------------------------------------------------------------
 
-def _dyadic_floor(x: Fraction, prec: int) -> Fraction:
-    scale = 1 << prec
-    return Fraction(math.floor(x * scale), scale)
+Enclosure = tuple[int, int, int, int]
 
 
-def _dyadic_ceil(x: Fraction, prec: int) -> Fraction:
-    scale = 1 << prec
-    return Fraction(math.ceil(x * scale), scale)
+def _scale_out(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
+    """floor(lo * 2^prec) and ceil(hi * 2^prec)."""
+    return ((lo.numerator << prec) // lo.denominator,
+            -((-hi.numerator << prec) // hi.denominator))
 
 
-def _sqrt_interval(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    # enclosure of sqrt on [lo, hi] with 0 <= lo <= hi
-    scale = 1 << (2 * prec)
-
-    def lower(v):
-        s = math.isqrt(v.numerator * v.denominator * scale)
-        return Fraction(s, v.denominator << prec)
-
-    def upper(v):
-        s = math.isqrt(v.numerator * v.denominator * scale)
-        return Fraction(s + 1, v.denominator << prec)
-
-    return lower(lo), upper(hi)
+def _round_out(lo: int, hi: int, k: int) -> tuple[int, int]:
+    """[lo, hi] at scale 2^-(p+k), rounded outward to scale 2^-p."""
+    return lo >> k, -(-hi >> k)
 
 
-class ComplexBox:
-    """Axis-aligned rectangle in C with exact rational endpoints.
-
-    The box is a certificate: the embedded value it was computed for is
-    guaranteed to lie inside.  Arithmetic is outward-exact (no rounding), so
-    combining certified boxes yields certified boxes.
-    """
-
-    __slots__ = ("re_lo", "re_hi", "im_lo", "im_hi")
-
-    def __init__(self, re_lo, re_hi, im_lo, im_hi):
-        re_lo, re_hi = Fraction(re_lo), Fraction(re_hi)
-        im_lo, im_hi = Fraction(im_lo), Fraction(im_hi)
-        if re_lo > re_hi or im_lo > im_hi:
-            raise ValueError("malformed box")
-        self.re_lo, self.re_hi = re_lo, re_hi
-        self.im_lo, self.im_hi = im_lo, im_hi
-
-    @classmethod
-    def exact(cls, re: Fraction, im: Fraction = Fraction(0)) -> "ComplexBox":
-        return cls(re, re, im, im)
-
-    def __repr__(self):
-        return (f"ComplexBox([{self.re_lo}, {self.re_hi}] + "
-                f"[{self.im_lo}, {self.im_hi}]*i)")
-
-    def __add__(self, other):
-        return ComplexBox(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
-                          self.im_lo + other.im_lo, self.im_hi + other.im_hi)
-
-    def __sub__(self, other):
-        return ComplexBox(self.re_lo - other.re_hi, self.re_hi - other.re_lo,
-                          self.im_lo - other.im_hi, self.im_hi - other.im_lo)
-
-    def __neg__(self):
-        return ComplexBox(-self.re_hi, -self.re_lo, -self.im_hi, -self.im_lo)
-
-    @staticmethod
-    def _imul(a_lo, a_hi, b_lo, b_hi):
-        prods = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-        return min(prods), max(prods)
-
-    def __mul__(self, other):
-        ac_lo, ac_hi = self._imul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
-        bd_lo, bd_hi = self._imul(self.im_lo, self.im_hi, other.im_lo, other.im_hi)
-        ad_lo, ad_hi = self._imul(self.re_lo, self.re_hi, other.im_lo, other.im_hi)
-        bc_lo, bc_hi = self._imul(self.im_lo, self.im_hi, other.re_lo, other.re_hi)
-        return ComplexBox(ac_lo - bd_hi, ac_hi - bd_lo, ad_lo + bc_lo, ad_hi + bc_hi)
-
-    def scale(self, f: Fraction) -> "ComplexBox":
-        f = Fraction(f)
-        if f >= 0:
-            return ComplexBox(self.re_lo * f, self.re_hi * f,
-                              self.im_lo * f, self.im_hi * f)
-        return ComplexBox(self.re_hi * f, self.re_lo * f,
-                          self.im_hi * f, self.im_lo * f)
-
-    def contains_zero(self) -> bool:
-        return (self.re_lo <= 0 <= self.re_hi) and (self.im_lo <= 0 <= self.im_hi)
-
-    def contains_box(self, other: "ComplexBox") -> bool:
-        return (self.re_lo <= other.re_lo and other.re_hi <= self.re_hi
-                and self.im_lo <= other.im_lo and other.im_hi <= self.im_hi)
-
-    def intersect(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(max(self.re_lo, other.re_lo), min(self.re_hi, other.re_hi),
-                          max(self.im_lo, other.im_lo), min(self.im_hi, other.im_hi))
-
-    def overlaps(self, other: "ComplexBox") -> bool:
-        return (self.re_lo <= other.re_hi and other.re_lo <= self.re_hi
-                and self.im_lo <= other.im_hi and other.im_lo <= self.im_hi)
-
-    def width(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def round_out(self, prec: int) -> "ComplexBox":
-        return ComplexBox(_dyadic_floor(self.re_lo, prec), _dyadic_ceil(self.re_hi, prec),
-                          _dyadic_floor(self.im_lo, prec), _dyadic_ceil(self.im_hi, prec))
-
-
-def _mpf_to_fraction(raw) -> Fraction:
-    p, q = mpmath.libmp.to_rational(raw)
-    return Fraction(int(p), int(q))
-
-
-def _unit_root_box(n: int, k: int, prec: int) -> ComplexBox:
-    """Certified box for exp(2*pi*i*k/n)."""
+# every coefficient of a polynomial over Q(zeta_n) asks for the same roots
+@functools.lru_cache(maxsize=1024)
+def _unit_root_box(n: int, k: int, prec: int) -> Enclosure:
+    """Enclosure at 2^-prec of exp(2*pi*i*k/n), from mpmath at prec + 8 bits."""
     k %= n
     iv = mpmath.iv
     old = iv.prec
     try:
-        iv.prec = prec + 16
+        iv.prec = prec + 8
         theta = (iv.pi * (2 * k)) / n
-        c, s = iv.cos(theta), iv.sin(theta)
-        c_lo, c_hi = c._mpi_
-        s_lo, s_hi = s._mpi_
-        box = ComplexBox(_mpf_to_fraction(c_lo), _mpf_to_fraction(c_hi),
-                         _mpf_to_fraction(s_lo), _mpf_to_fraction(s_hi))
+        c_lo, c_hi, s_lo, s_hi = (Fraction(*map(int, mpmath.libmp.to_rational(raw)))
+                                  for raw in iv.cos(theta)._mpi_ + iv.sin(theta)._mpi_)
     finally:
         iv.prec = old
-    return box.round_out(prec + 8)
+    return _scale_out(c_lo, c_hi, prec) + _scale_out(s_lo, s_hi, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +206,7 @@ class Field:
     def p_conj(self, a):
         raise NotImplementedError
 
-    def p_embed(self, a, prec: int) -> ComplexBox:
+    def p_embed(self, a, prec: int) -> Enclosure:
         raise NotImplementedError
 
     def key(self) -> tuple:
@@ -456,7 +361,7 @@ class RationalField(Field):
         return a
 
     def p_embed(self, a, prec):
-        return ComplexBox.exact(a)
+        return _scale_out(a, a, prec) + (0, 0)
 
     def describe(self, payload):
         return str(payload)
@@ -549,12 +454,21 @@ class CyclotomicField(Field):
         return _fractions(self.ring.at_power(x, -1), den)
 
     def p_embed(self, a, prec):
-        box = ComplexBox.exact(Fraction(0))
-        work = prec + 8
-        for j, c in enumerate(a):
+        # D * a = sum x_j zeta^j with integers x_j: sum x_j times each unit
+        # root's enclosure at 2^-(prec+16), then divide outward by D * 2^16
+        den, x = _clear(a)
+        re_lo = re_hi = im_lo = im_hi = 0
+        for j, c in enumerate(x):
             if c:
-                box = box + _unit_root_box(self.n, j, work).scale(c)
-        return box
+                u = _unit_root_box(self.n, j, prec + 16)
+                if c < 0:
+                    u = (u[1], u[0], u[3], u[2])
+                re_lo += c * u[0]
+                re_hi += c * u[1]
+                im_lo += c * u[2]
+                im_hi += c * u[3]
+        d = den << 16
+        return (re_lo // d, -(-re_hi // d), im_lo // d, -(-im_hi // d))
 
     def describe(self, payload):
         terms = []
@@ -667,29 +581,37 @@ class QuadraticField(Field):
             bc = -bc
         return (a.conj(), bc)
 
-    def _sqrt_delta_box(self, prec: int) -> ComplexBox:
-        sgn = self._branch_sign()
-        work = prec + 8
-        attempt = work
+    def _sqrt_abs_delta(self, prec: int) -> tuple[int, int]:
+        """Enclosure [lo, hi] of |sqrt(delta)| at scale 2^-prec."""
+        attempt = 2 * prec
         while True:
-            dbox = self.base.p_embed(self.delta.payload, attempt)
-            lo, hi = dbox.re_lo, dbox.re_hi
-            if sgn > 0 and lo > 0:
-                s_lo, s_hi = _sqrt_interval(lo, hi, work)
-                return ComplexBox(s_lo, s_hi, Fraction(0), Fraction(0))
-            if sgn < 0 and hi < 0:
-                s_lo, s_hi = _sqrt_interval(-hi, -lo, work)
-                return ComplexBox(Fraction(0), Fraction(0), s_lo, s_hi)
+            lo, hi = self.base.p_embed(self.delta.payload, attempt)[:2]
+            if self._branch_sign() < 0:
+                lo, hi = -hi, -lo
+            if lo > 0:
+                # |delta| in [lo, hi] at 2^-(2 prec), then integer roots
+                lo, hi = _round_out(lo, hi, attempt - 2 * prec)
+                s = math.isqrt(hi)
+                return math.isqrt(lo), s + (s * s < hi)
             attempt *= 2
             if attempt > 1 << 20:
                 raise RuntimeError("failed to separate radicand from zero")
 
     def p_embed(self, x, prec):
+        # a + b * |sqrt(delta)|, the b-part turned by i when delta < 0,
+        # summed at 2^-(2w) and rounded outward once to 2^-prec
         a, b = x
-        work = prec + 8
-        box_a = self.base.p_embed(a.payload, work)
-        box_b = self.base.p_embed(b.payload, work)
-        return box_a + box_b * self._sqrt_delta_box(work)
+        w = prec + 8
+        s_lo, s_hi = self._sqrt_abs_delta(w)
+        box_b = self.base.p_embed(b.payload, w)
+        re_b, im_b = ((lo * (s_lo if lo >= 0 else s_hi), hi * (s_hi if hi >= 0 else s_lo))
+                      for lo, hi in (box_b[:2], box_b[2:]))
+        if self._branch_sign() < 0:
+            re_b, im_b = (-im_b[1], -im_b[0]), re_b
+        box_a = self.base.p_embed(a.payload, w)
+        k = 2 * w - prec
+        return (_round_out((box_a[0] << w) + re_b[0], (box_a[1] << w) + re_b[1], k)
+                + _round_out((box_a[2] << w) + im_b[0], (box_a[3] << w) + im_b[1], k))
 
     def describe(self, payload):
         a, b = payload
@@ -749,20 +671,13 @@ def common_field(f1: Field, f2: Field) -> Field:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def interval_embed(a: FieldElement, precision: int = 128) -> ComplexBox:
-    """Certified box containing the complex embedding of ``a``.
-
-    Independent calls at different precisions need not nest; use
-    :func:`refine_box` for a monotone refinement chain.
-    """
+def interval_embed(a: FieldElement, precision: int = 128) -> Enclosure:
+    """Certified enclosure of the complex embedding of ``a``: integers
+    (re_lo, re_hi, im_lo, im_hi) with re_lo <= 2^precision * Re(a) <= re_hi
+    and im_lo <= 2^precision * Im(a) <= im_hi."""
     if precision < 1:
         raise ValueError("precision must be positive")
-    return a.field.p_embed(a.payload, precision).round_out(precision)
-
-
-def refine_box(a: FieldElement, previous: ComplexBox, precision: int) -> ComplexBox:
-    """Refinement of ``previous`` at higher precision; result nests inside it."""
-    return interval_embed(a, precision).intersect(previous)
+    return a.field.p_embed(a.payload, precision)
 
 
 def sign_real(a: FieldElement) -> int:
@@ -777,10 +692,10 @@ def sign_real(a: FieldElement) -> int:
         return 0
     prec = 64
     while prec <= (1 << 20):
-        box = interval_embed(a, prec)
-        if box.re_lo > 0:
+        re_lo, re_hi = interval_embed(a, prec)[:2]
+        if re_lo > 0:
             return 1
-        if box.re_hi < 0:
+        if re_hi < 0:
             return -1
         prec *= 2
     raise RuntimeError("sign determination exceeded precision cap")

@@ -40,6 +40,10 @@ __all__ = [
 # untrusted file could ask for unbounded memory
 MAX_CONDUCTOR = 256
 
+# the largest map degree a document may name: a family of rotation order n
+# and degree d inflates psi into about d coefficients before any check
+MAX_DEGREE = 1000
+
 
 def canon_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -158,11 +162,27 @@ def family_to_json(fam: CyclicFamily):
             "field": field_to_json(fam.field)}
 
 
+def _family_shape(obj) -> tuple[int, int, str]:
+    """(n, r, case) of a family record, bounded before any family is built."""
+    n, r, case = obj["n"], obj["r"], obj["case"]
+    # JSON true would pass as the integer 1
+    if type(n) is not int or type(r) is not int or n < 2 or r < 1:
+        raise ValueError(f"family order n = {n!r} and r = {r!r} must be "
+                         f"integers with n >= 2 and r >= 1")
+    offset = {"A": 1, "B": 0, "C": -1}.get(case)
+    if offset is None:
+        raise ValueError(f"unknown family case {case!r}")
+    if n * r + offset > MAX_DEGREE:
+        raise ValueError(f"family degree {n * r + offset} exceeds {MAX_DEGREE}")
+    return n, r, case
+
+
 def family_from_json(obj) -> CyclicFamily:
+    n, r, case = _family_shape(obj)
     field = field_from_json(obj["field"])
     a = tuple(elem_from_json(c, field) for c in obj["a"])
     b = tuple(elem_from_json(c, field) for c in obj["b"])
-    return CyclicFamily(obj["n"], obj["r"], obj["case"], a, b)
+    return CyclicFamily(n, r, case, a, b)
 
 
 def group_to_json(g: GroupSpec):
@@ -245,6 +265,7 @@ def path_cert_to_json(cert: PathCertificate):
 
 
 def path_cert_from_json(obj) -> PathCertificate:
+    n, r, case = _family_shape(obj)
     field = field_from_json(obj["field"])
     segments = []
     for rec in obj["segments"]:
@@ -254,8 +275,7 @@ def path_cert_from_json(obj) -> PathCertificate:
             end_a=tuple(elem_from_json(c, field) for c in rec["end_a"]),
             end_b=tuple(elem_from_json(c, field) for c in rec["end_b"]),
             proof=_proof_from_json(rec["proof"], field)))
-    return PathCertificate(obj["n"], obj["r"], obj["case"], field,
-                           obj["strategy"], tuple(segments))
+    return PathCertificate(n, r, case, field, obj["strategy"], tuple(segments))
 
 
 def connectivity_to_json(cert: ConnectivityCertificate):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
                      common_field, lift, root_of_unity)
@@ -32,8 +32,6 @@ __all__ = [
     "mobius_order",
     "standard_generators",
     "group_closure",
-    "normalizer_elements",
-    "NormalizerGens",
 ]
 
 
@@ -343,20 +341,3 @@ def group_closure(gens: Iterable[MobiusMap], cap: int = 200) -> list[MobiusMap]:
                         raise CapExceeded(f"closure exceeds {cap} elements")
         frontier = new_frontier
     return list(seen.values())
-
-
-# --- the rotation normaliser --------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalizerGens:
-    """Generators of the normaliser of a rotation group: all scalings
-    z -> lam z (lam a free nonzero parameter) and the inversion 1/z."""
-    scaling: Callable[[FieldElement], MobiusMap]
-    involution: Callable[[Field], MobiusMap]
-
-
-def normalizer_elements(n: int) -> NormalizerGens:
-    if n < 2:
-        raise ValueError("rotation order must be at least 2")
-    return NormalizerGens(scaling=scaling,
-                          involution=lambda field=QQ: inversion(field))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .fields import (QQ, ComplexBox, CyclotomicField, Field, FieldElement,
+from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
                      QuadraticField, common_field, interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
@@ -297,51 +297,68 @@ def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
 MAX_PRECISION = 4096
 
 
+# the deepest subdivision of [0, 1] an interval proof tries before it gives up
+MAX_TILE_DEPTH = 40
+
+
 def _interval_boxes(G: Poly, precision: int):
+    """Enclosures of the coefficients of G and G', shifted to the working
+    scale 2^-(precision + 16)."""
     # a stored precision is untrusted: bound it before any embedding
     if not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"interval precision {precision} outside "
                          f"[1, {MAX_PRECISION}]")
-    coeff_boxes = [interval_embed(c, precision) for c in G.coeffs]
-    deriv_boxes = [interval_embed(c, precision) for c in G.derivative().coeffs]
-    return coeff_boxes, deriv_boxes
+    return tuple([tuple(v << 16 for v in interval_embed(c, precision))
+                  for c in P.coeffs] for P in (G, G.derivative()))
 
 
-def _interval_eval(coeff_boxes, deriv_boxes, t_lo: Fraction, t_hi: Fraction,
-                   precision: int) -> ComplexBox:
-    """Mean-value-form enclosure of G over [t_lo, t_hi]:
-    G(center) + G'([t_lo, t_hi]) * [-h, h].  Intermediate results are
-    rounded outward to bounded dyadics, so containment is preserved and
-    the arithmetic stays cheap."""
-    work = precision + 16
-
-    def horner(boxes, tbox):
-        acc = ComplexBox.exact(Fraction(0))
-        for cb in reversed(boxes):
-            acc = (acc * tbox + cb).round_out(work)
-        return acc
-
-    center = (t_lo + t_hi) / 2
-    point = horner(coeff_boxes, ComplexBox.exact(center))
-    if t_lo == t_hi:
-        return point
-    half = (t_hi - t_lo) / 2
-    slope = horner(deriv_boxes, ComplexBox(t_lo, t_hi, Fraction(0), Fraction(0)))
-    err = slope * ComplexBox(-half, half, Fraction(0), Fraction(0))
-    return (point + err).round_out(work)
+def _horner(boxes, part: int, ta: int, tb: int, q: int) -> tuple[int, int]:
+    """Enclosure of the real (part 0) or imaginary (part 2) part of
+    sum_k boxes[k] t^k over t in [ta/q, tb/q], 0 <= ta <= tb, at the
+    boxes' scale; every product is divided by q with floor or ceiling."""
+    lo = hi = 0
+    for box in reversed(boxes):
+        lo = (lo * ta if lo >= 0 else lo * tb) // q + box[part]
+        hi = -(-(hi * tb if hi >= 0 else hi * ta) // q) + box[part + 1]
+    return lo, hi
 
 
-def _interval_segment_proof(G: Poly, precision: int,
-                            depth_cap: int = 40) -> Optional[IntervalProof]:
+def _interval_eval(coeff_boxes, deriv_boxes, t_lo: Fraction,
+                   t_hi: Fraction) -> tuple[int, int, int, int]:
+    """Mean-value-form enclosure of G over [t_lo, t_hi], 0 <= t_lo <= t_hi,
+    at the working scale: G(center) + G'([t_lo, t_hi]) * [-h, h] for the
+    half-width h.  t is real, so the real and imaginary parts are separate
+    integer Horner passes; integer division rounds outward, so containment
+    holds."""
+    if t_lo < 0:
+        raise ValueError(f"interval evaluation needs t >= 0, not {t_lo}")
+    q = math.lcm(t_lo.denominator, t_hi.denominator)
+    a = t_lo.numerator * (q // t_lo.denominator)
+    b = t_hi.numerator * (q // t_hi.denominator)
+    box = ()
+    for part in (0, 2):
+        lo, hi = _horner(coeff_boxes, part, a + b, a + b, 2 * q)
+        if a != b:
+            s_lo, s_hi = _horner(deriv_boxes, part, a, b, q)
+            err = -(-max(-s_lo, s_hi) * (b - a) // (2 * q))
+            lo, hi = lo - err, hi + err
+        box += (lo, hi)
+    return box
+
+
+def _contains_zero(box) -> bool:
+    return box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
+
+
+def _interval_segment_proof(G: Poly, precision: int) -> Optional[IntervalProof]:
     coeff_boxes, deriv_boxes = _interval_boxes(G, precision)
     boxes = []
 
     def cover(lo: Fraction, hi: Fraction, depth: int) -> bool:
-        val = _interval_eval(coeff_boxes, deriv_boxes, lo, hi, precision)
-        if not val.contains_zero():
+        if not _contains_zero(_interval_eval(coeff_boxes, deriv_boxes, lo, hi)):
             boxes.append((lo, hi))
             return True
-        if depth >= depth_cap:
+        if depth >= MAX_TILE_DEPTH:
             return False
         mid = (lo + hi) / 2
         return cover(lo, mid, depth + 1) and cover(mid, hi, depth + 1)
@@ -369,14 +386,18 @@ def _certify_segment(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
                        end_a=fam1.a, end_b=fam1.b, proof=proof)
 
 
+# random intermediate families build_path tries before it gives up
+MAX_DETOURS = 8
+
+
 def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
-               rng: Optional[random.Random] = None, precision: int = 128,
-               max_retries: int = 8) -> PathCertificate:
+               rng: Optional[random.Random] = None,
+               precision: int = 128) -> PathCertificate:
     """Certified path from fam0 to fam1 inside their common family.
 
     Straight segment first; if its obstruction polynomial vanishes somewhere
     on [0, 1], retry through seeded random intermediate families (two
-    segments), up to ``max_retries`` times.  Certification is exact and
+    segments), up to ``MAX_DETOURS`` times.  Certification is exact and
     never assumed: failure raises :class:`CertificationFailed`.
     """
     if (fam0.n, fam0.r, fam0.case) != (fam1.n, fam1.r, fam1.case):
@@ -398,13 +419,12 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
     # degenerate locus (sign changes of real case conditions); detour points
     # get Gaussian-integer coefficients, where degeneracy has real
     # codimension two and seeded retries succeed quickly
-    from .fields import FieldMismatch
     try:
         Kd = common_field(fam0.field, CyclotomicField(4))
     except FieldMismatch:
         Kd = fam0.field
     fam0d, fam1d = fam0.lift(Kd), fam1.lift(Kd)
-    for _ in range(max_retries):
+    for _ in range(MAX_DETOURS):
         mid = random_cyclic_family(rng, fam0.n, fam0.r, fam0.case, field=Kd)
         seg1 = _certify_segment(fam0d, mid, strategy, precision)
         if seg1 is None:
@@ -416,7 +436,7 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
                                strategy, segments=(seg1, seg2))
     raise CertificationFailed(
         f"no certified path between the given members of "
-        f"(n={fam0.n}, r={fam0.r}, case {fam0.case}) after {max_retries} detours")
+        f"(n={fam0.n}, r={fam0.r}, case {fam0.case}) after {MAX_DETOURS} detours")
 
 
 def validate_path_certificate(cert: PathCertificate) -> None:
@@ -459,9 +479,8 @@ def validate_path_certificate(cert: PathCertificate) -> None:
                     raise CertificateInvalid(f"segment {idx}: subintervals do not tile")
                 if not lo < hi:
                     raise CertificateInvalid(f"segment {idx}: empty subinterval")
-                val = _interval_eval(coeff_boxes, deriv_boxes, lo, hi,
-                                     proof.precision)
-                if val.contains_zero():
+                val = _interval_eval(coeff_boxes, deriv_boxes, lo, hi)
+                if _contains_zero(val):
                     raise CertificateInvalid(f"segment {idx}: enclosure on "
                                              f"[{lo}, {hi}] contains zero")
                 expected_lo = hi

@@ -599,15 +599,18 @@ def _coeff_samplers(rng, field: Field):
     return any_coeff, nonzero
 
 
+# draws the random family samplers make before they give up
+MAX_DRAWS = 400
+
+
 def random_cyclic_family(rng, n: int, r: int, case: str,
-                         field: Field = QQ,
-                         max_tries: int = 400) -> CyclicFamily:
+                         field: Field = QQ) -> CyclicFamily:
     """Seeded rejection sampler for valid families with small integer
     coefficients (Gaussian integers over fields containing i);
     deterministic for a fixed rng state."""
     any_coeff, nonzero = _coeff_samplers(rng, field)
     zero = field.zero()
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         a = [any_coeff() for _ in range(r + 1)]
         b = [any_coeff() for _ in range(r + 1)]
         if case == "A":
@@ -630,14 +633,13 @@ def random_cyclic_family(rng, n: int, r: int, case: str,
             return CyclicFamily(n, r, case, tuple(a), tuple(b))
         except CoefficientConditionViolated:
             continue
-    raise RuntimeError(f"no valid family found in {max_tries} draws")
+    raise RuntimeError(f"no valid family found in {MAX_DRAWS} draws")
 
 
 def random_dihedral_family(rng, n: int, r: int, case: str, sign: int,
-                           field: Field = QQ,
-                           max_tries: int = 400) -> DihedralFamily:
+                           field: Field = QQ) -> DihedralFamily:
     any_coeff, nonzero = _coeff_samplers(rng, field)
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         a = [any_coeff() for _ in range(r + 1)]
         if case == "I":
             a[r] = nonzero()
@@ -648,7 +650,7 @@ def random_dihedral_family(rng, n: int, r: int, case: str, sign: int,
             return DihedralFamily(n, r, case, sign, tuple(a))
         except CoefficientConditionViolated:
             continue
-    raise RuntimeError(f"no valid dihedral family found in {max_tries} draws")
+    raise RuntimeError(f"no valid dihedral family found in {MAX_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
 from ratsym.fields import QQ, InexactDivision
-from ratsym.jsonio import (MAX_CONDUCTOR, canon_dumps, family_to_json,
-                           map_to_json)
+from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
+                           family_to_json, map_to_json)
 from ratsym.poly import Poly
 from ratsym.ratmap import DegenerateMap, make_map
 from ratsym.symmetry import random_cyclic_family
@@ -332,3 +332,57 @@ def test_validate_rejects_a_conductor_before_building_a_field(tmp_path, capsys,
 def test_subcommands_take_only_the_options_they_read(argv, capsys):
     assert main(argv) == EXIT_PARSE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, d", [(MAX_CONDUCTOR + 1, MAX_CONDUCTOR + 2),
+                                  (3, MAX_DEGREE + 2)])
+def test_witness_refuses_what_validate_would_reject(p, d, capsys, monkeypatch):
+    from ratsym import cli
+
+    def refuse(*args):
+        raise AssertionError("lemma_witness ran")
+    monkeypatch.setattr(cli, "lemma_witness", refuse)
+    assert main(["witness", str(p), str(d)]) == EXIT_PARSE
+    assert f"d <= {MAX_DEGREE}" in capsys.readouterr().err
+
+
+def _refuse_families(monkeypatch):
+    from ratsym import jsonio
+
+    def refuse(*args):
+        raise AssertionError("a family was built")
+    monkeypatch.setattr(jsonio, "CyclicFamily", refuse)
+    monkeypatch.setattr(Poly, "inflate", refuse)
+
+
+@pytest.mark.parametrize("n", [10 ** 9, MAX_DEGREE, True, 1, "3"])
+def test_validate_bounds_the_family_order_before_building_it(tmp_path, capsys,
+                                                             monkeypatch, n):
+    witness = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "3", "4", "--out-file", str(witness)], capsys)
+    assert code == 0
+    f0 = random_cyclic_family(random.Random(5), 2, 1, "A")
+    f1 = random_cyclic_family(random.Random(6), 2, 1, "A")
+    p0, p1 = tmp_path / "f0.json", tmp_path / "f1.json"
+    p0.write_text(canon_dumps(family_to_json(f0)))
+    p1.write_text(canon_dumps(family_to_json(f1)))
+    path = tmp_path / "path.json"
+    code, _ = run_cli(["path", str(p0), str(p1), "--out-file", str(path)], capsys)
+    assert code == 0
+
+    _refuse_families(monkeypatch)
+    docs = [json.loads(witness.read_text()), json.loads(path.read_text())]
+    docs[0]["family"]["n"] = n
+    docs[1]["n"] = n
+    for doc in docs:
+        bad = tmp_path / "bad.json"
+        bad.write_text(canon_dumps(doc))
+        code, out = run_cli(["validate", str(bad)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "family" in json.loads(out)["reason"]
+    # the same family read by `path` is a usage error
+    fam = json.loads(p0.read_text())
+    fam["n"] = n
+    p0.write_text(canon_dumps(fam))
+    assert main(["path", str(p0), str(p1)]) == EXIT_PARSE
+    assert "family" in capsys.readouterr().err

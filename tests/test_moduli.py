@@ -243,6 +243,94 @@ def test_interval_proof_stores_only_its_tiling():
     validate_path_certificate(old)
 
 
+def test_integer_enclosures_reproduce_the_stored_boxes():
+    # the v1 file stored each tile's enclosure, written by the earlier
+    # evaluator on Fraction endpoints; the integer evaluator, at the working
+    # scale 2^-(32 + 16), gives the same rectangles tile for tile
+    import json
+    from ratsym.moduli import _interval_boxes, _interval_eval
+    doc = json.loads(_V1_INTERVAL_PATH)
+    cert = _tiled_path()
+    seg = cert.segments[0]
+    G = _segment_obstruction(
+        CyclicFamily(2, 1, "A", seg.start_a, seg.start_b),
+        CyclicFamily(2, 1, "A", seg.end_a, seg.end_b))
+    coeff_boxes, deriv_boxes = _interval_boxes(G, 32)
+    records = doc["segments"][0]["proof"]["boxes"]
+    assert len(records) == len(seg.proof.boxes) == 3
+    for rec, (lo, hi) in zip(records, seg.proof.boxes):
+        assert (Fraction(rec["t_lo"]), Fraction(rec["t_hi"])) == (lo, hi)
+        stored = tuple(Fraction(rec["box"][k]) * 2 ** 48
+                       for k in ("re_lo", "re_hi", "im_lo", "im_hi"))
+        assert _interval_eval(coeff_boxes, deriv_boxes, lo, hi) == stored
+
+
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(4)], ids=["rational", "gaussian"])
+def test_interval_eval_encloses_exact_values(K):
+    # G(t) at rational t is exact; over Q(i) its real and imaginary parts
+    # are the two coordinates of the payload.  Over Q the coefficients are
+    # dyadic, so their enclosures are exact and each Horner step may widen
+    # the point enclosure by one unit, in the outward direction only.
+    from ratsym.moduli import _interval_boxes, _interval_eval
+    rng = random.Random(3)
+    if K is QQ:
+        coeffs = [QQ(Fraction(rng.randint(-10 ** 4, 10 ** 4), 2 ** 10))
+                  for _ in range(7)]
+    else:
+        coeffs = [K.from_coeffs([Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                                 for _ in range(2)]) for _ in range(7)]
+    G = Poly(K, coeffs)
+    coeff_boxes, deriv_boxes = _interval_boxes(G, 20)
+    scale = 2 ** (20 + 16)
+
+    def parts(t):
+        value = poly_eval(G, K(t)).payload
+        return (value * scale, 0) if K is QQ else tuple(c * scale for c in value)
+    for q in (3, 7, 10):
+        for k in range(q):
+            lo, hi = Fraction(k, q), Fraction(k + 1, q)
+            point = _interval_eval(coeff_boxes, deriv_boxes, lo, lo)
+            re, im = parts(lo)
+            assert point[0] <= re <= point[1] and point[2] <= im <= point[3]
+            if K is QQ:
+                assert point[1] - point[0] <= len(coeffs)
+            tile = _interval_eval(coeff_boxes, deriv_boxes, lo, hi)
+            for t in (lo, (2 * lo + hi) / 3, hi):
+                re, im = parts(t)
+                assert tile[0] <= re <= tile[1] and tile[2] <= im <= tile[3]
+
+
+def _tiles(*ends):
+    return tuple((Fraction(lo), Fraction(hi)) for lo, hi in zip(ends, ends[1:]))
+
+
+# Straight interval segments over Q(i) and Q(zeta_5) at precision 32, with
+# the tilings the Fraction evaluator built for them; the integer evaluator
+# must subdivide [0, 1] in exactly the same places.
+_PINNED_TILINGS = [
+    (4, [[(-5, 9), (3, -3)], [(-6, 6), (5, 6)]],
+     [[(-9, 3), (-6, 1)], [(-9, -9), (-2, 9)]],
+     _tiles(0, "1/4", "1/2", "5/8", "3/4", 1)),
+    (5, [[("-1/2", -2, 0, 2), (-3, -3, 3, 1)], [(-3, -1, 1, -3), (1, "-2/3", -3, -3)]],
+     [[(0, 0, -3, -2), (-3, 1, 0, -3)], [(3, 1, -3, -2), (2, 2, 1, -3)]],
+     _tiles(0, "1/8", "1/4", "5/16", "3/8", "7/16", "1/2", "5/8", "3/4", "7/8", 1)),
+]
+
+
+@pytest.mark.parametrize("conductor, start, end, tiles", _PINNED_TILINGS,
+                         ids=["gaussian", "zeta5"])
+def test_interval_tilings_are_rebuilt_unchanged(conductor, start, end, tiles):
+    K = CyclotomicField(conductor)
+
+    def family(ab):
+        a, b = ([K.from_coeffs([Fraction(c) for c in v]) for v in part]
+                for part in ab)
+        return CyclicFamily(2, 1, "A", tuple(a), tuple(b))
+    cert = build_path(family(start), family(end), "interval", precision=32)
+    assert [seg.proof.boxes for seg in cert.segments] == [tiles]
+    validate_path_certificate(cert)
+
+
 @pytest.mark.parametrize("tiles, reason", [
     ([("1/4", "1/2"), ("1/2", 1)], "do not tile"),                 # late start
     ([(0, "1/4"), ("1/2", 1)], "do not tile"),                     # gap

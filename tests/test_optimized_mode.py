@@ -2,8 +2,9 @@
 
 ``-O`` strips every ``assert``, so a check written as one would let a
 tampered certificate through.  These tests build and validate a witness,
-a connectivity chain, and Sturm paths over Q(zeta_5) and over the quadratic
-layer Q(sqrt(-3)) in a subprocess of the optimising interpreter.
+a connectivity chain, Sturm paths over Q(zeta_5) and over the quadratic
+layer Q(sqrt(-3)), and an interval path over Q in a subprocess of the
+optimising interpreter.
 """
 
 import json
@@ -123,3 +124,31 @@ def test_sturm_path_over_a_quadratic_layer_validates_under_O(tmp_path):
     checked = _ratsym_O("validate", str(out))
     assert checked.returncode == 0, checked.stderr
     assert json.loads(checked.stdout) == {"valid": True}
+
+
+def test_interval_path_validates_under_O(tmp_path):
+    # the straight segment's enclosure on [0, 1] contains zero, so the proof
+    # is tiled; merging the tiles back into one must be rejected
+    fams = [CyclicFamily(2, 1, "A", (QQ(-1), QQ(-5)), (QQ(-2), QQ(-2))),
+            CyclicFamily(2, 1, "A", (QQ(-4), QQ(-3)), (QQ(-9), QQ(8)))]
+    paths = [tmp_path / "f0.json", tmp_path / "f1.json"]
+    for fam, path in zip(fams, paths):
+        path.write_text(canon_dumps(family_to_json(fam)))
+    out = tmp_path / "path.json"
+    built = _ratsym_O("path", *map(str, paths), "--strategy", "interval",
+                      "--precision", "32", "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    doc = json.loads(out.read_text())
+    proof = doc["segments"][0]["proof"]
+    assert proof["type"] == "interval" and len(proof["boxes"]) > 1
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}
+
+    proof["boxes"] = [{"t_lo": "0", "t_hi": "1"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rejected = _ratsym_O("validate", str(bad))
+    assert rejected.returncode == 4
+    assert "contains zero" in rejected.stdout
+    assert "Traceback" not in rejected.stderr
