@@ -12,11 +12,11 @@ from .ratmap import (DegenerateMap, FormalRatFunc, ProjPoint, RationalMap,
 from .mobius import (CapExceeded, GroupSpec, MobiusMap, group_closure, identity,
                      inversion, mobius_order, rotation, scaling,
                      standard_generators, translation)
-from .symmetry import (AutSearchIncomplete, BehaviorMismatch, CoefficientConditionViolated,
-                       CyclicFamily, DihedralFamily, NotAdmissible, FixedPointBehavior,
+from .symmetry import (AutSearchIncomplete, CoefficientConditionViolated,
+                       CyclicFamily, DihedralFamily, NotAdmissible,
                        UnexpectedDegree, WitnessReport, WitnessUnavailable,
                        aut_in_normalizer, build_cyclic, build_dihedral,
-                       check_fixed_point_behavior, classify_lemma_case, cyclic_admissible,
+                       classify_lemma_case, cyclic_admissible,
                        cyclic_family_from_map, dihedral_admissible, lemma_witness,
                        platonic_admissible, random_cyclic_family,
                        random_dihedral_family, simple_cyclic_family,
@@ -25,7 +25,7 @@ from .moduli import (CertificateInvalid, CertificationFailed, ConjugationLeg,
                      ConnectivityCertificate, DimensionReport, FamilyMismatch,
                      IntervalProof, MilnorPoint, NormalizationFailed,
                      NotDegreeTwo, PathCertificate, PathLeg, PathSegment,
-                     SturmProof, act_invert, act_scale, build_path,
+                     SturmProof, build_path,
                      connectivity_certificate, dim_cyclic, dim_dihedral,
                      fujimura_cubic, involution_to_standard, milnor_coordinates,
                      validate_connectivity_certificate, validate_path_certificate)

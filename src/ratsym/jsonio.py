@@ -134,10 +134,19 @@ def map_to_json(phi: RationalMap):
 
 
 def map_from_json(obj) -> RationalMap:
+    degree = obj["degree"]
+    # bound the stored sides before any polynomial arithmetic: make_map takes
+    # a gcd, quadratic in the length; JSON true would pass as the integer 1
+    if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"map degree {degree!r} is not an integer in "
+                         f"[1, {MAX_DEGREE}]")
+    if len(obj["num"]) > degree + 1 or len(obj["den"]) > degree + 1:
+        raise ValueError(f"a side of a degree-{degree} map has more than "
+                         f"{degree + 1} coefficients")
     field = field_from_json(obj["field"])
     phi = make_map(poly_from_json(obj["num"], field),
                    poly_from_json(obj["den"], field))
-    if phi.degree != obj["degree"]:
+    if phi.degree != degree:
         raise ValueError("declared degree disagrees with certified degree")
     return phi
 
@@ -219,10 +228,7 @@ def witness_from_json(obj) -> WitnessReport:
 def _proof_to_json(proof):
     if isinstance(proof, SturmProof):
         return {"type": "sturm",
-                "norm_poly": [_frac_str(c.payload) for c in proof.norm_poly.coeffs],
-                "roots_in_01": proof.roots_in_01,
-                "value_at_0": elem_to_json(proof.value_at_0),
-                "value_at_1": elem_to_json(proof.value_at_1)}
+                "norm_poly": [_frac_str(c.payload) for c in proof.norm_poly.coeffs]}
     if isinstance(proof, IntervalProof):
         return {"type": "interval", "precision": proof.precision,
                 "boxes": [{"t_lo": _frac_str(lo), "t_hi": _frac_str(hi)}
@@ -230,13 +236,12 @@ def _proof_to_json(proof):
     raise TypeError(f"unknown proof {proof!r}")
 
 
-def _proof_from_json(obj, field: Field):
+def _proof_from_json(obj):
     if obj["type"] == "sturm":
-        return SturmProof(
-            norm_poly=Poly(QQ, [_frac_parse(c) for c in obj["norm_poly"]]),
-            roots_in_01=obj["roots_in_01"],
-            value_at_0=elem_from_json(obj["value_at_0"], field),
-            value_at_1=elem_from_json(obj["value_at_1"], field))
+        # older files also store the root count in (0, 1] and the
+        # obstruction's values at 0 and 1, which the validator recomputes:
+        # ignored
+        return SturmProof(Poly(QQ, [_frac_parse(c) for c in obj["norm_poly"]]))
     if obj["type"] == "interval":
         # older files also store each tile's enclosure as "box": ignored
         boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]))
@@ -253,7 +258,6 @@ def path_cert_to_json(cert: PathCertificate):
         "certificate_type": "path",
         "n": cert.n, "r": cert.r, "case": cert.case,
         "field": field_to_json(cert.field),
-        "strategy": cert.strategy,
         "segments": [{
             "start_a": [elem_to_json(c) for c in seg.start_a],
             "start_b": [elem_to_json(c) for c in seg.start_b],
@@ -274,16 +278,16 @@ def path_cert_from_json(obj) -> PathCertificate:
             start_b=tuple(elem_from_json(c, field) for c in rec["start_b"]),
             end_a=tuple(elem_from_json(c, field) for c in rec["end_a"]),
             end_b=tuple(elem_from_json(c, field) for c in rec["end_b"]),
-            proof=_proof_from_json(rec["proof"], field)))
-    return PathCertificate(n, r, case, field, obj["strategy"], tuple(segments))
+            proof=_proof_from_json(rec["proof"])))
+    # older files also name a "strategy", which nothing reads: ignored
+    return PathCertificate(n, r, case, field, tuple(segments))
 
 
 def connectivity_to_json(cert: ConnectivityCertificate):
     legs = []
     for leg in cert.legs:
         if isinstance(leg, PathLeg):
-            legs.append({"type": "path", "prime": leg.prime,
-                         "cert": path_cert_to_json(leg.cert)})
+            legs.append({"type": "path", "cert": path_cert_to_json(leg.cert)})
         elif isinstance(leg, ConjugationLeg):
             legs.append({"type": "conjugation",
                          "conjugator": mobius_to_json(leg.conjugator),
@@ -299,8 +303,8 @@ def connectivity_from_json(obj) -> ConnectivityCertificate:
     legs = []
     for rec in obj["legs"]:
         if rec["type"] == "path":
-            legs.append(PathLeg(prime=rec["prime"],
-                                cert=path_cert_from_json(rec["cert"])))
+            # older files also store the leg's "prime", which is cert.n
+            legs.append(PathLeg(path_cert_from_json(rec["cert"])))
         elif rec["type"] == "conjugation":
             legs.append(ConjugationLeg(
                 conjugator=mobius_from_json(rec["conjugator"]),

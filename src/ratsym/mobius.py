@@ -52,12 +52,6 @@ class MobiusMap:
     def entries(self) -> tuple[FieldElement, ...]:
         return (self.a, self.b, self.c, self.d)
 
-    def det(self) -> FieldElement:
-        return self.a * self.d - self.b * self.c
-
-    def trace(self) -> FieldElement:
-        return self.a + self.d
-
     def lift(self, target: Field) -> "MobiusMap":
         if target == self.field:
             return self

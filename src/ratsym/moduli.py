@@ -1,7 +1,6 @@
 """Moduli-level computations for symmetric rational maps.
 
 * closed-form complex dimensions of the symmetric loci,
-* the normaliser action on family coefficients (scaling and inversion),
 * certified straight-line paths inside a normal-form family, with exact
   Sturm certificates over every supported field, and interval subdivision
   only when the ``interval`` strategy asks for it; the obstruction
@@ -40,8 +39,6 @@ __all__ = [
     "DimensionReport",
     "dim_cyclic",
     "dim_dihedral",
-    "act_scale",
-    "act_invert",
     "SturmProof",
     "IntervalProof",
     "PathSegment",
@@ -134,61 +131,22 @@ def dim_dihedral(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
 
 
 # ---------------------------------------------------------------------------
-# normaliser action on families
-# ---------------------------------------------------------------------------
-
-def act_scale(fam: CyclicFamily, lam: FieldElement) -> CyclicFamily:
-    """Family of the scaling conjugate: psi(u) -> psi(u / lam^n), i.e.
-    coefficients pick up lam^(-n*k)."""
-    if isinstance(lam, (int, Fraction)):
-        lam = QQ(lam)
-    if lam.is_zero():
-        raise ValueError("scaling parameter must be nonzero")
-    K = common_field(fam.field, lam.field)
-    fam = fam.lift(K) if K != fam.field else fam
-    factor = lift(lam, K) ** (-fam.n)
-    pows = [K.one()]
-    for _ in range(fam.r):
-        pows.append(pows[-1] * factor)
-    a = tuple(fam.a[k] * pows[k] for k in range(fam.r + 1))
-    b = tuple(fam.b[k] * pows[k] for k in range(fam.r + 1))
-    return fam.with_coeffs(a, b)
-
-
-def act_invert(fam: CyclicFamily) -> CyclicFamily:
-    """Family of the inversion conjugate psi(u) -> 1/psi(1/u).
-
-    Cases A and C close under the reverse-and-swap of the coefficient
-    vectors.  A case-B family is returned unchanged: the raw inversion lands
-    in the transitional shape (numerator degree drop with a finite value at
-    zero), and its standard renormalisation -- conjugating once more by the
-    same inversion -- restores the original family.
-    """
-    if fam.case == "B":
-        return fam
-    a = tuple(reversed(fam.b))
-    b = tuple(reversed(fam.a))
-    return fam.with_coeffs(a, b)
-
-
-# ---------------------------------------------------------------------------
 # path certification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SturmProof:
     """Exact nonvanishing proof over [0, 1] over any supported field: the
-    stored rational polynomial (the square-free norm over Q of the
-    obstruction polynomial, whose real roots include the obstruction's)
-    has zero roots in (0, 1], and the obstruction is nonzero at t = 0 and 1.
+    square-free norm over Q of the obstruction polynomial, whose real roots
+    include the obstruction's.  It stores nothing else: the validator
+    recomputes the norm, requires it to equal the stored one and to have no
+    root in (0, 1], and requires the obstruction to be nonzero at t = 0
+    and 1.
 
-    The norm and the count are computed over Z (:func:`squarefree_norm`,
+    The norm and the root count are computed over Z (:func:`squarefree_norm`,
     then Descartes bisection); they are the same polynomial and count as a
     Sturm chain over Q gives, so stored proofs keep their meaning."""
     norm_poly: Poly                # over Q, square-free, monic
-    roots_in_01: int
-    value_at_0: FieldElement
-    value_at_1: FieldElement
 
     @property
     def kind(self) -> str:
@@ -225,13 +183,14 @@ class PathCertificate:
     Every segment's obstruction polynomial -- the pencil resultant times the
     case conditions -- is certified nonvanishing on the whole closed
     parameter interval, so every intermediate map is a valid member of the
-    family with the declared degree and rotation symmetry.
+    family with the declared degree and rotation symmetry.  Each segment's
+    proof names its own kind, and the validator checks it by that kind, so
+    the strategy that built the path is not stored.
     """
     n: int
     r: int
     case: str
     field: Field
-    strategy: str
     segments: tuple[PathSegment, ...]
 
     def start_family(self) -> CyclicFamily:
@@ -290,7 +249,7 @@ def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
     sf = squarefree_norm(G)
     if sturm_roots_in_interval(sf, Fraction(0), Fraction(1)) != 0:
         return None
-    return SturmProof(norm_poly=sf, roots_in_01=0, value_at_0=g0, value_at_1=g1)
+    return SturmProof(norm_poly=sf)
 
 
 # largest interval precision in bits that a proof may ask for
@@ -410,11 +369,11 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
         rng = random.Random(0)
     if fam0.a == fam1.a and fam0.b == fam1.b:
         return PathCertificate(fam0.n, fam0.r, fam0.case, fam0.field,
-                               strategy, segments=())
+                               segments=())
     seg = _certify_segment(fam0, fam1, strategy, precision)
     if seg is not None:
         return PathCertificate(fam0.n, fam0.r, fam0.case, fam0.field,
-                               strategy, segments=(seg,))
+                               segments=(seg,))
     # a straight segment between real families can be forced through the
     # degenerate locus (sign changes of real case conditions); detour points
     # get Gaussian-integer coefficients, where degeneracy has real
@@ -433,7 +392,7 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
         if seg2 is None:
             continue
         return PathCertificate(fam0.n, fam0.r, fam0.case, Kd,
-                               strategy, segments=(seg1, seg2))
+                               segments=(seg1, seg2))
     raise CertificationFailed(
         f"no certified path between the given members of "
         f"(n={fam0.n}, r={fam0.r}, case {fam0.case}) after {MAX_DETOURS} detours")
@@ -442,7 +401,9 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
 def validate_path_certificate(cert: PathCertificate) -> None:
     """Independent revalidation: rebuild every family and recompute every
     obstruction polynomial from the stored endpoint vectors.  A Sturm proof
-    must match its recomputation exactly.  An interval proof's tiles must
+    must equal its recomputation: the obstruction is nonzero at t = 0 and 1
+    and its square-free norm, which has no root in (0, 1], is the stored
+    one.  An interval proof's tiles must
     start at 0, be nonempty, chain and end at 1, and the enclosure of the
     obstruction on each tile, computed again at the stored precision, must
     exclude zero.  Raises :class:`CertificateInvalid`.
@@ -463,14 +424,9 @@ def validate_path_certificate(cert: PathCertificate) -> None:
             recomputed = _sturm_segment_proof(G)
             if recomputed is None:
                 raise CertificateInvalid(f"segment {idx}: obstruction not certifiable")
-            if recomputed.norm_poly != proof.norm_poly:
+            if recomputed != proof:
                 raise CertificateInvalid(f"segment {idx}: stored norm polynomial "
                                          f"differs from recomputation")
-            if proof.roots_in_01 != 0:
-                raise CertificateInvalid(f"segment {idx}: stored root count nonzero")
-            if (recomputed.value_at_0 != proof.value_at_0
-                    or recomputed.value_at_1 != proof.value_at_1):
-                raise CertificateInvalid(f"segment {idx}: endpoint values differ")
         elif isinstance(proof, IntervalProof):
             coeff_boxes, deriv_boxes = _interval_boxes(G, proof.precision)
             expected_lo = Fraction(0)
@@ -496,7 +452,8 @@ def validate_path_certificate(cert: PathCertificate) -> None:
 
 @dataclass(frozen=True)
 class PathLeg:
-    prime: int
+    """A certified path inside one rotation family; its order is
+    ``cert.n``."""
     cert: PathCertificate
 
 
@@ -575,7 +532,7 @@ def _reduce_to_order2(fam: CyclicFamily, strategy: str, rng, precision: int):
     resulting order-2 family."""
     p, d = fam.n, fam.degree
     w = lemma_witness(p, d)
-    leg = PathLeg(p, build_path(fam, w.family, strategy, rng, precision))
+    leg = PathLeg(build_path(fam, w.family, strategy, rng, precision))
     S = next(T for T, order in w.autos if order == 2)
     conj_leg, c2fam = _standard_involution_leg(w.map, S)
     return [leg, conj_leg], c2fam
@@ -591,17 +548,16 @@ def _same_order_legs(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
     for -z and also commutes with 1/z; putting 1/z in -z position lands in
     case C.  Each leg is built in the direction it is used.
     """
-    n = fam0.n
     if (fam0.case, fam0.r) == (fam1.case, fam1.r):
-        return [PathLeg(n, build_path(fam0, fam1, strategy, rng, precision))]
+        return [PathLeg(build_path(fam0, fam1, strategy, rng, precision))]
     D = simple_dihedral_family(fam0.degree, 2, "I", sign=-1).to_cyclic()
     to_c, cfam = _standard_involution_leg(build_cyclic(D), inversion(QQ))
     if fam0.case == "A":
-        return [PathLeg(n, build_path(fam0, D, strategy, rng, precision)), to_c,
-                PathLeg(n, build_path(cfam, fam1, strategy, rng, precision))]
-    return [PathLeg(n, build_path(fam0, cfam, strategy, rng, precision)),
+        return [PathLeg(build_path(fam0, D, strategy, rng, precision)), to_c,
+                PathLeg(build_path(cfam, fam1, strategy, rng, precision))]
+    return [PathLeg(build_path(fam0, cfam, strategy, rng, precision)),
             _inverted(to_c),
-            PathLeg(n, build_path(D, fam1, strategy, rng, precision))]
+            PathLeg(build_path(D, fam1, strategy, rng, precision))]
 
 
 def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
@@ -635,27 +591,24 @@ def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
         if isinstance(leg, ConjugationLeg):
             legs.append(_inverted(leg))
         else:
-            legs.append(PathLeg(leg.prime,
-                                _reverse_path_certificate(leg.cert, precision)))
+            legs.append(PathLeg(_reverse_path_certificate(leg.cert, precision)))
     return ConnectivityCertificate(d, tuple(legs))
 
 
 def _reverse_path_certificate(cert: PathCertificate, precision: int) -> PathCertificate:
-    """The same path run backwards, each segment recertified with the
-    certificate's strategy at the caller's interval precision."""
-    segs = tuple(PathSegment(start_a=s.end_a, start_b=s.end_b,
-                             end_a=s.start_a, end_b=s.start_b, proof=s.proof)
-                 for s in reversed(cert.segments))
+    """The same path run backwards, each segment recertified with the kind
+    of its own proof (an interval proof at the caller's precision).  A
+    mirrored interval tiling need not revalidate, since interval Horner
+    bounds are not symmetric under t -> 1 - t, so nothing is reflected."""
     rebuilt = []
-    for s in segs:
-        f0 = CyclicFamily(cert.n, cert.r, cert.case, s.start_a, s.start_b)
-        f1 = CyclicFamily(cert.n, cert.r, cert.case, s.end_a, s.end_b)
-        seg = _certify_segment(f0, f1, cert.strategy, precision)
+    for s in reversed(cert.segments):
+        f0 = CyclicFamily(cert.n, cert.r, cert.case, s.end_a, s.end_b)
+        f1 = CyclicFamily(cert.n, cert.r, cert.case, s.start_a, s.start_b)
+        seg = _certify_segment(f0, f1, s.proof.kind, precision)
         if seg is None:
             raise CertificationFailed("reversed segment failed certification")
         rebuilt.append(seg)
-    return PathCertificate(cert.n, cert.r, cert.case, cert.field,
-                           cert.strategy, tuple(rebuilt))
+    return PathCertificate(cert.n, cert.r, cert.case, cert.field, tuple(rebuilt))
 
 
 def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:

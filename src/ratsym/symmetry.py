@@ -36,11 +36,9 @@ __all__ = [
     "CyclicFamily",
     "DihedralFamily",
     "WitnessReport",
-    "FixedPointBehavior",
     "NotAdmissible",
     "CoefficientConditionViolated",
     "UnexpectedDegree",
-    "BehaviorMismatch",
     "WitnessUnavailable",
     "WitnessVerificationFailed",
     "AutSearchIncomplete",
@@ -49,7 +47,6 @@ __all__ = [
     "platonic_admissible",
     "build_cyclic",
     "build_dihedral",
-    "check_fixed_point_behavior",
     "lemma_witness",
     "classify_lemma_case",
     "aut_in_normalizer",
@@ -71,10 +68,6 @@ class CoefficientConditionViolated(ValueError):
 
 class UnexpectedDegree(RuntimeError):
     """Built map degree disagrees with the family case (defensive check)."""
-
-
-class BehaviorMismatch(RuntimeError):
-    """Observed fixed-point behaviour differs from the predicted table."""
 
 
 class WitnessUnavailable(RuntimeError):
@@ -295,52 +288,6 @@ class DihedralFamily:
 
 def build_dihedral(fam: DihedralFamily) -> RationalMap:
     return build_cyclic(fam.to_cyclic())
-
-
-@dataclass(frozen=True)
-class FixedPointBehavior:
-    """How the built map moves the rotation's fixed points {0, inf} and the
-    inversion's fixed points {1, -1}."""
-    rotation_fixed_points: str     # "fixes" | "permutes"
-    involution_fixed_points: str   # "fixes" | "permutes" | "collapses"
-    images: tuple                  # (phi(0), phi(inf), phi(1), phi(-1))
-
-
-def _classify_pair(img_p, img_m, p, m) -> str:
-    if img_p == p and img_m == m:
-        return "fixes"
-    if img_p == m and img_m == p:
-        return "permutes"
-    return "collapses"
-
-
-def check_fixed_point_behavior(fam: DihedralFamily) -> FixedPointBehavior:
-    """Evaluate the family map on both fixed-point pairs and check the
-    predicted (case, sign) table: case I fixes {0, inf} pointwise and case II
-    swaps them; sign +1 fixes {1, -1} pointwise and sign -1 swaps them.
-
-    The prediction for {1, -1} provably holds whenever n is even or r is
-    even; for n and r both odd the two points collapse onto a single image
-    and :class:`BehaviorMismatch` is raised with the observed record.
-    """
-    phi = build_dihedral(fam)
-    field = phi.field
-    zero = ProjPoint.finite(field.zero())
-    inf = ProjPoint.infinity(field)
-    one = ProjPoint.finite(field.one())
-    mone = ProjPoint.finite(-field.one())
-    imgs = tuple(eval_proj(phi, p) for p in (zero, inf, one, mone))
-    rot = _classify_pair(imgs[0], imgs[1], zero, inf)
-    inv = _classify_pair(imgs[2], imgs[3], one, mone)
-    behavior = FixedPointBehavior(rot, inv, imgs)
-    expected_rot = "fixes" if fam.case == "I" else "permutes"
-    expected_inv = "fixes" if fam.sign == 1 else "permutes"
-    if rot != expected_rot or inv != expected_inv:
-        raise BehaviorMismatch(
-            f"case {fam.case}, sign {fam.sign:+d}: expected "
-            f"({expected_rot}, {expected_inv}), observed ({rot}, {inv}); "
-            f"images {imgs}")
-    return behavior
 
 
 # ---------------------------------------------------------------------------

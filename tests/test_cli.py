@@ -295,6 +295,34 @@ def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
         assert "precision" in json.loads(out)["reason"]
 
 
+def test_stored_maps_are_bounded_before_any_polynomial(tmp_path, capsys,
+                                                       monkeypatch):
+    # make_map takes a gcd quadratic in the length of a side, so the declared
+    # degree and the length of each side are checked before it runs
+    from ratsym import jsonio
+    good = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "3", "4", "--out-file", str(good)], capsys)
+    assert code == 0
+    witness = json.loads(good.read_text())
+    stored = witness["map"]
+
+    def refuse(*args):
+        raise AssertionError("make_map ran")
+    monkeypatch.setattr(jsonio, "make_map", refuse)
+    for change in ({"degree": 10 ** 9}, {"degree": MAX_DEGREE + 1},
+                   {"degree": 0}, {"degree": True}, {"degree": "4"},
+                   {"num": stored["num"] + ["0"]},
+                   {"den": ["1"] * 10 ** 5}):
+        bad_map = tmp_path / "map.json"
+        bad_map.write_text(canon_dumps(dict(stored, **change)))
+        assert main(["milnor", str(bad_map)]) == EXIT_PARSE
+        bad = tmp_path / "bad.json"
+        bad.write_text(canon_dumps(dict(witness, map=dict(stored, **change))))
+        code, out = run_cli(["validate", str(bad)], capsys)
+        assert code == EXIT_VALIDATION
+        assert json.loads(out)["valid"] is False
+
+
 @pytest.mark.parametrize("quadratic", [False, True])
 @pytest.mark.parametrize("conductor", [MAX_CONDUCTOR + 1, 10 ** 9, True, "12", 2])
 def test_validate_rejects_a_conductor_before_building_a_field(tmp_path, capsys,

@@ -15,8 +15,7 @@ from ratsym import moduli
 from ratsym.moduli import (CertificateInvalid, ConjugationLeg, FamilyMismatch,
                            IntervalProof, NormalizationFailed,
                            NotDegreeTwo, PathCertificate, PathLeg, PathSegment,
-                           SturmProof, act_invert, act_scale,
-                           build_path, connectivity_certificate, dim_cyclic,
+                           SturmProof, build_path, connectivity_certificate, dim_cyclic,
                            dim_dihedral, fujimura_cubic, involution_to_standard,
                            milnor_coordinates, validate_connectivity_certificate,
                            validate_path_certificate, _certify_segment,
@@ -50,48 +49,6 @@ def test_dimension_identity_freeparams():
                 dim = dim_dihedral(d, n, case).dimension
                 params = {"I": r + 1, "II": r}[case]
                 assert dim == params - 1, (d, n, case)
-
-
-def test_act_scale():
-    fam_z3 = CyclicFamily(2, 1, "A", (QQ(0), QQ(1)), (QQ(1), QQ(0)))
-    f2 = act_scale(fam_z3, QQ(2))
-    assert f2.a == (QQ(0), QQ(Fraction(1, 4))) and f2.b == (QQ(1), QQ(0))
-    assert maps_equal(build_cyclic(f2),
-                      conjugate(build_cyclic(fam_z3), scaling(QQ(2))))
-    rng = random.Random(2)
-    fam = random_cyclic_family(rng, 3, 2, "A")
-    lam, mu = QQ(Fraction(2, 3)), QQ(Fraction(-5, 7))
-    once = act_scale(act_scale(fam, lam), mu)
-    both = act_scale(fam, lam * mu)
-    assert once.a == both.a and once.b == both.b
-    assert act_scale(fam, QQ(1)).a == fam.a
-    for case in ("A", "B", "C"):
-        f = random_cyclic_family(rng, 3, 2, case)
-        g = act_scale(f, QQ(Fraction(3, 2)))
-        assert maps_equal(build_cyclic(g),
-                          conjugate(build_cyclic(f), scaling(QQ(Fraction(3, 2)))))
-
-
-def test_act_invert():
-    inv2 = CyclicFamily(3, 1, "C", (QQ(1), QQ(0)), (QQ(0), QQ(1)))
-    out = act_invert(inv2)
-    assert out.a == inv2.a and out.b == inv2.b
-    fam_z3 = CyclicFamily(2, 1, "A", (QQ(0), QQ(1)), (QQ(1), QQ(0)))
-    out = act_invert(fam_z3)
-    assert out.a == fam_z3.a and out.b == fam_z3.b
-    rng = random.Random(3)
-    for case in ("A", "C"):
-        fam = random_cyclic_family(rng, 3, 2, case)
-        other = act_invert(fam)
-        assert other.case == case
-        back = act_invert(other)
-        assert back.a == fam.a and back.b == fam.b
-        assert maps_equal(build_cyclic(other),
-                          conjugate(build_cyclic(fam), inversion(QQ)))
-    # case B: inversion leads to the transitional shape whose standard
-    # renormalisation is the original family
-    famB = random_cyclic_family(rng, 3, 2, "B")
-    assert act_invert(famB).a == famB.a
 
 
 def test_build_path_simple_and_strategies_agree():
@@ -168,9 +125,8 @@ def test_sturm_route_covers_every_field(K):
         # one changed coefficient of a stored norm is caught
         seg = back.segments[0]
         norm = seg.proof.norm_poly
-        forged = SturmProof(Poly(QQ, (norm[0] + 1,) + norm.coeffs[1:]),
-                            0, seg.proof.value_at_0, seg.proof.value_at_1)
-        bad = PathCertificate(back.n, back.r, back.case, back.field, back.strategy,
+        forged = SturmProof(Poly(QQ, (norm[0] + 1,) + norm.coeffs[1:]))
+        bad = PathCertificate(back.n, back.r, back.case, back.field,
                               (PathSegment(seg.start_a, seg.start_b, seg.end_a,
                                            seg.end_b, forged),) + back.segments[1:])
         with pytest.raises(CertificateInvalid):
@@ -185,14 +141,47 @@ def test_sturm_path_with_interval_proofs_still_validates():
     rng = random.Random(43)
     f0, f1 = (_mixed_family(rng, 2, 1, "A", K) for _ in range(2))
     cert = build_path(f0, f1, "interval", rng=random.Random(5), precision=64)
-    old = PathCertificate(cert.n, cert.r, cert.case, cert.field, "sturm",
-                          cert.segments)
-    blob = path_cert_to_json(old)
-    assert blob["strategy"] == "sturm"
+    blob = path_cert_to_json(cert)
     assert {seg["proof"]["type"] for seg in blob["segments"]} == {"interval"}
-    back = path_cert_from_json(blob)
+    old = dict(blob, strategy="sturm")
+    back = path_cert_from_json(old)
+    assert back == cert
     assert canon_dumps(path_cert_to_json(back)) == canon_dumps(blob)
     validate_path_certificate(back)
+
+
+# The records that files written before paths and chains stored only what the
+# validator checks also carry: a path leg's "prime" (always cert.n), a path's
+# "strategy" (read by nothing) and a Sturm proof's root count and endpoint
+# values (recomputed by the validator).
+_DROPPED_KEYS = ("prime", "strategy", "roots_in_01", "value_at_0", "value_at_1")
+
+# A path over Q certified with "sturm", as such older files were written.
+_V1_STURM_PATH = (
+    '{"case":"A","certificate_type":"path","field":{"kind":"rational"},"n":2,'
+    '"r":1,"segments":[{"end_a":["3","1"],"end_b":["1","5"],"proof":{"norm_poly":'
+    '["5/2","7/2","1"],"roots_in_01":0,"type":"sturm","value_at_0":"-5",'
+    '"value_at_1":"-14"},"start_a":["2","1"],"start_b":["1","3"]}],'
+    '"strategy":"sturm"}')
+
+
+def test_sturm_proof_stores_only_its_norm():
+    import json
+    from ratsym.jsonio import canon_dumps, path_cert_from_json, path_cert_to_json
+    fam_a = CyclicFamily(2, 1, "A", (QQ(2), QQ(1)), (QQ(1), QQ(3)))
+    fam_b = CyclicFamily(2, 1, "A", (QQ(3), QQ(1)), (QQ(1), QQ(5)))
+    text = canon_dumps(path_cert_to_json(build_path(fam_a, fam_b, "sturm")))
+    assert not any(f'"{key}"' in text for key in _DROPPED_KEYS)
+    # the older file is the same document with the dropped records added
+    old = json.loads(_V1_STURM_PATH)
+    del old["strategy"]
+    for key in ("roots_in_01", "value_at_0", "value_at_1"):
+        del old["segments"][0]["proof"][key]
+    assert canon_dumps(old) == text
+    # it still reads and validates, and re-dumps without them
+    back = path_cert_from_json(json.loads(_V1_STURM_PATH))
+    validate_path_certificate(back)
+    assert canon_dumps(path_cert_to_json(back)) == text
 
 
 # A path over Q certified with "interval" at precision 32, as files were
@@ -221,7 +210,7 @@ def _with_tiles(cert, tiles, precision=32):
     seg = cert.segments[0]
     proof = IntervalProof(precision, tuple((Fraction(lo), Fraction(hi))
                                            for lo, hi in tiles))
-    return PathCertificate(cert.n, cert.r, cert.case, cert.field, cert.strategy,
+    return PathCertificate(cert.n, cert.r, cert.case, cert.field,
                            (PathSegment(seg.start_a, seg.start_b, seg.end_a,
                                         seg.end_b, proof),))
 
@@ -396,17 +385,13 @@ def test_path_certificate_tamper_detected():
 
     bad_seg = PathSegment(start_a=(QQ(7), QQ(1)), start_b=seg.start_b,
                           end_a=seg.end_a, end_b=seg.end_b, proof=seg.proof)
-    bad = PathCertificate(cert.n, cert.r, cert.case, cert.field, cert.strategy,
-                          (bad_seg,))
+    bad = PathCertificate(cert.n, cert.r, cert.case, cert.field, (bad_seg,))
     with pytest.raises(CertificateInvalid):
         validate_path_certificate(bad)
 
     # tampering with the stored proof artifact is caught as well
-    forged_proof = SturmProof(norm_poly=seg.proof.norm_poly + Poly(QQ, [1]),
-                              roots_in_01=0,
-                              value_at_0=seg.proof.value_at_0,
-                              value_at_1=seg.proof.value_at_1)
-    bad2 = PathCertificate(cert.n, cert.r, cert.case, cert.field, cert.strategy,
+    forged_proof = SturmProof(norm_poly=seg.proof.norm_poly + Poly(QQ, [1]))
+    bad2 = PathCertificate(cert.n, cert.r, cert.case, cert.field,
                            (PathSegment(seg.start_a, seg.start_b, seg.end_a,
                                         seg.end_b, forged_proof),))
     with pytest.raises(CertificateInvalid):
@@ -419,7 +404,7 @@ def test_path_certificate_tamper_detected():
     assert len(two.segments) == 2
     s0, s1 = two.segments
     K = two.field
-    broken = PathCertificate(two.n, two.r, two.case, K, two.strategy,
+    broken = PathCertificate(two.n, two.r, two.case, K,
                              (s0, PathSegment((K(9), K(1)), s1.start_b,
                                               s1.end_a, s1.end_b, s1.proof)))
     with pytest.raises(CertificateInvalid):
@@ -470,7 +455,7 @@ def test_reversed_legs_keep_the_callers_precision():
     cert = connectivity_certificate(f1, f0, "interval", random.Random(12),
                                     precision=64)
     legs = [leg for leg in cert.legs if isinstance(leg, PathLeg)]
-    assert legs[-1].prime == 3 and legs[-1].cert.segments
+    assert legs[-1].cert.n == 3 and legs[-1].cert.segments
     proofs = [seg.proof for leg in legs for seg in leg.cert.segments]
     assert proofs and all(isinstance(p, IntervalProof) for p in proofs)
     assert {p.precision for p in proofs} == {64}
@@ -494,16 +479,25 @@ def test_connectivity_same_family_and_order2_bridge():
 
 def _check_chain(cert, f0, f1):
     """The chain runs from f0 to f1, survives a JSON round trip byte for
-    byte, and validates."""
+    byte, and validates.  Its file holds none of the dropped records, and
+    the same file with a "prime" on each path leg and a "strategy" on each
+    path, as older files carry, reads to the same bytes and validates."""
+    import json
     from ratsym.jsonio import (canon_dumps, connectivity_from_json,
                                connectivity_to_json)
     assert maps_equal(build_cyclic(cert.legs[0].cert.start_family()),
                       build_cyclic(f0))
     assert maps_equal(build_cyclic(cert.legs[-1].cert.end_family()),
                       build_cyclic(f1))
-    blob = connectivity_to_json(cert)
-    back = connectivity_from_json(blob)
-    assert canon_dumps(connectivity_to_json(back)) == canon_dumps(blob)
+    text = canon_dumps(connectivity_to_json(cert))
+    assert not any(f'"{key}"' in text for key in _DROPPED_KEYS)
+    old = json.loads(text)
+    for rec in old["legs"]:
+        if rec["type"] == "path":
+            rec["prime"] = 7
+            rec["cert"]["strategy"] = "sturm"
+    back = connectivity_from_json(old)
+    assert canon_dumps(connectivity_to_json(back)) == text
     validate_connectivity_certificate(back)
 
 
@@ -531,7 +525,7 @@ def test_tetrahedral_hand_off_chains(d):
     for f0, f1 in ((f3, fa), (fa, f3), (f3, fc), (fc, f3)):
         cert = connectivity_certificate(f0, f1, "sturm", random.Random(d))
         leg3 = cert.legs[0] if f0.n == 3 else cert.legs[-1]
-        assert leg3.prime == 3 and leg3.cert.field == CyclotomicField(12)
+        assert leg3.cert.n == 3 and leg3.cert.field == CyclotomicField(12)
         assert all(isinstance(seg.proof, SturmProof)
                    for leg in cert.legs if isinstance(leg, PathLeg)
                    for seg in leg.cert.segments)

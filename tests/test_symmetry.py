@@ -9,14 +9,13 @@ from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
                            standard_generators)
 from ratsym.poly import Poly
-from ratsym.ratmap import (conjugate, eval_proj, is_automorphism, make_map,
-                           maps_equal, ProjPoint)
-from ratsym.symmetry import (BehaviorMismatch, CoefficientConditionViolated,
+from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
+from ratsym.symmetry import (CoefficientConditionViolated,
                              CyclicFamily, DihedralFamily, NotAdmissible,
                              WitnessReport, WitnessUnavailable,
                              WitnessVerificationFailed, aut_in_normalizer,
                              build_cyclic,
-                             build_dihedral, check_fixed_point_behavior,
+                             build_dihedral,
                              classify_lemma_case, cyclic_admissible,
                              cyclic_family_from_map, dihedral_admissible,
                              lemma_witness, platonic_admissible,
@@ -152,43 +151,6 @@ def test_dihedral_build_and_symmetry():
             p = build_dihedral(f)
             assert is_automorphism(p, rotation(n))
             assert is_automorphism(p, inversion(QQ))
-
-
-def test_fixed_point_behavior_table():
-    # case I fixes {0, inf}; case II swaps them; sign controls {1, -1},
-    # provably for n even or r even
-    fam = DihedralFamily(2, 1, "I", 1, (QQ(2), QQ(1)))
-    b = check_fixed_point_behavior(fam)
-    assert (b.rotation_fixed_points, b.involution_fixed_points) == ("fixes", "fixes")
-    fam = DihedralFamily(2, 1, "I", -1, (QQ(2), QQ(1)))
-    phi = build_dihedral(fam)
-    assert eval_proj(phi, ProjPoint.finite(QQ(1))) == ProjPoint.finite(QQ(-1))
-    b = check_fixed_point_behavior(fam)
-    assert (b.rotation_fixed_points, b.involution_fixed_points) == ("fixes", "permutes")
-    rng = random.Random(77)
-    for n, r, case in [(2, 2, "II"), (4, 1, "II"), (3, 2, "I"), (6, 1, "I")]:
-        for sign in (1, -1):
-            f = random_dihedral_family(rng, n, r, case, sign)
-            b = check_fixed_point_behavior(f)
-            assert b.rotation_fixed_points == ("fixes" if case == "I" else "permutes")
-            assert b.involution_fixed_points == ("fixes" if sign == 1 else "permutes")
-
-
-def test_fixed_point_behavior_collapse_for_odd_n_odd_r():
-    # with n and r both odd the two inversion fixed points map to the single
-    # value sign * 1, so the (fixes | permutes) dichotomy fails; the checker
-    # must say so rather than assert a false table
-    fam = DihedralFamily(3, 1, "I", 1, (QQ(2), QQ(1)))
-    phi = build_dihedral(fam)   # z(z^3+2)/(2z^3+1)
-    one = ProjPoint.finite(QQ(1))
-    assert eval_proj(phi, ProjPoint.finite(QQ(-1))) == one
-    assert eval_proj(phi, one) == one
-    with pytest.raises(BehaviorMismatch):
-        check_fixed_point_behavior(fam)
-    # the flagship quadratic 1/z^2 sits in the same regime
-    fam2 = DihedralFamily(3, 1, "II", 1, (QQ(1), QQ(0)))
-    with pytest.raises(BehaviorMismatch):
-        check_fixed_point_behavior(fam2)
 
 
 def test_lemma_witness_examples():
