@@ -24,7 +24,7 @@ from .jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
                      connectivity_from_json, connectivity_to_json, elem_to_json,
                      family_from_json, map_from_json, path_cert_from_json,
                      path_cert_to_json, witness_from_json, witness_to_json)
-from .mobius import GroupSpec
+from .mobius import CapExceeded, GroupSpec, group_closure
 from .moduli import (CertificateInvalid, CertificationFailed, FamilyMismatch,
                      NormalizationFailed, connectivity_certificate, dim_cyclic,
                      dim_dihedral, fujimura_cubic, milnor_coordinates,
@@ -217,6 +217,24 @@ def cmd_milnor(args) -> int:
     return EXIT_OK
 
 
+def _generated_group(autos) -> GroupSpec | None:
+    """The group generated by T of odd order p and S of order 2: C_2p if
+    they commute, else D_p if (TS)^2 = 1, as in every cyclic or dihedral
+    group; else a finite <T, S> is A4, S4 or A5, closed in 60 elements."""
+    (T, p), (S, two) = autos
+    if two != 2 or p < 3 or p % 2 == 0:
+        return None
+    TS = T @ S
+    if TS == S @ T:
+        return GroupSpec("cyclic", 2 * p)
+    if (TS @ TS).is_identity():
+        return GroupSpec("dihedral", p)
+    try:
+        return GroupSpec({12: "A4", 24: "S4", 60: "A5"}[len(group_closure((T, S), 60))])
+    except (CapExceeded, KeyError):
+        return None
+
+
 def cmd_validate(args) -> int:
     doc = _load_json(args.certificate)
     kind = doc.get("certificate_type")
@@ -231,6 +249,8 @@ def cmd_validate(args) -> int:
                 raise CertificateInvalid("automorphism verification failed")
             if not maps_equal(build_cyclic(report.family), report.map):
                 raise CertificateInvalid("family does not rebuild the map")
+            if _generated_group(report.autos) != report.group:
+                raise CertificateInvalid("the automorphisms generate another group")
         else:
             raise ParseError(f"unknown certificate type {kind!r}")
     except (CertificateInvalid, ValueError, KeyError, TypeError,

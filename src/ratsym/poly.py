@@ -1,6 +1,7 @@
 """Univariate polynomials over the exact fields, with the certification kit:
-Euclidean gcd, Sylvester resultants at *formal* degrees, the norm over Q of
-a polynomial over any supported field, and counting of real roots over Q.
+gcd (modular over Q, Euclidean elsewhere), Sylvester resultants at *formal*
+degrees, the norm over Q of a polynomial over any supported field, and
+counting of real roots over Q.
 
 Coefficients are stored ascending; the zero polynomial has an empty tuple and
 degree -1.  The resultant takes formal degrees as explicit parameters because
@@ -14,20 +15,21 @@ elimination over that ring (:func:`nullspace` only on the rows that are
 independent modulo a prime, by the ring's residue map);
 :func:`interpolate` takes forward differences in it, :func:`squarefree_norm`
 walks the tower down through it to Z, and :func:`sturm_roots_in_interval`
-counts in Z[x] by a primitive pseudo-remainder gcd and Descartes bisection.
+counts in Z[x] by a modular gcd and Descartes bisection.
 The results are the same exact values, polynomials and counts as over the
 field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, Field, FieldElement, FieldMismatch, InexactDivision,
-                     _exact_quo, _integral_ring, _RationalIntegers,
-                     _zpoly_exact_quo, cyclotomic_coeffs, lift)
+                     _integral_ring, _is_prime, _RationalIntegers, _zpoly_exact_quo,
+                     cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -74,10 +76,6 @@ class Poly:
     @classmethod
     def x(cls, field: Field) -> "Poly":
         return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, value: FieldElement) -> "Poly":
-        return cls(value.field, (value,))
 
     # --- basic queries -------------------------------------------------
     @property
@@ -236,12 +234,6 @@ class Poly:
             return self
         return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
 
-    def reverse(self, formal_degree: int | None = None) -> "Poly":
-        d = self.degree if formal_degree is None else formal_degree
-        if d < self.degree:
-            raise ValueError("formal degree below actual degree")
-        return Poly(self.field, (self[d - k] for k in range(d + 1)))
-
     def valuation(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial has no valuation")
@@ -286,37 +278,66 @@ def _int_content(v: list[int]) -> int:
     return g or 1
 
 
-def _primitive_prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    # primitive pseudo-remainder sequence over Z; inputs nonzero, ascending
-    a, b = _trim(list(f)), _trim(list(g))
-    if len(a) < len(b):
-        a, b = b, a
+@functools.cache
+def _prime(k: int) -> int:
+    """The k-th prime below 2^30, from the largest: residues fit a CPython digit."""
+    p = _prime(k - 1) - 2 if k else 2 ** 30 - 1
+    while not _is_prime(p):
+        p -= 2
+    return p
+
+
+def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """A gcd of f and g, not both zero modulo p, by Euclid over F_p."""
+    a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
     while b:
-        # pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b
-        k = len(a) - len(b) + 1
-        lb = b[-1]
-        r = [x * lb ** k for x in a]
-        while len(r) >= len(b) and _trim(r):
-            if len(r) < len(b):
-                break
-            idx = len(r) - len(b)
-            q = _exact_quo(r[-1], lb)
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, off = a[-1] * inv % p, len(a) - len(b)
             for j, y in enumerate(b):
-                r[idx + j] -= q * y
-            _trim(r)
-        cont = _int_content(r)
-        a, b = b, [x // cont for x in r]
+                a[off + j] = (a[off + j] - c * y) % p
+            _trim(a)
+        a, b = b, a
     return a
 
 
-def _qq_gcd(f: Poly, g: Poly) -> Poly:
-    h = _primitive_prs_gcd(_integer_poly(f), _integer_poly(g))
-    return Poly(QQ, [Fraction(x) for x in h]).monic()
+def _zgcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive gcd h, with lc h > 0, of nonzero f and g in Z[x], by
+    Brown's modular algorithm (J. ACM 18, 1971).  A prime p that does not
+    divide l = gcd(lc f, lc g) keeps deg h, since lc h divides l: a
+    constant image proves f and g coprime, and no image has lower degree.
+    Images scaled to leading coefficient l are joined by the Chinese
+    remainder theorem, restarting at a lower degree and dropping a higher
+    one.  The primitive symmetric lift is h once it divides f and g."""
+    l, h, m, k = math.gcd(f[-1], g[-1]), [], 1, 0
+    while True:
+        p, k = _prime(k), k + 1
+        if l % p == 0:
+            continue
+        a = _gcd_mod(f, g, p)
+        if len(a) == 1:
+            return [1]
+        if not h or len(a) < len(h):
+            h, m = [0] * len(a), 1
+        elif len(a) > len(h):
+            continue
+        s, inv = l * pow(a[-1], -1, p), pow(m, -1, p)
+        h = [x + m * ((c * s - x) * inv % p) for x, c in zip(h, a)]
+        m *= p
+        lift = [x - m if 2 * x > m else x for x in h]
+        cont = _int_content(lift) * (1 if lift[-1] > 0 else -1)
+        lift = [x // cont for x in lift]
+        try:
+            _zpoly_exact_quo(f, lift)
+            _zpoly_exact_quo(g, lift)
+        except InexactDivision:
+            continue
+        return lift
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; over Q a primitive pseudo-remainder sequence keeps
-    coefficient growth polynomial, elsewhere plain monic Euclid."""
+    """Monic gcd; over Q the primitive gcd over Z of the cleared operands
+    (:func:`_zgcd`), elsewhere plain monic Euclid."""
     if f.field != g.field:
         raise FieldMismatch("gcd operands in different fields")
     if f.is_zero() and g.is_zero():
@@ -326,7 +347,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if g.is_zero():
         return f.monic()
     if f.field == QQ:
-        return _qq_gcd(f, g)
+        h = _zgcd(_integer_poly(f), _integer_poly(g))
+        return Poly(QQ, [Fraction(c, h[-1]) for c in h])
     a, b = f, g
     while not b.is_zero():
         a, b = b, (a % b)
@@ -593,42 +615,11 @@ def _integer_poly(f: Poly) -> list[int]:
     return [x // cont for x in v]
 
 
-# the largest prime below 2^30: residues fit one CPython digit, and a
-# leading coefficient or discriminant that it divides by chance only sends
-# the square-free test down the exact PRS route
-_PRIME = 1073741789
-
-
-def _coprime_mod_prime(f: list[int], g: list[int]) -> bool:
-    """True when f and g stay coprime modulo _PRIME and the prime does not
-    divide lc(f).  Then they are coprime over Q: a common primitive factor
-    h of positive degree would divide both in Z[x], and its leading
-    coefficient, which divides lc(f), would survive the reduction."""
-    p = _PRIME
-    if f[-1] % p == 0:
-        return False
-    a, b = _trim([c % p for c in f]), _trim([c % p for c in g])
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c, off = a[-1] * inv % p, len(a) - len(b)
-            for j, y in enumerate(b):
-                a[off + j] = (a[off + j] - c * y) % p
-            _trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
 def _squarefree_z(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for a nonconstant integer polynomial f.  The primitive
-    PRS gcd runs only when f and f' are not already coprime modulo a large
-    prime, which proves f square-free at a fraction of the cost."""
-    df = [k * c for k, c in enumerate(f)][1:]
-    if _coprime_mod_prime(f, df):
-        return f
-    g = _primitive_prs_gcd(f, df)
-    cont = _int_content(g)
-    return f if len(g) == 1 else _zpoly_exact_quo(f, [x // cont for x in g])
+    """f / gcd(f, f') for a nonconstant integer polynomial f; when f is
+    square-free, the first image of :func:`_zgcd` proves it."""
+    g = _zgcd(f, [k * c for k, c in enumerate(f)][1:])
+    return f if len(g) == 1 else _zpoly_exact_quo(f, g)
 
 
 def _taylor_shift(f: list[int], a: int) -> list[int]:

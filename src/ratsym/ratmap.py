@@ -66,11 +66,6 @@ class ProjPoint:
     def is_infinity(self) -> bool:
         return self.y.is_zero()
 
-    def value(self) -> FieldElement:
-        if self.is_infinity():
-            raise ValueError("point at infinity has no affine value")
-        return self.x
-
     def lift(self, target: Field) -> "ProjPoint":
         return ProjPoint(lift(self.x, target), lift(self.y, target))
 

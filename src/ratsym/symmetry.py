@@ -204,16 +204,10 @@ class CyclicFamily:
             raise CoefficientConditionViolated(
                 "numerator and denominator of psi must be coprime")
 
-    def with_coeffs(self, a, b) -> "CyclicFamily":
-        return CyclicFamily(self.n, self.r, self.case, tuple(a), tuple(b))
-
     def lift(self, target: Field) -> "CyclicFamily":
         return CyclicFamily(self.n, self.r, self.case,
                             tuple(lift(c, target) for c in self.a),
                             tuple(lift(c, target) for c in self.b))
-
-    def rotation(self) -> MobiusMap:
-        return rotation(self.n)
 
 
 def build_cyclic(fam: CyclicFamily) -> RationalMap:

@@ -76,6 +76,28 @@ def test_witness_command(tmp_path, capsys):
     assert code == EXIT_CERTIFICATION
 
 
+@pytest.mark.parametrize("p, d, group", [
+    (3, 4, {"kind": "dihedral", "n": 3}), (3, 6, {"kind": "cyclic", "n": 6}),
+    (3, 9, {"kind": "A4"}), (13, 26, {"kind": "cyclic", "n": 26}),
+])
+def test_validate_checks_the_witness_group(tmp_path, capsys, p, d, group):
+    target = tmp_path / "w.json"
+    code, _ = run_cli(["witness", str(p), str(d), "--out-file", str(target)], capsys)
+    doc = json.loads(target.read_text())
+    assert code == 0 and doc["group"] == group
+    code, out = run_cli(["validate", str(target)], capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
+    # relabelled, the stored automorphisms generate another group; and
+    # they must come as the order-p one, then the involution
+    bad = [{**doc, "group": false} for false in (
+        {"kind": "A5"}, {"kind": "cyclic", "n": 6}, {"kind": "dihedral", "n": 6},
+        {"kind": "dihedral", "n": 3}) if false != group]
+    for bad_doc in bad + [{**doc, "autos": doc["autos"][::-1]}]:
+        target.write_text(canon_dumps(bad_doc))
+        code, out = run_cli(["validate", str(target)], capsys)
+        assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
+
+
 def test_milnor_command(tmp_path, capsys):
     target = tmp_path / "map.json"
     phi = make_map(Poly(QQ, [1]), Poly(QQ, [0, 0, 1]))

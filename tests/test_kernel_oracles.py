@@ -1,8 +1,11 @@
 """Differential tests of the integer certification kernel against sympy.
 
-The Sylvester resultants and the segment obstruction polynomials are
-compared with sympy's resultant over Q and Q(i), the square-free norms over
-every kind of supported field with ``sqf_part`` of sympy's resultants
+The gcd over Z and the square-free parts it gives are compared with
+sympy's ``gcd`` and ``sqf_part`` on products with contents and leading
+coefficients that the modular gcd must skip a prime for.  The Sylvester
+resultants and the segment obstruction polynomials are compared with
+sympy's resultant over Q and Q(i), the square-free norms over every kind
+of supported field with ``sqf_part`` of sympy's resultants
 against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
@@ -30,8 +33,9 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _integral_ring)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, poly_eval, resultant,  # noqa: E402
-                         squarefree_norm, sturm_roots_in_interval)
+from ratsym.poly import (Poly, _prime, _squarefree_z, poly_eval,  # noqa: E402
+                         poly_gcd, resultant, squarefree_norm,
+                         sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
@@ -224,6 +228,36 @@ def _count_with_sympy(f, lo, hi):
 def test_sturm_roots_in_interval_matches_sympy(problem):
     f, lo, hi = problem
     assert sturm_roots_in_interval(f, lo, hi) == _count_with_sympy(f, lo, hi)
+
+
+# leading coefficients that the modular gcd must skip a prime for, or lift
+# over several primes
+LEADS = [1, -3, _prime(0), -_prime(0) * _prime(1), 2 ** 40]
+
+
+@st.composite
+def integer_polys(draw):
+    coeffs = draw(st.lists(st.one_of(st.integers(-3, 3),
+                                     st.integers(-10 ** 15, 10 ** 15)),
+                           min_size=1, max_size=4))
+    return sp.Poly((draw(st.sampled_from(LEADS)), *coeffs[::-1]), X)
+
+
+def _monic_qq(F):
+    return Poly(QQ, [Fraction(int(c.p), int(c.q)) for c in F.monic().all_coeffs()[::-1]])
+
+
+@SETTINGS
+@given(integer_polys(), integer_polys(), integer_polys(),
+       st.integers(1, 2 ** 40), st.integers(1, 2 ** 40))
+def test_modular_gcd_matches_sympy(c, u, v, k, m):
+    # products with a common factor and contents of their own
+    F, G = k * u * c, m * v * c
+    f, g = (Poly(QQ, [int(a) for a in H.all_coeffs()[::-1]]) for H in (F, G))
+    assert poly_gcd(f, g) == _monic_qq(sp.gcd(F, G))
+    H = F * c
+    h = _squarefree_z([int(a) for a in H.all_coeffs()[::-1]])
+    assert Poly(QQ, h).monic() == _monic_qq(H.sqf_part())
 
 
 # --- map layer: automorphism test and conjugation over Z and Z[i] ------------

@@ -514,7 +514,7 @@ def test_order2_case_a_and_case_c_chains(d):
         _check_chain(cert, f0, f1)
 
 
-@pytest.mark.parametrize("d", [3, 9])
+@pytest.mark.parametrize("d", [3, 9, 15])
 def test_tetrahedral_hand_off_chains(d):
     # at d = 3r with r odd the order-3 locus meets order 2 only in
     # tetrahedral maps over Q(zeta_12); chains reach both order-2 families

