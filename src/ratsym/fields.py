@@ -23,7 +23,8 @@ quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
 zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
 The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
-``poly.nullspace`` uses for its modular rank test.
+``poly.nullspace`` uses for its modular rank test; ``poly.pencil_resultant``
+takes all phi(n) of them, at a sequence of primes p = 1 (mod n).
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ Scalar = Union[int, Fraction]
 def _exact_quo(x: int, d: int) -> int:
     q, r = divmod(x, d)
     if r:
-        raise InexactDivision(f"{d} does not divide {x}")
+        # bit lengths, not values: str() of an int above 4300 digits raises
+        raise InexactDivision(f"a {d.bit_length()}-bit divisor does not divide "
+                              f"a {x.bit_length()}-bit dividend")
     return q
 
 
@@ -702,7 +705,8 @@ def sign_real(a: FieldElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# residue maps to F_p, for the modular rank test of poly.nullspace
+# residue maps to F_p, for the modular rank test of poly.nullspace and
+# the modular pencil resultant
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -730,10 +734,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _residue_prime(n: int) -> int:
-    """The least prime p > 2^30 with p = 1 (mod n), so that F_p holds the
-    n-th roots of unity."""
-    p = (2 ** 30 // n + 1) * n + 1
+@functools.cache
+def _residue_prime(n: int, k: int = 0) -> int:
+    """The k-th prime p > 2^30 with p = 1 (mod n), from the least upwards,
+    so that F_p holds the n-th roots of unity."""
+    p = _residue_prime(n, k - 1) + n if k else (2 ** 30 // n + 1) * n + 1
     while not _is_prime(p):
         p += n
     return p

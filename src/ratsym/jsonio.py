@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
                      RationalField)
-from .mobius import GroupSpec, MobiusMap
+from .mobius import GroupSpec, MobiusMap, _absolute_degree
 from .moduli import (ConjugationLeg, ConnectivityCertificate, IntervalProof,
                      PathCertificate, PathLeg, PathSegment, SturmProof)
 from .poly import Poly
@@ -236,12 +236,16 @@ def _proof_to_json(proof):
     raise TypeError(f"unknown proof {proof!r}")
 
 
-def _proof_from_json(obj):
+def _proof_from_json(obj, max_norm_coeffs: int):
     if obj["type"] == "sturm":
         # older files also store the root count in (0, 1] and the
         # obstruction's values at 0 and 1, which the validator recomputes:
         # ignored
-        return SturmProof(Poly(QQ, [_frac_parse(c) for c in obj["norm_poly"]]))
+        coeffs = obj["norm_poly"]
+        if len(coeffs) > max_norm_coeffs:
+            raise ValueError(f"stored norm polynomial has {len(coeffs)} "
+                             f"coefficients, more than {max_norm_coeffs}")
+        return SturmProof(Poly(QQ, [_frac_parse(c) for c in coeffs]))
     if obj["type"] == "interval":
         # older files also store each tile's enclosure as "box": ignored
         boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]))
@@ -271,6 +275,10 @@ def path_cert_to_json(cert: PathCertificate):
 def path_cert_from_json(obj) -> PathCertificate:
     n, r, case = _family_shape(obj)
     field = field_from_json(obj["field"])
+    # an obstruction has degree at most 2r + 2 (a resultant of degree at
+    # most 2r times two case conditions), so its norm over Q has degree at
+    # most deg_Q(K) (2r + 2); checked before any coefficient is parsed
+    max_norm_coeffs = _absolute_degree(field) * (2 * r + 2) + 1
     segments = []
     for rec in obj["segments"]:
         segments.append(PathSegment(
@@ -278,7 +286,7 @@ def path_cert_from_json(obj) -> PathCertificate:
             start_b=tuple(elem_from_json(c, field) for c in rec["start_b"]),
             end_a=tuple(elem_from_json(c, field) for c in rec["end_a"]),
             end_b=tuple(elem_from_json(c, field) for c in rec["end_b"]),
-            proof=_proof_from_json(rec["proof"])))
+            proof=_proof_from_json(rec["proof"], max_norm_coeffs)))
     # older files also name a "strategy", which nothing reads: ignored
     return PathCertificate(n, r, case, field, tuple(segments))
 

@@ -5,9 +5,9 @@
   Sturm certificates over every supported field, and interval subdivision
   only when the ``interval`` strategy asks for it; the obstruction
   polynomial of a segment and its Sturm proof come from the integer kernel
-  of :mod:`ratsym.poly` (fraction-free determinants over the field's
-  integral ring, the full norm, Descartes bisection over Z), exactly as
-  over the field,
+  of :mod:`ratsym.poly` (the pencil resultant modulo primes over Z and
+  Z[zeta_n] and by fraction-free determinants over a quadratic layer, the
+  full norm, Descartes bisection over Z), exactly as over the field,
 * chained connectivity certificates through explicit witness maps,
 * multiplier coordinates of degree-2 maps, as ratios of the coefficients of
   a resultant in the multiplier, and the cubic relation cut out by the
@@ -23,11 +23,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     QuadraticField, common_field, interval_embed, lift)
+                     QuadraticField, _integral_ring, common_field, interval_embed,
+                     lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
-from .poly import (Poly, interpolate, resultant, squarefree_norm,
-                   sturm_roots_in_interval)
+from .poly import (Poly, _ring_mul, interpolate, pencil_resultant, resultant,
+                   squarefree_norm, sturm_roots_in_interval)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
@@ -214,32 +215,37 @@ def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     """Polynomial in t whose nonvanishing on [0,1] certifies the segment:
     pencil resultant at the case formal degrees, times the case conditions.
 
-    The resultant has degree at most m = the sum of the formal degrees; it
-    is taken at the nodes t = 0..m, stepping the pencils by their constant
-    difference, and interpolated.  Over Q and Q(zeta_n) both steps run on
-    the integer kernel of :mod:`ratsym.poly`."""
+    Each side's start vector and end vector are cleared of denominators
+    once, into the field's integral ring; there the resultant of the two
+    pencils is taken by :func:`pencil_resultant` -- modulo primes over Z and
+    Z[zeta_n], by Bareiss's determinant at the nodes t = 0..m over a
+    quadratic layer -- and multiplied by the condition pencils, which are
+    entries of the same vectors.  One division by the denominators ends
+    it."""
     K = fam0.field
+    ring = _integral_ring(K)
     r, case = fam0.r, fam0.case
-    fdeg = _formal_degrees(case, r)
-    P, Q = Poly(K, fam0.a), Poly(K, fam0.b)
-    dP, dQ = Poly(K, fam1.a) - P, Poly(K, fam1.b) - Q
-    values = []
-    for _ in range(sum(fdeg) + 1):
-        values.append(resultant(P, Q, *fdeg))
-        P, Q = P + dP, Q + dQ
-    G = interpolate(K, values)
-    if case == "A":
-        cond = _pencil(fam0.a[r], fam1.a[r]) * _pencil(fam0.b[0], fam1.b[0])
-    elif case == "B":
-        cond = _pencil(fam0.a[r], fam1.a[r])
-    else:
-        cond = _pencil(fam0.b[r], fam1.b[r])
-    return G * cond
+    fa, fb = _formal_degrees(case, r)
+    den_f, f0, df = _cleared_pencil(ring, fam0.a[:fa + 1], fam1.a[:fa + 1])
+    den_g, g0, dg = _cleared_pencil(ring, fam0.b, fam1.b)
+    G = pencil_resultant(ring, f0, df, g0, dg)
+    den = den_f ** fb * den_g ** fa
+    # the conditions a_r != 0 (cases A, B), b_0 != 0 (A) and b_r != 0 (C)
+    conds = {"A": ((f0, df, den_f, r), (g0, dg, den_g, 0)),
+             "B": ((f0, df, den_f, r),),
+             "C": ((g0, dg, den_g, r),)}[case]
+    for v0, dv, d, k in conds:
+        G = _ring_mul(ring, G, [v0[k], dv[k]])
+        den *= d
+    return Poly(K, [ring.to_field(c, den) for c in G])
 
 
-def _pencil(c0: FieldElement, c1: FieldElement) -> Poly:
-    """(1-t)*c0 + t*c1 as a polynomial in t."""
-    return Poly(c0.field, (c0, c1 - c0))
+def _cleared_pencil(ring, start, end) -> tuple[int, list, list]:
+    """(D, D * start, D * (end - start)) for a common denominator D of the
+    two vectors, over the integral ring."""
+    den, v = ring.clear(tuple(start) + tuple(end))
+    v0 = v[:len(start)]
+    return den, v0, list(map(ring.sub, v[len(start):], v0))
 
 
 def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:

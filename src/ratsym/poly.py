@@ -13,9 +13,14 @@ base's ring for a quadratic layer.  :func:`det`, :func:`resultant` and
 :func:`nullspace` clear denominators once and run one fraction-free Bareiss
 elimination over that ring (:func:`nullspace` only on the rows that are
 independent modulo a prime, by the ring's residue map);
-:func:`interpolate` takes forward differences in it, :func:`squarefree_norm`
-walks the tower down through it to Z, and :func:`sturm_roots_in_interval`
-counts in Z[x] by a modular gcd and Descartes bisection.
+:func:`interpolate` takes forward differences in it.
+:func:`pencil_resultant`, the resultant of two pencils in t that a path
+segment's obstruction polynomial is made of, runs modulo primes over Z and
+Z[zeta_n] (Euclid over F_p under every residue map, joined by the Chinese
+remainder theorem at a Hadamard bound), and by Bareiss at the nodes only
+over a quadratic layer.  :func:`squarefree_norm` walks the tower down
+through the ring to Z, and :func:`sturm_roots_in_interval` counts in Z[x]
+by a modular gcd and Descartes bisection.
 The results are the same exact values, polynomials and counts as over the
 field.
 """
@@ -24,17 +29,20 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import (QQ, Field, FieldElement, FieldMismatch, InexactDivision,
-                     _integral_ring, _is_prime, _RationalIntegers, _zpoly_exact_quo,
+from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
+                     InexactDivision, _integral_ring, _is_prime, _RationalIntegers,
+                     _residue_prime, _root_of_unity_mod, _zpoly_exact_quo,
                      cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
     "poly_gcd",
     "resultant",
+    "pencil_resultant",
     "squarefree_norm",
     "sturm_roots_in_interval",
     "poly_eval",
@@ -542,6 +550,18 @@ def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
     return rows
 
 
+def _sylvester_det(ring, fa: list, ga: list):
+    """The determinant over the ring of the Sylvester matrix of two ascending
+    coefficient lists at their formal degrees, by :func:`_echelon`."""
+    n = len(fa) + len(ga) - 2
+    if n == 0:
+        return ring.one
+    m, pivots, sign = _echelon(_sylvester_rows(fa, ga, ring.zero), n, ring)
+    if len(pivots) < n:
+        return ring.zero
+    return m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
+
+
 def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
     """Determinant of the Sylvester matrix at the stated formal degrees.
 
@@ -555,18 +575,191 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
         raise FieldMismatch("resultant operands in different fields")
     if f.degree > formal_deg_f or g.degree > formal_deg_g:
         raise ValueError("formal degree below actual degree")
-    if formal_deg_f == 0 and formal_deg_g == 0:
-        return f.field.one()
     ring = _integral_ring(f.field)
     # the rows of f are scaled by its denominator, those of g by its own
     df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
     dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
-    n = formal_deg_f + formal_deg_g
-    m, pivots, sign = _echelon(_sylvester_rows(fa, ga, ring.zero), n, ring)
-    if len(pivots) < n:
-        return f.field.zero()
-    value = m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
-    return ring.to_field(value, df ** formal_deg_g * dg ** formal_deg_f)
+    return ring.to_field(_sylvester_det(ring, fa, ga),
+                         df ** formal_deg_g * dg ** formal_deg_f)
+
+
+# ---------------------------------------------------------------------------
+# the resultant of two pencils, modulo primes
+# ---------------------------------------------------------------------------
+
+def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
+    """The coefficients in t, ascending, of R(t) = Res_x(f0 + t df, g0 + t dg)
+    at the formal degrees a = len(f0) - 1 and b = len(g0) - 1, for ascending
+    coefficient lists over an integral ring of :mod:`ratsym.fields`.  Every
+    entry of the Sylvester matrix is linear in t, so R has degree at most
+    m = a + b; the list has m + 1 ring elements.
+
+    *Over Z and Z[zeta_n]* (rings with a residue map) R is computed modulo
+    the primes p = 1 (mod n) above 2^30 in turn, after Collins (J. ACM 18,
+    1971).  Modulo p, Phi_n has the phi(n) roots w^u, u prime to n, and
+    each zeta -> w^u is a ring homomorphism sigma_u onto F_p.  A
+    determinant commutes with it, so every prime is good:
+    sigma_u(R)(t) = Res(sigma_u f_t, sigma_u g_t) at the nodes t = 0..m,
+    each by Euclid over F_p (:func:`_resultant_mod`), and Newton
+    interpolation (:func:`_interpolate_mod`) gives sigma_u of each
+    coefficient.  The power-basis coordinates y of a coefficient c solve
+    sum_k y_k w^(uk) = sigma_u(c), a Vandermonde system that the Lagrange
+    matrix of the roots of Phi_n inverts (:func:`_residue_maps`).  The
+    primes are joined by the Chinese remainder theorem until their product
+    M exceeds 2 C_n E; then the symmetric lift into (-M/2, M/2) is exact.
+
+    *The bound E.*  Let sigma be a complex embedding and |t| = 1.  Since
+    |sigma(x)| <= ||x||_1 for the coordinates x of a ring element, every
+    entry of sigma(f_t) has |sigma(f0_k) + t sigma(df_k)| <=
+    ||f0_k||_1 + ||df_k||_1.  Hadamard's inequality over the b rows of f
+    and the a rows of g gives |sigma(R)(t)| <= E, where
+    E^2 = (sum_k (||f0_k||_1 + ||df_k||_1)^2)^b
+          * (sum_k (||g0_k||_1 + ||dg_k||_1)^2)^a,
+    and Cauchy's estimate on the unit circle bounds each coefficient by the
+    maximum there: |sigma(R_j)| <= E.  Over Z that is the bound (C = 1).
+
+    *The constant C_n.*  Over Z[zeta_n], y = sum_u sigma_u(c) L_u with the
+    complex Lagrange polynomials L_u = Phi_n(x) / ((x - z_u) Phi_n'(z_u)),
+    z_u = exp(2 pi i u / n).  The coefficients of Phi_n(x) / (x - z_u) are
+    partial sums of those of Phi_n times powers of z_u, so each is at most
+    ||Phi_n||_1.  Differentiating x^n - 1 = Phi_n Psi_n at z_u gives
+    |Phi_n'(z_u)| = n / |Psi_n(z_u)| >= n / ||Psi_n||_1.  Hence
+    |y_k| <= C_n E with C_n = phi(n) ||Phi_n||_1 ||Psi_n||_1 / n.
+
+    *Over a quadratic layer*, which has no residue map, R is taken at the
+    nodes by Bareiss's determinant (:func:`_sylvester_det`), its forward
+    differences give m! R, and each coefficient is divided exactly by m!.
+    """
+    a, b = len(f0) - 1, len(g0) - 1
+    m = a + b
+    if ring.residue is None:
+        values, fa, ga = [], list(f0), list(g0)
+        for _ in range(m + 1):
+            values.append(_sylvester_det(ring, fa, ga))
+            fa, ga = list(map(ring.add, fa, df)), list(map(ring.add, ga, dg))
+        scale = math.factorial(m)
+        return [ring.quo(c, scale) for c in _forward_differences(values, ring)]
+    scalar = ring.base is None              # Z, whose elements are ints
+    n = 1 if scalar else ring.n
+    if scalar:
+        f0, df, g0, dg = ([(x,) for x in v] for v in (f0, df, g0, dg))
+
+    def height(v0: list, dv: list) -> int:
+        return sum((sum(map(abs, x)) + sum(map(abs, y))) ** 2 for x, y in zip(v0, dv))
+    limit = 4 * _lagrange_bound(n) ** 2 * height(f0, df) ** b * height(g0, dg) ** a
+    coords, modulus, k = None, 1, 0
+    while coords is None or modulus * modulus <= limit:
+        p, maps, lagrange = _residue_maps(n, k)
+        k += 1
+        images = []                             # per embedding: R's coefficients
+        for w in maps:
+            fp, dfp, gp, dgp = ([sum(map(operator.mul, x, w)) % p for x in v]
+                                for v in (f0, df, g0, dg))
+            images.append(_interpolate_mod(
+                [_resultant_mod([(x + t * y) % p for x, y in zip(fp, dfp)],
+                                [(x + t * y) % p for x, y in zip(gp, dgp)], p)
+                 for t in range(m + 1)], p))
+        residues = [sum(map(operator.mul, col, row)) % p
+                    for col in zip(*images) for row in lagrange]
+        if coords is None:
+            coords = residues
+        else:
+            inv = pow(modulus, -1, p)
+            coords = [x + modulus * ((c - x) * inv % p) for x, c in zip(coords, residues)]
+        modulus *= p
+    lifted = [x - modulus if 2 * x > modulus else x for x in coords]
+    if scalar:
+        return lifted
+    size = len(lagrange)
+    return [tuple(lifted[j:j + size]) for j in range(0, len(lifted), size)]
+
+
+@functools.cache
+def _lagrange_bound(n: int) -> Fraction:
+    """C_n = phi(n) ||Phi_n||_1 ||(x^n - 1) / Phi_n||_1 / n, which bounds the
+    coordinates of an element of Z[zeta_n] by its largest embedding
+    (:func:`pencil_resultant`); 1 for Z, n = 1."""
+    if n == 1:
+        return Fraction(1)
+    phi = [int(c) for c in cyclotomic_coeffs(n)]
+    psi = _zpoly_exact_quo([-1] + [0] * (n - 1) + [1], phi)
+    return Fraction((len(phi) - 1) * sum(map(abs, phi)) * sum(map(abs, psi)), n)
+
+
+@functools.cache
+def _residue_maps(n: int, k: int) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The k-th prime p = 1 (mod n) above 2^30, the phi(n) residue maps
+    zeta -> w^u of Z[zeta_n] onto F_p, each as its weights w^(uj) for
+    j < phi(n), and the Lagrange matrix modulo p that takes the images of an
+    element back to its coordinates: row i, column u is the x^i coefficient
+    of q_u / q_u(w^u), where q_u = Phi_n(x) / (x - w^u) and q_u(w^u) =
+    Phi_n'(w^u).  Phi_n splits into these distinct linear factors modulo p,
+    so the matrix inverts the Vandermonde matrix of the w^u.  The set-up
+    takes O(phi(n)^2) operations; n = 1 stands for Z, with the one map
+    a -> a mod p."""
+    p = _residue_prime(n, k)
+    phi = [int(c) for c in cyclotomic_coeffs(n)]
+    w = 1 if n == 1 else _root_of_unity_mod(CyclotomicField(n), p)
+    maps, columns = [], []
+    for u in (u for u in range(n) if math.gcd(u, n) == 1):
+        z = pow(w, u, p)
+        weights = [pow(z, j, p) for j in range(len(phi) - 1)]
+        q = [0] * (len(phi) - 1)            # synthetic division by x - z
+        acc = 0
+        for i in range(len(phi) - 1, 0, -1):
+            acc = q[i - 1] = (phi[i] + z * acc) % p
+        inv = pow(sum(map(operator.mul, q, weights)) % p, -1, p)
+        maps.append(weights)
+        columns.append([x * inv % p for x in q])
+    return p, maps, [list(row) for row in zip(*columns)]
+
+
+def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
+    """Res(f, g) modulo p at the formal degrees a = len(f) - 1 and
+    b = len(g) - 1, by Euclid over F_p with the rules of the formal degrees:
+    Res_(a,b)(f, g) = f_a Res_(a,b-1)(f, g) when g_b = 0; a swap costs
+    (-1)^(ab); for a >= b and g_b != 0, with r = f mod g at formal degree
+    b - 1, Res_(a,b)(f, g) = (-1)^(ab) g_b^(a-b+1) Res_(b,b-1)(g, r); and
+    Res_(a,0)(f, g) = g_0^a.  The lists are not changed."""
+    acc = 1
+    while len(g) > 1:
+        a, b = len(f) - 1, len(g) - 1
+        lead = g[-1]
+        if not lead:
+            acc = acc * f[-1] % p
+            if not acc:
+                return 0
+            g = g[:-1]
+            continue
+        if a & b & 1:
+            acc = -acc
+        if a < b:
+            f, g = g, f
+            continue
+        r, inv = list(f), pow(lead, -1, p)
+        for off in range(a - b, -1, -1):
+            c = r[off + b] * inv % p
+            if c:
+                for j in range(b):
+                    r[off + j] = (r[off + j] - c * g[j]) % p
+        acc = acc * pow(lead, a - b + 1, p) % p
+        f, g = g, r[:b]
+    return acc * pow(g[0], len(f) - 1, p) % p
+
+
+def _interpolate_mod(values: list[int], p: int) -> list[int]:
+    """Coefficients modulo p, ascending, of the polynomial of degree at most
+    m with the given values at t = 0..m, by Newton's divided differences."""
+    c, m = list(values), len(values) - 1
+    for k in range(1, m + 1):
+        inv = pow(k, -1, p)
+        for i in range(m, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    out = [c[m]]
+    for k in range(m - 1, -1, -1):      # out * (t - k) + c[k]
+        out = [(lo - k * hi) % p for lo, hi in zip([0] + out, out + [0])]
+        out[0] = (out[0] + c[k]) % p
+    return out
 
 
 # ---------------------------------------------------------------------------

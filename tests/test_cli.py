@@ -7,7 +7,7 @@ import pytest
 
 from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
-from ratsym.fields import QQ, InexactDivision
+from ratsym.fields import QQ, CyclotomicField, InexactDivision
 from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
                            family_to_json, map_to_json)
 from ratsym.poly import Poly
@@ -436,3 +436,39 @@ def test_validate_bounds_the_family_order_before_building_it(tmp_path, capsys,
     p0.write_text(canon_dumps(fam))
     assert main(["path", str(p0), str(p1)]) == EXIT_PARSE
     assert "family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [CyclotomicField(4), CyclotomicField(12)], ids=repr)
+def test_validate_bounds_the_norm_polynomial_before_parsing_it(tmp_path, capsys,
+                                                               monkeypatch, field):
+    # deg G <= 2r + 2, so a Sturm proof's norm has at most
+    # deg_Q(K) (2r + 2) + 1 coefficients: 9 over Q(i) and 17 over Q(zeta_12)
+    # for r = 1
+    from ratsym import jsonio
+    f0 = random_cyclic_family(random.Random(5), 2, 1, "A", field=field)
+    f1 = random_cyclic_family(random.Random(6), 2, 1, "A", field=field)
+    p0, p1 = tmp_path / "f0.json", tmp_path / "f1.json"
+    p0.write_text(canon_dumps(family_to_json(f0)))
+    p1.write_text(canon_dumps(family_to_json(f1)))
+    path = tmp_path / "path.json"
+    code, _ = run_cli(["path", str(p0), str(p1), "--out-file", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(path.read_text())
+    proof = next(s["proof"] for s in doc["segments"] if s["proof"]["type"] == "sturm")
+    assert doc["field"] == {"kind": "cyclotomic", "conductor": field.n}
+    cap = {4: 9, 12: 17}[field.n]
+    assert len(proof["norm_poly"]) <= cap
+    parse = jsonio._frac_parse
+    sentinel = "12345/678"
+
+    def refuse(s):
+        if s == sentinel:
+            raise AssertionError("a norm coefficient was parsed")
+        return parse(s)
+    monkeypatch.setattr(jsonio, "_frac_parse", refuse)
+    proof["norm_poly"] = [sentinel] * (cap + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(canon_dumps(doc))
+    code, out = run_cli(["validate", str(bad)], capsys)
+    assert code == EXIT_VALIDATION
+    assert "norm polynomial" in json.loads(out)["reason"]

@@ -4,7 +4,8 @@ The gcd over Z and the square-free parts it gives are compared with
 sympy's ``gcd`` and ``sqf_part`` on products with contents and leading
 coefficients that the modular gcd must skip a prime for.  The Sylvester
 resultants and the segment obstruction polynomials are compared with
-sympy's resultant over Q and Q(i), the square-free norms over every kind
+sympy's resultant over Q and Q(i), the modular pencil resultant with
+sympy's resultant over Q[zeta_n][t], the square-free norms over every kind
 of supported field with ``sqf_part`` of sympy's resultants
 against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
@@ -33,9 +34,9 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _integral_ring)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _prime, _squarefree_z, poly_eval,  # noqa: E402
-                         poly_gcd, resultant, squarefree_norm,
-                         sturm_roots_in_interval)
+from ratsym.poly import (Poly, _prime, _squarefree_z,  # noqa: E402
+                         pencil_resultant, poly_eval, poly_gcd, resultant,
+                         squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
@@ -110,6 +111,43 @@ def test_resultant_matches_sympy(pair):
     G = sum(_to_sympy(c) * X ** k for k, c in enumerate(g))
     expect = _from_sympy(sp.expand(_sympy_resultant(F, G, m, n)), K)
     assert resultant(Poly(K, f), Poly(K, g), m, n) == expect
+
+
+Z = sp.Symbol("z")
+
+
+@st.composite
+def cyclotomic_pencils(draw):
+    """Pencils (f0, df, g0, dg) over Z[zeta_n], some coordinates large enough
+    to need several primes, with f of formal degree 1..3 and g of 1..2, each
+    with a top entry that is not zero all along."""
+    ring = _integral_ring(CyclotomicField(draw(st.sampled_from([3, 4, 5, 7, 8, 12]))))
+    coord = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80))
+    elem = st.lists(coord, min_size=ring.m, max_size=ring.m).map(tuple)
+    vecs = []
+    for length in (draw(st.integers(2, 4)), draw(st.integers(2, 3))):
+        v0, dv = (draw(st.lists(elem, min_size=length, max_size=length)) for _ in range(2))
+        hypothesis.assume(v0[-1] != ring.zero or dv[-1] != ring.zero)
+        vecs += [v0, dv]
+    return ring, vecs
+
+
+@settings(SETTINGS, max_examples=20)
+@given(cyclotomic_pencils())
+def test_pencil_resultant_matches_sympy(pencils):
+    # sympy's resultant in x over Q[z, t], reduced modulo Phi_n(z)
+    ring, (f0, df, g0, dg) = pencils
+
+    def expr(v0, dv):
+        return sum((sum(c * Z ** i for i, c in enumerate(x))
+                    + T * sum(c * Z ** i for i, c in enumerate(y))) * X ** k
+                   for k, (x, y) in enumerate(zip(v0, dv)))
+    a, b = len(f0) - 1, len(g0) - 1
+    expect = _sympy_resultant(expr(f0, df), expr(g0, dg), a, b)
+    got = pencil_resultant(ring, f0, df, g0, dg)
+    assert len(got) == a + b + 1
+    ours = sum(c * Z ** i * T ** j for j, y in enumerate(got) for i, c in enumerate(y))
+    assert sp.rem(sp.expand(expect - ours), sp.cyclotomic_poly(ring.n, Z), Z) == 0
 
 
 FAMILY_TYPES = [(2, 1, "A"), (2, 2, "B"), (3, 2, "A"), (2, 3, "B"), (2, 2, "C"),

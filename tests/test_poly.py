@@ -7,8 +7,8 @@ from ratsym import fields, poly
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
 from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
-                         det, interpolate, nullspace, poly_eval, poly_gcd,
-                         resultant, sturm_roots_in_interval)
+                         det, interpolate, nullspace, pencil_resultant, poly_eval,
+                         poly_gcd, resultant, sturm_roots_in_interval)
 
 
 def x():
@@ -113,6 +113,79 @@ def test_resultant_detects_common_root_and_multiplicativity():
         assert resultant(fh, g, fh.degree, g.degree) == rf * rh
         checked += 1
     assert checked > 40
+
+
+PENCIL_FIELDS = [QQ, CyclotomicField(4), CyclotomicField(3), CyclotomicField(5),
+                 CyclotomicField(12), CyclotomicField(20),
+                 QuadraticField(CyclotomicField(3), CyclotomicField(3)(2))]
+
+
+def _integral_elem(K, rng, bits):
+    """An element of K with integer coordinates in [-2^bits, 2^bits]."""
+    if isinstance(K, QuadraticField):
+        return K.from_parts(_integral_elem(K.base, rng, bits),
+                            _integral_elem(K.base, rng, bits))
+    if isinstance(K, CyclotomicField):
+        return K.from_coeffs([rng.randint(-2 ** bits, 2 ** bits) for _ in range(K.degree)])
+    return K(rng.randint(-2 ** bits, 2 ** bits))
+
+
+def _times_x_minus_1(v):
+    """The coefficients of (x - 1) v(x), one longer than v."""
+    zero = v[0].field.zero()
+    return [lo - hi for lo, hi in zip([zero] + v, v + [zero])]
+
+
+def _pencils(K, case, rng):
+    """(f0, df, g0, dg) over K for one case of the pencil resultant."""
+    def vec(n, bits=6):
+        return [_integral_elem(K, rng, bits) for _ in range(n)]
+    zero, one = K.zero(), K.one()
+    if case == "case C, a_r = 0":            # the top entry is zero all along
+        return vec(2) + [zero], vec(2) + [zero], vec(3), vec(3)
+    if case == "leading coefficient vanishes at one node":
+        # f's top entry is 2 - t, zero at t = 2; g's is 3 - t, zero at t = 3
+        return vec(2) + [2 * one], vec(2) + [-one], vec(2) + [3 * one], vec(2) + [-one]
+    if case == "shared factor":               # x - 1 divides f and g for all t
+        return tuple(_times_x_minus_1(vec(n)) for n in (2, 2, 3, 3))
+    if case == "m = 0":
+        return vec(1), vec(1), vec(1), vec(1)
+    if case == "f constant":
+        return vec(1), vec(1), vec(3), vec(3)
+    if case == "300 bits":
+        return vec(3, 300), vec(3, 300), vec(3, 300), vec(3, 300)
+    return vec(4), vec(4), vec(2), vec(2)     # a = 3, b = 1: Euclid's signs count
+
+
+PENCIL_CASES = ["random", "case C, a_r = 0", "leading coefficient vanishes at one node",
+                "shared factor", "m = 0", "f constant", "300 bits"]
+
+
+@pytest.mark.parametrize("case", PENCIL_CASES)
+@pytest.mark.parametrize("K", PENCIL_FIELDS, ids=repr)
+def test_pencil_resultant_matches_resultants_at_the_nodes(K, case, monkeypatch):
+    f0, df, g0, dg = _pencils(K, case, random.Random(f"{K!r} {case}"))
+    a, b = len(f0) - 1, len(g0) - 1
+    expect = interpolate(K, [resultant(Poly(K, [x + t * y for x, y in zip(f0, df)]),
+                                       Poly(K, [x + t * y for x, y in zip(g0, dg)]),
+                                       a, b) for t in range(a + b + 1)])
+    ring = fields._integral_ring(K)
+    primes = []
+    images = poly._residue_maps
+
+    def counted(n, k):
+        primes.append(k)
+        return images(n, k)
+    monkeypatch.setattr(poly, "_residue_maps", counted)
+    cleared = [ring.clear(v) for v in (f0, df, g0, dg)]
+    assert all(den == 1 for den, _ in cleared)      # the inputs are integral
+    got = pencil_resultant(ring, *(v for _, v in cleared))
+    assert len(got) == a + b + 1
+    assert Poly(K, [ring.to_field(c, 1) for c in got]) == expect
+    if case == "shared factor":
+        assert expect.is_zero()
+    if case == "300 bits" and ring.residue is not None:
+        assert len(primes) > 1
 
 
 def gaussian_det(rows, field):
@@ -260,6 +333,9 @@ def test_integer_kernel_divisions_raise():
         pairs.quo(((4, 8), (4, 6)), 4)
     with pytest.raises(InexactDivision):
         fields._integral_ring(QuadraticField(QQ, QQ(-3))).quo((4, 6), 4)
+    # 5,000-digit operands, which str() refuses: the message gives bit lengths
+    with pytest.raises(InexactDivision, match="bit"):
+        fields._exact_quo(10 ** 5000 + 1, 10 ** 4999)
 
 
 def test_zero_divisor_pivot_raises():
