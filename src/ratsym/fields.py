@@ -23,8 +23,9 @@ quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
 zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
 The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
-``poly.nullspace`` uses for its modular rank test; ``poly.pencil_resultant``
-takes all phi(n) of them, at a sequence of primes p = 1 (mod n).
+``symmetry.CyclicFamily`` uses for its coprimality test;
+``poly.pencil_resultant`` and ``poly.nullspace`` take all phi(n) of them,
+at a sequence of primes p = 1 (mod n).
 """
 
 from __future__ import annotations
@@ -705,8 +706,8 @@ def sign_real(a: FieldElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# residue maps to F_p, for the modular rank test of poly.nullspace and
-# the modular pencil resultant
+# residue maps to F_p, for the modular kernels of poly and the
+# coprimality test of symmetry
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:

@@ -10,6 +10,7 @@ give byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
@@ -53,8 +54,20 @@ def _frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(fr.numerator)
 
 
+# what _frac_str writes; Fraction(s) would also take exponents such as
+# "1e1000000", whose value is unbounded in the length of the text
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational a document writes as "p" or "p/q"; anything else, or a
+    value that is not a string, raises ValueError.  The interpreter's limit
+    on the digits of an integer string bounds p and q."""
+    match = _FRACTION.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
+        raise ValueError(f"not a rational number: {s!r:.40}")
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 # --- fields -----------------------------------------------------------------

@@ -193,17 +193,27 @@ def _largest_order(bound: int) -> int:
 def mobius_order(T: MobiusMap) -> Optional[int]:
     """Least k >= 1 with T^k projectively the identity, or None if infinite.
 
+    A scalar T has order 1.  Otherwise, by Cayley-Hamilton,
+    T^2 = tr(T) T - det(T) I, so T^k = alpha_k T + beta_k I with
+    alpha_1 = 1, beta_1 = 0, alpha_(k+1) = tr(T) alpha_k + beta_k and
+    beta_(k+1) = -det(T) alpha_k.  Since T is not scalar, T^k is scalar
+    exactly when alpha_k = 0, and then beta_k != 0 because T is invertible:
+    each step costs two products in the field and no matrix.
+
     A finite projective order m makes the ratio of the eigenvalues of T a
     primitive m-th root of unity.  The eigenvalues lie in an extension of
     degree at most 2 of the coefficient field K, so phi(m) <= 2 [K:Q], and
     powers beyond the largest such m need not be tried.
     """
+    if T.is_identity():
+        return 1
     cutoff = _largest_order(2 * _absolute_degree(T.field))
-    acc = T
-    for k in range(1, cutoff + 1):
-        if acc.is_identity():
+    trace, neg_det = T.a + T.d, T.b * T.c - T.a * T.d
+    alpha, beta = T.field.one(), T.field.zero()
+    for k in range(2, cutoff + 1):
+        alpha, beta = trace * alpha + beta, neg_det * alpha
+        if alpha.is_zero():
             return k
-        acc = acc.compose(T)
     return None
 
 

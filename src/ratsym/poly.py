@@ -9,18 +9,18 @@ degree drop must be detectable, not silently normalised away.
 
 The kernel runs on the integral ring that :mod:`ratsym.fields` defines for
 every supported field: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
-base's ring for a quadratic layer.  :func:`det`, :func:`resultant` and
-:func:`nullspace` clear denominators once and run one fraction-free Bareiss
-elimination over that ring (:func:`nullspace` only on the rows that are
-independent modulo a prime, by the ring's residue map);
-:func:`interpolate` takes forward differences in it.
-:func:`pencil_resultant`, the resultant of two pencils in t that a path
-segment's obstruction polynomial is made of, runs modulo primes over Z and
-Z[zeta_n] (Euclid over F_p under every residue map, joined by the Chinese
-remainder theorem at a Hadamard bound), and by Bareiss at the nodes only
-over a quadratic layer.  :func:`squarefree_norm` walks the tower down
-through the ring to Z, and :func:`sturm_roots_in_interval` counts in Z[x]
-by a modular gcd and Descartes bisection.
+base's ring for a quadratic layer.  :func:`det` and :func:`resultant` clear
+denominators once and run one fraction-free Bareiss elimination over that
+ring; :func:`interpolate` takes forward differences in it.  Over Z and
+Z[zeta_n], which have residue maps onto F_p, two kernels run modulo primes
+instead: :func:`pencil_resultant`, the resultant of two pencils in t that a
+path segment's obstruction polynomial is made of (Euclid over F_p, joined
+by the Chinese remainder theorem at a Hadamard bound), and
+:func:`nullspace` (row reduction over F_p, joined by the Chinese remainder
+theorem and rational reconstruction, then checked exactly).  Over a
+quadratic layer both run by Bareiss.  :func:`squarefree_norm` walks the
+tower down through the ring to Z, and :func:`sturm_roots_in_interval`
+counts in Z[x] by a modular gcd and Descartes bisection.
 The results are the same exact values, polynomials and counts as over the
 field.
 """
@@ -426,38 +426,227 @@ def det(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldElement:
 
 def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
               field: Field) -> list[list[FieldElement]]:
-    """Exact basis of {v : rows * v = 0}.
+    """Exact basis of {v : rows * v = 0}: one vector per free column of the
+    reduced row echelon form, in column order, which is one at that column,
+    zero at the other free columns, and solves for the pivots.  This basis
+    depends only on the kernel, so the route taken does not change it.
 
-    Each row is cleared of denominators into the field's integral ring and
-    mapped to F_p by the ring's residue homomorphism; the rows that are
-    independent modulo p are picked greedily (:func:`_independent_mod_prime`).
-    A minor that is nonzero modulo p is nonzero in the ring, so those rows
-    are independent over the field: when there are ``ncols`` of them the
-    kernel is {0}.  Otherwise :func:`_kernel_basis` eliminates the picked
-    rows only and back-substitutes over the ring (Bareiss, Math. Comp. 22,
-    1968, after Cabay's modular rank test, SYMSAC 1971), and every basis
-    vector is checked exactly against the other rows.  The kernel of the
-    picked rows contains the full kernel, so if every vector passes the two
-    are equal; if one fails (an unlucky prime), or the ring has no residue
-    map (a quadratic layer), the elimination runs on all rows.
+    Each row is cleared of denominators into the field's integral ring.
+    *Over Z and Z[zeta_n]* the rows that are independent modulo the k-th
+    prime, under its first residue map, are picked greedily
+    (:func:`_independent_mod_prime`, k = 0 first); a minor that is nonzero
+    modulo p is nonzero in the ring, so they are independent over the
+    field, and when there are ``ncols`` of them the kernel is {0}.
+    Otherwise :func:`_modular_kernel` gives the reduced echelon basis of
+    the picked rows' kernel, by row reductions over F_p joined by the
+    Chinese remainder theorem and rational reconstruction (Cabay, SYMSAC
+    1971; Wang, SYMSAC 1981), checked exactly on those rows.  That kernel
+    contains the full one, so if every vector annihilates the other rows
+    exactly the two are equal.  If one fails, the picked rows' kernel is
+    larger, so their rank over the field is below that of all rows, and
+    the rank of all rows dropped modulo the k-th prime: the rows are picked
+    again with the next prime that finds more of them.  Only finitely many
+    primes divide the norm of a nonzero minor of full rank, so this ends.
 
-    One basis vector per free column, in column order: it is one at that
-    column, zero at the other free columns, and solves for the pivots.
-    This reduced echelon basis depends only on the kernel, so the route
-    taken does not change it.
+    *Over a quadratic layer*, which has no residue map, :func:`_kernel_basis`
+    eliminates all rows by Bareiss's fraction-free method.
     """
     ring = _integral_ring(field)
     rows = [ring.clear(r)[1] for r in rows]
-    picked = _independent_mod_prime(rows, ncols, ring)
-    if picked is not None:
-        if len(picked) == ncols:
-            return []
-        basis = _kernel_basis([rows[i] for i in picked], ncols, ring, field)
+    if ring.residue is None:
+        return _kernel_basis(rows, ncols, ring, field)
+    n, k = 1 if ring.base is None else ring.n, 0
+    picked = _independent_mod_prime(rows, ncols, n, k)
+    while len(picked) < ncols:
         chosen = set(picked)
+        basis, cleared = _modular_kernel([rows[i] for i in picked], ncols, ring, field)
         others = [row for i, row in enumerate(rows) if i not in chosen]
-        if all(_annihilates(others, v, ring) for v in basis):
+        if _annihilates(others, cleared, ring):
             return basis
-    return _kernel_basis(rows, ncols, ring, field)
+        rank = len(picked)
+        while len(picked) <= rank:
+            k += 1
+            picked = _independent_mod_prime(rows, ncols, n, k)
+    return []
+
+
+def _modular_kernel(rows: list[list], ncols: int, ring,
+                    field: Field) -> tuple[list[list[FieldElement]], list[list]]:
+    """The reduced echelon kernel basis of r rows over Z or Z[zeta_n] that
+    are linearly independent over the field, and each vector times the
+    common denominator of its coordinates, as ring elements.
+
+    *Images.*  For the k-th prime p = 1 (mod n) above 2^30, k = 0, 1, ...,
+    each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
+    the rows to F_p, where :func:`_kernel_mod` finds the pivots of the
+    reduced echelon form R and the entries -R[i][f] of the kernel basis.
+    A prime whose phi(n) maps disagree on the pivots is dropped.  The
+    others are ranked by the key (-rank, pivots): a worse key than the best
+    seen is dropped, and a better one restarts the Chinese remainder
+    theorem, as a lower degree does in :func:`_zgcd`.  The Lagrange matrix
+    of :func:`_residue_maps` takes the images to power-basis coordinates
+    modulo p, and the primes are joined to a modulus M.  Each coordinate c
+    is recovered against the common denominator e of those before it in
+    its vector: the residue of e c is reconstructed as a / b with
+    |a| <= B and 0 < b <= B / e, B = isqrt((M - 1) / 2)
+    (:func:`_rational_reconstruction`), and c = a / (b e).  The vectors are
+    returned once every coordinate reconstructs and they annihilate every
+    row exactly.
+
+    *Why they are the reduced echelon basis.*  Let the key have rank r'
+    and pivots P, and F be the other columns.  By construction v_f, f in
+    F, is one at f, zero at the rest of F, and nonzero elsewhere only on
+    pivots left of f, so the vectors are independent and the last nonzero
+    entry of v_f is at f.  (1) They annihilate every row, so
+    dim ker >= |F|.  (2) A minor of the rows on the columns P is nonzero
+    modulo p, hence nonzero, so dim ker <= ncols - r' = |F|; they are a
+    basis.  (3) The last nonzero positions of the vectors of a space of
+    dimension |F| form a set of |F| columns, here F, and a kernel vector
+    that vanishes on F is zero.  So F and the vectors depend on the kernel
+    alone, and they are what :func:`_kernel_basis` returns.
+
+    *Why it ends.*  Over the field R = A_P^(-1) A for the true pivots P
+    and delta = det A_P.  A map with sigma_u(delta) != 0 modulo p keeps
+    the columns P independent, and the rank of every leading block of
+    columns can only drop modulo p, so its pivots are P and its reduced
+    form is the image of R; any other map has a lower rank, or the same
+    rank with pivots further right, a worse key.  Such a bad prime divides
+    N(delta) = prod_u sigma_u(delta), a nonzero integer, so only finitely
+    many primes are bad, and after them only good primes are joined.  Let
+    H^2 = prod_i sum_j ||a_ij||_1^2, with ||x||_1 the sum of the absolute
+    values of the coordinates.  Since |sigma(x)| <= ||x||_1 for every
+    complex embedding sigma, Hadamard's inequality gives |sigma(m)| <= H
+    for every r x r minor m.  By Cramer's rule an entry of a basis vector
+    is m / delta = m c / N(delta), c the product of the other conjugates
+    of delta, and |sigma(m c)| <= H^phi(n); so, by the Lagrange bound C_n
+    of :func:`_lagrange_bound`, its coordinates are x / N(delta) with
+    |x| <= C_n H^phi(n) and |N(delta)| <= H^phi(n).  Let X be the larger
+    bound.  Each e divides N(delta), so e c reduces to a fraction with
+    numerator at most |x| and denominator at most |N(delta)| / e.  Once
+    M > 2 X^2 + 1, B >= X and 2 B^2 < M, so the reconstruction of every
+    coordinate is unique and true, and the vectors pass the check.
+    """
+    scalar = ring.base is None
+    n = 1 if scalar else ring.n
+    best, coords, modulus, k = None, None, 1, 0
+    while True:
+        p, maps, lagrange = _residue_maps(n, k)
+        k += 1
+        kernels = [_kernel_mod([_image(row, p, w, scalar) for row in rows], ncols, p)
+                   for w in maps]
+        pivots = kernels[0][0]
+        if any(other != pivots for other, _ in kernels):
+            continue
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, coords, modulus = key, None, 1
+        residues = [sum(map(operator.mul, col, row)) % p
+                    for col in zip(*(values for _, values in kernels)) for row in lagrange]
+        if coords is None:
+            coords = residues
+        else:
+            inv = pow(modulus, -1, p)
+            coords = [x + modulus * ((c - x) * inv % p) for x, c in zip(coords, residues)]
+        modulus *= p
+        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring, field)
+        if found is not None and _annihilates(rows, found[1], ring):
+            return found
+
+
+def _reconstruct_basis(coords: list[int], modulus: int, pivots: tuple, ncols: int,
+                       ring, field: Field):
+    """The basis of :func:`_modular_kernel` from the coordinates modulo M of
+    its entries at the pivots, and each vector times the common denominator
+    of its coordinates, over the ring; None when a coordinate does not
+    reconstruct within the bound."""
+    bound = math.isqrt((modulus - 1) // 2)
+    size = 1 if ring.base is None else ring.m
+    zero, one = field.zero(), field.one()
+    basis, cleared, at = [], [], 0
+    for f in (c for c in range(ncols) if c not in pivots):
+        left = [pc for pc in pivots if pc < f]
+        den, fracs = 1, []
+        for c in coords[at:at + size * len(left)]:
+            q = _rational_reconstruction(c * den % modulus, modulus, bound, bound // den)
+            if q is None:
+                return None
+            den *= q[1]
+            fracs.append((q[0], den))
+        at += size * len(left)
+        v, w = [zero] * ncols, [ring.zero] * ncols
+        v[f], w[f] = one, ring.scale(ring.one, den)
+        for j, pc in enumerate(left):
+            chunk = fracs[j * size:(j + 1) * size]
+            if size == 1:
+                (a, d), = chunk
+                v[pc], w[pc] = QQ(Fraction(a, d)), a * (den // d)
+            else:
+                v[pc] = FieldElement(field, tuple(Fraction(a, d) for a, d in chunk))
+                w[pc] = tuple(a * (den // d) for a, d in chunk)
+        basis.append(v)
+        cleared.append(w)
+    return basis, cleared
+
+
+def _rational_reconstruction(t: int, modulus: int, nbound: int, dbound: int):
+    """(a, b) with a = b t (mod M), |a| <= nbound and 0 < b <= dbound, by
+    the extended Euclidean algorithm stopped at the first remainder within
+    nbound (Wang, SYMSAC 1981); None if that b is out of bounds.  When
+    2 nbound dbound < M such a fraction a / b is unique."""
+    r0, r1, s0, s1 = modulus, t, 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if not 0 < s1 <= dbound:
+        return None
+    return r1, s1
+
+
+def _image(row: list, p: int, w: list[int], scalar: bool) -> list[int]:
+    """A row under the residue map with weights w (w^(uj), j < phi(n))
+    modulo p."""
+    if scalar:
+        return [x % p for x in row]
+    return [sum(map(operator.mul, x, w)) % p for x in row]
+
+
+def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[tuple, list[int]]:
+    """The pivot columns of the reduced row echelon form R of rows modulo p,
+    and the entries -R[i][f] of its kernel basis for each free column f, in
+    order, and each pivot i left of f.  The rows are reduced in place to
+    echelon form, each 1 at its pivot; then only the free columns are
+    eliminated upwards."""
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][col], -1, p)
+        rows[k] = [x * inv % p for x in rows[k]]
+        tail = rows[k][col:]
+        for row in rows[k + 1:]:
+            c = row[col]
+            if c:
+                row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    block = [[row[f] for f in free] for row in rows[:len(pivots)]]
+    for k in range(len(pivots) - 1, 0, -1):
+        col, below = pivots[k], block[k]
+        for i in range(k):
+            c = rows[i][col]
+            if c:
+                block[i] = [(x - c * y) % p for x, y in zip(block[i], below)]
+    return tuple(pivots), [-block[i][j] % p for j, f in enumerate(free)
+                           for i, pc in enumerate(pivots) if pc < f]
 
 
 def _kernel_basis(rows: list[list], ncols: int, ring, field: Field) -> list[list[FieldElement]]:
@@ -494,18 +683,17 @@ def _kernel_basis(rows: list[list], ncols: int, ring, field: Field) -> list[list
     return basis
 
 
-def _independent_mod_prime(rows: list[list], ncols: int, ring) -> list[int] | None:
-    """Indices of rows, in order, that are linearly independent modulo the
-    ring's prime, picked greedily until ``ncols`` are found; None when the
-    ring has no residue map.  Their residues form an echelon system with
-    distinct pivots, so some maximal minor is nonzero modulo p."""
-    if ring.residue is None:
-        return None
-    p, residue = ring.prime, ring.residue
+def _independent_mod_prime(rows: list[list], ncols: int, n: int, k: int) -> list[int]:
+    """Indices of rows over Z (n = 1) or Z[zeta_n], in order, that are
+    linearly independent modulo the k-th prime of :func:`_residue_maps`
+    under its first residue map, picked greedily until ``ncols`` are found.
+    Their residues form an echelon system with distinct pivots, so some
+    maximal minor is nonzero modulo p."""
+    p, maps, _ = _residue_maps(n, k)
     reduced: dict[int, list[int]] = {}      # pivot column -> row, 1 at the pivot
     picked = []
     for i, row in enumerate(rows):
-        v = [residue(x) for x in row]
+        v = _image(row, p, maps[0], n == 1)
         for col in range(ncols):
             c = v[col]
             if not c:
@@ -524,18 +712,47 @@ def _independent_mod_prime(rows: list[list], ncols: int, ring) -> list[int] | No
     return picked
 
 
-def _annihilates(rows: list[list], v: list[FieldElement], ring) -> bool:
-    """Whether every row times v is exactly zero, over the ring."""
-    zero, mul, add = ring.zero, ring.mul, ring.add
-    _, w = ring.clear(v)
-    support = [(j, x) for j, x in enumerate(w) if x != zero]
+def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
+    """Whether every row times every vector is exactly zero over Z or
+    Z[zeta_n].
+
+    Over Z[zeta_n] an element sum_k c_k zeta^k is packed into the integer
+    sum_k c_k 2^(sk) (Kronecker substitution), so that the product of two
+    packed elements is their product as polynomials in zeta before the
+    reduction modulo Phi_n.  Each coefficient of a row's sum of products
+    is at most ncols phi(n) max|a| max|w| in absolute value, below 2^(s-1)
+    for the slot width s taken here, so the sum unpacks into its signed
+    coefficients, which the ring reduces modulo Phi_n
+    (:meth:`at_power`)."""
+    if not rows or not vectors:
+        return True
+    if ring.base is None:
+        return not any(sum(map(operator.mul, row, w)) for row in rows for w in vectors)
+    m = ring.m
+
+    def bits(vs: list[list]) -> int:
+        return max(abs(c).bit_length() for v in vs for x in v for c in x)
+    s = bits(rows) + bits(vectors) + (len(rows[0]) * m).bit_length() + 1
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+
+    def pack(x) -> int:
+        return sum(c << (s * k) for k, c in enumerate(x) if c)
+    packed = [[pack(x) for x in w] for w in vectors]
     for row in rows:
-        acc = zero
-        for j, x in support:
-            if row[j] != zero:
-                acc = add(acc, mul(row[j], x))
-        if acc != zero:
-            return False
+        a = [pack(x) for x in row]
+        for w in packed:
+            total = sum(map(operator.mul, a, w))
+            if not total:
+                continue
+            coeffs = []
+            for _ in range(2 * m - 1):
+                c = total & mask
+                if c >= half:
+                    c -= mask + 1
+                coeffs.append(c)
+                total = (total - c) >> s
+            if any(ring.at_power(coeffs, 1)):
+                return False
     return True
 
 

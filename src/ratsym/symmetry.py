@@ -28,7 +28,8 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
-from .poly import Poly, _ring_mul, nullspace, poly_gcd, resultant
+from .poly import (Poly, _resultant_mod, _ring_mul, nullspace, poly_gcd,
+                   resultant)
 from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
                      maps_equal, ProjPoint)
 
@@ -184,6 +185,15 @@ class CyclicFamily:
         return Poly(self.field, self.b)
 
     def validate(self) -> None:
+        """The case conditions, and P and Q coprime: coprime exactly when
+        Res(P, Q) at the actual degrees is nonzero.  Its image under the
+        residue map of Z or Z[zeta_n] onto F_p is taken by Euclid over F_p
+        (:func:`_resultant_mod`) on the coefficients cleared of
+        denominators, which scales Res by a nonzero integer; the Sylvester
+        determinant commutes with the map, so a nonzero image proves
+        Res != 0.  Only when the image is zero, and always over a quadratic
+        layer, which has no residue map, is the resultant taken exactly, by
+        Bareiss over the integral ring."""
         ar, b0, br = self.a[self.r], self.b[0], self.b[self.r]
         if self.case == "A":
             if ar.is_zero() or b0.is_zero():
@@ -198,8 +208,11 @@ class CyclicFamily:
         P, Q = self.psi_num(), self.psi_den()
         if P.is_zero() or Q.is_zero():
             raise CoefficientConditionViolated("psi must be a nonzero quotient")
-        # coprime exactly when the resultant at the actual degrees is
-        # nonzero; it is taken on the integral ring, with no field division
+        ring = _integral_ring(self.field)
+        if ring.residue is not None:
+            f, g = ([ring.residue(x) for x in ring.clear(h.coeffs)[1]] for h in (P, Q))
+            if _resultant_mod(f, g, ring.prime):
+                return
         if resultant(P, Q, P.degree, Q.degree).is_zero():
             raise CoefficientConditionViolated(
                 "numerator and denominator of psi must be coprime")
@@ -398,15 +411,15 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     to s, t, u, w with a common denominator e, and the columns are the
     products U^j V^(d-j) of U = t + s z and V = w + u z, with the lam terms
     sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
-    the entry over the field, and is divided by e^d once at the end.  The
-    sign that fails has kernel {0}, which :func:`nullspace` settles by its
-    rank modulo a prime.
+    the entry over the field, which leaves the kernel as it is.  The sign
+    that fails has kernel {0}, which :func:`nullspace` settles by its rank
+    modulo a prime.
     """
     T, B = standard_generators(GroupSpec("A4"))
     field = B.field
     ring = _integral_ring(field)
     r = d // 3
-    e, (s, t, u, w) = ring.clear(B.entries())
+    _, (s, t, u, w) = ring.clear(B.entries())
     # unknowns a_0..a_r, b_1..b_r as (is a numerator coefficient, exponent)
     unknowns = ([(True, 3 * k) for k in range(r + 1)]
                 + [(False, 3 * k - 1) for k in range(1, r + 1)])
@@ -416,8 +429,7 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
         upow.append(_ring_mul(ring, upow[-1], [t, s]))
         vpow.append(_ring_mul(ring, vpow[-1], [w, u]))
     subs = [_ring_mul(ring, upow[j], vpow[d - j]) for _, j in unknowns]
-    scale = e ** d
-    entries = [[ring.to_field(x, scale) for x in sub] for sub in subs]
+    entries = [[ring.to_field(x, 1) for x in sub] for sub in subs]
     c_half = ring.one                 # c^((d-1)/2), times e^(d-1)
     for _ in range((d - 1) // 2):
         c_half = ring.mul(c_half, ring.add(ring.mul(s, s), ring.mul(t, u)))
@@ -431,8 +443,8 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
             col = entry + blank if in_num else blank + entry
             top, bottom = (sub[j], ring.zero) if in_num else (ring.zero, sub[j])
             hi, lo = (s, u) if in_num else (t, w)
-            col[j] = ring.to_field(ring.sub(top, ring.mul(lam, hi)), scale)
-            col[d + 1 + j] = ring.to_field(ring.sub(bottom, ring.mul(lam, lo)), scale)
+            col[j] = ring.to_field(ring.sub(top, ring.mul(lam, hi)), 1)
+            col[d + 1 + j] = ring.to_field(ring.sub(bottom, ring.mul(lam, lo)), 1)
             cols.append(col)
         rows = [[col[i] for col in cols] for i in range(2 * d + 2)]
         for v in nullspace(rows, len(unknowns), field):

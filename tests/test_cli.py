@@ -290,6 +290,27 @@ def test_zero_divisor_exits_4_inside_validate(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("value", ["1e5000", "0.5", "1_000", " 3/4", 1.5, 3])
+def test_validate_exits_4_on_a_coefficient_that_is_not_p_over_q(tmp_path, capsys, value):
+    # Fraction() would read all but the JSON numbers, and "1e1000000" would
+    # cost a 3.3-Mbit integer: only "p" and "p/q" are read
+    good = tmp_path / "w.json"
+    code, _ = run_cli(["witness", "3", "4", "--out-file", str(good)], capsys)
+    assert code == 0
+    bad = tmp_path / "bad.json"
+    for place in ("family", "autos"):
+        doc = json.loads(good.read_text())
+        if place == "family":
+            doc["family"]["a"][0] = value
+        else:
+            doc["autos"][0]["matrix"]["entries"][0]["coeffs"][1] = value
+        bad.write_text(canon_dumps(doc))
+        code, out = run_cli(["validate", str(bad)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "not a rational number" in json.loads(out)["reason"]
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
                                                              monkeypatch):
     # out of range, and not an integer: JSON true would pass as 1

@@ -12,7 +12,8 @@ real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
 compositions.  The residue maps of Z[zeta_n] that the modular rank test of
-``nullspace`` uses are checked to respect sums and products.  Products,
+``nullspace`` uses are checked to respect sums and products, and its
+kernel bases over Q are compared with sympy's ``Matrix.nullspace``.  Products,
 inverses and complex conjugates in Q(zeta_n), which run on the integral ring
 Z[zeta_n], are compared with sympy's remainder, inverse and substitution
 modulo Phi_n, and the field axioms are checked over the icosahedral layer.
@@ -35,7 +36,7 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
 from ratsym.poly import (Poly, _prime, _squarefree_z,  # noqa: E402
-                         pencil_resultant, poly_eval, poly_gcd, resultant,
+                         nullspace, pencil_resultant, poly_eval, poly_gcd, resultant,
                          squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
@@ -373,6 +374,33 @@ def test_residue_map_is_a_ring_homomorphism(triple):
     assert h(ring.add(a, b)) == (h(a) + h(b)) % p
     assert h(ring.mul(a, b)) == h(a) * h(b) % p
     assert h(ring.one) == 1 and h(ring.zero) == 0
+
+
+@st.composite
+def rational_matrices(draw):
+    # the product of an m x k and a k x n matrix has rank at most k; the
+    # 60-bit entries give kernels that need several primes
+    m, n, k = draw(st.integers(0, 5)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-5, 5), st.integers(-2 ** 60, 2 ** 60),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((Fraction(a) * Fraction(right[t][j]) for t, a in enumerate(row)),
+                 Fraction(0)) for j in range(n)] for row in left], n
+
+
+@SETTINGS
+@given(rational_matrices())
+@example(([[Fraction(_integral_ring(QQ).prime), Fraction(1)]], 2))
+def test_nullspace_matches_sympy(problem):
+    # sympy's nullspace is the reduced echelon basis too: one vector per
+    # free column, one there and zero at the other free columns
+    rows, n = problem
+    got = nullspace([[QQ(x) for x in row] for row in rows], n, QQ)
+    M = sp.Matrix(len(rows), n, [sp.Rational(x.numerator, x.denominator)
+                                 for row in rows for x in row])
+    expect = [[QQ(Fraction(int(x.p), int(x.q))) for x in v] for v in M.nullspace()]
+    assert got == expect
 
 
 CONDUCTORS = [3, 4, 5, 7, 8, 12, 15, 20]

@@ -1,6 +1,8 @@
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField
+from ratsym import mobius
+from ratsym.fields import (QQ, CyclotomicField, QuadraticField, lift, root_of_unity,
+                           root_of_unity_field)
 from ratsym.mobius import (CapExceeded, GroupSpec, MobiusMap, group_closure,
                            identity, inversion, mobius_order, rotation, scaling,
                            standard_generators)
@@ -104,3 +106,35 @@ def test_order_bound_follows_the_field_degree():
     # infinite order over Q and over a cyclotomic field
     assert mobius_order(scaling(QQ(2))) is None
     assert mobius_order(scaling(CyclotomicField(12).zeta(1) * 2)) is None
+
+
+def _order_by_composition(T):
+    # the oracle: compose until T^k is scalar, up to the same cutoff
+    cutoff = mobius._largest_order(2 * mobius._absolute_degree(T.field))
+    acc = T
+    for k in range(1, cutoff + 1):
+        if acc.is_identity():
+            return k
+        acc = acc.compose(T)
+    return None
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_order_of_conjugated_rotations_matches_composition(k):
+    # h R_k h^-1 over Q(zeta_k) and over the layer with sqrt(7), which no
+    # Q(zeta_k) with k < 28 contains
+    F = root_of_unity_field(k)
+    for K in (F, QuadraticField(F, F(7))):
+        s = K.sqrt_delta() if isinstance(K, QuadraticField) else K(3)
+        h = MobiusMap(K, 1, s, 1, 2)
+        T = h.compose(scaling(lift(root_of_unity(k), K))).compose(h.inverse())
+        assert mobius_order(T) == _order_by_composition(T) == k
+
+
+def test_order_of_scalar_parabolic_and_elliptic_maps():
+    QI = CyclotomicField(4)
+    cases = [(MobiusMap(QQ, 2, 0, 0, 2), 1),                 # 2 I
+             (MobiusMap(QQ, 1, 1, 0, 1), None),              # z -> z + 1
+             (scaling((3 + 4 * QI.zeta()) / 5), None)]       # |lambda| = 1
+    for T, order in cases:
+        assert mobius_order(T) == _order_by_composition(T) == order

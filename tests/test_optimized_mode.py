@@ -52,6 +52,16 @@ def test_witness_validates_under_O(tmp_path):
     assert "automorphism verification failed" in rejected.stdout
     assert "Traceback" not in rejected.stderr
 
+    # the involution recorded with order 4: the order check rejects it
+    doc = json.loads(out.read_text())
+    auto = next(a for a in doc["autos"] if a["order"] == 2)
+    auto["order"] = 4
+    bad.write_text(json.dumps(doc))
+    rejected = _ratsym_O("validate", str(bad))
+    assert rejected.returncode == 4
+    assert "automorphism verification failed" in rejected.stdout
+    assert "Traceback" not in rejected.stderr
+
 
 def test_case_a_to_case_c_chain_validates_under_O(tmp_path):
     fams = [random_cyclic_family(random.Random(31), 2, 3, "A"),

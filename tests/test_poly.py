@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -255,7 +256,7 @@ def _tetrahedral_layer():
 KERNEL_FIELDS = [QQ, CyclotomicField(3), CyclotomicField(5), CyclotomicField(12),
                  QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)),
                  QuadraticField(QQ, QQ(Fraction(-3, 4))),
-                 icosahedral_field(), _tetrahedral_layer()]
+                 icosahedral_field(), _tetrahedral_layer(), CyclotomicField(4)]
 
 
 def _random_elements(K, rng):
@@ -298,7 +299,7 @@ def test_integer_kernel_matches_the_field_route(K):
 
 
 @pytest.mark.parametrize("K", KERNEL_FIELDS)
-def test_nullspace_matches_gauss_jordan(K):
+def test_nullspace_matches_gauss_jordan(K, monkeypatch):
     # random matrices of rank k < min(rows, cols), with a zero row and a
     # zero column spliced in, and the matrix with no rows
     rng = random.Random(37)
@@ -312,13 +313,103 @@ def test_nullspace_matches_gauss_jordan(K):
         i, j = rng.randrange(nrows + 1), rng.randrange(ncols + 1)
         rows.insert(i, [zero] * ncols)
         rows = [row[:j] + [zero] + row[j:] for row in rows]
-        basis = nullspace(rows, ncols + 1, K)
-        assert basis == gauss_jordan_nullspace(rows, ncols + 1, K)
-        assert len(basis) == ncols + 1 - rank
-        for v in basis:
-            for row in rows:
-                assert sum((a * b for a, b in zip(row, v)), zero).is_zero()
+        _assert_gauss_jordan(rows, ncols + 1, K)
+        assert len(nullspace(rows, ncols + 1, K)) == ncols + 1 - rank
     assert nullspace([], 3, K) == gauss_jordan_nullspace([], 3, K)
+
+    # entries of about 300 bits over a kernel with small coordinates
+    big = 2 ** 300 + 2 ** 151 + 1
+    left = [[K(big + 7 * a) + relem() for a in range(2)] for _ in range(4)]
+    right = [[relem() for _ in range(5)] for _ in range(2)]
+    rows = [[sum((a * right[t][j] for t, a in enumerate(row)), zero)
+             for j in range(5)] for row in left]
+    assert max(_height(x) for row in rows for x in row) > 290
+    _assert_gauss_jordan(rows, 5, K)
+
+    # kernel coordinates of about 100 bits: the reduced basis vector of
+    # (x, y, 1) is (-y/x, 1, 0) and (-1/x, 0, 1), so the modular route needs
+    # at least 4 primes of 30 bits (over a quadratic layer: Bareiss)
+    x, y = K(3 ** 63 + 2) + relem(), K(5 ** 43 + 4) + relem()
+    primes = _residue_map_calls(monkeypatch)
+    basis = _assert_gauss_jordan([[x, y, K.one()]], 3, K)
+    assert max(_height(c) for v in basis for c in v) >= 95
+    if fields._integral_ring(K).residue is not None:
+        assert max(primes) >= 3
+    monkeypatch.undo()
+
+
+def _height(x) -> int:
+    # the largest bit length of a numerator or denominator of x
+    parts = x.payload if isinstance(x.payload, tuple) else (x.payload,)
+    return max(_height(c) if not isinstance(c, Fraction) else
+               max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for c in parts)
+
+
+def _assert_gauss_jordan(rows, ncols, K):
+    basis = nullspace(rows, ncols, K)
+    assert basis == gauss_jordan_nullspace(rows, ncols, K)
+    for v in basis:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, v)), K.zero()).is_zero()
+    return basis
+
+
+def _residue_map_calls(monkeypatch):
+    # the prime indices k at which the modular kernel takes residue maps
+    calls = []
+    real = poly._residue_maps
+
+    def spy(n, k):
+        calls.append(k)
+        return real(n, k)
+    monkeypatch.setattr(poly, "_residue_maps", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 12])
+def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
+    # zeta - w^u vanishes under the residue map zeta -> w^u of the first
+    # prime only: there the pivots of that map differ from the others', the
+    # prime is dropped, and the basis comes from the primes after it
+    F = CyclotomicField(n)
+    p, maps, _ = poly._residue_maps(n, 0)
+    u = 2 if n == 5 else 5 if n == 12 else 3
+    wu = maps[[k for k in range(n) if math.gcd(k, n) == 1].index(u)][1]
+    assert wu == pow(maps[0][1], u, p)
+    small = F.zeta() - F(wu)
+    one, zero = F.one(), F.zero()
+    rows = [[small, one, zero, one], [zero, zero, one, small],
+            [small, one, one, one + small]]
+    kernels = []
+    real = poly._kernel_mod
+
+    def spy(images, ncols, prime):
+        out = real(images, ncols, prime)
+        kernels.append((prime, out[0]))
+        return out
+    monkeypatch.setattr(poly, "_kernel_mod", spy)
+    _assert_gauss_jordan(rows, 4, F)
+    first = [pivots for prime, pivots in kernels if prime == p]
+    assert len(set(first)) == 2 and len(first) == F.degree
+    assert any(prime != p for prime, _ in kernels)
+
+
+def test_nullspace_restarts_at_a_better_prime(monkeypatch):
+    # over Q the first prime puts the pivot of (p, 1) in column 1, the next
+    # prime in column 0: its key is better and the reconstruction restarts
+    p = fields._RationalIntegers.prime
+    kernels = []
+    real = poly._kernel_mod
+
+    def spy(images, ncols, prime):
+        out = real(images, ncols, prime)
+        kernels.append(out[0])
+        return out
+    monkeypatch.setattr(poly, "_kernel_mod", spy)
+    basis = _assert_gauss_jordan([[QQ(p), QQ(1)]], 2, QQ)
+    assert basis == [[QQ(Fraction(-1, p)), QQ(1)]]
+    assert kernels[:2] == [(1,), (0,)]
 
 
 def test_integer_kernel_divisions_raise():
@@ -372,21 +463,22 @@ def test_nullspace():
 
 
 def _kernel_routes(monkeypatch):
-    # the row counts that _kernel_basis is called with, in order
+    # the row counts that _modular_kernel is called with, in order
     calls = []
-    real = poly._kernel_basis
+    real = poly._modular_kernel
 
     def spy(rows, ncols, ring, field):
         calls.append(len(rows))
         return real(rows, ncols, ring, field)
-    monkeypatch.setattr(poly, "_kernel_basis", spy)
+    monkeypatch.setattr(poly, "_modular_kernel", spy)
     return calls
 
 
 def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
     # an entry that is a multiple of the prime over Q, and zeta - w over
     # Q(zeta_12), vanishes modulo p: the picked rows then have a kernel too
-    # large, the exact check rejects it, and all rows are eliminated
+    # large, the exact check on the other rows rejects it, and the rows are
+    # picked again with the next prime, which finds both
     F = CyclotomicField(12)
     w = fields._integral_ring(F)._weights[1]
     for K, small in ((QQ, QQ(fields._RationalIntegers.prime)), (F, F.zeta() - F(w))):
@@ -398,7 +490,7 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
                 [one + one, one + one, zero, one + one]]
         calls = _kernel_routes(monkeypatch)
         basis = nullspace(rows, 4, K)
-        assert calls == [1, 3]
+        assert calls == [1, 2]
         assert basis == gauss_jordan_nullspace(rows, 4, K)
         assert len(basis) == 2
         monkeypatch.undo()
@@ -416,15 +508,57 @@ def test_nullspace_full_rank_mod_p_returns_nothing(monkeypatch):
 
 
 def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
-    # rank 2 in 4 rows: two rows are eliminated, and the check on the other
-    # two passes
+    # rank 2 in 4 rows: two rows are reduced modulo primes, and the exact
+    # check on the other two passes
     F = CyclotomicField(12)
     z = F.zeta()
     r1, r2 = [F(1), z, F(0), F(2)], [F(0), F(1), z, z ** 2]
     rows = [r1, r2, [a + z * b for a, b in zip(r1, r2)], [a * 3 for a in r2]]
     calls = _kernel_routes(monkeypatch)
+    eliminated = []
+    real = poly._kernel_mod
+
+    def spy(images, ncols, p):
+        eliminated.append(len(images))
+        return real(images, ncols, p)
+    monkeypatch.setattr(poly, "_kernel_mod", spy)
     assert nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
-    assert calls == [2]
+    assert calls == [2] and set(eliminated) == {2}
+
+
+def test_nullspace_over_a_quadratic_layer_is_bareiss(monkeypatch):
+    # no residue map: all rows go to _kernel_basis, none to the primes
+    K = QuadraticField(QQ, QQ(-3))
+    s = K.sqrt_delta()
+    rows = [[K.one(), s, K(2)], [s, K(-3), 2 * s], [K(2), 2 * s, K(4)]]
+    calls = _kernel_routes(monkeypatch)
+    bareiss = []
+    real = poly._kernel_basis
+
+    def spy(rows, ncols, ring, field):
+        bareiss.append(len(rows))
+        return real(rows, ncols, ring, field)
+    monkeypatch.setattr(poly, "_kernel_basis", spy)
+    basis = _assert_gauss_jordan(rows, 3, K)
+    assert len(basis) == 2 and calls == [] and bareiss == [3]
+
+
+def test_annihilation_check_packs_sums_at_full_width():
+    # with a = (c1 + c2 zeta) and three copies each of a zeta^2 * zeta^2 and
+    # a * (1 - zeta^2), the row times w is 3 (c1 + c2 x) Phi_12(x) before the
+    # reduction: zero in Z[zeta_12], with coefficients 3 c1 > 2^62 and
+    # 3 c2 = 2^62 - 1 that a slot of bits(a) + bits(w) + 1 = 63 bits,
+    # without the sum's ncols * phi(n), would carry into the wrong digits
+    ring = fields._integral_ring(CyclotomicField(12))
+    c1, c2 = 2 ** 61 - 1, (2 ** 62 - 1) // 3
+    row = [(0, 0, c1, c2)] * 3 + [(c1, c2, 0, 0)] * 3
+    w = [(0, 0, 1, 0)] * 3 + [(1, 0, -1, 0)] * 3
+    assert poly._annihilates([row], [w], ring)
+    w[-1] = (1, 0, -1, 1)
+    assert not poly._annihilates([row], [w], ring)
+    integers = fields._RationalIntegers
+    assert poly._annihilates([[c1, -2 * c1]], [[2 * c1, c1]], integers)
+    assert not poly._annihilates([[c1, -2 * c1]], [[2 * c1, c1 + 1]], integers)
 
 
 def test_residue_map_checks_its_prime():

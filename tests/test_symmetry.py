@@ -4,7 +4,7 @@ import random
 import pytest
 from test_poly import gauss_jordan_nullspace
 
-from ratsym import symmetry
+from ratsym import fields, symmetry
 from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
                            standard_generators)
@@ -123,6 +123,31 @@ def test_coprimality_by_resultant_agrees_with_gcd(K):
         assert accepted == coprime
         outcomes.add(coprime)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(12)], ids=repr)
+def test_coprimality_falls_back_when_the_image_vanishes(K, monkeypatch):
+    # Res(x, x + c) = c is nonzero, but its image under the residue map is
+    # zero for c = p over Q and c = zeta - w over Q(zeta_12): the exact
+    # resultant decides then, and only then
+    ring = fields._integral_ring(K)
+    c = K(ring.prime) if K == QQ else K.zeta() - K(ring._weights[1])
+    assert ring.residue(ring.clear([c])[1][0]) == 0
+    calls = []
+    real = symmetry.resultant
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(symmetry, "resultant", spy)
+    CyclicFamily(2, 1, "A", (K.zero(), K.one()), (c, K.one()))
+    assert len(calls) == 1
+    CyclicFamily(2, 1, "A", (K.one(), K.one()), (K(2), K.one()))
+    assert len(calls) == 1
+    # (x + 1)(x + 2) and (x + 1)(x + 3) share a factor
+    with pytest.raises(CoefficientConditionViolated):
+        CyclicFamily(2, 2, "A", (K(2), K(3), K.one()), (K(3), K(4), K.one()))
+    assert len(calls) == 2
 
 
 def test_case_c_forces_nonzero_constant_term():
