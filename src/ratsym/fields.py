@@ -23,7 +23,7 @@ quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
 zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
 The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
-``symmetry.CyclicFamily`` uses for its coprimality test;
+``poly.resultant`` uses for its one modular image;
 ``poly.pencil_resultant`` and ``poly.nullspace`` take all phi(n) of them,
 at a sequence of primes p = 1 (mod n).
 """
@@ -706,8 +706,7 @@ def sign_real(a: FieldElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# residue maps to F_p, for the modular kernels of poly and the
-# coprimality test of symmetry
+# residue maps to F_p, for the modular kernels and resultant images of poly
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:

@@ -779,7 +779,8 @@ def _sylvester_det(ring, fa: list, ga: list):
     return m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
 
 
-def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
+def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int, *,
+              modular: bool = False):
     """Determinant of the Sylvester matrix at the stated formal degrees.
 
     Vanishes exactly when the formal-degree homogenisations share a
@@ -787,6 +788,13 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
     (a shared root at infinity).  Each coefficient vector is cleared of
     denominators once, and the determinant is taken over the field's
     integral ring by :func:`_echelon`.
+
+    With ``modular=True`` the call returns instead an int: the image of
+    that determinant of the cleared rows, which is Res times a nonzero
+    integer, under the residue map of Z or Z[zeta_n] onto F_p, by Euclid
+    over F_p (:func:`_resultant_mod`).  The determinant commutes with the
+    map, so a nonzero image proves Res != 0; zero proves nothing.  A
+    quadratic layer has no residue map, and its image is 0.
     """
     if f.field != g.field:
         raise FieldMismatch("resultant operands in different fields")
@@ -796,6 +804,11 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
     # the rows of f are scaled by its denominator, those of g by its own
     df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
     dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
+    if modular:
+        if ring.residue is None:
+            return 0
+        return _resultant_mod(list(map(ring.residue, fa)),
+                              list(map(ring.residue, ga)), ring.prime)
     return ring.to_field(_sylvester_det(ring, fa, ga),
                          df ** formal_deg_g * dg ** formal_deg_f)
 

@@ -28,8 +28,7 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
-from .poly import (Poly, _resultant_mod, _ring_mul, nullspace, poly_gcd,
-                   resultant)
+from .poly import Poly, _ring_mul, nullspace, poly_gcd, resultant
 from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
                      maps_equal, ProjPoint)
 
@@ -186,11 +185,9 @@ class CyclicFamily:
 
     def validate(self) -> None:
         """The case conditions, and P and Q coprime: coprime exactly when
-        Res(P, Q) at the actual degrees is nonzero.  Its image under the
-        residue map of Z or Z[zeta_n] onto F_p is taken by Euclid over F_p
-        (:func:`_resultant_mod`) on the coefficients cleared of
-        denominators, which scales Res by a nonzero integer; the Sylvester
-        determinant commutes with the map, so a nonzero image proves
+        Res(P, Q) at the actual degrees is nonzero.  One image of Res under
+        the residue map of Z or Z[zeta_n] onto F_p (:func:`resultant` with
+        ``modular=True``) is taken first, and a nonzero image proves
         Res != 0.  Only when the image is zero, and always over a quadratic
         layer, which has no residue map, is the resultant taken exactly, by
         Bareiss over the integral ring."""
@@ -208,11 +205,8 @@ class CyclicFamily:
         P, Q = self.psi_num(), self.psi_den()
         if P.is_zero() or Q.is_zero():
             raise CoefficientConditionViolated("psi must be a nonzero quotient")
-        ring = _integral_ring(self.field)
-        if ring.residue is not None:
-            f, g = ([ring.residue(x) for x in ring.clear(h.coeffs)[1]] for h in (P, Q))
-            if _resultant_mod(f, g, ring.prime):
-                return
+        if resultant(P, Q, P.degree, Q.degree, modular=True):
+            return
         if resultant(P, Q, P.degree, Q.degree).is_zero():
             raise CoefficientConditionViolated(
                 "numerator and denominator of psi must be coprime")
