@@ -22,10 +22,10 @@ Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the base's ring for a
 quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
 zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
-The rings of Z and Z[zeta_n] carry a residue homomorphism onto F_p, which
-``poly.resultant`` uses for its one modular image;
-``poly.pencil_resultant`` and ``poly.nullspace`` take all phi(n) of them,
-at a sequence of primes p = 1 (mod n).
+Z and Z[zeta_n] have residue homomorphisms onto F_p, zeta -> w^u for the
+roots w^u of Phi_n modulo primes p = 1 (mod n) (:func:`_residue_prime`,
+:func:`_root_of_unity_mod`), which ``poly.pencil_resultant`` and
+``poly.nullspace`` take; a quadratic layer has none.
 """
 
 from __future__ import annotations
@@ -706,7 +706,7 @@ def sign_real(a: FieldElement) -> int:
 
 
 # ---------------------------------------------------------------------------
-# residue maps to F_p, for the modular kernels and resultant images of poly
+# primes and roots of unity modulo them, for the modular kernels of poly
 # ---------------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
@@ -780,14 +780,9 @@ def _fractions(v, den: int) -> tuple[Fraction, ...]:
 
 
 class _RationalIntegers:
-    """Z inside Q; elements are ints.  Its residue map is a -> a mod p."""
+    """Z inside Q; elements are ints."""
     zero, one, base = 0, 1, None
     add, sub, mul = operator.add, operator.sub, operator.mul
-    prime = _residue_prime(1)
-
-    @staticmethod
-    def residue(a: int) -> int:
-        return a % _RationalIntegers.prime
 
     @staticmethod
     def scale(a: int, k: int) -> int:
@@ -819,10 +814,7 @@ class _CyclotomicIntegers:
 
     Phi_n is monic with integer coefficients, so every power of zeta has
     integer coordinates.  One table holds them for zeta^j, j < n, and serves
-    reduction, conjugation and lifting (:meth:`at_power`).  The residue map
-    sends zeta to a root w of Phi_n modulo the least prime p > 2^30 with
-    p = 1 (mod n); it is a ring homomorphism onto F_p because Phi_n(w) = 0
-    there."""
+    reduction, conjugation and lifting (:meth:`at_power`)."""
     base = _RationalIntegers
 
     def __init__(self, field: CyclotomicField):
@@ -840,12 +832,6 @@ class _CyclotomicIntegers:
         self._units = [k for k in range(2, n) if math.gcd(k, n) == 1]
         self.zero = (0,) * m
         self.one = pows[0]
-        p = self.prime = _residue_prime(n)
-        w = _root_of_unity_mod(field, p)
-        self._weights = [pow(w, k, p) for k in range(m)]
-
-    def residue(self, a) -> int:
-        return sum(map(operator.mul, a, self._weights)) % self.prime
 
     @staticmethod
     def add(a, b):
@@ -925,7 +911,6 @@ class _QuadraticIntegers:
     are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
     clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta).
     It has no residue map, since sqrt(D) need not exist modulo a prime."""
-    residue = None
 
     def __init__(self, field: QuadraticField):
         self.field = field

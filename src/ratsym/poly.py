@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     InexactDivision, _integral_ring, _is_prime, _RationalIntegers,
-                     _residue_prime, _root_of_unity_mod, _zpoly_exact_quo,
-                     cyclotomic_coeffs, lift)
+                     InexactDivision, _integral_ring, _is_prime, _QuadraticIntegers,
+                     _RationalIntegers, _residue_prime, _root_of_unity_mod,
+                     _zpoly_exact_quo, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -453,7 +453,7 @@ def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
     """
     ring = _integral_ring(field)
     rows = [ring.clear(r)[1] for r in rows]
-    if ring.residue is None:
+    if isinstance(ring, _QuadraticIntegers):
         return _kernel_basis(rows, ncols, ring, field)
     n, k = 1 if ring.base is None else ring.n, 0
     picked = _independent_mod_prime(rows, ncols, n, k)
@@ -779,8 +779,7 @@ def _sylvester_det(ring, fa: list, ga: list):
     return m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
 
 
-def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int, *,
-              modular: bool = False):
+def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
     """Determinant of the Sylvester matrix at the stated formal degrees.
 
     Vanishes exactly when the formal-degree homogenisations share a
@@ -788,13 +787,6 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int, *,
     (a shared root at infinity).  Each coefficient vector is cleared of
     denominators once, and the determinant is taken over the field's
     integral ring by :func:`_echelon`.
-
-    With ``modular=True`` the call returns instead an int: the image of
-    that determinant of the cleared rows, which is Res times a nonzero
-    integer, under the residue map of Z or Z[zeta_n] onto F_p, by Euclid
-    over F_p (:func:`_resultant_mod`).  The determinant commutes with the
-    map, so a nonzero image proves Res != 0; zero proves nothing.  A
-    quadratic layer has no residue map, and its image is 0.
     """
     if f.field != g.field:
         raise FieldMismatch("resultant operands in different fields")
@@ -804,11 +796,6 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int, *,
     # the rows of f are scaled by its denominator, those of g by its own
     df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
     dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
-    if modular:
-        if ring.residue is None:
-            return 0
-        return _resultant_mod(list(map(ring.residue, fa)),
-                              list(map(ring.residue, ga)), ring.prime)
     return ring.to_field(_sylvester_det(ring, fa, ga),
                          df ** formal_deg_g * dg ** formal_deg_f)
 
@@ -862,7 +849,7 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     """
     a, b = len(f0) - 1, len(g0) - 1
     m = a + b
-    if ring.residue is None:
+    if isinstance(ring, _QuadraticIntegers):
         values, fa, ga = [], list(f0), list(g0)
         for _ in range(m + 1):
             values.append(_sylvester_det(ring, fa, ga))

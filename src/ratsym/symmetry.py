@@ -185,12 +185,8 @@ class CyclicFamily:
 
     def validate(self) -> None:
         """The case conditions, and P and Q coprime: coprime exactly when
-        Res(P, Q) at the actual degrees is nonzero.  One image of Res under
-        the residue map of Z or Z[zeta_n] onto F_p (:func:`resultant` with
-        ``modular=True``) is taken first, and a nonzero image proves
-        Res != 0.  Only when the image is zero, and always over a quadratic
-        layer, which has no residue map, is the resultant taken exactly, by
-        Bareiss over the integral ring."""
+        Res(P, Q) at the actual degrees is nonzero, which :func:`resultant`
+        decides by Bareiss over the field's integral ring."""
         ar, b0, br = self.a[self.r], self.b[0], self.b[self.r]
         if self.case == "A":
             if ar.is_zero() or b0.is_zero():
@@ -205,8 +201,6 @@ class CyclicFamily:
         P, Q = self.psi_num(), self.psi_den()
         if P.is_zero() or Q.is_zero():
             raise CoefficientConditionViolated("psi must be a nonzero quotient")
-        if resultant(P, Q, P.degree, Q.degree, modular=True):
-            return
         if resultant(P, Q, P.degree, Q.degree).is_zero():
             raise CoefficientConditionViolated(
                 "numerator and denominator of psi must be coprime")

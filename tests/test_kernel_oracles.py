@@ -11,8 +11,8 @@ against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
-compositions.  The residue maps of Z[zeta_n] that the modular rank test of
-``nullspace`` uses are checked to respect sums and products, and its
+compositions.  The residue maps of Z[zeta_n] that the modular kernels take
+are checked to respect sums and products, and the
 kernel bases over Q are compared with sympy's ``Matrix.nullspace``.  Products,
 inverses and complex conjugates in Q(zeta_n), which run on the integral ring
 Z[zeta_n], are compared with sympy's remainder, inverse and substitution
@@ -35,7 +35,7 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _integral_ring)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _prime, _squarefree_z,  # noqa: E402
+from ratsym.poly import (Poly, _prime, _residue_maps, _squarefree_z,  # noqa: E402
                          nullspace, pencil_resultant, poly_eval, poly_gcd, resultant,
                          squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
@@ -361,19 +361,27 @@ def cyclotomic_integer_pairs(draw):
     ints = st.integers(-10 ** 12, 10 ** 12)
     a, b = (tuple(draw(st.lists(ints, min_size=ring.m, max_size=ring.m)))
             for _ in range(2))
-    return ring, a, b
+    return ring, a, b, draw(st.integers(0, 2))
 
 
 @SETTINGS
 @given(cyclotomic_integer_pairs())
-def test_residue_map_is_a_ring_homomorphism(triple):
-    # zeta -> w with Phi_n(w) = 0 mod p: the map Z[zeta_n] -> F_p respects
-    # add and mul, so a minor that is nonzero mod p is nonzero in the ring
-    ring, a, b = triple
-    p, h = ring.prime, ring.residue
-    assert h(ring.add(a, b)) == (h(a) + h(b)) % p
-    assert h(ring.mul(a, b)) == h(a) * h(b) % p
-    assert h(ring.one) == 1 and h(ring.zero) == 0
+def test_residue_map_is_a_ring_homomorphism(quadruple):
+    # each zeta -> w^u with Phi_n(w^u) = 0 mod p respects add and mul, so a
+    # minor that is nonzero mod p is nonzero in the ring; the Lagrange
+    # matrix takes the phi(n) images back to the coordinates mod p
+    ring, a, b, k = quadruple
+    p, maps, lagrange = _residue_maps(ring.n, k)
+    assert len(maps) == ring.m
+    for w in maps:
+        def h(x):
+            return sum(c * y for c, y in zip(x, w)) % p
+        assert h(ring.add(a, b)) == (h(a) + h(b)) % p
+        assert h(ring.mul(a, b)) == h(a) * h(b) % p
+        assert h(ring.one) == 1 and h(ring.zero) == 0
+    images = [sum(c * y for c, y in zip(a, w)) % p for w in maps]
+    assert [sum(map(lambda x, y: x * y, row, images)) % p for row in lagrange] \
+        == [c % p for c in a]
 
 
 @st.composite
@@ -391,7 +399,7 @@ def rational_matrices(draw):
 
 @SETTINGS
 @given(rational_matrices())
-@example(([[Fraction(_integral_ring(QQ).prime), Fraction(1)]], 2))
+@example(([[Fraction(_residue_maps(1, 0)[0]), Fraction(1)]], 2))
 def test_nullspace_matches_sympy(problem):
     # sympy's nullspace is the reduced echelon basis too: one vector per
     # free column, one there and zero at the other free columns
