@@ -24,8 +24,9 @@ zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
 Z and Z[zeta_n] have residue homomorphisms onto F_p, zeta -> w^u for the
 roots w^u of Phi_n modulo primes p = 1 (mod n) (:func:`_residue_prime`,
-:func:`_root_of_unity_mod`), which ``poly.pencil_resultant`` and
-``poly.nullspace`` take; a quadratic layer has none.
+:func:`_root_of_unity_mod`), on which every resultant (through
+``poly.pencil_resultant``) and null space (``poly.nullspace``) over them
+runs; a quadratic layer has none, and its resultants run by Bareiss.
 """
 
 from __future__ import annotations

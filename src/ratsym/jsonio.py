@@ -146,13 +146,19 @@ def map_to_json(phi: RationalMap):
             "degree": phi.degree, "field": field_to_json(phi.field)}
 
 
-def map_from_json(obj) -> RationalMap:
+def _degree_from_json(obj) -> int:
+    """obj["degree"], an int in [1, MAX_DEGREE]; JSON true would pass as the
+    integer 1."""
     degree = obj["degree"]
-    # bound the stored sides before any polynomial arithmetic: make_map takes
-    # a gcd, quadratic in the length; JSON true would pass as the integer 1
     if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:
-        raise ValueError(f"map degree {degree!r} is not an integer in "
-                         f"[1, {MAX_DEGREE}]")
+        raise ValueError(f"degree {degree!r} is not an integer in [1, {MAX_DEGREE}]")
+    return degree
+
+
+def map_from_json(obj) -> RationalMap:
+    # bound the stored sides before any polynomial arithmetic: make_map takes
+    # a gcd, quadratic in the length
+    degree = _degree_from_json(obj)
     if len(obj["num"]) > degree + 1 or len(obj["den"]) > degree + 1:
         raise ValueError(f"a side of a degree-{degree} map has more than "
                          f"{degree + 1} coefficients")
@@ -321,6 +327,7 @@ def connectivity_to_json(cert: ConnectivityCertificate):
 
 
 def connectivity_from_json(obj) -> ConnectivityCertificate:
+    degree = _degree_from_json(obj)
     legs = []
     for rec in obj["legs"]:
         if rec["type"] == "path":
@@ -333,4 +340,4 @@ def connectivity_from_json(obj) -> ConnectivityCertificate:
                 target=map_from_json(rec["target"])))
         else:
             raise ValueError(f"unknown leg type {rec['type']!r}")
-    return ConnectivityCertificate(obj["degree"], tuple(legs))
+    return ConnectivityCertificate(degree, tuple(legs))

@@ -632,6 +632,8 @@ def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
                     raise CertificateInvalid(f"leg {idx}: hand-off mismatch")
                 prev_map = end
         elif isinstance(leg, ConjugationLeg):
+            if not leg.source.degree == leg.target.degree == cert.degree:
+                raise CertificateInvalid(f"leg {idx}: degree mismatch")
             expected = conjugate(leg.source, leg.conjugator)
             if not maps_equal(expected, leg.target):
                 raise CertificateInvalid(f"leg {idx}: conjugation record false")

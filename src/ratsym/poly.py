@@ -9,20 +9,20 @@ degree drop must be detectable, not silently normalised away.
 
 The kernel runs on the integral ring that :mod:`ratsym.fields` defines for
 every supported field: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
-base's ring for a quadratic layer.  :func:`det` and :func:`resultant` clear
-denominators once and run one fraction-free Bareiss elimination over that
-ring; :func:`interpolate` takes forward differences in it.  Over Z and
-Z[zeta_n], which have residue maps onto F_p, two kernels run modulo primes
-instead: :func:`pencil_resultant`, the resultant of two pencils in t that a
-path segment's obstruction polynomial is made of (Euclid over F_p, joined
-by the Chinese remainder theorem at a Hadamard bound), and
-:func:`nullspace` (row reduction over F_p, joined by the Chinese remainder
-theorem and rational reconstruction, then checked exactly).  Over a
-quadratic layer both run by Bareiss.  :func:`squarefree_norm` walks the
-tower down through the ring to Z, and :func:`sturm_roots_in_interval`
-counts in Z[x] by a modular gcd and Descartes bisection.
-The results are the same exact values, polynomials and counts as over the
-field.
+base's ring for a quadratic layer.  The ring alone picks each kernel's
+route.  :func:`pencil_resultant`, the resultant of two pencils in t that a
+path segment's obstruction polynomial is made of, runs modulo primes over
+Z and Z[zeta_n], which have residue maps onto F_p (Euclid over F_p, joined
+by the Chinese remainder theorem at a Hadamard bound), and by Bareiss's
+fraction-free elimination at the nodes over a quadratic layer;
+:func:`resultant` is its value on two constant pencils.  :func:`nullspace`
+takes rows over Z or Z[zeta_n] (row reduction over F_p, joined by the
+Chinese remainder theorem and rational reconstruction, then checked
+exactly).  :func:`interpolate` takes forward differences in the ring,
+:func:`squarefree_norm` walks the tower down through the ring to Z, and
+:func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd and
+Descartes bisection.  The results are the same exact values, polynomials
+and counts as over the field.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "poly_eval",
     "cyclotomic_polynomial",
     "interpolate",
-    "det",
     "nullspace",
     "BothZero",
     "InexactDivision",
@@ -366,103 +365,41 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# determinants, resultants and null spaces by one fraction-free elimination
+# null spaces modulo primes
 # ---------------------------------------------------------------------------
 
-def _echelon(rows: list[list], ncols: int, ring) -> tuple[list[list], list[int], int]:
-    """Row echelon form by Bareiss's fraction-free elimination (Math. Comp.
-    22, 1968), with row swaps; a column with no pivot is skipped.  Returns
-    the rows, the pivot columns and the sign of the row permutation.
+def nullspace(ring, rows: Sequence[Sequence], ncols: int) -> list[list[FieldElement]]:
+    """Exact basis of {v : rows * v = 0} for rows over Z or Z[zeta_n], the
+    integral rings of Q and Q(zeta_n) in :mod:`ratsym.fields`: one vector
+    per free column of the reduced row echelon form, in column order, which
+    is one at that column, zero at the other free columns, and solves for
+    the pivots; its entries are field elements.  This basis depends only
+    on the kernel, so the route taken does not change it.
 
-    Step k divides exactly by the previous pivot p: every entry is multiplied
-    by the norm cofactor of p, then divided by the integer N(p); a remainder
-    raises :class:`InexactDivision`.  Each entry is then a minor of the
-    input, and the last pivot of a square matrix of full rank is its
-    determinant up to the sign."""
-    a = [list(r) for r in rows]
-    zero, sign, pivots = ring.zero, 1, []
-    cof, norm = ring.one, 1
-    for col in range(ncols):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(a)) if a[i][col] != zero), None)
-        if piv is None:
-            continue
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top = a[k]
-        if k + 1 < len(a):
-            if pivots:
-                cof, norm = ring.norm_cofactor(a[k - 1][pivots[-1]])
-            p = ring.mul(top[col], cof)
-            for row in a[k + 1:]:
-                f = ring.mul(row[col], cof) if row[col] != zero else zero
-                for j in range(col + 1, ncols):
-                    # Sylvester matrices are sparse: skip products with zero
-                    v = ring.mul(p, row[j]) if row[j] != zero else zero
-                    if f != zero and top[j] != zero:
-                        v = ring.sub(v, ring.mul(f, top[j]))
-                    if norm != 1 and v != zero:
-                        v = ring.quo(v, norm)
-                    row[j] = v
-                row[col] = zero
-        pivots.append(col)
-    return a, pivots, sign
-
-
-def det(rows: Sequence[Sequence[FieldElement]], field: Field) -> FieldElement:
-    """Exact determinant: each row is cleared of denominators once, and the
-    matrix is reduced over the field's integral ring by :func:`_echelon`."""
-    n = len(rows)
-    ring = _integral_ring(field)
-    cleared = [ring.clear(r) for r in rows]
-    m, pivots, sign = _echelon([r for _, r in cleared], n, ring)
-    if len(pivots) < n:
-        return field.zero()
-    value = m[-1][-1] if n else ring.one
-    return ring.to_field(value if sign > 0 else ring.scale(value, -1),
-                         math.prod(den for den, _ in cleared))
-
-
-def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
-              field: Field) -> list[list[FieldElement]]:
-    """Exact basis of {v : rows * v = 0}: one vector per free column of the
-    reduced row echelon form, in column order, which is one at that column,
-    zero at the other free columns, and solves for the pivots.  This basis
-    depends only on the kernel, so the route taken does not change it.
-
-    Each row is cleared of denominators into the field's integral ring.
-    *Over Z and Z[zeta_n]* the rows that are independent modulo the k-th
-    prime, under its first residue map, are picked greedily
-    (:func:`_independent_mod_prime`, k = 0 first); a minor that is nonzero
-    modulo p is nonzero in the ring, so they are independent over the
-    field, and when there are ``ncols`` of them the kernel is {0}.
-    Otherwise :func:`_modular_kernel` gives the reduced echelon basis of
-    the picked rows' kernel, by row reductions over F_p joined by the
-    Chinese remainder theorem and rational reconstruction (Cabay, SYMSAC
-    1971; Wang, SYMSAC 1981), checked exactly on those rows.  That kernel
-    contains the full one, so if every vector annihilates the other rows
-    exactly the two are equal.  If one fails, the picked rows' kernel is
-    larger, so their rank over the field is below that of all rows, and
-    the rank of all rows dropped modulo the k-th prime: the rows are picked
-    again with the next prime that finds more of them.  Only finitely many
-    primes divide the norm of a nonzero minor of full rank, so this ends.
-
-    *Over a quadratic layer*, which has no residue map, :func:`_kernel_basis`
-    eliminates all rows by Bareiss's fraction-free method.
+    The rows that are independent modulo the k-th prime, under its first
+    residue map, are picked greedily (:func:`_independent_mod_prime`,
+    k = 0 first); a minor that is nonzero modulo p is nonzero in the ring,
+    so they are independent over the field, and when there are ``ncols`` of
+    them the kernel is {0}.  Otherwise :func:`_modular_kernel` gives the
+    reduced echelon basis of the picked rows' kernel, by row reductions
+    over F_p joined by the Chinese remainder theorem and rational
+    reconstruction (Cabay, SYMSAC 1971; Wang, SYMSAC 1981), checked exactly
+    on those rows.  That kernel contains the full one, so if every vector
+    annihilates the other rows exactly the two are equal.  If one fails,
+    the picked rows' kernel is larger, so their rank over the field is
+    below that of all rows, and the rank of all rows dropped modulo the
+    k-th prime: the rows are picked again with the next prime that finds
+    more of them.  Only finitely many primes divide the norm of a nonzero
+    minor of full rank, so this ends.
     """
-    ring = _integral_ring(field)
-    rows = [ring.clear(r)[1] for r in rows]
-    if isinstance(ring, _QuadraticIntegers):
-        return _kernel_basis(rows, ncols, ring, field)
     n, k = 1 if ring.base is None else ring.n, 0
     picked = _independent_mod_prime(rows, ncols, n, k)
     while len(picked) < ncols:
         chosen = set(picked)
-        basis, cleared = _modular_kernel([rows[i] for i in picked], ncols, ring, field)
+        cleared = _modular_kernel([rows[i] for i in picked], ncols, ring)
         others = [row for i, row in enumerate(rows) if i not in chosen]
-        if _annihilates(others, cleared, ring):
-            return basis
+        if _annihilates(others, [w for _, w in cleared], ring):
+            return [[ring.to_field(x, den) for x in w] for den, w in cleared]
         rank = len(picked)
         while len(picked) <= rank:
             k += 1
@@ -470,11 +407,10 @@ def nullspace(rows: Sequence[Sequence[FieldElement]], ncols: int,
     return []
 
 
-def _modular_kernel(rows: list[list], ncols: int, ring,
-                    field: Field) -> tuple[list[list[FieldElement]], list[list]]:
+def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]]:
     """The reduced echelon kernel basis of r rows over Z or Z[zeta_n] that
-    are linearly independent over the field, and each vector times the
-    common denominator of its coordinates, as ring elements.
+    are linearly independent over the field, as pairs (e, e v) of the
+    common denominator e of a vector v's coordinates and e v over the ring.
 
     *Images.*  For the k-th prime p = 1 (mod n) above 2^30, k = 0, 1, ...,
     each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
@@ -503,7 +439,7 @@ def _modular_kernel(rows: list[list], ncols: int, ring,
     basis.  (3) The last nonzero positions of the vectors of a space of
     dimension |F| form a set of |F| columns, here F, and a kernel vector
     that vanishes on F is zero.  So F and the vectors depend on the kernel
-    alone, and they are what :func:`_kernel_basis` returns.
+    alone: they are its reduced echelon basis.
 
     *Why it ends.*  Over the field R = A_P^(-1) A for the true pivots P
     and delta = det A_P.  A map with sigma_u(delta) != 0 modulo p keeps
@@ -550,21 +486,19 @@ def _modular_kernel(rows: list[list], ncols: int, ring,
             inv = pow(modulus, -1, p)
             coords = [x + modulus * ((c - x) * inv % p) for x, c in zip(coords, residues)]
         modulus *= p
-        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring, field)
-        if found is not None and _annihilates(rows, found[1], ring):
+        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring)
+        if found is not None and _annihilates(rows, [w for _, w in found], ring):
             return found
 
 
 def _reconstruct_basis(coords: list[int], modulus: int, pivots: tuple, ncols: int,
-                       ring, field: Field):
-    """The basis of :func:`_modular_kernel` from the coordinates modulo M of
-    its entries at the pivots, and each vector times the common denominator
-    of its coordinates, over the ring; None when a coordinate does not
-    reconstruct within the bound."""
+                       ring) -> list[tuple[int, list]] | None:
+    """The pairs (e, e v) of :func:`_modular_kernel` from the coordinates
+    modulo M of the basis entries at the pivots; None when a coordinate does
+    not reconstruct within the bound."""
     bound = math.isqrt((modulus - 1) // 2)
     size = 1 if ring.base is None else ring.m
-    zero, one = field.zero(), field.one()
-    basis, cleared, at = [], [], 0
+    cleared, at = [], 0
     for f in (c for c in range(ncols) if c not in pivots):
         left = [pc for pc in pivots if pc < f]
         den, fracs = 1, []
@@ -575,19 +509,13 @@ def _reconstruct_basis(coords: list[int], modulus: int, pivots: tuple, ncols: in
             den *= q[1]
             fracs.append((q[0], den))
         at += size * len(left)
-        v, w = [zero] * ncols, [ring.zero] * ncols
-        v[f], w[f] = one, ring.scale(ring.one, den)
+        w = [ring.zero] * ncols
+        w[f] = ring.scale(ring.one, den)
         for j, pc in enumerate(left):
-            chunk = fracs[j * size:(j + 1) * size]
-            if size == 1:
-                (a, d), = chunk
-                v[pc], w[pc] = QQ(Fraction(a, d)), a * (den // d)
-            else:
-                v[pc] = FieldElement(field, tuple(Fraction(a, d) for a, d in chunk))
-                w[pc] = tuple(a * (den // d) for a, d in chunk)
-        basis.append(v)
-        cleared.append(w)
-    return basis, cleared
+            x = [a * (den // d) for a, d in fracs[j * size:(j + 1) * size]]
+            w[pc] = x[0] if size == 1 else tuple(x)
+        cleared.append((den, w))
+    return cleared
 
 
 def _rational_reconstruction(t: int, modulus: int, nbound: int, dbound: int):
@@ -647,40 +575,6 @@ def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[tuple, list[
                 block[i] = [(x - c * y) % p for x, y in zip(block[i], below)]
     return tuple(pivots), [-block[i][j] % p for j, f in enumerate(free)
                            for i, pc in enumerate(pivots) if pc < f]
-
-
-def _kernel_basis(rows: list[list], ncols: int, ring, field: Field) -> list[list[FieldElement]]:
-    """The reduced echelon kernel basis of rows over the ring.
-
-    :func:`_echelon` leaves the last pivot delta, the determinant of the
-    pivot block, and by Cramer's rule delta times each basis vector lies in
-    the ring.  So the back substitution runs over the ring, dividing
-    exactly by each pivot through its norm cofactor, and each vector is
-    divided by delta once at the end."""
-    m, pivots, _ = _echelon(rows, ncols, ring)
-    zero = ring.zero
-    delta = m[len(pivots) - 1][pivots[-1]] if pivots else ring.one
-    cof, norm = ring.norm_cofactor(delta)
-    # per pivot row: its column, minus the pivot's norm cofactor, its norm,
-    # and the later nonzero entries
-    ech = []
-    for row, pc in zip(m, pivots):
-        pcof, pnorm = ring.norm_cofactor(row[pc])
-        ech.append((pc, ring.scale(pcof, -1), pnorm,
-                    [(j, row[j]) for j in range(pc + 1, ncols) if row[j] != zero]))
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[free] = delta
-        for pc, neg_cof, pnorm, entries in reversed(ech):
-            acc = zero
-            for j, x in entries:
-                if v[j] != zero:
-                    acc = ring.add(acc, ring.mul(x, v[j]))
-            if acc != zero:
-                v[pc] = ring.quo(ring.mul(acc, neg_cof), pnorm)
-        basis.append([ring.to_field(ring.mul(x, cof), norm) for x in v])
-    return basis
 
 
 def _independent_mod_prime(rows: list[list], ncols: int, n: int, k: int) -> list[int]:
@@ -756,6 +650,33 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# resultants: modulo primes over Z and Z[zeta_n], Bareiss over a quadratic layer
+# ---------------------------------------------------------------------------
+
+def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
+    """Determinant of the Sylvester matrix at the stated formal degrees.
+
+    Vanishes exactly when the formal-degree homogenisations share a
+    projective root: a common affine root, or a simultaneous degree drop
+    (a shared root at infinity).  Each coefficient vector is cleared of
+    denominators once into the field's integral ring, and the determinant
+    is :func:`pencil_resultant` of two constant pencils, which takes one
+    node: modulo primes over Z and Z[zeta_n], by Bareiss over a quadratic
+    layer.
+    """
+    if f.field != g.field:
+        raise FieldMismatch("resultant operands in different fields")
+    if f.degree > formal_deg_f or g.degree > formal_deg_g:
+        raise ValueError("formal degree below actual degree")
+    ring = _integral_ring(f.field)
+    # the rows of f are scaled by its denominator, those of g by its own
+    df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
+    dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
+    (value,) = pencil_resultant(ring, fa, [ring.zero] * len(fa), ga, [ring.zero] * len(ga))
+    return ring.to_field(value, df ** formal_deg_g * dg ** formal_deg_f)
+
+
 def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
     """Sylvester matrix of two ascending coefficient lists, each padded to its
     formal degree (its length minus one)."""
@@ -769,47 +690,52 @@ def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
 
 def _sylvester_det(ring, fa: list, ga: list):
     """The determinant over the ring of the Sylvester matrix of two ascending
-    coefficient lists at their formal degrees, by :func:`_echelon`."""
-    n = len(fa) + len(ga) - 2
-    if n == 0:
+    coefficient lists at their formal degrees, by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) with row swaps; zero at the first
+    column without a pivot.
+
+    Step k divides exactly by the previous pivot p: every entry is multiplied
+    by the norm cofactor of p, then divided by the integer N(p); a remainder
+    raises :class:`InexactDivision`.  Each entry is then a minor of the
+    matrix, and the last pivot is the determinant up to the sign."""
+    a = _sylvester_rows(fa, ga, ring.zero)
+    n, zero, sign = len(a), ring.zero, 1
+    cof, norm = ring.one, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != zero), None)
+        if piv is None:
+            return zero
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        if 0 < k < n - 1:
+            cof, norm = ring.norm_cofactor(a[k - 1][k - 1])
+        p = ring.mul(top[k], cof)
+        for row in a[k + 1:]:
+            f = ring.mul(row[k], cof) if row[k] != zero else zero
+            for j in range(k + 1, n):
+                # Sylvester matrices are sparse: skip products with zero
+                v = ring.mul(p, row[j]) if row[j] != zero else zero
+                if f != zero and top[j] != zero:
+                    v = ring.sub(v, ring.mul(f, top[j]))
+                if norm != 1 and v != zero:
+                    v = ring.quo(v, norm)
+                row[j] = v
+            row[k] = zero
+    if not n:
         return ring.one
-    m, pivots, sign = _echelon(_sylvester_rows(fa, ga, ring.zero), n, ring)
-    if len(pivots) < n:
-        return ring.zero
-    return m[-1][-1] if sign > 0 else ring.scale(m[-1][-1], -1)
+    return a[-1][-1] if sign > 0 else ring.scale(a[-1][-1], -1)
 
-
-def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
-    """Determinant of the Sylvester matrix at the stated formal degrees.
-
-    Vanishes exactly when the formal-degree homogenisations share a
-    projective root: a common affine root, or a simultaneous degree drop
-    (a shared root at infinity).  Each coefficient vector is cleared of
-    denominators once, and the determinant is taken over the field's
-    integral ring by :func:`_echelon`.
-    """
-    if f.field != g.field:
-        raise FieldMismatch("resultant operands in different fields")
-    if f.degree > formal_deg_f or g.degree > formal_deg_g:
-        raise ValueError("formal degree below actual degree")
-    ring = _integral_ring(f.field)
-    # the rows of f are scaled by its denominator, those of g by its own
-    df, fa = ring.clear([f[k] for k in range(formal_deg_f + 1)])
-    dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
-    return ring.to_field(_sylvester_det(ring, fa, ga),
-                         df ** formal_deg_g * dg ** formal_deg_f)
-
-
-# ---------------------------------------------------------------------------
-# the resultant of two pencils, modulo primes
-# ---------------------------------------------------------------------------
 
 def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     """The coefficients in t, ascending, of R(t) = Res_x(f0 + t df, g0 + t dg)
     at the formal degrees a = len(f0) - 1 and b = len(g0) - 1, for ascending
-    coefficient lists over an integral ring of :mod:`ratsym.fields`.  Every
-    entry of the Sylvester matrix is linear in t, so R has degree at most
-    m = a + b; the list has m + 1 ring elements.
+    coefficient lists over an integral ring of :mod:`ratsym.fields`.  The
+    Sylvester matrix has b rows of f and a rows of g, linear in t and
+    constant where the direction is zero, so R has degree at most
+    m = b [df != 0] + a [dg != 0]; the list has m + 1 ring elements, one
+    for two constant pencils (:func:`resultant`).
 
     *Over Z and Z[zeta_n]* (rings with a residue map) R is computed modulo
     the primes p = 1 (mod n) above 2^30 in turn, after Collins (J. ACM 18,
@@ -848,7 +774,7 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     differences give m! R, and each coefficient is divided exactly by m!.
     """
     a, b = len(f0) - 1, len(g0) - 1
-    m = a + b
+    m = b * any(x != ring.zero for x in df) + a * any(x != ring.zero for x in dg)
     if isinstance(ring, _QuadraticIntegers):
         values, fa, ga = [], list(f0), list(g0)
         for _ in range(m + 1):

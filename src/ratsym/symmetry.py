@@ -186,7 +186,8 @@ class CyclicFamily:
     def validate(self) -> None:
         """The case conditions, and P and Q coprime: coprime exactly when
         Res(P, Q) at the actual degrees is nonzero, which :func:`resultant`
-        decides by Bareiss over the field's integral ring."""
+        decides over the field's integral ring: modulo primes over Z and
+        Z[zeta_n], by Bareiss over a quadratic layer."""
         ar, b0, br = self.a[self.r], self.b[0], self.b[self.r]
         if self.case == "A":
             if ar.is_zero() or b0.is_zero():
@@ -399,9 +400,9 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     to s, t, u, w with a common denominator e, and the columns are the
     products U^j V^(d-j) of U = t + s z and V = w + u z, with the lam terms
     sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
-    the entry over the field, which leaves the kernel as it is.  The sign
-    that fails has kernel {0}, which :func:`nullspace` settles by its rank
-    modulo a prime.
+    the entry over the field, which leaves the kernel as it is, and
+    :func:`nullspace` takes the rows as they are.  The sign that fails has
+    kernel {0}, which it settles by its rank modulo a prime.
     """
     T, B = standard_generators(GroupSpec("A4"))
     field = B.field
@@ -417,25 +418,24 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
         upow.append(_ring_mul(ring, upow[-1], [t, s]))
         vpow.append(_ring_mul(ring, vpow[-1], [w, u]))
     subs = [_ring_mul(ring, upow[j], vpow[d - j]) for _, j in unknowns]
-    entries = [[ring.to_field(x, 1) for x in sub] for sub in subs]
     c_half = ring.one                 # c^((d-1)/2), times e^(d-1)
     for _ in range((d - 1) // 2):
         c_half = ring.mul(c_half, ring.add(ring.mul(s, s), ring.mul(t, u)))
     zero = field.zero()
-    blank = [zero] * (d + 1)
+    blank = [ring.zero] * (d + 1)
     for sign in (1, -1):
         lam = ring.scale(c_half, sign)
         # each unknown's column: the coefficients of Phi(M v) - lam * M Phi(v)
         cols = []
-        for (in_num, j), sub, entry in zip(unknowns, subs, entries):
-            col = entry + blank if in_num else blank + entry
+        for (in_num, j), sub in zip(unknowns, subs):
+            col = sub + blank if in_num else blank + sub
             top, bottom = (sub[j], ring.zero) if in_num else (ring.zero, sub[j])
             hi, lo = (s, u) if in_num else (t, w)
-            col[j] = ring.to_field(ring.sub(top, ring.mul(lam, hi)), 1)
-            col[d + 1 + j] = ring.to_field(ring.sub(bottom, ring.mul(lam, lo)), 1)
+            col[j] = ring.sub(top, ring.mul(lam, hi))
+            col[d + 1 + j] = ring.sub(bottom, ring.mul(lam, lo))
             cols.append(col)
         rows = [[col[i] for col in cols] for i in range(2 * d + 2)]
-        for v in nullspace(rows, len(unknowns), field):
+        for v in nullspace(ring, rows, len(unknowns)):
             if v[r].is_zero():
                 continue
             norm = v[r].inv()

@@ -9,10 +9,11 @@ from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
 from ratsym.fields import QQ, CyclotomicField, InexactDivision
 from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
-                           family_to_json, map_to_json)
+                           family_to_json, map_to_json, mobius_to_json)
+from ratsym.mobius import MobiusMap
 from ratsym.poly import Poly
 from ratsym.ratmap import DegenerateMap, make_map
-from ratsym.symmetry import random_cyclic_family
+from ratsym.symmetry import build_cyclic, random_cyclic_family, simple_cyclic_family
 
 
 def run_cli(args, capsys):
@@ -153,6 +154,30 @@ def test_connect_case_a_to_case_c_and_reject_a_gap_leg(tmp_path, capsys):
     gap_file = tmp_path / "gap.json"
     gap_file.write_text(canon_dumps(doc))
     code, out = run_cli(["validate", str(gap_file)], capsys)
+    assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("degree", [7, "seven"])
+def test_validate_checks_the_connectivity_degree(degree, tmp_path, capsys):
+    # one true conjugation leg of a degree-3 map, under the identity, in a
+    # certificate that names another degree or none at all
+    phi = map_to_json(build_cyclic(simple_cyclic_family(3, 2, "A")))
+    leg = {"type": "conjugation", "conjugator": mobius_to_json(MobiusMap(QQ, 1, 0, 0, 1)),
+           "source": phi, "target": phi}
+    path = tmp_path / "conn.json"
+    path.write_text(canon_dumps({"certificate_type": "connectivity", "degree": degree,
+                                 "legs": [leg]}))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("degree", ["seven", True, 0, MAX_DEGREE + 1])
+def test_validate_bounds_the_connectivity_degree_before_any_leg(degree, tmp_path, capsys):
+    # with no legs no leg check sees the degree: the parser must bound it
+    path = tmp_path / "conn.json"
+    path.write_text(canon_dumps({"certificate_type": "connectivity", "degree": degree,
+                                 "legs": []}))
+    code, out = run_cli(["validate", str(path)], capsys)
     assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
 
 

@@ -3,7 +3,8 @@
 The gcd over Z and the square-free parts it gives are compared with
 sympy's ``gcd`` and ``sqf_part`` on products with contents and leading
 coefficients that the modular gcd must skip a prime for.  The Sylvester
-resultants and the segment obstruction polynomials are compared with
+resultants are compared with sympy's over Q, Q(i) and Q(zeta_n) at formal
+degrees above the actual ones, the segment obstruction polynomials with
 sympy's resultant over Q and Q(i), the modular pencil resultant with
 sympy's resultant over Q[zeta_n][t], the square-free norms over every kind
 of supported field with ``sqf_part`` of sympy's resultants
@@ -12,8 +13,8 @@ real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
 compositions.  The residue maps of Z[zeta_n] that the modular kernels take
-are checked to respect sums and products, and the
-kernel bases over Q are compared with sympy's ``Matrix.nullspace``.  Products,
+are checked to respect sums and products, and the kernel bases of rows
+over Z are compared with sympy's ``Matrix.nullspace`` over Q.  Products,
 inverses and complex conjugates in Q(zeta_n), which run on the integral ring
 Z[zeta_n], are compared with sympy's remainder, inverse and substitution
 modulo Phi_n, and the field axioms are checked over the icosahedral layer.
@@ -89,7 +90,20 @@ def polynomial_pairs(draw):
     g = draw(st.lists(_coeff(K), min_size=n + 1, max_size=n + 1))
     # sympy takes the actual degrees; keep them at the formal ones
     hypothesis.assume(not f[-1].is_zero() and not g[-1].is_zero())
-    return f, g
+    return f, g, m, n
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """(f, g, m, n) over Q(zeta_n) for n in {3, 5, 12}, with integer
+    coordinates up to 2^80, so that several primes are needed, and the
+    formal degree of g above its actual degree, as milnor_coordinates
+    takes it."""
+    K = CyclotomicField(draw(st.sampled_from([3, 5, 12])))
+    coord = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80))
+    elem = st.lists(coord, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
+    f, g = (draw(st.lists(elem, min_size=1, max_size=3)) for _ in range(2))
+    return f, g, len(f) - 1 + draw(st.integers(0, 1)), len(g) + draw(st.integers(0, 1))
 
 
 def _units_case(u, v):
@@ -97,37 +111,60 @@ def _units_case(u, v):
     # Bareiss pivots are units other than 1 (the obstruction of a segment
     # starting at a = (1, 0, 0, 1), b = (0, 0, 0, 1) meets it at t = 0)
     u, v, zero = QI.from_coeffs(u), QI.from_coeffs(v), QI.zero()
-    return [u, zero, zero, u], [zero, zero, zero, v]
-
-
-@SETTINGS
-@given(polynomial_pairs())
-@example(_units_case([1, 0], [1, 0]))
-@example(_units_case([0, 1], [-1, 0]))
-@example(_units_case([-1, 0], [0, -1]))
-def test_resultant_matches_sympy(pair):
-    f, g = pair
-    K, m, n = f[0].field, len(f) - 1, len(g) - 1
-    F = sum(_to_sympy(c) * X ** k for k, c in enumerate(f))
-    G = sum(_to_sympy(c) * X ** k for k, c in enumerate(g))
-    expect = _from_sympy(sp.expand(_sympy_resultant(F, G, m, n)), K)
-    assert resultant(Poly(K, f), Poly(K, g), m, n) == expect
+    return [u, zero, zero, u], [zero, zero, zero, v], 3, 3
 
 
 Z = sp.Symbol("z")
+
+
+def _sympy_elem(c):
+    """c in Q or Q(zeta_n) as a polynomial in z."""
+    if c.field == QQ:
+        return sp.Rational(c.payload.numerator, c.payload.denominator)
+    return sum(sp.Rational(x.numerator, x.denominator) * Z ** i
+               for i, x in enumerate(c.payload))
+
+
+BIG = CyclotomicField(12).from_coeffs
+
+
+@SETTINGS
+@given(st.one_of(polynomial_pairs(), cyclotomic_pairs()))
+@example(_units_case([1, 0], [1, 0]))
+@example(_units_case([0, 1], [-1, 0]))
+@example(_units_case([-1, 0], [0, -1]))
+@example(([BIG([2 ** 80 - 1] * 4)] * 2, [BIG([-2 ** 80, 2 ** 79, 1, 2 ** 80])] * 2, 2, 3))
+def test_resultant_matches_sympy(problem):
+    # sympy's resultant in x over Q[z], reduced modulo Phi_n(z); sympy
+    # takes the actual degrees, so a symbol e is added to both top
+    # coefficients, which keeps the formal ones, and then set to 0
+    f, g, m, n = problem
+    K, e = f[0].field, sp.Symbol("e")
+    F = sum(_sympy_elem(c) * X ** k for k, c in enumerate(f)) + e * X ** m
+    G = sum(_sympy_elem(c) * X ** k for k, c in enumerate(g)) + e * X ** n
+    expect = sp.expand(_sympy_resultant(F, G, m, n)).subs(e, 0)
+    diff = sp.expand(expect - _sympy_elem(resultant(Poly(K, f), Poly(K, g), m, n)))
+    if K != QQ:
+        diff = sp.rem(diff, sp.cyclotomic_poly(K.n, Z), Z)
+    assert diff == 0
+
+
 
 
 @st.composite
 def cyclotomic_pencils(draw):
     """Pencils (f0, df, g0, dg) over Z[zeta_n], some coordinates large enough
     to need several primes, with f of formal degree 1..3 and g of 1..2, each
-    with a top entry that is not zero all along."""
+    with a top entry that is not zero all along, and sometimes a zero
+    direction."""
     ring = _integral_ring(CyclotomicField(draw(st.sampled_from([3, 4, 5, 7, 8, 12]))))
     coord = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80))
     elem = st.lists(coord, min_size=ring.m, max_size=ring.m).map(tuple)
     vecs = []
     for length in (draw(st.integers(2, 4)), draw(st.integers(2, 3))):
         v0, dv = (draw(st.lists(elem, min_size=length, max_size=length)) for _ in range(2))
+        if draw(st.booleans()):
+            dv = [ring.zero] * length
         hypothesis.assume(v0[-1] != ring.zero or dv[-1] != ring.zero)
         vecs += [v0, dv]
     return ring, vecs
@@ -146,7 +183,9 @@ def test_pencil_resultant_matches_sympy(pencils):
     a, b = len(f0) - 1, len(g0) - 1
     expect = _sympy_resultant(expr(f0, df), expr(g0, dg), a, b)
     got = pencil_resultant(ring, f0, df, g0, dg)
-    assert len(got) == a + b + 1
+    # one node more than the degree in t, b [df != 0] + a [dg != 0]
+    zero = ring.zero
+    assert len(got) == b * any(x != zero for x in df) + a * any(x != zero for x in dg) + 1
     ours = sum(c * Z ** i * T ** j for j, y in enumerate(got) for i, c in enumerate(y))
     assert sp.rem(sp.expand(expect - ours), sp.cyclotomic_poly(ring.n, Z), Z) == 0
 
@@ -404,7 +443,8 @@ def test_nullspace_matches_sympy(problem):
     # sympy's nullspace is the reduced echelon basis too: one vector per
     # free column, one there and zero at the other free columns
     rows, n = problem
-    got = nullspace([[QQ(x) for x in row] for row in rows], n, QQ)
+    ring = _integral_ring(QQ)
+    got = nullspace(ring, [ring.clear([QQ(x) for x in row])[1] for row in rows], n)
     M = sp.Matrix(len(rows), n, [sp.Rational(x.numerator, x.denominator)
                                  for row in rows for x in row])
     expect = [[QQ(Fraction(int(x.p), int(x.q))) for x in v] for v in M.nullspace()]

@@ -8,7 +8,7 @@ from ratsym import fields, poly
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
 from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
-                         det, interpolate, nullspace, pencil_resultant, poly_eval,
+                         interpolate, nullspace, pencil_resultant, poly_eval,
                          poly_gcd, resultant, sturm_roots_in_interval)
 
 
@@ -181,7 +181,9 @@ def test_pencil_resultant_matches_resultants_at_the_nodes(K, case, monkeypatch):
     cleared = [ring.clear(v) for v in (f0, df, g0, dg)]
     assert all(den == 1 for den, _ in cleared)      # the inputs are integral
     got = pencil_resultant(ring, *(v for _, v in cleared))
-    assert len(got) == a + b + 1
+    # one node more than the degree in t, b [df != 0] + a [dg != 0]
+    assert len(got) == (b * any(not x.is_zero() for x in df)
+                        + a * any(not x.is_zero() for x in dg) + 1)
     assert Poly(K, [ring.to_field(c, 1) for c in got]) == expect
     if case == "shared factor":
         assert expect.is_zero()
@@ -275,9 +277,10 @@ def _random_elements(K, rng):
 
 @pytest.mark.parametrize("K", KERNEL_FIELDS)
 def test_integer_kernel_matches_the_field_route(K):
-    # resultant: fraction-free elimination over the integral ring against
-    # Gaussian elimination over the field; interpolate: forward differences
-    # through 0..M recover a random polynomial from its values
+    # resultant: one node of the pencil resultant over the integral ring
+    # (modulo primes, or Bareiss over a quadratic layer) against Gaussian
+    # elimination over the field; interpolate: forward differences through
+    # 0..M recover a random polynomial from its values
     rng = random.Random(31)
     relem = _random_elements(K, rng)
 
@@ -292,13 +295,30 @@ def test_integer_kernel_matches_the_field_route(K):
                                         [g[k] for k in range(n + 1)], K.zero())
             expect = gaussian_det(rows, K) if m + n else K.one()
             assert resultant(f, g, m, n) == expect
-            assert det(rows, K) == expect
         target = rpoly(m + n, density)
         values = [poly_eval(target, K(j)) for j in range(m + n + 1)]
         assert interpolate(K, values) == target
+    # f of formal degree 2 with f_2 = 0: the elimination swaps one pair of rows
+    u = relem()
+    f, g = Poly(K, [u, K.one()]), Poly(K, [2 * u + 1, K(2)])
+    rows = poly._sylvester_rows([f[0], f[1], K.zero()], [g[0], g[1]], K.zero())
+    assert not gaussian_det(rows, K).is_zero()
+    assert resultant(f, g, 2, 1) == gaussian_det(rows, K)
 
 
-@pytest.mark.parametrize("K", KERNEL_FIELDS)
+def _nullspace(rows, ncols, K):
+    # the kernel of rows over K, each cleared into the integral ring, which
+    # leaves the kernel as it is
+    ring = fields._integral_ring(K)
+    return nullspace(ring, [ring.clear(row)[1] for row in rows], ncols)
+
+
+# the fields of KERNEL_FIELDS whose rings nullspace takes, Z and Z[zeta_n]
+NULLSPACE_FIELDS = [K for K in KERNEL_FIELDS if not isinstance(K, QuadraticField)]
+
+
+@pytest.mark.parametrize("K", NULLSPACE_FIELDS,
+                         ids=[f"K{KERNEL_FIELDS.index(K)}" for K in NULLSPACE_FIELDS])
 def test_nullspace_matches_gauss_jordan(K, monkeypatch):
     # random matrices of rank k < min(rows, cols), with a zero row and a
     # zero column spliced in, and the matrix with no rows
@@ -314,8 +334,8 @@ def test_nullspace_matches_gauss_jordan(K, monkeypatch):
         rows.insert(i, [zero] * ncols)
         rows = [row[:j] + [zero] + row[j:] for row in rows]
         _assert_gauss_jordan(rows, ncols + 1, K)
-        assert len(nullspace(rows, ncols + 1, K)) == ncols + 1 - rank
-    assert nullspace([], 3, K) == gauss_jordan_nullspace([], 3, K)
+        assert len(_nullspace(rows, ncols + 1, K)) == ncols + 1 - rank
+    assert _nullspace([], 3, K) == gauss_jordan_nullspace([], 3, K)
 
     # entries of about 300 bits over a kernel with small coordinates
     big = 2 ** 300 + 2 ** 151 + 1
@@ -328,13 +348,12 @@ def test_nullspace_matches_gauss_jordan(K, monkeypatch):
 
     # kernel coordinates of about 100 bits: the reduced basis vector of
     # (x, y, 1) is (-y/x, 1, 0) and (-1/x, 0, 1), so the modular route needs
-    # at least 4 primes of 30 bits (over a quadratic layer: Bareiss)
+    # at least 4 primes of 30 bits
     x, y = K(3 ** 63 + 2) + relem(), K(5 ** 43 + 4) + relem()
     primes = _residue_map_calls(monkeypatch)
     basis = _assert_gauss_jordan([[x, y, K.one()]], 3, K)
     assert max(_height(c) for v in basis for c in v) >= 95
-    if not isinstance(fields._integral_ring(K), fields._QuadraticIntegers):
-        assert max(primes) >= 3
+    assert max(primes) >= 3
     monkeypatch.undo()
 
 
@@ -347,7 +366,7 @@ def _height(x) -> int:
 
 
 def _assert_gauss_jordan(rows, ncols, K):
-    basis = nullspace(rows, ncols, K)
+    basis = _nullspace(rows, ncols, K)
     assert basis == gauss_jordan_nullspace(rows, ncols, K)
     for v in basis:
         for row in rows:
@@ -441,8 +460,14 @@ def test_zero_divisor_pivot_raises():
             [K.zero(), K.one(), K.one()]]
     with pytest.raises(ZeroDivisionError):
         gaussian_det(rows, K)
+    # Res_(2,1)((s - sqrt(delta)) x^2 + x + 1, x + 1): the elimination takes
+    # the norm cofactor of its first pivot, s - sqrt(delta)
+    f, g = Poly(K, [K.one(), K.one(), s - K.sqrt_delta()]), Poly(K, [K.one(), K.one()])
     with pytest.raises(ZeroDivisionError):
-        det(rows, K)
+        resultant(f, g, 2, 1)
+    ring = fields._integral_ring(K)
+    with pytest.raises(ZeroDivisionError):
+        ring.norm_cofactor(ring.clear([s - K.sqrt_delta()])[1][0])
 
 
 def test_nullspace():
@@ -450,7 +475,7 @@ def test_nullspace():
     z = F.zeta()
     rows = [[F(1), F(2), F(0), F(3)],
             [F(2), F(4), z, F(6) + z]]
-    basis = nullspace(rows, 4, F)
+    basis = _nullspace(rows, 4, F)
     # rank 2, free columns 1 and 3, each basis vector one at its column
     assert len(basis) == 2
     assert basis[0][1] == 1 and basis[0][3] == 0
@@ -458,8 +483,9 @@ def test_nullspace():
     for v in basis:
         for row in rows:
             assert sum((a * b for a, b in zip(row, v)), F(0)).is_zero()
-    assert nullspace([[QQ(1), QQ(0)], [QQ(0), QQ(1)]], 2, QQ) == []
-    assert nullspace([], 2, QQ) == [[QQ(1), QQ(0)], [QQ(0), QQ(1)]]
+    integers = fields._RationalIntegers
+    assert nullspace(integers, [[1, 0], [0, 1]], 2) == []
+    assert nullspace(integers, [], 2) == [[QQ(1), QQ(0)], [QQ(0), QQ(1)]]
 
 
 def _kernel_routes(monkeypatch):
@@ -467,9 +493,9 @@ def _kernel_routes(monkeypatch):
     calls = []
     real = poly._modular_kernel
 
-    def spy(rows, ncols, ring, field):
+    def spy(rows, ncols, ring):
         calls.append(len(rows))
-        return real(rows, ncols, ring, field)
+        return real(rows, ncols, ring)
     monkeypatch.setattr(poly, "_modular_kernel", spy)
     return calls
 
@@ -489,7 +515,7 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
                 [zero, small, zero, small],
                 [one + one, one + one, zero, one + one]]
         calls = _kernel_routes(monkeypatch)
-        basis = nullspace(rows, 4, K)
+        basis = _nullspace(rows, 4, K)
         assert calls == [1, 2]
         assert basis == gauss_jordan_nullspace(rows, 4, K)
         assert len(basis) == 2
@@ -503,7 +529,7 @@ def test_nullspace_full_rank_mod_p_returns_nothing(monkeypatch):
     rows = [[F(1), z, F(0)], [F(2), F(2) * z, F(0)], [z, F(0), F(1)],
             [F(0), F(3), z ** 3]]
     calls = _kernel_routes(monkeypatch)
-    assert nullspace(rows, 3, F) == [] == gauss_jordan_nullspace(rows, 3, F)
+    assert _nullspace(rows, 3, F) == [] == gauss_jordan_nullspace(rows, 3, F)
     assert calls == []
 
 
@@ -522,25 +548,8 @@ def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
         eliminated.append(len(images))
         return real(images, ncols, p)
     monkeypatch.setattr(poly, "_kernel_mod", spy)
-    assert nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
+    assert _nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
     assert calls == [2] and set(eliminated) == {2}
-
-
-def test_nullspace_over_a_quadratic_layer_is_bareiss(monkeypatch):
-    # no residue map: all rows go to _kernel_basis, none to the primes
-    K = QuadraticField(QQ, QQ(-3))
-    s = K.sqrt_delta()
-    rows = [[K.one(), s, K(2)], [s, K(-3), 2 * s], [K(2), 2 * s, K(4)]]
-    calls = _kernel_routes(monkeypatch)
-    bareiss = []
-    real = poly._kernel_basis
-
-    def spy(rows, ncols, ring, field):
-        bareiss.append(len(rows))
-        return real(rows, ncols, ring, field)
-    monkeypatch.setattr(poly, "_kernel_basis", spy)
-    basis = _assert_gauss_jordan(rows, 3, K)
-    assert len(basis) == 2 and calls == [] and bareiss == [3]
 
 
 def test_annihilation_check_packs_sums_at_full_width():

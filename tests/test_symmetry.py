@@ -243,15 +243,15 @@ def _reference_tetrahedral_rows(d, sign):
 
 @pytest.mark.parametrize("d", [3, 9, 15, 21])
 def test_tetrahedral_system_matches_poly_products(monkeypatch, d):
-    # the A4 system built over Z[zeta_12] has the same rows as the Poly
-    # products over the field, and the witness is the first valid vector of
-    # the reference kernel (Gauss-Jordan over the field)
+    # the A4 system built over Z[zeta_12], as nullspace takes it, has the
+    # same rows as the Poly products over the field, and the witness is the
+    # first valid vector of the reference kernel (Gauss-Jordan over the field)
     seen = []
     real = symmetry.nullspace
 
-    def spy(rows, ncols, field):
-        seen.append(rows)
-        return real(rows, ncols, field)
+    def spy(ring, rows, ncols):
+        seen.append([[ring.to_field(x, 1) for x in row] for row in rows])
+        return real(ring, rows, ncols)
     monkeypatch.setattr(symmetry, "nullspace", spy)
     report = symmetry._tetrahedral_witness(d)
     refs = [_reference_tetrahedral_rows(d, sign) for sign in (1, -1)]
