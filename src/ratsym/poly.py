@@ -767,7 +767,8 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     partial sums of those of Phi_n times powers of z_u, so each is at most
     ||Phi_n||_1.  Differentiating x^n - 1 = Phi_n Psi_n at z_u gives
     |Phi_n'(z_u)| = n / |Psi_n(z_u)| >= n / ||Psi_n||_1.  Hence
-    |y_k| <= C_n E with C_n = phi(n) ||Phi_n||_1 ||Psi_n||_1 / n.
+    |y_k| <= C_n E with C_n = phi(n) ||Phi_n||_1 ||Psi_n||_1 / n, which
+    :func:`_lagrange_bound` rounds up to an integer.
 
     *Over a quadratic layer*, which has no residue map, R is taken at the
     nodes by Bareiss's determinant (:func:`_sylvester_det`), its forward
@@ -818,15 +819,15 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
 
 
 @functools.cache
-def _lagrange_bound(n: int) -> Fraction:
-    """C_n = phi(n) ||Phi_n||_1 ||(x^n - 1) / Phi_n||_1 / n, which bounds the
-    coordinates of an element of Z[zeta_n] by its largest embedding
-    (:func:`pencil_resultant`); 1 for Z, n = 1."""
+def _lagrange_bound(n: int) -> int:
+    """C_n = phi(n) ||Phi_n||_1 ||(x^n - 1) / Phi_n||_1 / n, rounded up to an
+    integer, which bounds the coordinates of an element of Z[zeta_n] by its
+    largest embedding (:func:`pencil_resultant`); 1 for Z, n = 1."""
     if n == 1:
-        return Fraction(1)
+        return 1
     phi = [int(c) for c in cyclotomic_coeffs(n)]
     psi = _zpoly_exact_quo([-1] + [0] * (n - 1) + [1], phi)
-    return Fraction((len(phi) - 1) * sum(map(abs, phi)) * sum(map(abs, psi)), n)
+    return -(-(len(phi) - 1) * sum(map(abs, phi)) * sum(map(abs, psi)) // n)
 
 
 @functools.cache
