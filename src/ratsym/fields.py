@@ -672,6 +672,13 @@ def common_field(f1: Field, f2: Field) -> Field:
     raise FieldMismatch(f"no common field for {f1} and {f2}")
 
 
+def _absolute_degree(field: Field) -> int:
+    """[K:Q], the number of complex embeddings of the field."""
+    if isinstance(field, QuadraticField):
+        return 2 * _absolute_degree(field.base)
+    return field.degree if isinstance(field, CyclotomicField) else 1
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import re
 from fractions import Fraction
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
-                     RationalField)
-from .mobius import GroupSpec, MobiusMap, _absolute_degree
+                     RationalField, _absolute_degree)
+from .mobius import GroupSpec, MobiusMap
 from .moduli import (ConjugationLeg, ConnectivityCertificate, IntervalProof,
                      PathCertificate, PathLeg, PathSegment, SturmProof)
 from .poly import Poly

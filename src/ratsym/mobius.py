@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
-                     common_field, lift, root_of_unity)
+                     _absolute_degree, common_field, lift, root_of_unity)
 from .ratmap import ProjPoint, RationalMap, make_map
 from .poly import Poly
 
@@ -170,12 +170,6 @@ def rotation(n: int) -> MobiusMap:
 
 
 # --- element order -----------------------------------------------------------
-
-def _absolute_degree(field: Field) -> int:
-    if isinstance(field, QuadraticField):
-        return 2 * _absolute_degree(field.base)
-    return field.degree if isinstance(field, CyclotomicField) else 1
-
 
 @functools.lru_cache(maxsize=None)
 def _largest_order(bound: int) -> int:

@@ -144,9 +144,12 @@ class SturmProof:
     root in (0, 1], and requires the obstruction to be nonzero at t = 0
     and 1.
 
-    The norm and the root count are computed over Z (:func:`squarefree_norm`,
-    then Descartes bisection); they are the same polynomial and count as a
-    Sturm chain over Q gives, so stored proofs keep their meaning."""
+    The norm and the root count are computed over Z: the norm as the norm
+    of the obstruction's value at t = 2^S, a single element of the field's
+    integral ring, whose digits in base 2^S are the norm's coefficients
+    (:func:`squarefree_norm`), and the count by Descartes bisection.  They
+    are the same polynomial and count as a Sturm chain over Q gives, so
+    stored proofs keep their meaning."""
     norm_poly: Poly                # over Q, square-free, monic
 
     @property
@@ -584,8 +587,13 @@ def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
         raise ValueError("endpoints have different degrees")
     d = fam0.degree
     if fam0.n == fam1.n:
-        return ConnectivityCertificate(
-            d, tuple(_same_order_legs(fam0, fam1, strategy, rng, precision)))
+        legs = _same_order_legs(fam0, fam1, strategy, rng, precision)
+        if len(legs) == 1 and not legs[0].cert.segments:
+            # equal endpoints: a path with no segments carries no map, so
+            # the chain is the map itself under the identity
+            phi = build_cyclic(fam0)
+            legs = [ConjugationLeg(identity(phi.field), phi, phi)]
+        return ConnectivityCertificate(d, tuple(legs))
 
     pre0, c2fam0 = ([], fam0) if fam0.n == 2 else _reduce_to_order2(
         fam0, strategy, rng, precision)
@@ -618,7 +626,11 @@ def _reverse_path_certificate(cert: PathCertificate, precision: int) -> PathCert
 
 
 def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
-    """Revalidate every leg and the hand-offs between consecutive legs."""
+    """Revalidate every leg and the hand-offs between consecutive legs.  At
+    least one leg must carry a map: a conjugation leg, or a path leg with a
+    segment.  A path leg with no segments, which :func:`build_path` gives
+    for equal endpoints, carries none and is accepted only beside one that
+    does."""
     prev_map: Optional[RationalMap] = None
     for idx, leg in enumerate(cert.legs):
         if isinstance(leg, PathLeg):
@@ -642,6 +654,8 @@ def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
             prev_map = leg.target
         else:
             raise CertificateInvalid(f"leg {idx}: unknown leg type")
+    if prev_map is None:
+        raise CertificateInvalid("no leg carries a map")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ fraction-free elimination at the nodes over a quadratic layer;
 :func:`resultant` is its value on two constant pencils.  :func:`nullspace`
 takes rows over Z or Z[zeta_n] (row reduction over F_p, joined by the
 Chinese remainder theorem and rational reconstruction, then checked
-exactly).  :func:`interpolate` takes forward differences in the ring,
-:func:`squarefree_norm` walks the tower down through the ring to Z, and
-:func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd and
-Descartes bisection.  The results are the same exact values, polynomials
+exactly).  :func:`interpolate` takes forward differences in the ring.
+:func:`squarefree_norm` substitutes t = 2^S into the polynomial
+(Kronecker substitution), takes the norm of that one ring element down the
+tower to Z, and reads the norm polynomial's coefficients off its digits in
+base 2^S.  :func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd
+and Descartes bisection.  The results are the same exact values, polynomials
 and counts as over the field.
 """
 
@@ -34,9 +36,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     InexactDivision, _integral_ring, _is_prime, _QuadraticIntegers,
-                     _RationalIntegers, _residue_prime, _root_of_unity_mod,
-                     _zpoly_exact_quo, cyclotomic_coeffs, lift)
+                     InexactDivision, _absolute_degree, _integral_ring, _is_prime,
+                     _QuadraticIntegers, _RationalIntegers, _residue_prime,
+                     _root_of_unity_mod, _zpoly_exact_quo, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -1030,23 +1032,84 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
 def squarefree_norm(G: Poly) -> Poly:
     """Monic square-free part, over Q, of the norm N = prod_sigma sigma(G)
     of a nonzero polynomial G over any supported field, over all its
-    embeddings sigma into C (Trager, SYMSAC 1976).  The tower is walked
-    down over the integral rings: G is multiplied by its conjugates over
-    the layer below (sqrt(D) -> -sqrt(D) over a quadratic layer,
-    zeta -> zeta^k over Z[zeta_n]), which puts the product in the ring
-    below, until the ring is Z.  The declared embedding of G is a factor
-    of N, so a real root of G is a root of N."""
+    embeddings sigma into C (Trager, SYMSAC 1976).  N is taken over Z by
+    :func:`_integer_norm`, one norm of a ring element.  The declared
+    embedding of G is a factor of N, so a real root of G is a root of N."""
     if G.is_zero():
         raise ValueError("zero polynomial")
-    ring = _integral_ring(G.field)
-    _, N = ring.clear(G.coeffs)
-    while ring.base is not None:
-        for sigma in zip(*[ring.conjugates(c) for c in N]):
-            N = _ring_mul(ring, N, sigma)
-        N, ring = [ring.to_base(c) for c in N], ring.base
+    N = _integer_norm(G)
     cont = _int_content(N)
     sf = _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
     return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
+
+
+def _integer_norm(G: Poly) -> list[int]:
+    """The ascending coefficients over Z of N(t) = prod_sigma sigma(g)(t),
+    k (len(g) - 1) + 1 of them, for the multiple g of a nonzero G over the
+    field's integral ring, by Kronecker substitution t = X = 2^S.
+
+    g(X) is one ring element, taken by Horner's rule.  The tower is walked
+    down on it: over each layer it is multiplied by its conjugates over the
+    layer below (sqrt(D) -> -sqrt(D) over a quadratic layer, zeta -> zeta^u
+    over Z[zeta_n]), which puts the product in the ring below, until the
+    ring is Z.  Every automorphism fixes the integer X, so the result is
+    N_{K/Q}(g(X)) = N(X), and N's coefficients are its signed digits in
+    base 2^S.
+
+    *The bound.*  Let k = [K:Q], and let h(x) be the integer that
+    :func:`_height` gives, with |sigma(x)| <= h(x) for every embedding
+    sigma.  Each sigma(g) has ||sigma(g)||_1 <= H = sum_i h(g_i), so
+    ||N||_inf <= ||N||_1 <= prod_sigma ||sigma(g)||_1 <= H^k
+    < 2^(k bits(H)) = 2^(S - 2) for S = k bits(H) + 2, where bits(H) is
+    the bit length of H.
+
+    *The digits.*  Every coefficient lies in (-2^(S-2), 2^(S-2)), inside
+    the digit range [-2^(S-1), 2^(S-1)).  So the lowest digit of N(X) in
+    that range is N_0, and (N(X) - N_0) / X is the value at X of the rest.
+    A quotient left after the last digit would break the bound; it raises
+    :class:`InexactDivision`.
+
+    Over a quadratic layer whose radicand is a square in the base,
+    base[sqrt(D)] has zero divisors, but the conjugation is still a ring
+    map and the bound still holds, so N is the same formal product; it is
+    zero when g(X) is a zero divisor."""
+    ring = _integral_ring(G.field)
+    _, g = ring.clear(G.coeffs)
+    k = _absolute_degree(G.field)
+    S = k * sum(_height(ring, c) for c in g).bit_length() + 2
+    X = 1 << S
+    x = ring.zero
+    for c in reversed(g):
+        x = ring.add(ring.scale(x, X), c)
+    while ring.base is not None:
+        prod = x
+        for sigma in ring.conjugates(x):
+            prod = ring.mul(prod, sigma)
+        x, ring = ring.to_base(prod), ring.base
+    half, N = X >> 1, []
+    for _ in range(k * (len(g) - 1) + 1):
+        c = x & (X - 1)
+        if c >= half:
+            c -= X
+        N.append(c)
+        x = (x - c) >> S
+    if x:
+        raise InexactDivision("the norm exceeds its coefficient bound")
+    return N
+
+
+def _height(ring, x) -> int:
+    """An integer h(x) >= |sigma(x)| for every embedding sigma of the ring:
+    |x| over Z, ||x||_1 over Z[zeta_n], where |sigma(zeta)| = 1, and
+    h(a) + h(b) (isqrt(h(D)) + 1) for a + b sqrt(D), where
+    |sigma(sqrt(D))| = sqrt(|sigma(D)|) <= sqrt(h(D))."""
+    if ring.base is None:
+        return abs(x)
+    if isinstance(ring, _QuadraticIntegers):
+        base = ring.base
+        return _height(base, x[0]) + _height(base, x[1]) * (
+            math.isqrt(_height(base, ring.D)) + 1)
+    return sum(map(abs, x))
 
 
 # ---------------------------------------------------------------------------

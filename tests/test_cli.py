@@ -9,8 +9,10 @@ from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
 from ratsym.fields import QQ, CyclotomicField, InexactDivision
 from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
-                           family_to_json, map_to_json, mobius_to_json)
+                           family_to_json, map_to_json, mobius_to_json,
+                           path_cert_to_json)
 from ratsym.mobius import MobiusMap
+from ratsym.moduli import PathCertificate
 from ratsym.poly import Poly
 from ratsym.ratmap import DegenerateMap, make_map
 from ratsym.symmetry import build_cyclic, random_cyclic_family, simple_cyclic_family
@@ -157,16 +159,19 @@ def test_connect_case_a_to_case_c_and_reject_a_gap_leg(tmp_path, capsys):
     assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
 
 
-@pytest.mark.parametrize("degree", [7, "seven"])
-def test_validate_checks_the_connectivity_degree(degree, tmp_path, capsys):
-    # one true conjugation leg of a degree-3 map, under the identity, in a
-    # certificate that names another degree or none at all
+def _identity_leg_chain(degree):
+    # one true conjugation leg of a degree-3 map, under the identity
     phi = map_to_json(build_cyclic(simple_cyclic_family(3, 2, "A")))
     leg = {"type": "conjugation", "conjugator": mobius_to_json(MobiusMap(QQ, 1, 0, 0, 1)),
            "source": phi, "target": phi}
+    return {"certificate_type": "connectivity", "degree": degree, "legs": [leg]}
+
+
+@pytest.mark.parametrize("degree", [7, "seven"])
+def test_validate_checks_the_connectivity_degree(degree, tmp_path, capsys):
+    # the degree-3 chain in a certificate that names another degree or none
     path = tmp_path / "conn.json"
-    path.write_text(canon_dumps({"certificate_type": "connectivity", "degree": degree,
-                                 "legs": [leg]}))
+    path.write_text(canon_dumps(_identity_leg_chain(degree)))
     code, out = run_cli(["validate", str(path)], capsys)
     assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
 
@@ -179,6 +184,26 @@ def test_validate_bounds_the_connectivity_degree_before_any_leg(degree, tmp_path
                                  "legs": []}))
     code, out = run_cli(["validate", str(path)], capsys)
     assert code == EXIT_VALIDATION and json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("paths", [0, 1, 2])
+def test_validate_rejects_a_chain_whose_legs_carry_no_map(paths, tmp_path, capsys):
+    # no legs, or only path legs with no segments, prove nothing
+    fam = random_cyclic_family(random.Random(13), 2, 3, "B")
+    empty = {"type": "path", "cert": path_cert_to_json(
+        PathCertificate(fam.n, fam.r, fam.case, fam.field, ()))}
+    path = tmp_path / "conn.json"
+    path.write_text(canon_dumps({"certificate_type": "connectivity",
+                                 "degree": fam.degree, "legs": [empty] * paths}))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert json.loads(out) == {"valid": False, "reason": "no leg carries a map"}
+    # the same empty path beside a leg that carries a map is accepted
+    doc = _identity_leg_chain(3)
+    doc["legs"] = [empty] * paths + doc["legs"] + [empty] * paths
+    path.write_text(canon_dumps(doc))
+    code, out = run_cli(["validate", str(path)], capsys)
+    assert code == 0 and json.loads(out) == {"valid": True}
 
 
 def test_connect_through_a_tetrahedral_witness(tmp_path, capsys):
@@ -257,6 +282,20 @@ def test_console_script_subprocess(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["rows"][0]["d"] == 2
+
+
+def test_python_dash_m_ratsym_validates(tmp_path):
+    # "python -m ratsym" runs the same main(): exit 0 on a valid chain and
+    # 4 on one with no legs
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(canon_dumps(_identity_leg_chain(3)))
+    bad.write_text(canon_dumps({"certificate_type": "connectivity", "degree": 7,
+                                "legs": []}))
+    for path, code, valid in ((good, 0, True), (bad, EXIT_VALIDATION, False)):
+        result = subprocess.run([sys.executable, "-m", "ratsym", "validate", str(path)],
+                                capture_output=True, text=True)
+        assert result.returncode == code
+        assert json.loads(result.stdout)["valid"] is valid
 
 
 def test_witness_of_order_127_validates(tmp_path, capsys):

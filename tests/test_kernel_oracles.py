@@ -36,9 +36,10 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _integral_ring)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _prime, _residue_maps, _squarefree_z,  # noqa: E402
-                         nullspace, pencil_resultant, poly_eval, poly_gcd, resultant,
-                         squarefree_norm, sturm_roots_in_interval)
+from ratsym.poly import (Poly, _integer_norm, _prime, _residue_maps,  # noqa: E402
+                         _ring_mul, _squarefree_z, nullspace, pencil_resultant,
+                         poly_eval, poly_gcd, resultant, squarefree_norm,
+                         sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
@@ -267,6 +268,63 @@ def test_squarefree_norm_matches_sympy(coeffs):
     hypothesis.assume(not G.is_zero())
     expect = sp.Poly(_sympy_norm(G), TR).sqf_part().monic().all_coeffs()[::-1]
     assert squarefree_norm(G) == Poly(QQ, [_from_sympy(c, QQ) for c in expect])
+
+
+def _product_norm(G):
+    """N over Z as the product of the cleared G with its conjugate
+    polynomials over each layer in turn, one ring product per coefficient
+    pair: the reference for the Kronecker substitution of _integer_norm."""
+    ring = _integral_ring(G.field)
+    _, N = ring.clear(G.coeffs)
+    while ring.base is not None:
+        for sigma in zip(*[ring.conjugates(c) for c in N]):
+            N = _ring_mul(ring, N, sigma)
+        N, ring = [ring.to_base(c) for c in N], ring.base
+    return N
+
+
+K12 = CyclotomicField(12)
+# 48 - 48 z + 24 z^3 = (6 - 2 sqrt(3))^2 with sqrt(3) = 2 z - z^3, so this
+# layer has the zero divisor ZD = (6 - 2 sqrt(3)) - sqrt(delta), of norm 0
+SQUARE_LAYER = QuadraticField(K12, K12.from_coeffs([48, -48, 0, 24]))
+ZD = SQUARE_LAYER.from_parts(K12.from_coeffs([6, -4, 0, 2]), K12(-1))
+BIG_NORM_FIELDS = [QQ] + [CyclotomicField(n) for n in (3, 4, 5, 8, 12, 20)] + [
+    QuadraticField(QQ, QQ(-3)), icosahedral_field(), SQUARE_LAYER]
+
+
+def _big_element(K):
+    """Elements with coordinates up to 2^256 in absolute value, of either
+    sign, over small denominators; multiples of ZD over SQUARE_LAYER."""
+    if K is SQUARE_LAYER:
+        return st.tuples(_big_element(K.base), _big_element(K.base), st.booleans()).map(
+            lambda p: K.from_parts(p[0], p[1]) * (ZD if p[2] else K(1)))
+    if isinstance(K, QuadraticField):
+        return st.tuples(_big_element(K.base), _big_element(K.base)).map(
+            lambda p: K.from_parts(*p))
+    coord = st.builds(Fraction, st.one_of(st.integers(-3, 3),
+                                          st.integers(-2 ** 256, 2 ** 256)),
+                      st.integers(1, 3))
+    if K == QQ:
+        return coord.map(QQ)
+    return st.lists(coord, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
+
+
+@SETTINGS
+@given(st.sampled_from(BIG_NORM_FIELDS).flatmap(
+    lambda K: st.lists(_big_element(K), min_size=1, max_size=4)))
+@example([QQ(7)])
+@example([QQ(1), QQ(-2 ** 256)])
+@example([K12.from_coeffs([2 ** 256, -1, 0, 3]), K12.from_coeffs([-5, 0, -2 ** 256, 0])])
+@example([ZD])
+@example([ZD, ZD])
+@example([ZD, SQUARE_LAYER(1)])
+@example([SQUARE_LAYER(1), ZD])
+def test_integer_norm_matches_the_product_of_conjugates(coeffs):
+    # the digits of N(2^S) are N's coefficients at the bound S, zero norms
+    # and a zero-divisor leading coefficient included
+    G = Poly(coeffs[0].field, coeffs)
+    hypothesis.assume(not G.is_zero())
+    assert _integer_norm(G) == _product_norm(G)
 
 
 ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=7)

@@ -447,6 +447,26 @@ def _all_legs_certified(cert):
     return all(isinstance(leg, (PathLeg, ConjugationLeg)) for leg in cert.legs)
 
 
+def test_connectivity_needs_a_leg_that_carries_a_map():
+    fam = random_cyclic_family(random.Random(13), 2, 3, "B")
+    empty = PathLeg(PathCertificate(fam.n, fam.r, fam.case, fam.field, ()))
+    for legs in ((), (empty,), (empty, empty)):
+        with pytest.raises(CertificateInvalid, match="no leg carries a map"):
+            validate_connectivity_certificate(
+                moduli.ConnectivityCertificate(fam.degree, legs))
+    # equal endpoints give the map under the identity, not an empty path
+    same = connectivity_certificate(fam, fam)
+    assert [type(leg).__name__ for leg in same.legs] == ["ConjugationLeg"]
+    assert same.legs[0].conjugator.is_identity()
+    # a path with no segments between legs that carry maps is still accepted
+    w0 = random_cyclic_family(random.Random(10), 3, 1, "A")
+    w1 = random_cyclic_family(random.Random(11), 2, 2, "B")
+    chain = connectivity_certificate(w0, w1, "sturm", random.Random(0))
+    gap = PathLeg(PathCertificate(2, 2, "B", QQ, ()))
+    padded = chain.legs[:1] + (gap,) + chain.legs[1:] + (gap,)
+    validate_connectivity_certificate(moduli.ConnectivityCertificate(chain.degree, padded))
+
+
 def test_reversed_legs_keep_the_callers_precision():
     # the order-3 side comes second, so its path leg is certified forwards
     # and then reversed; every interval proof must keep precision 64
@@ -514,10 +534,20 @@ def test_order2_case_a_and_case_c_chains(d):
         _check_chain(cert, f0, f1)
 
 
+# SHA-256 prefixes of the canonical JSON of the chain from the order-3
+# family to the case-A family: its legs over the quadratic layer
+# QQ(zeta_12)(sqrt(48 - 48 z + 24 z^3)) hold Sturm proofs that no benchmark
+# workload builds
+TETRAHEDRAL_CHAIN_PREFIXES = {3: "49c2383a2414da98", 9: "56cd3fecab64496f",
+                              15: "5f58b69763487401"}
+
+
 @pytest.mark.parametrize("d", [3, 9, 15])
 def test_tetrahedral_hand_off_chains(d):
     # at d = 3r with r odd the order-3 locus meets order 2 only in
     # tetrahedral maps over Q(zeta_12); chains reach both order-2 families
+    import hashlib
+    from ratsym.jsonio import canon_dumps, connectivity_to_json
     rng = random.Random(300 + d)
     f3 = random_cyclic_family(rng, 3, d // 3, "B")
     fa = random_cyclic_family(rng, 2, (d - 1) // 2, "A")
@@ -530,6 +560,10 @@ def test_tetrahedral_hand_off_chains(d):
                    for leg in cert.legs if isinstance(leg, PathLeg)
                    for seg in leg.cert.segments)
         _check_chain(cert, f0, f1)
+        if (f0, f1) == (f3, fa):
+            text = canon_dumps(connectivity_to_json(cert))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest[:16] == TETRAHEDRAL_CHAIN_PREFIXES[d]
 
 
 def test_milnor_cusp_and_square():
