@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
-                     _absolute_degree, common_field, lift, root_of_unity)
+                     _absolute_degree, _integral_ring, common_field, lift,
+                     root_of_unity)
 from .ratmap import ProjPoint, RationalMap, make_map
 from .poly import Poly
 
@@ -192,7 +193,9 @@ def mobius_order(T: MobiusMap) -> Optional[int]:
     alpha_1 = 1, beta_1 = 0, alpha_(k+1) = tr(T) alpha_k + beta_k and
     beta_(k+1) = -det(T) alpha_k.  Since T is not scalar, T^k is scalar
     exactly when alpha_k = 0, and then beta_k != 0 because T is invertible:
-    each step costs two products in the field and no matrix.
+    each step costs two products and no matrix.  The projective order of T
+    is that of any nonzero multiple, so the recurrence runs over the
+    field's integral ring on T with its denominators cleared once.
 
     A finite projective order m makes the ratio of the eigenvalues of T a
     primitive m-th root of unity.  The eigenvalues lie in an extension of
@@ -202,11 +205,14 @@ def mobius_order(T: MobiusMap) -> Optional[int]:
     if T.is_identity():
         return 1
     cutoff = _largest_order(2 * _absolute_degree(T.field))
-    trace, neg_det = T.a + T.d, T.b * T.c - T.a * T.d
-    alpha, beta = T.field.one(), T.field.zero()
+    ring = _integral_ring(T.field)
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    _, (a, b, c, d) = ring.clear(T.entries())
+    trace, neg_det = add(a, d), sub(mul(b, c), mul(a, d))
+    alpha, beta = ring.one, ring.zero
     for k in range(2, cutoff + 1):
-        alpha, beta = trace * alpha + beta, neg_det * alpha
-        if alpha.is_zero():
+        alpha, beta = add(mul(trace, alpha), beta), mul(neg_det, alpha)
+        if alpha == ring.zero:
             return k
     return None
 

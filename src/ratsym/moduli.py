@@ -27,8 +27,8 @@ from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
                      lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
-from .poly import (Poly, _ring_mul, interpolate, pencil_resultant, resultant,
-                   squarefree_norm, sturm_roots_in_interval)
+from .poly import (Poly, _count_roots, _integer_poly, _ring_mul, interpolate,
+                   pencil_resultant, resultant, squarefree_norm)
 from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
@@ -147,7 +147,8 @@ class SturmProof:
     The norm and the root count are computed over Z: the norm as the norm
     of the obstruction's value at t = 2^S, a single element of the field's
     integral ring, whose digits in base 2^S are the norm's coefficients
-    (:func:`squarefree_norm`), and the count by Descartes bisection.  They
+    (:func:`squarefree_norm`), and the count by Descartes bisection on
+    that square-free norm as it is (:func:`poly._count_roots`).  They
     are the same polynomial and count as a Sturm chain over Q gives, so
     stored proofs keep their meaning."""
     norm_poly: Poly                # over Q, square-free, monic
@@ -256,7 +257,7 @@ def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
     if g0.is_zero() or g1.is_zero():
         return None
     sf = squarefree_norm(G)
-    if sturm_roots_in_interval(sf, Fraction(0), Fraction(1)) != 0:
+    if _count_roots(_integer_poly(sf), Fraction(0), Fraction(1)) != 0:
         return None
     return SturmProof(norm_poly=sf)
 

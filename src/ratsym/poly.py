@@ -22,9 +22,10 @@ exactly).  :func:`interpolate` takes forward differences in the ring.
 :func:`squarefree_norm` substitutes t = 2^S into the polynomial
 (Kronecker substitution), takes the norm of that one ring element down the
 tower to Z, and reads the norm polynomial's coefficients off its digits in
-base 2^S.  :func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd
-and Descartes bisection.  The results are the same exact values, polynomials
-and counts as over the field.
+base 2^S; the map layer reads its substitutions off such digits too
+(:func:`_pack`, :func:`_unpack`).  :func:`sturm_roots_in_interval` counts
+in Z[x] by a modular gcd and Descartes bisection.  The results are the
+same exact values, polynomials and counts as over the field.
 """
 
 from __future__ import annotations
@@ -618,8 +619,8 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
     reduction modulo Phi_n.  Each coefficient of a row's sum of products
     is at most ncols phi(n) max|a| max|w| in absolute value, below 2^(s-1)
     for the slot width s taken here, so the sum unpacks into its signed
-    coefficients, which the ring reduces modulo Phi_n
-    (:meth:`at_power`)."""
+    coefficients (:func:`_signed_digits`), which the ring reduces modulo
+    Phi_n (:meth:`at_power`)."""
     if not rows or not vectors:
         return True
     if ring.base is None:
@@ -629,7 +630,6 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
     def bits(vs: list[list]) -> int:
         return max(abs(c).bit_length() for v in vs for x in v for c in x)
     s = bits(rows) + bits(vectors) + (len(rows[0]) * m).bit_length() + 1
-    mask, half = (1 << s) - 1, 1 << (s - 1)
 
     def pack(x) -> int:
         return sum(c << (s * k) for k, c in enumerate(x) if c)
@@ -638,16 +638,7 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
         a = [pack(x) for x in row]
         for w in packed:
             total = sum(map(operator.mul, a, w))
-            if not total:
-                continue
-            coeffs = []
-            for _ in range(2 * m - 1):
-                c = total & mask
-                if c >= half:
-                    c -= mask + 1
-                coeffs.append(c)
-                total = (total - c) >> s
-            if any(ring.at_power(coeffs, 1)):
+            if total and any(ring.at_power(_signed_digits(total, s, 2 * m - 1), 1)):
                 return False
     return True
 
@@ -1005,9 +996,8 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of f in (lo, hi].
 
     Restricted to rational coefficients.  The count runs over Z: the
-    square-free part of f is mapped onto (0, 1] by x = lo + (hi - lo) y,
-    then counted by Descartes bisection, which gives the same count as a
-    Sturm sequence over Q.
+    square-free part of f is counted by :func:`_count_roots`, which gives
+    the same count as a Sturm sequence over Q.
     """
     if f.field != QQ:
         raise FieldMismatch("real root counting is implemented over Q only")
@@ -1018,8 +1008,14 @@ def sturm_roots_in_interval(f: Poly, lo: Fraction, hi: Fraction) -> int:
         raise ValueError("need lo < hi")
     if f.degree == 0:
         return 0
-    g = _squarefree_z(_integer_poly(f))
-    # c^n f((a + b y) / c) with a / c = lo and b / c = hi - lo
+    return _count_roots(_squarefree_z(_integer_poly(f)), lo, hi)
+
+
+def _count_roots(g: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in (lo, hi], lo < hi, of a nonzero
+    square-free integer polynomial g: g is mapped onto (0, 1] by
+    x = lo + (hi - lo) y and counted by Descartes bisection."""
+    # c^n g((a + b y) / c) with a / c = lo and b / c = hi - lo
     c = math.lcm(lo.denominator, hi.denominator)
     a, b, n = int(lo * c), int((hi - lo) * c), len(g) - 1
     g = _taylor_shift([x * c ** (n - k) for k, x in enumerate(g)], a)
@@ -1037,7 +1033,11 @@ def squarefree_norm(G: Poly) -> Poly:
     embedding of G is a factor of N, so a real root of G is a root of N."""
     if G.is_zero():
         raise ValueError("zero polynomial")
-    N = _integer_norm(G)
+    # a zero-divisor leading coefficient of a layer with a square radicand
+    # has norm zero, which leaves N's top coefficients zero
+    N = _trim(_integer_norm(G))
+    if not N:
+        raise ValueError("the norm is zero: G is a zero divisor of its field's ring")
     cont = _int_content(N)
     sf = _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
     return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
@@ -1064,10 +1064,7 @@ def _integer_norm(G: Poly) -> list[int]:
     the bit length of H.
 
     *The digits.*  Every coefficient lies in (-2^(S-2), 2^(S-2)), inside
-    the digit range [-2^(S-1), 2^(S-1)).  So the lowest digit of N(X) in
-    that range is N_0, and (N(X) - N_0) / X is the value at X of the rest.
-    A quotient left after the last digit would break the bound; it raises
-    :class:`InexactDivision`.
+    the digit range of :func:`_signed_digits`, which reads them off N(X).
 
     Over a quadratic layer whose radicand is a square in the base,
     base[sqrt(D)] has zero divisors, but the conjugation is still a ring
@@ -1077,25 +1074,13 @@ def _integer_norm(G: Poly) -> list[int]:
     _, g = ring.clear(G.coeffs)
     k = _absolute_degree(G.field)
     S = k * sum(_height(ring, c) for c in g).bit_length() + 2
-    X = 1 << S
-    x = ring.zero
-    for c in reversed(g):
-        x = ring.add(ring.scale(x, X), c)
+    x = _pack(ring, g, S)
     while ring.base is not None:
         prod = x
         for sigma in ring.conjugates(x):
             prod = ring.mul(prod, sigma)
         x, ring = ring.to_base(prod), ring.base
-    half, N = X >> 1, []
-    for _ in range(k * (len(g) - 1) + 1):
-        c = x & (X - 1)
-        if c >= half:
-            c -= X
-        N.append(c)
-        x = (x - c) >> S
-    if x:
-        raise InexactDivision("the norm exceeds its coefficient bound")
-    return N
+    return _signed_digits(x, S, k * (len(g) - 1) + 1)
 
 
 def _height(ring, x) -> int:
@@ -1110,6 +1095,109 @@ def _height(ring, x) -> int:
         return _height(base, x[0]) + _height(base, x[1]) * (
             math.isqrt(_height(base, ring.D)) + 1)
     return sum(map(abs, x))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: a polynomial over the ring as its value at 2^S
+# ---------------------------------------------------------------------------
+
+def _signed_digits(x: int, S: int, count: int) -> list[int]:
+    """The digits c_0, ..., c_(count-1) in [-2^(S-1), 2^(S-1)) with
+    x = sum_k c_k 2^(S k).  They are the coefficients of the integer
+    polynomial of degree below count with value x at X = 2^S whenever its
+    coefficients lie in that range: the lowest digit of x is then c_0, and
+    (x - c_0) / X is the value at X of the rest.  A quotient left after the
+    last digit means that no such polynomial exists; it raises
+    :class:`InexactDivision`."""
+    X = 1 << S
+    mask, half = X - 1, X >> 1
+    out = []
+    for _ in range(count):
+        c = x & mask
+        if c >= half:
+            c -= X
+        out.append(c)
+        x = (x - c) >> S
+    if x:
+        raise InexactDivision("a value exceeds its coefficient bound")
+    return out
+
+
+def _pack(ring, f: list, S: int):
+    """f(2^S) for a coefficient list f over the ring, by Horner's rule."""
+    x, X = ring.zero, 1 << S
+    for c in reversed(f):
+        x = ring.add(ring.scale(x, X), c)
+    return x
+
+
+def _unpack(ring, x, S: int, count: int) -> list:
+    """The coefficient list f of length count over the ring with
+    f(2^S) = x, when every power-basis coordinate of every f_k lies in
+    [-2^(S-1), 2^(S-1)), as :func:`_slot_width` ensures.  The integer 2^S
+    is a scalar, so each coordinate of x is the value at 2^S of the integer
+    polynomial of that coordinate, and its signed digits
+    (:func:`_signed_digits`) are the coordinates of the f_k.  The same
+    argument shows that a polynomial over the ring whose coordinates all
+    lie below 2^S in absolute value is zero when its value at 2^S is:
+    evaluation at 2^S is injective there."""
+    if ring.base is None:
+        return _signed_digits(x, S, count)
+    if isinstance(ring, _QuadraticIntegers):
+        return list(zip(_unpack(ring.base, x[0], S, count),
+                        _unpack(ring.base, x[1], S, count)))
+    return list(zip(*[_signed_digits(c, S, count) for c in x]))
+
+
+def _coordinate_height(ring, x) -> int:
+    """h(x), the l1 norm of the power-basis coordinates of x: |x| over Z,
+    ||x||_1 over Z[zeta_n] and h(a) + h(b) for a + b sqrt(D).  Unlike
+    :func:`_height` it bounds the coordinates, not the embeddings: every
+    coordinate of x is at most h(x) in absolute value.  For a polynomial f
+    over the ring, h(f) = sum_k h(f_k)."""
+    if ring.base is None:
+        return abs(x)
+    if isinstance(ring, _QuadraticIntegers):
+        return _coordinate_height(ring.base, x[0]) + _coordinate_height(ring.base, x[1])
+    return sum(map(abs, x))
+
+
+@functools.cache
+def _product_constant(ring, k: int) -> int:
+    """A constant C with h(E) <= C sum_t prod_i h(x_(t,i)) for every sum E
+    of products prod_i x_(t,i) of at most k elements of the ring, h the
+    coordinate height of :func:`_coordinate_height`; the same holds for
+    polynomials over the ring, coefficientwise in the variable.
+
+    Write each element as a formal polynomial in y for zeta (of degree
+    below phi(n)) and, over a quadratic layer, linear in r for sqrt(D):
+    its l1 norm is h(x).  The l1 norm of formal polynomials is subadditive
+    and submultiplicative, so E written formally has l1 norm at most
+    sum_t prod_i h(x_(t,i)).  Evaluating it in the ring first replaces
+    r^j, j <= k, by D^floor(j/2) r^(j mod 2), which multiplies the l1 norm
+    by at most max(1, h(D))^floor(k/2), then replaces each y^j by the
+    coordinates of zeta^j, which multiplies it by at most
+    c = max_j ||zeta^j||_1 (the table ``ring.pows``).  So C = 1 over Z,
+    C = c over Z[zeta_n], and C = C_b max(1, h(D))^floor(k/2) over a
+    quadratic layer over a base with constant C_b: one reduction for the
+    whole expression, not one per product."""
+    if ring.base is None:
+        return 1
+    if isinstance(ring, _QuadraticIntegers):
+        return _product_constant(ring.base, k) * \
+            max(1, _coordinate_height(ring.base, ring.D)) ** (k // 2)
+    return max(sum(map(abs, p)) for p in ring.pows)
+
+
+def _slot_width(ring, factors: int, bound: int) -> int:
+    """S = bits(C bound) + 2 for a polynomial y over the ring that,
+    expanded, is a sum of products of at most ``factors`` ring elements
+    whose heights, multiplied along each product and added up, come to at
+    most ``bound``; C is the :func:`_product_constant` for that many
+    factors.  Then h(y) < 2^(S-2), so :func:`_unpack` reads y off y(2^S),
+    and two such polynomials are equal exactly when their values at 2^S
+    are, since their difference has every coordinate below 2^(S-1)."""
+    return (_product_constant(ring, factors) * bound).bit_length() + 2
 
 
 # ---------------------------------------------------------------------------

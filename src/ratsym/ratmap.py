@@ -9,16 +9,22 @@ operation may assume nondegeneracy; only :func:`conjugate` and
 field extension both keep a reduced pair reduced.  Derivatives may drop
 degree and are returned as unchecked :class:`FormalRatFunc` values instead.
 :func:`conjugate` and :func:`is_automorphism` run over the integral ring
-of :mod:`ratsym.poly` that every supported field has.
+that every supported field has (:mod:`ratsym.fields`), at one integer point
+X = 2^S (Kronecker substitution): each substitution (P, Q)(U, V) of linear
+forms is a single ring element, taken by Horner's rule in O(d) ring
+products, and S comes from a bound on the power-basis coordinates of the
+polynomials it stands for, at which evaluation at X is injective.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .fields import (Field, FieldElement, FieldMismatch, _integral_ring,
                      common_field, lift)
-from .poly import Poly, _ring_mul, poly_gcd
+from .poly import (Poly, _coordinate_height, _pack, _slot_width, _unpack,
+                   poly_gcd)
 
 __all__ = [
     "ProjPoint",
@@ -209,31 +215,63 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     return result
 
 
-def _substitute(ring, fs: list, U: list, V: list) -> list:
-    """sum_k f_k U^k V^(d-k) for each coefficient list f in fs, all of
-    formal degree d, and linear U, V: Horner in U with the shared powers
-    of V, O(d^2) ring operations per f."""
+def _homogeneous_at(ring, fs: list, u, v) -> list:
+    """f(u, v) = sum_k f_k u^k v^(d-k) for each coefficient list f in fs,
+    all of formal degree d, at single ring elements u and v: Horner in u
+    over the shared powers of v, O(d) ring products."""
     d = len(fs[0]) - 1
     zero, add, mul = ring.zero, ring.add, ring.mul
-    vpows = [[ring.one]]
+    vpows = [ring.one]
     for _ in range(d):
-        vpows.append(_ring_mul(ring, vpows[-1], V))
+        vpows.append(mul(vpows[-1], v))
     out = []
     for f in fs:
-        acc = [f[d]]
+        acc = f[d]
         for k in range(d - 1, -1, -1):
-            acc = _ring_mul(ring, acc, U)
+            acc = mul(acc, u)
             if f[k] != zero:
-                acc = [add(x, mul(f[k], v)) if v != zero else x
-                       for x, v in zip(acc, vpows[d - k])]
+                acc = add(acc, mul(f[k], vpows[d - k]))
         out.append(acc)
     return out
 
 
-def _pencil(ring, s, f: list, t, g: list) -> list:
-    """s f + t g, coefficientwise."""
-    add, mul = ring.add, ring.mul
-    return [add(mul(s, x), mul(t, y)) for x, y in zip(f, g)]
+def _substituted(ring, P: list, Q: list, U: list, V: list, k: int):
+    """(S, A, B): the values A, B at X = 2^S of the pair (P, Q)(U, V) of
+    formal degree d, for linear forms U and V given by their coefficient
+    lists.  Here h is the coordinate height summed over a polynomial's
+    coefficients (:func:`poly._coordinate_height`), H = h(P) + h(Q) and
+    M = max(h(U), h(V)).  Expanded, A and B are sums of products of a
+    coefficient of P or Q and d entries of U and V, whose heights come to
+    at most M^d H in all.  S is the slot width of :func:`poly._slot_width`
+    for d + 1 + k factors and the bound M^(d+1) H^k, which covers A and B
+    times one ring element of height at most M (k = 1), or times a
+    combination of P and Q with two such weights (k = 2)."""
+    h = functools.partial(_coordinate_height, ring)
+    d = len(P) - 1
+    H = sum(map(h, P)) + sum(map(h, Q))
+    M = max(sum(map(h, U)), sum(map(h, V)))
+    S = _slot_width(ring, d + 1 + k, M ** (d + 1) * H ** k)
+    return (S, *_homogeneous_at(ring, [P, Q], _pack(ring, U, S), _pack(ring, V, S)))
+
+
+def _power_products(ring, U: list, V: list, d: int, js: list[int]) -> list[list]:
+    """[U^j V^(d-j) for j in js], d >= 1, for linear forms U and V over the
+    ring given by their coefficient lists, by Kronecker substitution: each
+    product is read off the value u^j v^(d-j) at X = 2^S of u = U(X) and
+    v = V(X) (:func:`poly._unpack`), from the shared powers of u and v.
+
+    *The point.*  With h and M as in :func:`_substituted`, a product of d
+    linear forms, expanded, is a sum of products of d of their entries,
+    whose heights come to at most M^d in all; S is the slot width of
+    :func:`poly._slot_width` for d factors and that bound."""
+    h = functools.partial(_coordinate_height, ring)
+    S = _slot_width(ring, d, max(sum(map(h, U)), sum(map(h, V))) ** d)
+    u, v = _pack(ring, U, S), _pack(ring, V, S)
+    upow, vpow = [ring.one], [ring.one]
+    for _ in range(d):
+        upow.append(ring.mul(upow[-1], u))
+        vpow.append(ring.mul(vpow[-1], v))
+    return [_unpack(ring, ring.mul(upow[j], vpow[d - j]), S, d + 1) for j in js]
 
 
 def _integral_data(phi: RationalMap, T):
@@ -260,16 +298,26 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
     With T^{-1} = (dw - b)/(-cw + a), phi o T^{-1} is the pair
     (P, Q)(dw - b, -cw + a) of formal degree d = deg phi, and T o phi o T^{-1}
     is (aP + bQ, cP + dQ) of that pair.  Computed over the field's integral
-    ring (Z, Z[zeta_n], or pairs over it for a quadratic layer) by one
-    Horner pass.  A Moebius map sends a
-    coprime homogeneous pair of degree d to another, so the result needs
-    no gcd, only the canonical scaling of :func:`make_map`.
+    ring (Z, Z[zeta_n], or pairs over it for a quadratic layer) at one
+    integer point X = 2^S (Kronecker substitution): one Horner pass on
+    single ring elements gives the values N(X) and D(X) of the result, and
+    N and D are read off the signed base-2^S digits of their coordinates
+    (:func:`poly._unpack`).  A Moebius map sends a coprime homogeneous pair
+    of degree d to another, so the result needs no gcd, only the canonical
+    scaling of :func:`make_map`.
+
+    *The point.*  With h, H and M as in :func:`_substituted`, N and D
+    expanded are sums of products of d + 2 ring elements: one of
+    a, b, c, d, which are at most M, times a term of the substituted pair.
+    Their heights come to at most M^(d+1) H in all, which the slot width S
+    taken with k = 1 covers.
     """
     phi, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
-    zero, sub = ring.zero, ring.sub
-    N, D = _substitute(ring, [P, Q], [sub(zero, b), e], [a, sub(zero, c)])
-    N, D = _pencil(ring, a, N, b, D), _pencil(ring, c, N, e, D)
-    field = phi.field
+    zero, add, sub, mul = ring.zero, ring.add, ring.sub, ring.mul
+    S, A, B = _substituted(ring, P, Q, [sub(zero, b), e], [a, sub(zero, c)], 1)
+    field, count = phi.field, phi.degree + 1
+    N = _unpack(ring, add(mul(a, A), mul(b, B)), S, count)
+    D = _unpack(ring, add(mul(c, A), mul(e, B)), S, count)
     return _scaled(Poly(field, [ring.to_field(x, 1) for x in N]),
                    Poly(field, [ring.to_field(x, 1) for x in D]), phi.degree)
 
@@ -316,9 +364,18 @@ def is_automorphism(phi: RationalMap, T) -> bool:
     with A, B = (P, Q)(aw + b, cw + d) at the formal degree d of phi, both
     sides are coprime pairs of formal degree d, so they agree exactly when
     A (cP + dQ) = B (aP + bQ).  The test runs over the field's integral ring
-    after clearing denominators once.
+    after clearing denominators once, on the values of both sides at one
+    integer point X = 2^S (Kronecker substitution): O(d) ring products, and
+    nothing unpacked.
+
+    *The point.*  With h, H and M as in :func:`_substituted`, both sides
+    expanded are sums of products of d + 3 ring elements: a term of A or B,
+    one of a, b, c, d and a coefficient of P or Q.  Their heights come to
+    at most M^d H times M H in all, which the slot width S taken with k = 2
+    covers, so the two sides are equal exactly when their values at X are.
     """
     _, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
-    A, B = _substitute(ring, [P, Q], [b, a], [e, c])
-    return _ring_mul(ring, A, _pencil(ring, c, P, e, Q)) == \
-        _ring_mul(ring, B, _pencil(ring, a, P, b, Q))
+    add, mul = ring.add, ring.mul
+    S, A, B = _substituted(ring, P, Q, [b, a], [e, c], 2)
+    p, q = _pack(ring, P, S), _pack(ring, Q, S)
+    return mul(A, add(mul(c, p), mul(e, q))) == mul(B, add(mul(a, p), mul(b, q)))

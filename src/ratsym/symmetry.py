@@ -28,9 +28,9 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
                      scaling, standard_generators)
-from .poly import Poly, _ring_mul, nullspace, poly_gcd, resultant
-from .ratmap import (RationalMap, _scaled, conjugate, eval_proj, is_automorphism,
-                     maps_equal, ProjPoint)
+from .poly import Poly, nullspace, poly_gcd, resultant
+from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
+                     is_automorphism, maps_equal, ProjPoint)
 
 __all__ = [
     "CyclicFamily",
@@ -398,7 +398,8 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
 
     The system is built in Z[zeta_12]: the entries of M are cleared once,
     to s, t, u, w with a common denominator e, and the columns are the
-    products U^j V^(d-j) of U = t + s z and V = w + u z, with the lam terms
+    products U^j V^(d-j) of U = t + s z and V = w + u z
+    (:func:`ratmap._power_products`), with the lam terms
     sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
     the entry over the field, which leaves the kernel as it is, and
     :func:`nullspace` takes the rows as they are.  The sign that fails has
@@ -413,11 +414,7 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     unknowns = ([(True, 3 * k) for k in range(r + 1)]
                 + [(False, 3 * k - 1) for k in range(1, r + 1)])
     # z^j at formal degree d, after substituting z -> (s z + t) / (u z + w)
-    upow, vpow = [[ring.one]], [[ring.one]]
-    for _ in range(d):
-        upow.append(_ring_mul(ring, upow[-1], [t, s]))
-        vpow.append(_ring_mul(ring, vpow[-1], [w, u]))
-    subs = [_ring_mul(ring, upow[j], vpow[d - j]) for _, j in unknowns]
+    subs = _power_products(ring, [t, s], [w, u], d, [j for _, j in unknowns])
     c_half = ring.one                 # c^((d-1)/2), times e^(d-1)
     for _ in range((d - 1) // 2):
         c_half = ring.mul(c_half, ring.add(ring.mul(s, s), ring.mul(t, u)))

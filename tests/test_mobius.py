@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ratsym import mobius
@@ -14,6 +16,18 @@ def test_orders():
     assert mobius_order(MobiusMap(QQ, 1, 1, 0, 1)) is None        # parabolic
     assert mobius_order(scaling(QQ(2)).compose(inversion(QQ))) == 2  # z -> 2/z
     assert mobius_order(identity(QQ)) == 1
+    # entries with denominators, whose order does not change under scaling
+    assert mobius_order(MobiusMap(QQ, 0, Fraction(1, 2), Fraction(3, 7), 0)) == 2
+    assert mobius_order(MobiusMap(QQ, Fraction(1, 2), 0, 0, Fraction(-1, 3))) is None
+    K = CyclotomicField(12)
+    T6 = MobiusMap(K, K.from_coeffs([Fraction(1, 3), 0, 0, 0]), 0, 0,
+                   K.from_coeffs([0, Fraction(1, 3), 0, 0]))
+    assert mobius_order(T6) == 12
+    # rotation(5) conjugated over the icosahedral quadratic layer
+    _, D = standard_generators(GroupSpec("A5"))
+    R = rotation(5).lift(D.field)
+    assert mobius_order(D.compose(R).compose(D.inverse())) == 5
+    assert mobius_order(D.compose(scaling(D.field(Fraction(2, 3)))).compose(D.inverse())) is None
 
 
 def test_projective_equality_and_keys():

@@ -5,7 +5,8 @@ import pytest
 
 from ratsym.fields import QQ, CyclotomicField, QuadraticField
 from ratsym.mobius import MobiusMap, inversion, rotation, scaling
-from ratsym.poly import Poly, poly_eval
+from ratsym import poly
+from ratsym.poly import Poly, poly_eval, squarefree_norm
 from ratsym.ratmap import (DegenerateMap, conjugate, is_automorphism, make_map,
                            maps_equal)
 from ratsym.symmetry import (CoefficientConditionViolated, CyclicFamily,
@@ -21,6 +22,21 @@ from ratsym.moduli import (CertificateInvalid, ConjugationLeg, FamilyMismatch,
                            validate_path_certificate, _certify_segment,
                            _segment_obstruction)
 from ratsym.symmetry import NotAdmissible
+
+
+def test_sturm_proof_takes_the_square_free_part_once(monkeypatch):
+    # over Q(i) a G with rational coefficients has norm G^2: one square-free
+    # step makes it square-free, and the count takes it as it is
+    K = CyclotomicField(4)
+    G = Poly(K, [K(2), K(0), K(1)])
+    calls = []
+    squarefree_z = poly._squarefree_z
+    monkeypatch.setattr(poly, "_squarefree_z",
+                        lambda f: calls.append(f) or squarefree_z(f))
+    proof = moduli._sturm_segment_proof(G)
+    assert proof == SturmProof(norm_poly=Poly(QQ, [2, 0, 1]))
+    assert len(calls) == 1
+    assert squarefree_norm(G) == proof.norm_poly
 
 
 def test_dimension_examples():

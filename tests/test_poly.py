@@ -584,6 +584,40 @@ def test_residue_map_checks_its_prime():
     assert not fields._is_prime(3215031751)
 
 
+def test_squarefree_norm_of_a_zero_divisor_leading_coefficient():
+    # 48 - 48 z + 24 z^3 = (6 - 2 sqrt 3)^2 with sqrt 3 = 2 z - z^3 in
+    # Q(zeta_12), so zd = (6 - 2 sqrt 3) - sqrt(delta) has norm zero: the
+    # norm of G = 1 + zd t is 1 + 2 (6 - 2 sqrt 3) t over Q(zeta_12), and
+    # (1 + 24 t + 96 t^2)^2 over Z, whose 8 (2 - 1) + 1 coefficients at
+    # [K:Q] = 8 end in four zeros
+    K = CyclotomicField(12)
+    L = QuadraticField(K, K.from_coeffs([48, -48, 0, 24]))
+    zd = L.from_parts(K.from_coeffs([6, -4, 0, 2]), K(-1))
+    norm = poly._integer_norm(Poly(L, [L(1), zd]))
+    assert norm == [1, 48, 768, 4608, 9216, 0, 0, 0, 0]
+    # (1 + (12 - 4 sqrt 3) t)(1 + (12 + 4 sqrt 3) t) = 1 + 24 t + 96 t^2
+    assert poly.squarefree_norm(Poly(L, [L(1), zd])) == \
+        Poly(QQ, [Fraction(1, 96), Fraction(1, 4), 1])
+    with pytest.raises(ValueError, match="norm is zero"):
+        poly.squarefree_norm(Poly(L, [zd]))
+    with pytest.raises(ValueError, match="norm is zero"):
+        poly.squarefree_norm(Poly(L, [zd, zd * zd]))
+
+
+def test_signed_digits():
+    digits = [5, -8, 7, 0, -1]
+    x = sum(c << (4 * k) for k, c in enumerate(digits))
+    assert poly._signed_digits(x, 4, 5) == digits
+    assert poly._signed_digits(x, 4, 6) == digits + [0]
+    # -x has the digit 8 out of range, which carries
+    assert poly._signed_digits(-x, 4, 5) == [-5, -8, -6, 0, 1]
+    # a quotient left after the last digit is an error that python -O keeps
+    with pytest.raises(InexactDivision):
+        poly._signed_digits(x, 4, 4)
+    with pytest.raises(InexactDivision):
+        poly._signed_digits(1 << 12, 4, 3)
+
+
 def test_sturm_examples():
     t = x()
     assert sturm_roots_in_interval(t * t - Fraction(1, 4), 0, 1) == 1
