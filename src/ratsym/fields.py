@@ -653,6 +653,21 @@ def lift(x: FieldElement, target: Field) -> FieldElement:
     raise FieldMismatch(f"no declared embedding of {src} into {target}")
 
 
+def _ring_lift(x, src, ring):
+    """The image of x, an element of the integral ring ``src`` of a field,
+    in the integral ring ``ring`` of a field that :func:`lift` maps that
+    field into: an integer is a multiple of one, Z[zeta_m] goes into
+    Z[zeta_n] by zeta_m = zeta_n^(n/m) (:meth:`_CyclotomicIntegers.at_power`),
+    and the base's ring into a quadratic layer's as the pairs (x, 0)."""
+    if src is ring:
+        return x
+    if src.base is None:
+        return ring.scale(ring.one, x)
+    if isinstance(ring, _QuadraticIntegers):
+        return (_ring_lift(x, src, ring.base), ring.base.zero)
+    return ring.at_power(x, ring.n // src.n)
+
+
 def common_field(f1: Field, f2: Field) -> Field:
     if f1 == f2:
         return f1

@@ -7,7 +7,8 @@
   polynomial of a segment and its Sturm proof come from the integer kernel
   of :mod:`ratsym.poly` (the pencil resultant modulo primes over Z and
   Z[zeta_n] and by fraction-free determinants over a quadratic layer, the
-  full norm, Descartes bisection over Z), exactly as over the field,
+  norm over the distinct images, Descartes bisection over Z), exactly as
+  over the field,
 * chained connectivity certificates through explicit witness maps,
 * multiplier coordinates of degree-2 maps, as ratios of the coefficients of
   a resultant in the multiplier, and the cubic relation cut out by the
@@ -144,13 +145,15 @@ class SturmProof:
     root in (0, 1], and requires the obstruction to be nonzero at t = 0
     and 1.
 
-    The norm and the root count are computed over Z: the norm as the norm
-    of the obstruction's value at t = 2^S, a single element of the field's
-    integral ring, whose digits in base 2^S are the norm's coefficients
+    The norm and the root count are computed over Z: the norm as the
+    product of the distinct images of the obstruction's value at t = 2^S,
+    a single element of the field's integral ring, whose digits in base
+    2^S are the coefficients of a polynomial with the full norm as a power
     (:func:`squarefree_norm`), and the count by Descartes bisection on
-    that square-free norm as it is (:func:`poly._count_roots`).  They
-    are the same polynomial and count as a Sturm chain over Q gives, so
-    stored proofs keep their meaning."""
+    that square-free norm as it is (:func:`poly._count_roots`).  A power
+    has the same square-free part, so they are the same polynomial and
+    count as a Sturm chain over Q gives, and stored proofs keep their
+    meaning."""
     norm_poly: Poly                # over Q, square-free, monic
 
     @property

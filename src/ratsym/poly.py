@@ -20,10 +20,10 @@ takes rows over Z or Z[zeta_n] (row reduction over F_p, joined by the
 Chinese remainder theorem and rational reconstruction, then checked
 exactly).  :func:`interpolate` takes forward differences in the ring.
 :func:`squarefree_norm` substitutes t = 2^S into the polynomial
-(Kronecker substitution), takes the norm of that one ring element down the
-tower to Z, and reads the norm polynomial's coefficients off its digits in
-base 2^S; the map layer reads its substitutions off such digits too
-(:func:`_pack`, :func:`_unpack`).  :func:`sturm_roots_in_interval` counts
+(Kronecker substitution), multiplies that one ring element by its distinct
+conjugates down the tower to Z, and reads the norm polynomial's
+coefficients off its digits in base 2^S; the map layer reads its
+substitutions off such digits too (:func:`_pack`, :func:`_unpack`).  :func:`sturm_roots_in_interval` counts
 in Z[x] by a modular gcd and Descartes bisection.  The results are the
 same exact values, polynomials and counts as over the field.
 """
@@ -39,7 +39,8 @@ from typing import Iterable, Sequence
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
                      InexactDivision, _absolute_degree, _integral_ring, _is_prime,
                      _QuadraticIntegers, _RationalIntegers, _residue_prime,
-                     _root_of_unity_mod, _zpoly_exact_quo, cyclotomic_coeffs, lift)
+                     _root_of_unity_mod, _zpoly_exact_quo, cyclotomic_coeffs, euler_phi,
+                     lift)
 
 __all__ = [
     "Poly",
@@ -419,8 +420,11 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
     the rows to F_p, where :func:`_kernel_mod` finds the pivots of the
     reduced echelon form R and the entries -R[i][f] of the kernel basis.
-    A prime whose phi(n) maps disagree on the pivots is dropped.  The
-    others are ranked by the key (-rank, pivots): a worse key than the best
+    Maps that give the same rows modulo p give the same reduction, so each
+    distinct image is reduced once: the rows of a matrix over Z[zeta_m]
+    lifted into Z[zeta_n] have at most phi(m) distinct images.  A prime
+    whose phi(n) maps disagree on the pivots is dropped.  The others are
+    ranked by the key (-rank, pivots): a worse key than the best
     seen is dropped, and a better one restarts the Chinese remainder
     theorem, as a lower degree does in :func:`_zgcd`.  The Lagrange matrix
     of :func:`_residue_maps` takes the images to power-basis coordinates
@@ -471,8 +475,12 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     while True:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
-        kernels = [_kernel_mod([_image(row, p, w, scalar) for row in rows], ncols, p)
-                   for w in maps]
+        kernels, done = [], {}
+        for w in maps:
+            key = tuple(tuple(_image(row, p, w, scalar)) for row in rows)
+            if key not in done:
+                done[key] = _kernel_mod(list(map(list, key)), ncols, p)
+            kernels.append(done[key])
         pivots = kernels[0][0]
         if any(other != pivots for other, _ in kernels):
             continue
@@ -743,6 +751,11 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     matrix of the roots of Phi_n inverts (:func:`_residue_maps`).  The
     primes are joined by the Chinese remainder theorem until their product
     M exceeds 2 C_n E; then the symmetric lift into (-M/2, M/2) is exact.
+    Maps that take (f0, df, g0, dg) to the same vectors modulo p give the
+    same R, so each distinct image is reduced once and its coefficients
+    serve every map that gives it: a pencil over Q(zeta_m) lifted into
+    Q(zeta_n) has at most phi(m) distinct images.  For two constant pencils
+    (m = 0) only f0 and g0 are mapped, and Res(fp, gp) is R.
 
     *The bound E.*  Let sigma be a complex embedding and |t| = 1.  Since
     |sigma(x)| <= ||x||_1 for the coordinates x of a ring element, every
@@ -784,18 +797,17 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     def height(v0: list, dv: list) -> int:
         return sum((sum(map(abs, x)) + sum(map(abs, y))) ** 2 for x, y in zip(v0, dv))
     limit = 4 * _lagrange_bound(n) ** 2 * height(f0, df) ** b * height(g0, dg) ** a
+    pencils = (f0, df, g0, dg) if m else (f0, g0)
     coords, modulus, k = None, 1, 0
     while coords is None or modulus * modulus <= limit:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
-        images = []                             # per embedding: R's coefficients
+        images, done = [], {}                   # per embedding: R's coefficients
         for w in maps:
-            fp, dfp, gp, dgp = ([sum(map(operator.mul, x, w)) % p for x in v]
-                                for v in (f0, df, g0, dg))
-            images.append(_interpolate_mod(
-                [_resultant_mod([(x + t * y) % p for x, y in zip(fp, dfp)],
-                                [(x + t * y) % p for x, y in zip(gp, dgp)], p)
-                 for t in range(m + 1)], p))
+            key = tuple(tuple(sum(map(operator.mul, x, w)) % p for x in v) for v in pencils)
+            if key not in done:
+                done[key] = _pencil_resultant_mod(key, m, p)
+            images.append(done[key])
         residues = [sum(map(operator.mul, col, row)) % p
                     for col in zip(*images) for row in lagrange]
         if coords is None:
@@ -849,6 +861,19 @@ def _residue_maps(n: int, k: int) -> tuple[int, list[list[int]], list[list[int]]
         maps.append(weights)
         columns.append([x * inv % p for x in q])
     return p, maps, [list(row) for row in zip(*columns)]
+
+
+def _pencil_resultant_mod(images: tuple, m: int, p: int) -> list[int]:
+    """R(t) modulo p, ascending, from the images (fp, dfp, gp, dgp) of two
+    pencils modulo p, by Euclid at the nodes t = 0..m and Newton
+    interpolation; from (fp, gp) alone when m = 0, the one value
+    Res(fp, gp)."""
+    if not m:
+        return [_resultant_mod(*images, p)]
+    fp, dfp, gp, dgp = images
+    return _interpolate_mod([_resultant_mod([(x + t * y) % p for x, y in zip(fp, dfp)],
+                                            [(x + t * y) % p for x, y in zip(gp, dgp)], p)
+                             for t in range(m + 1)], p)
 
 
 def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
@@ -1028,9 +1053,11 @@ def _count_roots(g: list[int], lo: Fraction, hi: Fraction) -> int:
 def squarefree_norm(G: Poly) -> Poly:
     """Monic square-free part, over Q, of the norm N = prod_sigma sigma(G)
     of a nonzero polynomial G over any supported field, over all its
-    embeddings sigma into C (Trager, SYMSAC 1976).  N is taken over Z by
-    :func:`_integer_norm`, one norm of a ring element.  The declared
-    embedding of G is a factor of N, so a real root of G is a root of N."""
+    embeddings sigma into C (Trager, SYMSAC 1976).  It is taken over Z from
+    :func:`_integer_norm`, the product of the distinct images of G only,
+    whose e-th power is N for some e >= 1; a power has the same square-free
+    part.  The identity is among those images, so the declared embedding of
+    G is a factor of both, and a real root of G is a root of N."""
     if G.is_zero():
         raise ValueError("zero polynomial")
     # a zero-divisor leading coefficient of a layer with a square radicand
@@ -1044,42 +1071,53 @@ def squarefree_norm(G: Poly) -> Poly:
 
 
 def _integer_norm(G: Poly) -> list[int]:
-    """The ascending coefficients over Z of N(t) = prod_sigma sigma(g)(t),
-    k (len(g) - 1) + 1 of them, for the multiple g of a nonzero G over the
-    field's integral ring, by Kronecker substitution t = X = 2^S.
+    """The ascending coefficients over Z of N'(t), the product of the
+    distinct images of the multiple g of a nonzero G over the field's
+    integral ring, padded with zeros to k (len(g) - 1) + 1 of them for
+    k = [K:Q]; the full norm prod_sigma sigma(g) is N'^e for some e >= 1.
+    By Kronecker substitution t = X = 2^S.
 
     g(X) is one ring element, taken by Horner's rule.  The tower is walked
-    down on it: over each layer it is multiplied by its conjugates over the
-    layer below (sqrt(D) -> -sqrt(D) over a quadratic layer, zeta -> zeta^u
-    over Z[zeta_n]), which puts the product in the ring below, until the
-    ring is Z.  Every automorphism fixes the integer X, so the result is
-    N_{K/Q}(g(X)) = N(X), and N's coefficients are its signed digits in
-    base 2^S.
+    down on it: over each layer it is multiplied by its distinct conjugates
+    over the layer below (sqrt(D) -> -sqrt(D) over a quadratic layer,
+    zeta -> zeta^u over Z[zeta_n]), its orbit, whose product lies in the
+    ring below, until the ring is Z.  The orbit of the value is the orbit
+    of the polynomial M it stands for (below), so the layer's norm of M is
+    the product over M's orbit to the power of the orbit's index, and N is
+    N'^e.  Every automorphism fixes the integer X, so the walk ends at the
+    integer N'(X), whose signed digits in base 2^S are N''s coefficients.
 
-    *The bound.*  Let k = [K:Q], and let h(x) be the integer that
-    :func:`_height` gives, with |sigma(x)| <= h(x) for every embedding
-    sigma.  Each sigma(g) has ||sigma(g)||_1 <= H = sum_i h(g_i), so
-    ||N||_inf <= ||N||_1 <= prod_sigma ||sigma(g)||_1 <= H^k
-    < 2^(k bits(H)) = 2^(S - 2) for S = k bits(H) + 2, where bits(H) is
-    the bit length of H.
+    *The bound.*  Let h(x) be the integer that :func:`_height` gives, with
+    |sigma(x)| <= h(x) for every embedding sigma.  Each sigma(g) has
+    ||sigma(g)||_1 <= H = sum_i h(g_i), so ||N'||_1 <= H^k'
+    <= 2^(k bits(H)) <= 2^(S - 2), k' <= k the number of factors, and the
+    coefficients lie in the digit range of :func:`_signed_digits`.
 
-    *The digits.*  Every coefficient lies in (-2^(S-2), 2^(S-2)), inside
-    the digit range of :func:`_signed_digits`, which reads them off N(X).
+    *The orbits.*  Over a quadratic layer, the conjugate of g(X) is g(X)
+    exactly when the sqrt(D) part b of g is zero at X, which, its
+    coordinates being at most H < 2^S, happens only for b = 0.  Over
+    Z[zeta_n], x = M(X) for the product M of j <= k / phi(n) images of g,
+    so |tau(M_i)| <= H^j for every embedding tau, and the coordinates of
+    D = sigma(M) - M are at most 2 C_n H^j by the Lagrange bound C_n of
+    :func:`_lagrange_bound`.  S is taken at least bits(C_n) + j bits(H) + 1,
+    so they are below 2^S, and D(X) = 0 only for D = 0
+    (:func:`_unpack`).
 
     Over a quadratic layer whose radicand is a square in the base,
     base[sqrt(D)] has zero divisors, but the conjugation is still a ring
-    map and the bound still holds, so N is the same formal product; it is
-    zero when g(X) is a zero divisor."""
+    map and the bounds still hold; N' is zero when g(X) is a zero
+    divisor."""
     ring = _integral_ring(G.field)
     _, g = ring.clear(G.coeffs)
     k = _absolute_degree(G.field)
-    S = k * sum(_height(ring, c) for c in g).bit_length() + 2
+    layer = ring.base if isinstance(ring, _QuadraticIntegers) else ring
+    n = 1 if layer.base is None else layer.n
+    b = sum(_height(ring, c) for c in g).bit_length()
+    S = max(k * b, k // euler_phi(n) * b + _lagrange_bound(n).bit_length() - 1) + 2
     x = _pack(ring, g, S)
     while ring.base is not None:
-        prod = x
-        for sigma in ring.conjugates(x):
-            prod = ring.mul(prod, sigma)
-        x, ring = ring.to_base(prod), ring.base
+        orbit = dict.fromkeys([x, *ring.conjugates(x)])
+        x, ring = ring.to_base(functools.reduce(ring.mul, orbit)), ring.base
     return _signed_digits(x, S, k * (len(g) - 1) + 1)
 
 

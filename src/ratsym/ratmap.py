@@ -22,7 +22,7 @@ import functools
 from fractions import Fraction
 
 from .fields import (Field, FieldElement, FieldMismatch, _integral_ring,
-                     common_field, lift)
+                     _ring_lift, common_field, lift)
 from .poly import (Poly, _coordinate_height, _pack, _slot_width, _unpack,
                    poly_gcd)
 
@@ -275,21 +275,28 @@ def _power_products(ring, U: list, V: list, d: int, js: list[int]) -> list[list]
 
 
 def _integral_data(phi: RationalMap, T):
-    """phi and T over one field, their ring, and the numerator, denominator
-    and matrix entries with denominators cleared (each up to a scalar,
-    which changes neither the map nor the Moebius transformation)."""
+    """The field of phi and T together, its ring, and the numerator,
+    denominator and matrix entries with denominators cleared (each up to a
+    scalar, which changes neither the map nor the Moebius transformation).
+    Each is cleared in the ring of its own field and then lifted into that
+    ring (:func:`fields._ring_lift`), so a map over a subfield clears only
+    its own coordinates."""
     from .mobius import MobiusMap  # local import to avoid a cycle
     if not isinstance(T, MobiusMap):
         raise TypeError("conjugator must be a MobiusMap")
-    if T.field != phi.field:
-        k = common_field(phi.field, T.field)
-        phi, T = phi.lift(k), T.lift(k)
-    ring = _integral_ring(phi.field)
+    field = common_field(phi.field, T.field)
+    ring = _integral_ring(field)
     d = phi.degree
-    _, pq = ring.clear([phi.num[k] for k in range(d + 1)]
-                       + [phi.den[k] for k in range(d + 1)])
-    _, abcd = ring.clear(T.entries())
-    return phi, ring, pq[:d + 1], pq[d + 1:], abcd
+    pq = _cleared(ring, phi.field, [phi.num[k] for k in range(d + 1)]
+                  + [phi.den[k] for k in range(d + 1)])
+    return field, ring, pq[:d + 1], pq[d + 1:], _cleared(ring, T.field, T.entries())
+
+
+def _cleared(ring, field: Field, elems) -> list:
+    """The elements of the field, cleared of denominators together in the
+    field's own ring and lifted into ``ring``."""
+    src = _integral_ring(field)
+    return [_ring_lift(x, src, ring) for x in src.clear(elems)[1]]
 
 
 def conjugate(phi: RationalMap, T) -> RationalMap:
@@ -312,10 +319,10 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
     Their heights come to at most M^(d+1) H in all, which the slot width S
     taken with k = 1 covers.
     """
-    phi, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    field, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
     zero, add, sub, mul = ring.zero, ring.add, ring.sub, ring.mul
     S, A, B = _substituted(ring, P, Q, [sub(zero, b), e], [a, sub(zero, c)], 1)
-    field, count = phi.field, phi.degree + 1
+    count = phi.degree + 1
     N = _unpack(ring, add(mul(a, A), mul(b, B)), S, count)
     D = _unpack(ring, add(mul(c, A), mul(e, B)), S, count)
     return _scaled(Poly(field, [ring.to_field(x, 1) for x in N]),

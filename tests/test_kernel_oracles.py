@@ -6,7 +6,9 @@ coefficients that the modular gcd must skip a prime for.  The Sylvester
 resultants are compared with sympy's over Q, Q(i) and Q(zeta_n) at formal
 degrees above the actual ones, the segment obstruction polynomials with
 sympy's resultant over Q and Q(i), the modular pencil resultant with
-sympy's resultant over Q[zeta_n][t], the square-free norms over every kind
+sympy's resultant over Q[zeta_n][t], also on pencils lifted from a
+subfield, where each distinct residue image is reduced once (counted by
+patching the kernels modulo p), the square-free norms over every kind
 of supported field with ``sqf_part`` of sympy's resultants
 against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
@@ -32,12 +34,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ratsym import poly  # noqa: E402
 from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
-                           _integral_ring)
+                           _absolute_degree, _integral_ring, _RationalIntegers, lift)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
 from ratsym.poly import (Poly, _integer_norm, _prime, _residue_maps,  # noqa: E402
-                         _ring_mul, _squarefree_z, nullspace, pencil_resultant,
+                         _ring_mul, _trim, _squarefree_z, nullspace, pencil_resultant,
                          poly_eval, poly_gcd, resultant, squarefree_norm,
                          sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
@@ -171,24 +174,103 @@ def cyclotomic_pencils(draw):
     return ring, vecs
 
 
-@settings(SETTINGS, max_examples=20)
-@given(cyclotomic_pencils())
-def test_pencil_resultant_matches_sympy(pencils):
+def _sympy_pencil_check(ring, f0, df, g0, dg, got):
     # sympy's resultant in x over Q[z, t], reduced modulo Phi_n(z)
-    ring, (f0, df, g0, dg) = pencils
-
     def expr(v0, dv):
         return sum((sum(c * Z ** i for i, c in enumerate(x))
                     + T * sum(c * Z ** i for i, c in enumerate(y))) * X ** k
                    for k, (x, y) in enumerate(zip(v0, dv)))
+    expect = _sympy_resultant(expr(f0, df), expr(g0, dg), len(f0) - 1, len(g0) - 1)
+    ours = sum(c * Z ** i * T ** j for j, y in enumerate(got) for i, c in enumerate(y))
+    assert sp.rem(sp.expand(expect - ours), sp.cyclotomic_poly(ring.n, Z), Z) == 0
+
+
+@settings(SETTINGS, max_examples=20)
+@given(cyclotomic_pencils())
+def test_pencil_resultant_matches_sympy(pencils):
+    ring, (f0, df, g0, dg) = pencils
     a, b = len(f0) - 1, len(g0) - 1
-    expect = _sympy_resultant(expr(f0, df), expr(g0, dg), a, b)
     got = pencil_resultant(ring, f0, df, g0, dg)
     # one node more than the degree in t, b [df != 0] + a [dg != 0]
     zero = ring.zero
     assert len(got) == b * any(x != zero for x in df) + a * any(x != zero for x in dg) + 1
-    ours = sum(c * Z ** i * T ** j for j, y in enumerate(got) for i, c in enumerate(y))
-    assert sp.rem(sp.expand(expect - ours), sp.cyclotomic_poly(ring.n, Z), Z) == 0
+    _sympy_pencil_check(ring, f0, df, g0, dg, got)
+
+
+# --- each distinct Galois image reduced once ---------------------------------
+
+# (m, n): Z[zeta_m] inside Z[zeta_n], by zeta_m = zeta_n^(n/m)
+SUBRINGS = [(3, 12), (4, 20), (4, 12), (5, 20)]
+
+
+def _subring_lift(m, n, x):
+    return CyclotomicField(n).ring.at_power(x, n // m)
+
+
+def _count_by_prime(monkeypatch, name):
+    """Calls of the poly kernel ``name`` by prime, its last argument."""
+    calls = {}
+    real = getattr(poly, name)
+
+    def spy(*args):
+        calls[args[-1]] = calls.get(args[-1], 0) + 1
+        return real(*args)
+    monkeypatch.setattr(poly, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", SUBRINGS)
+@pytest.mark.parametrize("constant", [False, True])
+def test_pencil_resultant_reduces_each_distinct_image_once(m, n, constant, monkeypatch):
+    # a pencil over Z[zeta_m] lifted into Z[zeta_n] has phi(m) distinct
+    # images modulo each prime, not phi(n): Euclid runs phi(m) (k + 1)
+    # times per prime for k + 1 nodes, and once per image, with no
+    # interpolation, for two constant pencils.  The result is still the
+    # resultant over Z[zeta_n], the lift of the one over Z[zeta_m]
+    rng = random.Random(m * n + constant)
+    size = CyclotomicField(m).degree
+
+    def vec(length):
+        return [tuple(rng.randrange(-2 ** 40, 2 ** 40) for _ in range(size))
+                for _ in range(length)]
+    f0, df, g0, dg = vec(4), vec(4), vec(3), vec(3)
+    if constant:
+        df, dg = [(0,) * size] * 4, [(0,) * size] * 3
+    nodes = 1 if constant else 2 + 3 + 1           # R has degree b + a in t
+    lifted = [[_subring_lift(m, n, x) for x in v] for v in (f0, df, g0, dg)]
+    small = pencil_resultant(CyclotomicField(m).ring, f0, df, g0, dg)
+    euclid = _count_by_prime(monkeypatch, "_resultant_mod")
+    newton = _count_by_prime(monkeypatch, "_interpolate_mod")
+    got = pencil_resultant(CyclotomicField(n).ring, *lifted)
+    assert len(got) == nodes
+    assert set(euclid.values()) == {size * nodes}
+    assert set(newton.values()) == (set() if constant else {size})
+    assert got == [_subring_lift(m, n, c) for c in small]
+    _sympy_pencil_check(CyclotomicField(n).ring, *lifted, got)
+
+
+@pytest.mark.parametrize("m, n", SUBRINGS)
+def test_nullspace_of_lifted_rows_is_the_lifted_nullspace(m, n, monkeypatch):
+    # rows over Z[zeta_m] of rank 3 with 5 columns, lifted into Z[zeta_n]:
+    # each prime reduces phi(m) images, and the basis is the lift of the
+    # basis over Q(zeta_m)
+    rng = random.Random(m * n)
+    small, big = CyclotomicField(m), CyclotomicField(n)
+
+    def elem():
+        return small.from_coeffs([rng.randrange(-2 ** 30, 2 ** 30)
+                                  for _ in range(small.degree)])
+    left = [[elem() for _ in range(3)] for _ in range(4)]
+    right = [[elem() for _ in range(5)] for _ in range(3)]
+    rows = [[sum((a * right[k][j] for k, a in enumerate(row)), small.zero())
+             for j in range(5)] for row in left]
+    expect = nullspace(small.ring, [small.ring.clear(row)[1] for row in rows], 5)
+    calls = _count_by_prime(monkeypatch, "_kernel_mod")
+    got = nullspace(big.ring, [big.ring.clear([lift(x, big) for x in row])[1]
+                               for row in rows], 5)
+    assert len(expect) == 2
+    assert got == [[lift(x, big) for x in v] for v in expect]
+    assert calls and set(calls.values()) == {small.degree}
 
 
 FAMILY_TYPES = [(2, 1, "A"), (2, 2, "B"), (3, 2, "A"), (2, 3, "B"), (2, 2, "C"),
@@ -283,13 +365,48 @@ def _product_norm(G):
     return N
 
 
+def _orbit_index(G):
+    """e = [K:Q] / |orbit|, from the conjugate polynomials compared
+    coefficient by coefficient: over each layer, the number of images of the
+    polynomial over the layer below, divided by the number of distinct
+    ones; the product of the distinct ones is passed down."""
+    ring = _integral_ring(G.field)
+    _, N = ring.clear(G.coeffs)
+    e = 1
+    while ring.base is not None:
+        images = [tuple(N), *zip(*[ring.conjugates(c) for c in N])]
+        distinct = list(dict.fromkeys(images))
+        assert len(images) % len(distinct) == 0
+        e *= len(images) // len(distinct)
+        prod = list(distinct[0])
+        for sigma in distinct[1:]:
+            prod = _ring_mul(ring, prod, list(sigma))
+        N, ring = [ring.to_base(c) for c in prod], ring.base
+    return e
+
+
+def _z_power(f, e):
+    out = [1]
+    for _ in range(e):
+        out = _ring_mul(_RationalIntegers, out, f)
+    return out
+
+
 K12 = CyclotomicField(12)
+K20 = CyclotomicField(20)
 # 48 - 48 z + 24 z^3 = (6 - 2 sqrt(3))^2 with sqrt(3) = 2 z - z^3, so this
 # layer has the zero divisor ZD = (6 - 2 sqrt(3)) - sqrt(delta), of norm 0
 SQUARE_LAYER = QuadraticField(K12, K12.from_coeffs([48, -48, 0, 24]))
 ZD = SQUARE_LAYER.from_parts(K12.from_coeffs([6, -4, 0, 2]), K12(-1))
 BIG_NORM_FIELDS = [QQ] + [CyclotomicField(n) for n in (3, 4, 5, 8, 12, 20)] + [
     QuadraticField(QQ, QQ(-3)), icosahedral_field(), SQUARE_LAYER]
+# (F, K): polynomials over F lifted into K, whose coefficients generate a
+# proper subfield of K, so that the distinct images of G are fewer than
+# [K:Q]
+SUBFIELDS = [(QQ, CyclotomicField(5)), (CyclotomicField(3), K12), (QI, K20),
+             (QI, CyclotomicField(8)), (CyclotomicField(5), K20),
+             (K12, SQUARE_LAYER), (CyclotomicField(5), icosahedral_field()),
+             (QQ, QuadraticField(QQ, QQ(-3)))]
 
 
 def _big_element(K):
@@ -309,9 +426,21 @@ def _big_element(K):
     return st.lists(coord, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
 
 
+def _lifted_elements(pair):
+    F, K = pair
+    return st.lists(_big_element(F), min_size=1, max_size=4).map(
+        lambda cs: [lift(c, K) for c in cs])
+
+
+def _lifted(F, K, coeffs):
+    return [lift(F.from_coeffs(c) if isinstance(c, list) else F(c), K) for c in coeffs]
+
+
 @SETTINGS
-@given(st.sampled_from(BIG_NORM_FIELDS).flatmap(
-    lambda K: st.lists(_big_element(K), min_size=1, max_size=4)))
+@given(st.one_of(
+    st.sampled_from(BIG_NORM_FIELDS).flatmap(
+        lambda K: st.lists(_big_element(K), min_size=1, max_size=4)),
+    st.sampled_from(SUBFIELDS).flatmap(_lifted_elements)))
 @example([QQ(7)])
 @example([QQ(1), QQ(-2 ** 256)])
 @example([K12.from_coeffs([2 ** 256, -1, 0, 3]), K12.from_coeffs([-5, 0, -2 ** 256, 0])])
@@ -319,12 +448,39 @@ def _big_element(K):
 @example([ZD, ZD])
 @example([ZD, SQUARE_LAYER(1)])
 @example([SQUARE_LAYER(1), ZD])
+# coefficients in Q(zeta_3) inside Q(zeta_12), in Q(i) inside Q(zeta_20),
+# and in the base of a quadratic layer
+@example(_lifted(CyclotomicField(3), K12, [[2, -1], [2 ** 256, 3], [0, 1]]))
+@example(_lifted(QI, K20, [[-7, 2 ** 200], [1, 1]]))
+@example(_lifted(K12, SQUARE_LAYER, [[1, 2, 3, 4], [5, 0, -6, 2 ** 256]]))
+@example(_lifted(CyclotomicField(5), icosahedral_field(), [[1, 0, 0, 1], [0, -3, 2, 0]]))
 def test_integer_norm_matches_the_product_of_conjugates(coeffs):
-    # the digits of N(2^S) are N's coefficients at the bound S, zero norms
-    # and a zero-divisor leading coefficient included
+    # N' has k (len(g) - 1) + 1 digits at the bound S, and its e-th power
+    # is the full norm, e = [K:Q] / |orbit|; zero norms and a zero-divisor
+    # leading coefficient included
     G = Poly(coeffs[0].field, coeffs)
     hypothesis.assume(not G.is_zero())
-    assert _integer_norm(G) == _product_norm(G)
+    full, norm = _product_norm(G), _integer_norm(G)
+    assert len(norm) == len(full) == _absolute_degree(G.field) * G.degree + 1
+    assert _trim(_z_power(norm, _orbit_index(G))) == _trim(full)
+
+
+@pytest.mark.parametrize("F, K, coeffs, e", [
+    (CyclotomicField(3), K12, [[2, -1], [2 ** 256, 3], [0, 1]], 2),
+    (QI, K20, [[-7, 2 ** 200], [1, 1]], 4),
+    (QQ, K20, [3, -1, 2], 8),
+    (K12, SQUARE_LAYER, [[1, 2, 3, 4], [5, 0, -6, 2 ** 256]], 2),
+    (CyclotomicField(3), SQUARE_LAYER, [[1, 1], [4, 0]], 4),
+])
+def test_integer_norm_of_a_polynomial_over_a_subfield(F, K, coeffs, e):
+    # the digits are those of the norm from the subfield, of degree
+    # [F:Q] (len(g) - 1); the full norm is its e-th power
+    G = Poly(K, _lifted(F, K, coeffs))
+    norm = _trim(_integer_norm(G))
+    assert _orbit_index(G) == e
+    assert len(norm) - 1 == _absolute_degree(K) // e * G.degree
+    assert _z_power(norm, e) == _product_norm(G)
+    assert norm == _trim(_product_norm(Poly(F, _lifted(F, F, coeffs))))
 
 
 ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=7)

@@ -70,11 +70,10 @@ def reference_is_automorphism(phi: RationalMap, T: MobiusMap) -> bool:
 
 
 def reference_conjugate(phi: RationalMap, T: MobiusMap) -> RationalMap:
-    phi, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    field, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
     zero = ring.zero
     N, D = _substitute(ring, [P, Q], [ring.sub(zero, b), e], [a, ring.sub(zero, c)])
     N, D = _pencil(ring, a, N, b, D), _pencil(ring, c, N, e, D)
-    field = phi.field
     return _scaled(Poly(field, [ring.to_field(x, 1) for x in N]),
                    Poly(field, [ring.to_field(x, 1) for x in D]), phi.degree)
 

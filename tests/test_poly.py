@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ratsym import fields, poly
-from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
+from ratsym.fields import QQ, CyclotomicField, QuadraticField, _RationalIntegers, lift
 from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
                          interpolate, nullspace, pencil_resultant, poly_eval,
@@ -414,6 +414,37 @@ def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
     assert any(prime != p for prime, _ in kernels)
 
 
+def test_tetrahedral_rows_reduce_two_images_per_prime(monkeypatch):
+    # the d = 9 tetrahedral rows over Z[zeta_12] have entries in Q(sqrt 3),
+    # which complex conjugation fixes: the 4 residue maps give 2 distinct
+    # images, each reduced once per prime, and the basis is Gauss-Jordan's
+    from ratsym import symmetry
+    systems = []
+    real_nullspace = symmetry.nullspace
+
+    def capture(ring, rows, ncols):
+        systems.append((ring, rows, ncols))
+        return real_nullspace(ring, rows, ncols)
+    monkeypatch.setattr(symmetry, "nullspace", capture)
+    symmetry._tetrahedral_witness(9)
+    monkeypatch.setattr(symmetry, "nullspace", real_nullspace)
+    (ring, rows, ncols), = systems
+    assert all(ring.at_power(x, 11) == x for row in rows for x in row)
+    calls = {}
+    real = poly._kernel_mod
+
+    def spy(images, ncols, prime):
+        calls[prime] = calls.get(prime, 0) + 1
+        return real(images, ncols, prime)
+    monkeypatch.setattr(poly, "_kernel_mod", spy)
+    K = ring.field
+    basis = nullspace(ring, rows, ncols)
+    assert basis
+    assert basis == gauss_jordan_nullspace([[ring.to_field(x, 1) for x in row]
+                                            for row in rows], ncols, K)
+    assert calls and set(calls.values()) == {2}
+
+
 def test_nullspace_restarts_at_a_better_prime(monkeypatch):
     # over Q the first prime puts the pivot of (p, 1) in column 1, the next
     # prime in column 0: its key is better and the reconstruction restarts
@@ -587,14 +618,17 @@ def test_residue_map_checks_its_prime():
 def test_squarefree_norm_of_a_zero_divisor_leading_coefficient():
     # 48 - 48 z + 24 z^3 = (6 - 2 sqrt 3)^2 with sqrt 3 = 2 z - z^3 in
     # Q(zeta_12), so zd = (6 - 2 sqrt 3) - sqrt(delta) has norm zero: the
-    # norm of G = 1 + zd t is 1 + 2 (6 - 2 sqrt 3) t over Q(zeta_12), and
-    # (1 + 24 t + 96 t^2)^2 over Z, whose 8 (2 - 1) + 1 coefficients at
-    # [K:Q] = 8 end in four zeros
+    # norm of G = 1 + zd t is 1 + 2 (6 - 2 sqrt 3) t over Q(zeta_12), whose
+    # coefficients generate Q(sqrt 3): its two distinct images multiply to
+    # 1 + 24 t + 96 t^2 over Z, padded to 8 (2 - 1) + 1 coefficients at
+    # [K:Q] = 8, and the full norm is its square
     K = CyclotomicField(12)
     L = QuadraticField(K, K.from_coeffs([48, -48, 0, 24]))
     zd = L.from_parts(K.from_coeffs([6, -4, 0, 2]), K(-1))
     norm = poly._integer_norm(Poly(L, [L(1), zd]))
-    assert norm == [1, 48, 768, 4608, 9216, 0, 0, 0, 0]
+    assert norm == [1, 24, 96, 0, 0, 0, 0, 0, 0]
+    square = poly._ring_mul(_RationalIntegers, norm[:3], norm[:3])
+    assert square + [0] * 4 == [1, 48, 768, 4608, 9216, 0, 0, 0, 0]
     # (1 + (12 - 4 sqrt 3) t)(1 + (12 + 4 sqrt 3) t) = 1 + 24 t + 96 t^2
     assert poly.squarefree_norm(Poly(L, [L(1), zd])) == \
         Poly(QQ, [Fraction(1, 96), Fraction(1, 4), 1])
