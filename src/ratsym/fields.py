@@ -26,7 +26,8 @@ Z and Z[zeta_n] have residue homomorphisms onto F_p, zeta -> w^u for the
 roots w^u of Phi_n modulo primes p = 1 (mod n) (:func:`_residue_prime`,
 :func:`_root_of_unity_mod`), on which every resultant (through
 ``poly.pencil_resultant``) and null space (``poly.nullspace``) over them
-runs; a quadratic layer has none, and its resultants run by Bareiss.
+runs; a quadratic layer has none, and its resultants run over its base
+ring, with sqrt(D) as an indeterminate.
 """
 
 from __future__ import annotations
@@ -816,10 +817,6 @@ class _RationalIntegers:
         return _exact_quo(a, d)
 
     @staticmethod
-    def norm_cofactor(p: int) -> tuple[int, int]:
-        return 1, p
-
-    @staticmethod
     def clear(elems: Sequence[FieldElement]) -> tuple[int, list[int]]:
         """A common denominator D and the integers D * e."""
         den = math.lcm(1, *(e.payload.denominator for e in elems))
@@ -933,7 +930,9 @@ class _QuadraticIntegers:
     """R[sqrt(D)] inside base(sqrt(delta)), for the base's ring R; elements
     are pairs (a, b) over R for a + b sqrt(D).  With k the denominator that
     clears delta, D = k^2 delta lies in R and sqrt(D) = k sqrt(delta).
-    It has no residue map, since sqrt(D) need not exist modulo a prime."""
+    It has no residue map, since sqrt(D) need not exist modulo a prime: a
+    resultant over it runs over R with sqrt(D) as an indeterminate
+    (``poly.pencil_resultant``) and inverts no element."""
 
     def __init__(self, field: QuadraticField):
         self.field = field
@@ -952,9 +951,6 @@ class _QuadraticIntegers:
     def scale(self, x, k: int):
         return (self.base.scale(x[0], k), self.base.scale(x[1], k))
 
-    def quo(self, x, d: int):
-        return (self.base.quo(x[0], d), self.base.quo(x[1], d))
-
     def mul(self, x, y):
         base = self.base
         (a, b), (c, e) = x, y
@@ -969,17 +965,6 @@ class _QuadraticIntegers:
         if p[1] != self.base.zero:
             raise InexactDivision("the norm of a quadratic integer lies in the base")
         return p[0]
-
-    def norm_cofactor(self, p) -> tuple[tuple, int]:
-        """(c, N) with p * c = N: c is conj(p) times the base cofactor of
-        a^2 - D b^2, and N is the rational integer of the base."""
-        base = self.base
-        a, b = p
-        n = base.sub(base.mul(a, a), base.mul(self.D, base.mul(b, b)))
-        if n == base.zero:
-            raise ZeroDivisionError("norm vanishes; radicand is a square in the base")
-        cof, N = base.norm_cofactor(n)
-        return (base.mul(a, cof), base.scale(base.mul(b, cof), -1)), N
 
     def clear(self, elems: Sequence[FieldElement]) -> tuple[int, list[tuple]]:
         """A common denominator E and the pairs E * e."""

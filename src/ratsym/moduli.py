@@ -6,9 +6,9 @@
   only when the ``interval`` strategy asks for it; the obstruction
   polynomial of a segment and its Sturm proof come from the integer kernel
   of :mod:`ratsym.poly` (the pencil resultant modulo primes over Z and
-  Z[zeta_n] and by fraction-free determinants over a quadratic layer, the
-  norm over the distinct images, Descartes bisection over Z), exactly as
-  over the field,
+  Z[zeta_n], and through the base ring over a quadratic layer, the norm
+  over the distinct images, Descartes bisection over Z), exactly as over
+  the field,
 * chained connectivity certificates through explicit witness maps,
 * multiplier coordinates of degree-2 maps, as ratios of the coefficients of
   a resultant in the multiplier, and the cubic relation cut out by the
@@ -142,8 +142,8 @@ class SturmProof:
     square-free norm over Q of the obstruction polynomial, whose real roots
     include the obstruction's.  It stores nothing else: the validator
     recomputes the norm, requires it to equal the stored one and to have no
-    root in (0, 1], and requires the obstruction to be nonzero at t = 0
-    and 1.
+    root in (0, 1], and requires the obstruction to be nonzero at t = 0.
+    A zero of the obstruction at t = 1 is a root of the norm there.
 
     The norm and the root count are computed over Z: the norm as the
     product of the distinct images of the obstruction's value at t = 2^S,
@@ -225,8 +225,8 @@ def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     Each side's start vector and end vector are cleared of denominators
     once, into the field's integral ring; there the resultant of the two
     pencils is taken by :func:`pencil_resultant` -- modulo primes over Z and
-    Z[zeta_n], by Bareiss's determinant at the nodes t = 0..m over a
-    quadratic layer -- and multiplied by the condition pencils, which are
+    Z[zeta_n], and over the base ring with sqrt(D) as an indeterminate over
+    a quadratic layer -- and multiplied by the condition pencils, which are
     entries of the same vectors.  One division by the denominators ends
     it."""
     K = fam0.field
@@ -256,8 +256,8 @@ def _cleared_pencil(ring, start, end) -> tuple[int, list, list]:
 
 
 def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
-    g0, g1 = G[0], sum(G.coeffs, G.field.zero())     # G(0) and G(1)
-    if g0.is_zero() or g1.is_zero():
+    # a root at t = 1 is a root of the norm, which _count_roots counts
+    if G[0].is_zero():
         return None
     sf = squarefree_norm(G)
     if _count_roots(_integer_poly(sf), Fraction(0), Fraction(1)) != 0:
@@ -414,10 +414,10 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
 def validate_path_certificate(cert: PathCertificate) -> None:
     """Independent revalidation: rebuild every family and recompute every
     obstruction polynomial from the stored endpoint vectors.  A Sturm proof
-    must equal its recomputation: the obstruction is nonzero at t = 0 and 1
-    and its square-free norm, which has no root in (0, 1], is the stored
-    one.  An interval proof's tiles must
-    start at 0, be nonempty, chain and end at 1, and the enclosure of the
+    must equal its recomputation: the obstruction is nonzero at t = 0, and
+    its square-free norm, which has no root in (0, 1] and so rules out a
+    zero at t = 1, is the stored one.  An interval proof's tiles must start
+    at 0, be nonempty, chain and end at 1, and the enclosure of the
     obstruction on each tile, computed again at the stored precision, must
     exclude zero.  Raises :class:`CertificateInvalid`.
     """

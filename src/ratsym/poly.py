@@ -13,19 +13,20 @@ base's ring for a quadratic layer.  The ring alone picks each kernel's
 route.  :func:`pencil_resultant`, the resultant of two pencils in t that a
 path segment's obstruction polynomial is made of, runs modulo primes over
 Z and Z[zeta_n], which have residue maps onto F_p (Euclid over F_p, joined
-by the Chinese remainder theorem at a Hadamard bound), and by Bareiss's
-fraction-free elimination at the nodes over a quadratic layer;
-:func:`resultant` is its value on two constant pencils.  :func:`nullspace`
-takes rows over Z or Z[zeta_n] (row reduction over F_p, joined by the
-Chinese remainder theorem and rational reconstruction, then checked
-exactly).  :func:`interpolate` takes forward differences in the ring.
-:func:`squarefree_norm` substitutes t = 2^S into the polynomial
-(Kronecker substitution), multiplies that one ring element by its distinct
-conjugates down the tower to Z, and reads the norm polynomial's
-coefficients off its digits in base 2^S; the map layer reads its
-substitutions off such digits too (:func:`_pack`, :func:`_unpack`).  :func:`sturm_roots_in_interval` counts
-in Z[x] by a modular gcd and Descartes bisection.  The results are the
-same exact values, polynomials and counts as over the field.
+by the Chinese remainder theorem at a Hadamard bound).  Over a quadratic
+layer it takes sqrt(D) as an indeterminate and runs the same route over
+the base ring at nodes in it.  :func:`resultant` is its value on two
+constant pencils.  :func:`nullspace` takes rows over Z or Z[zeta_n] (row
+reduction over F_p, joined by the Chinese remainder theorem and rational
+reconstruction, then checked exactly).  :func:`interpolate` takes forward
+differences in the ring.  :func:`squarefree_norm` substitutes t = 2^S into
+the polynomial (Kronecker substitution), multiplies that one ring element
+by its distinct conjugates down the tower to Z, and reads the norm
+polynomial's coefficients off its digits in base 2^S; the map layer reads
+its substitutions off such digits too (:func:`_pack`, :func:`_unpack`).
+:func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd and
+Descartes bisection.  The results are the same exact values, polynomials
+and counts as over the field.
 """
 
 from __future__ import annotations
@@ -621,29 +622,27 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
     """Whether every row times every vector is exactly zero over Z or
     Z[zeta_n].
 
-    Over Z[zeta_n] an element sum_k c_k zeta^k is packed into the integer
-    sum_k c_k 2^(sk) (Kronecker substitution), so that the product of two
-    packed elements is their product as polynomials in zeta before the
-    reduction modulo Phi_n.  Each coefficient of a row's sum of products
-    is at most ncols phi(n) max|a| max|w| in absolute value, below 2^(s-1)
-    for the slot width s taken here, so the sum unpacks into its signed
+    Over Z[zeta_n] the coordinates of an element sum_k c_k zeta^k are
+    packed into the integer sum_k c_k 2^(sk) (:func:`_pack` over Z,
+    Kronecker substitution), so that the product of two packed elements is
+    their product as polynomials in zeta before the reduction modulo
+    Phi_n.  Each coefficient of a row's sum of products is at most
+    ncols phi(n) max|a| max|w| in absolute value, a bound for which
+    :func:`_slot_width` gives s, so the sum unpacks into its signed
     coefficients (:func:`_signed_digits`), which the ring reduces modulo
     Phi_n (:meth:`at_power`)."""
     if not rows or not vectors:
         return True
     if ring.base is None:
         return not any(sum(map(operator.mul, row, w)) for row in rows for w in vectors)
-    m = ring.m
+    m, Z = ring.m, _RationalIntegers
 
-    def bits(vs: list[list]) -> int:
-        return max(abs(c).bit_length() for v in vs for x in v for c in x)
-    s = bits(rows) + bits(vectors) + (len(rows[0]) * m).bit_length() + 1
-
-    def pack(x) -> int:
-        return sum(c << (s * k) for k, c in enumerate(x) if c)
-    packed = [[pack(x) for x in w] for w in vectors]
+    def top(vs: list[list]) -> int:
+        return max(abs(c) for v in vs for x in v for c in x)
+    s = _slot_width(Z, 2, len(rows[0]) * m * top(rows) * top(vectors))
+    packed = [[_pack(Z, x, s) for x in w] for w in vectors]
     for row in rows:
-        a = [pack(x) for x in row]
+        a = [_pack(Z, x, s) for x in row]
         for w in packed:
             total = sum(map(operator.mul, a, w))
             if total and any(ring.at_power(_signed_digits(total, s, 2 * m - 1), 1)):
@@ -652,7 +651,7 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# resultants: modulo primes over Z and Z[zeta_n], Bareiss over a quadratic layer
+# resultants: modulo primes over Z and Z[zeta_n], and through the base ring
 # ---------------------------------------------------------------------------
 
 def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldElement:
@@ -662,9 +661,10 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
     projective root: a common affine root, or a simultaneous degree drop
     (a shared root at infinity).  Each coefficient vector is cleared of
     denominators once into the field's integral ring, and the determinant
-    is :func:`pencil_resultant` of two constant pencils, which takes one
-    node: modulo primes over Z and Z[zeta_n], by Bareiss over a quadratic
-    layer.
+    is :func:`pencil_resultant` of two constant pencils: one node modulo
+    primes over Z and Z[zeta_n], and over a quadratic layer one such node
+    over the base ring at each value y = 0..Y of sqrt(D), taken as an
+    indeterminate.
     """
     if f.field != g.field:
         raise FieldMismatch("resultant operands in different fields")
@@ -676,57 +676,6 @@ def resultant(f: Poly, g: Poly, formal_deg_f: int, formal_deg_g: int) -> FieldEl
     dg, ga = ring.clear([g[k] for k in range(formal_deg_g + 1)])
     (value,) = pencil_resultant(ring, fa, [ring.zero] * len(fa), ga, [ring.zero] * len(ga))
     return ring.to_field(value, df ** formal_deg_g * dg ** formal_deg_f)
-
-
-def _sylvester_rows(fa: list, ga: list, zero) -> list[list]:
-    """Sylvester matrix of two ascending coefficient lists, each padded to its
-    formal degree (its length minus one)."""
-    m, n = len(fa) - 1, len(ga) - 1
-    rows = []
-    for coeffs, count in ((fa[::-1], n), (ga[::-1], m)):
-        for i in range(count):
-            rows.append([zero] * i + coeffs + [zero] * (n + m - i - len(coeffs)))
-    return rows
-
-
-def _sylvester_det(ring, fa: list, ga: list):
-    """The determinant over the ring of the Sylvester matrix of two ascending
-    coefficient lists at their formal degrees, by Bareiss's fraction-free
-    elimination (Math. Comp. 22, 1968) with row swaps; zero at the first
-    column without a pivot.
-
-    Step k divides exactly by the previous pivot p: every entry is multiplied
-    by the norm cofactor of p, then divided by the integer N(p); a remainder
-    raises :class:`InexactDivision`.  Each entry is then a minor of the
-    matrix, and the last pivot is the determinant up to the sign."""
-    a = _sylvester_rows(fa, ga, ring.zero)
-    n, zero, sign = len(a), ring.zero, 1
-    cof, norm = ring.one, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != zero), None)
-        if piv is None:
-            return zero
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top = a[k]
-        if 0 < k < n - 1:
-            cof, norm = ring.norm_cofactor(a[k - 1][k - 1])
-        p = ring.mul(top[k], cof)
-        for row in a[k + 1:]:
-            f = ring.mul(row[k], cof) if row[k] != zero else zero
-            for j in range(k + 1, n):
-                # Sylvester matrices are sparse: skip products with zero
-                v = ring.mul(p, row[j]) if row[j] != zero else zero
-                if f != zero and top[j] != zero:
-                    v = ring.sub(v, ring.mul(f, top[j]))
-                if norm != 1 and v != zero:
-                    v = ring.quo(v, norm)
-                row[j] = v
-            row[k] = zero
-    if not n:
-        return ring.one
-    return a[-1][-1] if sign > 0 else ring.scale(a[-1][-1], -1)
 
 
 def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
@@ -776,19 +725,45 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     |y_k| <= C_n E with C_n = phi(n) ||Phi_n||_1 ||Psi_n||_1 / n, which
     :func:`_lagrange_bound` rounds up to an integer.
 
-    *Over a quadratic layer*, which has no residue map, R is taken at the
-    nodes by Bareiss's determinant (:func:`_sylvester_det`), its forward
-    differences give m! R, and each coefficient is divided exactly by m!.
+    *Over a quadratic layer* A[sqrt(D)], which has no residue map, sqrt(D)
+    is an indeterminate y over the base ring A, Z or Z[zeta_n].  Each
+    Sylvester entry x + z sqrt(D) becomes x + z y, linear in y, and every
+    product of the determinant R(t, y) takes b entries from rows of f and a
+    from rows of g, so R has degree at most
+    Y = b [f0 or df has a sqrt(D) part] + a [g0 or dg has one] in y.  At
+    the nodes y = j, j = 0..Y, R(t, j) is the pencil resultant over A of the
+    pencils with entries x + j z, taken by the route above, padded with zero
+    coefficients up to m + 1 (a direction may vanish at a node).  For each
+    coefficient in t, its forward differences in y
+    (:func:`_forward_differences`) give Y! times its coefficients in y,
+    which lie in A, so the division by Y! is exact.  The substitution
+    y -> sqrt(D) is a ring homomorphism A[y] -> A[sqrt(D)] and commutes
+    with the determinant, so R(t, sqrt(D)) is R(t): folding y^2 = D by
+    Horner's rule in D gives each coefficient as the pair
+    (sum_k c_(2k) D^k, sum_k c_(2k+1) D^k).  No ring element is inverted,
+    so this holds also on a layer whose radicand is a square in the base,
+    where A[sqrt(D)] has zero divisors.
     """
     a, b = len(f0) - 1, len(g0) - 1
     m = b * any(x != ring.zero for x in df) + a * any(x != ring.zero for x in dg)
     if isinstance(ring, _QuadraticIntegers):
-        values, fa, ga = [], list(f0), list(g0)
-        for _ in range(m + 1):
-            values.append(_sylvester_det(ring, fa, ga))
-            fa, ga = list(map(ring.add, fa, df)), list(map(ring.add, ga, dg))
-        scale = math.factorial(m)
-        return [ring.quo(c, scale) for c in _forward_differences(values, ring)]
+        base = ring.base
+        Y = (b * any(x[1] != base.zero for x in (*f0, *df))
+             + a * any(x[1] != base.zero for x in (*g0, *dg)))
+        nodes = []
+        for j in range(Y + 1):
+            values = pencil_resultant(base, *([base.add(x, base.scale(z, j)) for x, z in v]
+                                              for v in (f0, df, g0, dg)))
+            nodes.append(values + [base.zero] * (m + 1 - len(values)))
+
+        def fold(cs: list):             # sum_k cs[k] D^k, by Horner's rule
+            return functools.reduce(lambda acc, c: base.add(base.mul(acc, ring.D), c),
+                                    reversed(cs), base.zero)
+        scale, out = math.factorial(Y), []
+        for values in zip(*nodes):      # one coefficient in t, at y = 0..Y
+            c = [base.quo(x, scale) for x in _forward_differences(list(values), base)]
+            out.append((fold(c[0::2]), fold(c[1::2])))
+        return out
     scalar = ring.base is None              # Z, whose elements are ints
     n = 1 if scalar else ring.n
     if scalar:

@@ -187,7 +187,7 @@ class CyclicFamily:
         """The case conditions, and P and Q coprime: coprime exactly when
         Res(P, Q) at the actual degrees is nonzero, which :func:`resultant`
         decides over the field's integral ring: modulo primes over Z and
-        Z[zeta_n], by Bareiss over a quadratic layer."""
+        Z[zeta_n], and through the base ring over a quadratic layer."""
         ar, b0, br = self.a[self.r], self.b[0], self.b[self.r]
         if self.case == "A":
             if ar.is_zero() or b0.is_zero():

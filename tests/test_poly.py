@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -167,9 +168,11 @@ PENCIL_CASES = ["random", "case C, a_r = 0", "leading coefficient vanishes at on
 def test_pencil_resultant_matches_resultants_at_the_nodes(K, case, monkeypatch):
     f0, df, g0, dg = _pencils(K, case, random.Random(f"{K!r} {case}"))
     a, b = len(f0) - 1, len(g0) - 1
-    expect = interpolate(K, [resultant(Poly(K, [x + t * y for x, y in zip(f0, df)]),
-                                       Poly(K, [x + t * y for x, y in zip(g0, dg)]),
-                                       a, b) for t in range(a + b + 1)])
+    # Gaussian elimination over K at the nodes, apart from the kernel
+    expect = interpolate(K, [gaussian_det(sylvester_rows([x + t * y for x, y in zip(f0, df)],
+                                                         [x + t * y for x, y in zip(g0, dg)],
+                                                         K.zero()), K)
+                             for t in range(a + b + 1)])
     ring = fields._integral_ring(K)
     primes = []
     images = poly._residue_maps
@@ -189,6 +192,31 @@ def test_pencil_resultant_matches_resultants_at_the_nodes(K, case, monkeypatch):
         assert expect.is_zero()
     if case == "300 bits" and not isinstance(ring, fields._QuadraticIntegers):
         assert len(primes) > 1
+
+
+def sylvester_rows(fa, ga, zero):
+    """Sylvester matrix of two ascending coefficient lists, each padded to its
+    formal degree (its length minus one)."""
+    m, n = len(fa) - 1, len(ga) - 1
+    rows = []
+    for coeffs, count in ((fa[::-1], n), (ga[::-1], m)):
+        for i in range(count):
+            rows.append([zero] * i + coeffs + [zero] * (n + m - i - len(coeffs)))
+    return rows
+
+
+def leibniz_det(rows, field):
+    """Reference determinant by the Leibniz formula: sums and products only,
+    so it is defined over a ring with zero divisors."""
+    total = field.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        term = field.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def gaussian_det(rows, field):
@@ -278,8 +306,8 @@ def _random_elements(K, rng):
 @pytest.mark.parametrize("K", KERNEL_FIELDS)
 def test_integer_kernel_matches_the_field_route(K):
     # resultant: one node of the pencil resultant over the integral ring
-    # (modulo primes, or Bareiss over a quadratic layer) against Gaussian
-    # elimination over the field; interpolate: forward differences through
+    # (modulo primes, through the base ring over a quadratic layer) against
+    # Gaussian elimination over the field; interpolate: forward differences through
     # 0..M recover a random polynomial from its values
     rng = random.Random(31)
     relem = _random_elements(K, rng)
@@ -291,8 +319,8 @@ def test_integer_kernel_matches_the_field_route(K):
     for m, n, density in ((1, 1, 1.0), (2, 3, 0.6), (3, 3, 0.4), (4, 2, 0.8)):
         for _ in range(3):
             f, g = rpoly(m, density), rpoly(n, density)
-            rows = poly._sylvester_rows([f[k] for k in range(m + 1)],
-                                        [g[k] for k in range(n + 1)], K.zero())
+            rows = sylvester_rows([f[k] for k in range(m + 1)],
+                                  [g[k] for k in range(n + 1)], K.zero())
             expect = gaussian_det(rows, K) if m + n else K.one()
             assert resultant(f, g, m, n) == expect
         target = rpoly(m + n, density)
@@ -301,7 +329,7 @@ def test_integer_kernel_matches_the_field_route(K):
     # f of formal degree 2 with f_2 = 0: the elimination swaps one pair of rows
     u = relem()
     f, g = Poly(K, [u, K.one()]), Poly(K, [2 * u + 1, K(2)])
-    rows = poly._sylvester_rows([f[0], f[1], K.zero()], [g[0], g[1]], K.zero())
+    rows = sylvester_rows([f[0], f[1], K.zero()], [g[0], g[1]], K.zero())
     assert not gaussian_det(rows, K).is_zero()
     assert resultant(f, g, 2, 1) == gaussian_det(rows, K)
 
@@ -469,11 +497,8 @@ def test_integer_kernel_divisions_raise():
     ring = fields._integral_ring(CyclotomicField(4))
     with pytest.raises(InexactDivision):
         ring.quo((4, 6), 4)
-    pairs = fields._integral_ring(QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)))
     with pytest.raises(InexactDivision):
-        pairs.quo(((4, 8), (4, 6)), 4)
-    with pytest.raises(InexactDivision):
-        fields._integral_ring(QuadraticField(QQ, QQ(-3))).quo((4, 6), 4)
+        _RationalIntegers.quo(6, 4)
     # 5,000-digit operands, which str() refuses: the message gives bit lengths
     with pytest.raises(InexactDivision, match="bit"):
         fields._exact_quo(10 ** 5000 + 1, 10 ** 4999)
@@ -481,24 +506,87 @@ def test_integer_kernel_divisions_raise():
 
 def test_zero_divisor_pivot_raises():
     # over the tetrahedral layer s - sqrt(delta) with s = 6 - 2 sqrt 3 is a
-    # zero divisor; as a pivot it raises like a field inversion would
+    # zero divisor; its inversion raises, and so does Gaussian elimination
+    # with it as a pivot
     K = _tetrahedral_layer()
     z = lift(K.base.zeta(), K)
     s = 6 - 2 * (z + z ** 11)
     assert s * s == lift(K.delta, K)
+    with pytest.raises(ZeroDivisionError):
+        (s - K.sqrt_delta()).inv()
     rows = [[s - K.sqrt_delta(), K.one(), K.zero()],
             [K.one(), K.zero(), K.one()],
             [K.zero(), K.one(), K.one()]]
     with pytest.raises(ZeroDivisionError):
         gaussian_det(rows, K)
-    # Res_(2,1)((s - sqrt(delta)) x^2 + x + 1, x + 1): the elimination takes
-    # the norm cofactor of its first pivot, s - sqrt(delta)
+    # Res_(2,1)((s - sqrt(delta)) x^2 + x + 1, x + 1) inverts nothing: it is
+    # the division-free determinant of its Sylvester matrix
     f, g = Poly(K, [K.one(), K.one(), s - K.sqrt_delta()]), Poly(K, [K.one(), K.one()])
-    with pytest.raises(ZeroDivisionError):
-        resultant(f, g, 2, 1)
+    rows = sylvester_rows([f[0], f[1], f[2]], [g[0], g[1]], K.zero())
+    assert resultant(f, g, 2, 1) == leibniz_det(rows, K)
+
+
+
+# sqrt(2) over Q(i), a radicand with a denominator, the icosahedral layer,
+# and the square radicand of the tetrahedral hand-off, whose ring has zero
+# divisors
+QUADRATIC_LAYERS = [QuadraticField(CyclotomicField(4), CyclotomicField(4)(2)),
+                    QuadraticField(QQ, QQ(Fraction(-3, 4))),
+                    icosahedral_field(), _tetrahedral_layer()]
+# (a, b, f has sqrt(D), g has sqrt(D), directions); a direction df of
+# entries -c + c sqrt(D) vanishes at the node y = 1
+Y_CASES = [(3, 2, True, True, "random"), (2, 3, True, False, "random"),
+           (3, 2, False, True, "random"), (3, 2, False, False, "random"),
+           (2, 2, True, True, "zero"), (2, 2, True, False, "df = 0 at y = 1")]
+
+
+def _y_pencils(ring, a, b, f_y, g_y, directions, rng):
+    """(f0, df, g0, dg) over a quadratic ring, with sqrt(D) parts on the
+    sides that have one."""
+    base = ring.base
+
+    def coord():
+        if base.base is None:
+            return rng.randint(-9, 9)
+        return tuple(rng.randint(-9, 9) for _ in range(base.m))
+
+    def vec(length, with_y):
+        return [(coord(), coord() if with_y else base.zero) for _ in range(length)]
+    f0, df, g0, dg = vec(a + 1, f_y), vec(a + 1, f_y), vec(b + 1, g_y), vec(b + 1, g_y)
+    if directions == "zero":
+        df, dg = [ring.zero] * (a + 1), [ring.zero] * (b + 1)
+    if directions == "df = 0 at y = 1":
+        df = [(base.scale(c, -1), c) for c in (coord() for _ in range(a + 1))]
+    return f0, df, g0, dg
+
+
+@pytest.mark.parametrize("a, b, f_y, g_y, directions", Y_CASES)
+@pytest.mark.parametrize("K", QUADRATIC_LAYERS, ids=repr)
+def test_quadratic_pencil_resultant_runs_through_the_base_ring(K, a, b, f_y, g_y, directions,
+                                                               monkeypatch):
+    # R(t) over the quadratic ring, at every node t, is the resultant of the
+    # evaluated pencils by the Leibniz determinant over K; the base ring is
+    # called once at each y = 0..Y, Y = b [f has sqrt(D)] + a [g has it]
     ring = fields._integral_ring(K)
-    with pytest.raises(ZeroDivisionError):
-        ring.norm_cofactor(ring.clear([s - K.sqrt_delta()])[1][0])
+    rng = random.Random(f"{K!r} {a} {b} {f_y} {g_y} {directions}")
+    f0, df, g0, dg = _y_pencils(ring, a, b, f_y, g_y, directions, rng)
+    calls = []
+    real = poly.pencil_resultant
+
+    def spy(r, *pencils):
+        calls.append(r)
+        return real(r, *pencils)
+    monkeypatch.setattr(poly, "pencil_resultant", spy)
+    got = poly.pencil_resultant(ring, f0, df, g0, dg)
+    Y = b * f_y + a * g_y
+    assert calls[1:] == [ring.base] * (Y + 1)
+    m = b * any(x != ring.zero for x in df) + a * any(x != ring.zero for x in dg)
+    assert len(got) == m + 1
+    R = Poly(K, [ring.to_field(c, 1) for c in got])
+    for t in range(m + 1):
+        f = [ring.to_field(ring.add(x, ring.scale(z, t)), 1) for x, z in zip(f0, df)]
+        g = [ring.to_field(ring.add(x, ring.scale(z, t)), 1) for x, z in zip(g0, dg)]
+        assert poly_eval(R, K(t)) == leibniz_det(sylvester_rows(f, g, K.zero()), K)
 
 
 def test_nullspace():
