@@ -23,11 +23,11 @@ quadratic layer.  Z[zeta_n] is defined once, by the integer coordinates of
 zeta^j for j < n; a cyclotomic field clears denominators and takes its
 products, inverses (a norm cofactor over the norm) and conjugates there.
 Z and Z[zeta_n] have residue homomorphisms onto F_p, zeta -> w^u for the
-roots w^u of Phi_n modulo primes p = 1 (mod n) (:func:`_residue_prime`,
-:func:`_root_of_unity_mod`), on which every resultant (through
-``poly.pencil_resultant``) and null space (``poly.nullspace``) over them
-runs; a quadratic layer has none, and its resultants run over its base
-ring, with sqrt(D) as an indeterminate.
+roots w^u of Phi_n modulo primes p = 1 (mod n) below 2^30
+(:func:`_residue_prime`, :func:`_root_of_unity_mod`), on which every
+resultant (through ``poly.pencil_resultant``) and null space
+(``poly.nullspace``) over them runs; a quadratic layer has none, and its
+resultants run over its base ring, with sqrt(D) as an indeterminate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 
@@ -100,6 +100,28 @@ def _zpoly_exact_quo(f: list[int], g: list[int]) -> list[int]:
     if any(r):
         raise InexactDivision("polynomial division leaves a remainder")
     return q
+
+
+def _rational_perfect_root(fr: Fraction, k: int) -> Optional[Fraction]:
+    """The rational r with r^k = fr, nonnegative for even k, if there is
+    one (0 for 0), else None.  Each integer k-th root is taken as
+    floor(n^(1/k)) by Newton's method from above and checked exactly."""
+    def root(n: int) -> int:
+        if n < 2:
+            return n
+        x = 1 << -(-n.bit_length() // k)
+        while True:
+            y = ((k - 1) * x + n // x ** (k - 1)) // k
+            if y >= x:
+                return x
+            x = y
+    if fr < 0 and k % 2 == 0:
+        return None
+    num, den = abs(fr.numerator), fr.denominator
+    rn, rd = root(num), root(den)
+    if rn ** k != num or rd ** k != den:
+        return None
+    return Fraction(-rn if fr < 0 else rn, rd)
 
 
 def euler_phi(n: int) -> int:
@@ -521,12 +543,10 @@ class QuadraticField(Field):
         delta = base(delta)
         if delta.is_zero():
             raise ValueError("radicand must be nonzero")
-        if isinstance(base, RationalField):
-            fr = delta.payload
-            if fr > 0 and all(math.isqrt(v) ** 2 == v
-                              for v in (fr.numerator, fr.denominator)):
-                # sqrt(delta) would be rational: 2 - sqrt(4) is a zero divisor
-                raise ValueError(f"radicand {fr} is a square in Q")
+        if isinstance(base, RationalField) and \
+                _rational_perfect_root(delta.payload, 2) is not None:
+            # sqrt(delta) would be rational: 2 - sqrt(4) is a zero divisor
+            raise ValueError(f"radicand {delta.payload} is a square in Q")
         self.base = base
         self.delta = delta
         self._sqrt_sign = None  # +1 real branch, -1 imaginary branch
@@ -760,11 +780,12 @@ def _is_prime(n: int) -> bool:
 
 @functools.cache
 def _residue_prime(n: int, k: int = 0) -> int:
-    """The k-th prime p > 2^30 with p = 1 (mod n), from the least upwards,
-    so that F_p holds the n-th roots of unity."""
-    p = _residue_prime(n, k - 1) + n if k else (2 ** 30 // n + 1) * n + 1
+    """The k-th prime p < 2^30 with p = 1 (mod n), from the largest
+    downwards, so that F_p holds the n-th roots of unity and residues fit
+    one CPython digit.  For n = 1 these are the primes below 2^30."""
+    p = _residue_prime(n, k - 1) - n if k else (2 ** 30 - 2) // n * n + 1
     while not _is_prime(p):
-        p += n
+        p -= n
     return p
 
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     QuadraticField, _integral_ring, common_field, interval_embed,
-                     lift)
+                     QuadraticField, _integral_ring, _rational_perfect_root, common_field,
+                     interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
 from .poly import (Poly, _count_roots, _integer_poly, _ring_mul, interpolate,
@@ -485,11 +485,9 @@ class ConnectivityCertificate:
 
 def _exact_sqrt(x: FieldElement) -> FieldElement:
     if x.field == QQ:
-        fr = x.payload
-        if fr >= 0:
-            rn, rd = math.isqrt(fr.numerator), math.isqrt(fr.denominator)
-            if rn * rn == fr.numerator and rd * rd == fr.denominator:
-                return QQ(Fraction(rn, rd))
+        root = _rational_perfect_root(x.payload, 2)
+        if root is not None:
+            return QQ(root)
     K = QuadraticField(x.field, x)
     return K.sqrt_delta()
 

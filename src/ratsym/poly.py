@@ -10,23 +10,25 @@ degree drop must be detectable, not silently normalised away.
 The kernel runs on the integral ring that :mod:`ratsym.fields` defines for
 every supported field: Z for Q, Z[zeta_n] for Q(zeta_n), and pairs over the
 base's ring for a quadratic layer.  The ring alone picks each kernel's
-route.  :func:`pencil_resultant`, the resultant of two pencils in t that a
-path segment's obstruction polynomial is made of, runs modulo primes over
-Z and Z[zeta_n], which have residue maps onto F_p (Euclid over F_p, joined
-by the Chinese remainder theorem at a Hadamard bound).  Over a quadratic
-layer it takes sqrt(D) as an indeterminate and runs the same route over
-the base ring at nodes in it.  :func:`resultant` is its value on two
-constant pencils.  :func:`nullspace` takes rows over Z or Z[zeta_n] (row
-reduction over F_p, joined by the Chinese remainder theorem and rational
-reconstruction, then checked exactly).  :func:`interpolate` takes forward
-differences in the ring.  :func:`squarefree_norm` substitutes t = 2^S into
-the polynomial (Kronecker substitution), multiplies that one ring element
-by its distinct conjugates down the tower to Z, and reads the norm
-polynomial's coefficients off its digits in base 2^S; the map layer reads
-its substitutions off such digits too (:func:`_pack`, :func:`_unpack`).
-:func:`sturm_roots_in_interval` counts in Z[x] by a modular gcd and
-Descartes bisection.  The results are the same exact values, polynomials
-and counts as over the field.
+route.  The modular kernels take primes p = 1 (mod n) below 2^30 from one
+sequence (``fields._residue_prime``, n = 1 over Z) and one Chinese
+remainder join (:func:`_crt`): Brown's gcd over Z (:func:`_zgcd`),
+:func:`pencil_resultant`, the resultant of two pencils in t that a path
+segment's obstruction polynomial is made of, over Z and Z[zeta_n] (Euclid
+over F_p under each residue map, up to a Hadamard bound), and
+:func:`nullspace` (row reduction over F_p, rational reconstruction and an
+exact check).  Over a quadratic layer :func:`pencil_resultant` takes
+sqrt(D) as an indeterminate and runs over the base ring at nodes in it.
+:func:`resultant` is its value on two constant pencils.
+:func:`interpolate` takes forward differences in the ring.
+:func:`squarefree_norm` substitutes t = 2^S into the polynomial
+(Kronecker substitution), multiplies that one ring element by its
+distinct conjugates down the tower to Z, and reads the norm's
+coefficients off its digits in base 2^S; the map layer reads its
+substitutions off such digits too, with S from the same coordinate bound
+(:func:`_slot_width`).  :func:`sturm_roots_in_interval` counts in Z[x] by
+the modular gcd and Descartes bisection.  The results are the same exact
+values, polynomials and counts as over the field.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     InexactDivision, _absolute_degree, _integral_ring, _is_prime,
-                     _QuadraticIntegers, _RationalIntegers, _residue_prime,
-                     _root_of_unity_mod, _zpoly_exact_quo, cyclotomic_coeffs, euler_phi,
-                     lift)
+                     InexactDivision, _absolute_degree, _integral_ring, _QuadraticIntegers,
+                     _RationalIntegers, _residue_prime, _root_of_unity_mod,
+                     _zpoly_exact_quo, cyclotomic_coeffs, lift)
 
 __all__ = [
     "Poly",
@@ -290,13 +291,18 @@ def _int_content(v: list[int]) -> int:
     return g or 1
 
 
-@functools.cache
-def _prime(k: int) -> int:
-    """The k-th prime below 2^30, from the largest: residues fit a CPython digit."""
-    p = _prime(k - 1) - 2 if k else 2 ** 30 - 1
-    while not _is_prime(p):
-        p -= 2
-    return p
+def _crt(coords: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
+    """The integers x in [0, M p) with x = coords (mod M) and x = residues
+    (mod p), entry by entry, for a prime p that does not divide M, by the
+    Chinese remainder theorem; an empty coords at M = 1 starts the join."""
+    inv = pow(modulus, -1, p)
+    return [x + modulus * ((c - x) * inv % p)
+            for x, c in zip(coords or [0] * len(residues), residues)]
+
+
+def _symmetric_lift(coords: list[int], modulus: int) -> list[int]:
+    """The representatives in (-M/2, M/2] of residues in [0, M)."""
+    return [x - modulus if 2 * x > modulus else x for x in coords]
 
 
 def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -323,20 +329,19 @@ def _zgcd(f: list[int], g: list[int]) -> list[int]:
     one.  The primitive symmetric lift is h once it divides f and g."""
     l, h, m, k = math.gcd(f[-1], g[-1]), [], 1, 0
     while True:
-        p, k = _prime(k), k + 1
+        p, k = _residue_prime(1, k), k + 1
         if l % p == 0:
             continue
         a = _gcd_mod(f, g, p)
         if len(a) == 1:
             return [1]
         if not h or len(a) < len(h):
-            h, m = [0] * len(a), 1
+            h, m = [], 1
         elif len(a) > len(h):
             continue
-        s, inv = l * pow(a[-1], -1, p), pow(m, -1, p)
-        h = [x + m * ((c * s - x) * inv % p) for x, c in zip(h, a)]
-        m *= p
-        lift = [x - m if 2 * x > m else x for x in h]
+        s = l * pow(a[-1], -1, p)
+        h, m = _crt(h, m, [c * s for c in a], p), m * p
+        lift = _symmetric_lift(h, m)
         cont = _int_content(lift) * (1 if lift[-1] > 0 else -1)
         lift = [x // cont for x in lift]
         try:
@@ -417,7 +422,7 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     are linearly independent over the field, as pairs (e, e v) of the
     common denominator e of a vector v's coordinates and e v over the ring.
 
-    *Images.*  For the k-th prime p = 1 (mod n) above 2^30, k = 0, 1, ...,
+    *Images.*  For the k-th prime p = 1 (mod n) below 2^30, k = 0, 1, ...,
     each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
     the rows to F_p, where :func:`_kernel_mod` finds the pivots of the
     reduced echelon form R and the entries -R[i][f] of the kernel basis.
@@ -427,7 +432,7 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     whose phi(n) maps disagree on the pivots is dropped.  The others are
     ranked by the key (-rank, pivots): a worse key than the best
     seen is dropped, and a better one restarts the Chinese remainder
-    theorem, as a lower degree does in :func:`_zgcd`.  The Lagrange matrix
+    theorem (:func:`_crt`), as a lower degree does in :func:`_zgcd`.  The Lagrange matrix
     of :func:`_residue_maps` takes the images to power-basis coordinates
     modulo p, and the primes are joined to a modulus M.  Each coordinate c
     is recovered against the common denominator e of those before it in
@@ -472,7 +477,7 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     """
     scalar = ring.base is None
     n = 1 if scalar else ring.n
-    best, coords, modulus, k = None, None, 1, 0
+    best, coords, modulus, k = None, [], 1, 0
     while True:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
@@ -489,15 +494,10 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
         if best is not None and key > best:
             continue
         if key != best:
-            best, coords, modulus = key, None, 1
+            best, coords, modulus = key, [], 1
         residues = [sum(map(operator.mul, col, row)) % p
                     for col in zip(*(values for _, values in kernels)) for row in lagrange]
-        if coords is None:
-            coords = residues
-        else:
-            inv = pow(modulus, -1, p)
-            coords = [x + modulus * ((c - x) * inv % p) for x, c in zip(coords, residues)]
-        modulus *= p
+        coords, modulus = _crt(coords, modulus, residues, p), modulus * p
         found = _reconstruct_basis(coords, modulus, pivots, ncols, ring)
         if found is not None and _annihilates(rows, [w for _, w in found], ring):
             return found
@@ -688,7 +688,7 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     for two constant pencils (:func:`resultant`).
 
     *Over Z and Z[zeta_n]* (rings with a residue map) R is computed modulo
-    the primes p = 1 (mod n) above 2^30 in turn, after Collins (J. ACM 18,
+    the primes p = 1 (mod n) below 2^30 in turn, after Collins (J. ACM 18,
     1971).  Modulo p, Phi_n has the phi(n) roots w^u, u prime to n, and
     each zeta -> w^u is a ring homomorphism sigma_u onto F_p.  A
     determinant commutes with it, so every prime is good:
@@ -698,21 +698,21 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
     coefficient.  The power-basis coordinates y of a coefficient c solve
     sum_k y_k w^(uk) = sigma_u(c), a Vandermonde system that the Lagrange
     matrix of the roots of Phi_n inverts (:func:`_residue_maps`).  The
-    primes are joined by the Chinese remainder theorem until their product
-    M exceeds 2 C_n E; then the symmetric lift into (-M/2, M/2) is exact.
-    Maps that take (f0, df, g0, dg) to the same vectors modulo p give the
+    primes are joined (:func:`_crt`) until their product M exceeds
+    2 C_n E; then the symmetric lift into (-M/2, M/2] is exact.  Maps that
+    take (f0, df, g0, dg) to the same vectors modulo p give the
     same R, so each distinct image is reduced once and its coefficients
     serve every map that gives it: a pencil over Q(zeta_m) lifted into
     Q(zeta_n) has at most phi(m) distinct images.  For two constant pencils
     (m = 0) only f0 and g0 are mapped, and Res(fp, gp) is R.
 
     *The bound E.*  Let sigma be a complex embedding and |t| = 1.  Since
-    |sigma(x)| <= ||x||_1 for the coordinates x of a ring element, every
-    entry of sigma(f_t) has |sigma(f0_k) + t sigma(df_k)| <=
-    ||f0_k||_1 + ||df_k||_1.  Hadamard's inequality over the b rows of f
-    and the a rows of g gives |sigma(R)(t)| <= E, where
-    E^2 = (sum_k (||f0_k||_1 + ||df_k||_1)^2)^b
-          * (sum_k (||g0_k||_1 + ||dg_k||_1)^2)^a,
+    |sigma(x)| <= h(x), the l1 norm of the coordinates of a ring element x
+    (:func:`_coordinate_height`), every entry of sigma(f_t) has
+    |sigma(f0_k) + t sigma(df_k)| <= h(f0_k) + h(df_k).  Hadamard's
+    inequality over the b rows of f and the a rows of g gives
+    |sigma(R)(t)| <= E, where
+    E^2 = (sum_k (h(f0_k) + h(df_k))^2)^b * (sum_k (h(g0_k) + h(dg_k))^2)^a,
     and Cauchy's estimate on the unit circle bounds each coefficient by the
     maximum there: |sigma(R_j)| <= E.  Over Z that is the bound (C = 1).
 
@@ -766,32 +766,26 @@ def pencil_resultant(ring, f0: list, df: list, g0: list, dg: list) -> list:
         return out
     scalar = ring.base is None              # Z, whose elements are ints
     n = 1 if scalar else ring.n
-    if scalar:
-        f0, df, g0, dg = ([(x,) for x in v] for v in (f0, df, g0, dg))
 
     def height(v0: list, dv: list) -> int:
-        return sum((sum(map(abs, x)) + sum(map(abs, y))) ** 2 for x, y in zip(v0, dv))
+        return sum((_coordinate_height(ring, x) + _coordinate_height(ring, y)) ** 2
+                   for x, y in zip(v0, dv))
     limit = 4 * _lagrange_bound(n) ** 2 * height(f0, df) ** b * height(g0, dg) ** a
     pencils = (f0, df, g0, dg) if m else (f0, g0)
-    coords, modulus, k = None, 1, 0
-    while coords is None or modulus * modulus <= limit:
+    coords, modulus, k = [], 1, 0
+    while not coords or modulus * modulus <= limit:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
         images, done = [], {}                   # per embedding: R's coefficients
         for w in maps:
-            key = tuple(tuple(sum(map(operator.mul, x, w)) % p for x in v) for v in pencils)
+            key = tuple(tuple(_image(v, p, w, scalar)) for v in pencils)
             if key not in done:
                 done[key] = _pencil_resultant_mod(key, m, p)
             images.append(done[key])
         residues = [sum(map(operator.mul, col, row)) % p
                     for col in zip(*images) for row in lagrange]
-        if coords is None:
-            coords = residues
-        else:
-            inv = pow(modulus, -1, p)
-            coords = [x + modulus * ((c - x) * inv % p) for x, c in zip(coords, residues)]
-        modulus *= p
-    lifted = [x - modulus if 2 * x > modulus else x for x in coords]
+        coords, modulus = _crt(coords, modulus, residues, p), modulus * p
+    lifted = _symmetric_lift(coords, modulus)
     if scalar:
         return lifted
     size = len(lagrange)
@@ -812,7 +806,7 @@ def _lagrange_bound(n: int) -> int:
 
 @functools.cache
 def _residue_maps(n: int, k: int) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The k-th prime p = 1 (mod n) above 2^30, the phi(n) residue maps
+    """The k-th prime p = 1 (mod n) below 2^30, the phi(n) residue maps
     zeta -> w^u of Z[zeta_n] onto F_p, each as its weights w^(uj) for
     j < phi(n), and the Lagrange matrix modulo p that takes the images of an
     element back to its coordinates: row i, column u is the x^i coefficient
@@ -1062,20 +1056,14 @@ def _integer_norm(G: Poly) -> list[int]:
     N'^e.  Every automorphism fixes the integer X, so the walk ends at the
     integer N'(X), whose signed digits in base 2^S are N''s coefficients.
 
-    *The bound.*  Let h(x) be the integer that :func:`_height` gives, with
-    |sigma(x)| <= h(x) for every embedding sigma.  Each sigma(g) has
-    ||sigma(g)||_1 <= H = sum_i h(g_i), so ||N'||_1 <= H^k'
-    <= 2^(k bits(H)) <= 2^(S - 2), k' <= k the number of factors, and the
-    coefficients lie in the digit range of :func:`_signed_digits`.
-
-    *The orbits.*  Over a quadratic layer, the conjugate of g(X) is g(X)
-    exactly when the sqrt(D) part b of g is zero at X, which, its
-    coordinates being at most H < 2^S, happens only for b = 0.  Over
-    Z[zeta_n], x = M(X) for the product M of j <= k / phi(n) images of g,
-    so |tau(M_i)| <= H^j for every embedding tau, and the coordinates of
-    D = sigma(M) - M are at most 2 C_n H^j by the Lagrange bound C_n of
-    :func:`_lagrange_bound`.  S is taken at least bits(C_n) + j bits(H) + 1,
-    so they are below 2^S, and D(X) = 0 only for D = 0
+    S is the :func:`_slot_width` of k factors and the bound H^k, with
+    H = sum_i h(g_i) (:func:`_coordinate_height`).  N' is a product of at
+    most k conjugates of g, so h(N') <= C H^k < 2^(S-2), with C the
+    :func:`_product_constant` of k factors: N''s coefficients are its
+    signed digits (:func:`_signed_digits`).  The product M of j <= k
+    conjugates of g that a layer's value stands for, and its image
+    sigma(M), have height at most C H^j, so sigma(M) - M has coordinates
+    below 2^(S-1), and sigma(M)(X) = M(X) only for sigma(M) = M
     (:func:`_unpack`).
 
     Over a quadratic layer whose radicand is a square in the base,
@@ -1085,29 +1073,12 @@ def _integer_norm(G: Poly) -> list[int]:
     ring = _integral_ring(G.field)
     _, g = ring.clear(G.coeffs)
     k = _absolute_degree(G.field)
-    layer = ring.base if isinstance(ring, _QuadraticIntegers) else ring
-    n = 1 if layer.base is None else layer.n
-    b = sum(_height(ring, c) for c in g).bit_length()
-    S = max(k * b, k // euler_phi(n) * b + _lagrange_bound(n).bit_length() - 1) + 2
+    S = _slot_width(ring, k, sum(_coordinate_height(ring, c) for c in g) ** k)
     x = _pack(ring, g, S)
     while ring.base is not None:
         orbit = dict.fromkeys([x, *ring.conjugates(x)])
         x, ring = ring.to_base(functools.reduce(ring.mul, orbit)), ring.base
     return _signed_digits(x, S, k * (len(g) - 1) + 1)
-
-
-def _height(ring, x) -> int:
-    """An integer h(x) >= |sigma(x)| for every embedding sigma of the ring:
-    |x| over Z, ||x||_1 over Z[zeta_n], where |sigma(zeta)| = 1, and
-    h(a) + h(b) (isqrt(h(D)) + 1) for a + b sqrt(D), where
-    |sigma(sqrt(D))| = sqrt(|sigma(D)|) <= sqrt(h(D))."""
-    if ring.base is None:
-        return abs(x)
-    if isinstance(ring, _QuadraticIntegers):
-        base = ring.base
-        return _height(base, x[0]) + _height(base, x[1]) * (
-            math.isqrt(_height(base, ring.D)) + 1)
-    return sum(map(abs, x))
 
 
 # ---------------------------------------------------------------------------
@@ -1164,10 +1135,10 @@ def _unpack(ring, x, S: int, count: int) -> list:
 
 def _coordinate_height(ring, x) -> int:
     """h(x), the l1 norm of the power-basis coordinates of x: |x| over Z,
-    ||x||_1 over Z[zeta_n] and h(a) + h(b) for a + b sqrt(D).  Unlike
-    :func:`_height` it bounds the coordinates, not the embeddings: every
-    coordinate of x is at most h(x) in absolute value.  For a polynomial f
-    over the ring, h(f) = sum_k h(f_k)."""
+    ||x||_1 over Z[zeta_n] and h(a) + h(b) for a + b sqrt(D).  Every
+    coordinate of x is at most h(x) in absolute value, and so is every
+    complex embedding of x over Z and Z[zeta_n], where |sigma(zeta)| = 1.
+    For a polynomial f over the ring, h(f) = sum_k h(f_k)."""
     if ring.base is None:
         return abs(x)
     if isinstance(ring, _QuadraticIntegers):
@@ -1183,17 +1154,25 @@ def _product_constant(ring, k: int) -> int:
     polynomials over the ring, coefficientwise in the variable.
 
     Write each element as a formal polynomial in y for zeta (of degree
-    below phi(n)) and, over a quadratic layer, linear in r for sqrt(D):
-    its l1 norm is h(x).  The l1 norm of formal polynomials is subadditive
-    and submultiplicative, so E written formally has l1 norm at most
+    below n) and, over a quadratic layer, linear in r for sqrt(D): its l1
+    norm is h(x).  The l1 norm of formal polynomials is subadditive and
+    submultiplicative, so E written formally has l1 norm at most
     sum_t prod_i h(x_(t,i)).  Evaluating it in the ring first replaces
     r^j, j <= k, by D^floor(j/2) r^(j mod 2), which multiplies the l1 norm
-    by at most max(1, h(D))^floor(k/2), then replaces each y^j by the
-    coordinates of zeta^j, which multiplies it by at most
-    c = max_j ||zeta^j||_1 (the table ``ring.pows``).  So C = 1 over Z,
-    C = c over Z[zeta_n], and C = C_b max(1, h(D))^floor(k/2) over a
-    quadratic layer over a base with constant C_b: one reduction for the
-    whole expression, not one per product."""
+    by at most max(1, h(D))^floor(k/2), then folds y^n = 1, which does not
+    raise it, and replaces each y^j, j < n, by the coordinates of zeta^j,
+    which multiplies it by at most c = max_j ||zeta^j||_1 (the table
+    ``ring.pows``).  So C = 1 over Z, C = c over Z[zeta_n], and
+    C = C_b max(1, h(D))^floor(k/2) over a quadratic layer over a base
+    with constant C_b: one reduction for the whole expression, not one per
+    product.
+
+    The same C serves *conjugated factors*, each counted at h(x_(t,i)), as
+    the norm takes them (:func:`_integer_norm`, where every radical other
+    than +-r occurs to even powers).  Written formally,
+    sigma_u(x) = sum_j x_j y^(uj mod n) has exponents below n and l1 norm
+    h(x), as does x under sqrt(D) -> -sqrt(D), and the radical of a
+    conjugate squares to a conjugate of D, of formal l1 norm h(D)."""
     if ring.base is None:
         return 1
     if isinstance(ring, _QuadraticIntegers):

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
-                     _integral_ring, _is_prime, common_field, lift,
-                     root_of_unity, root_of_unity_field)
-from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order, rotation,
-                     scaling, standard_generators)
+                     _absolute_degree, _integral_ring, _is_prime, _rational_perfect_root,
+                     common_field, lift, root_of_unity, root_of_unity_field)
+from .mobius import (GroupSpec, MobiusMap, _largest_order, inversion, mobius_order,
+                     rotation, scaling, standard_generators)
 from .poly import Poly, nullspace, poly_gcd, resultant
 from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
                      is_automorphism, maps_equal, ProjPoint)
@@ -677,32 +676,6 @@ def _unit_coset(mu0: FieldElement, M: int):
     return out
 
 
-def _integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, by Newton's method from above."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _rational_perfect_root(fr: Fraction, M: int) -> Optional[Fraction]:
-    num, den, sign = fr.numerator, fr.denominator, 1
-    if num < 0:
-        if M % 2 == 0:
-            return None
-        sign, num = -1, -num
-    if num == 0:
-        return None
-    rn, rd = _integer_root(num, M), _integer_root(den, M)
-    if rn ** M == num and rd ** M == den:
-        return Fraction(sign * rn, rd)
-    return None
-
-
 def _solve_power_equation(M: int, gamma: FieldElement):
     """All complex solutions of mu^M = gamma, exactly, within the supported
     field tower (cyclotomic lifts and a single square-root layer).
@@ -710,10 +683,9 @@ def _solve_power_equation(M: int, gamma: FieldElement):
     field = gamma.field
     if M == 1:
         return [gamma]
-    # gamma a root of unity: the solutions are a cyclotomic coset
-    bound = 24 * M
+    # gamma a root of unity, of order s with phi(s) <= [K:Q]: a cyclotomic coset
     acc = field.one()
-    for s in range(1, bound + 1):
+    for s in range(1, _largest_order(_absolute_degree(field)) + 1):
         acc = acc * gamma
         if acc == field.one():
             Ms = M * s

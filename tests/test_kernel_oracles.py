@@ -24,6 +24,7 @@ Both oracles are test-only imports: the module is skipped when sympy or
 hypothesis is absent.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -36,10 +37,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ratsym import poly  # noqa: E402
 from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
-                           _absolute_degree, _integral_ring, _RationalIntegers, lift)
+                           _absolute_degree, _integral_ring, _RationalIntegers,
+                           _residue_prime, lift)
 from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _integer_norm, _prime, _residue_maps,  # noqa: E402
+from ratsym.poly import (Poly, _integer_norm, _residue_maps,  # noqa: E402
                          _ring_mul, _trim, _squarefree_z, nullspace, pencil_resultant,
                          poly_eval, poly_gcd, resultant, squarefree_norm,
                          sturm_roots_in_interval)
@@ -483,6 +485,29 @@ def test_integer_norm_of_a_polynomial_over_a_subfield(F, K, coeffs, e):
     assert norm == _trim(_product_norm(Poly(F, _lifted(F, F, coeffs))))
 
 
+def _at_height(K, h, signs):
+    """An element of K whose power-basis coordinates over Q, down the
+    tower, are h times the next signs in turn."""
+    if isinstance(K, QuadraticField):
+        return K.from_parts(_at_height(K.base, h, signs), _at_height(K.base, h, signs))
+    if K == QQ:
+        return QQ(next(signs) * h)
+    return K.from_coeffs([next(signs) * h for _ in range(K.degree)])
+
+
+@pytest.mark.parametrize("K", [CyclotomicField(5), K12, K20, icosahedral_field(),
+                               QuadraticField(QQ, QQ(2 ** 61 - 1))], ids=repr)
+@pytest.mark.parametrize("pattern", [(1,), (1, -1), (-1, 1, 1)])
+def test_integer_norm_with_every_coordinate_at_the_height(K, pattern):
+    # each coefficient's coordinates all sit at +-h, as large as the
+    # coordinate height the slot width of the norm rests on allows; over
+    # Q(sqrt(2^61 - 1)) the radicand's own height dominates the bound
+    signs = itertools.cycle(pattern)
+    G = Poly(K, [_at_height(K, 2 ** 64 - 1, signs) for _ in range(3)])
+    norm = _integer_norm(G)
+    assert _trim(_z_power(norm, _orbit_index(G))) == _trim(_product_norm(G))
+
+
 ROOTS = st.fractions(min_value=-2, max_value=2, max_denominator=7)
 
 
@@ -524,7 +549,7 @@ def test_sturm_roots_in_interval_matches_sympy(problem):
 
 # leading coefficients that the modular gcd must skip a prime for, or lift
 # over several primes
-LEADS = [1, -3, _prime(0), -_prime(0) * _prime(1), 2 ** 40]
+LEADS = [1, -3, _residue_prime(1, 0), -_residue_prime(1, 0) * _residue_prime(1, 1), 2 ** 40]
 
 
 @st.composite

@@ -271,13 +271,17 @@ def test_power_products_match_ring_products(ring, d, data):
 @given(st.sampled_from(RINGS), st.integers(1, 6), st.integers(1, 3), st.data())
 def test_product_constant_bounds_sums_of_products(ring, k, terms, data):
     # h(sum_t prod_i x_(t,i)) <= C sum_t prod_i h(x_(t,i)) for at most k
-    # factors per product, with one reduction for the whole sum
+    # factors per product, with one reduction for the whole sum; a factor
+    # may be a conjugate of x_(t,i) (sigma_u over Z[zeta_n], sqrt(D) ->
+    # -sqrt(D) over a layer), which still counts at h(x_(t,i)), as the
+    # norm's slot width assumes
     h = lambda x: _coordinate_height(ring, x)  # noqa: E731
     total, bound = ring.zero, 0
     for _ in range(terms):
         xs = [_ring_element(ring, data.draw) for _ in range(data.draw(st.integers(1, k)))]
         prod, hs = ring.one, 1
         for x in xs:
-            prod, hs = ring.mul(prod, x), hs * h(x)
+            images = [x] if ring.base is None else [x, *ring.conjugates(x)]
+            prod, hs = ring.mul(prod, data.draw(st.sampled_from(images))), hs * h(x)
         total, bound = ring.add(total, prod), bound + hs
     assert h(total) <= _product_constant(ring, k) * bound

@@ -48,7 +48,7 @@ def _zpoly(*factors):
 
 # P and Q are the first two primes of the modular gcd: the roots A and
 # A + P meet modulo P, and A and A + Q modulo Q
-P, Q, A = poly._prime(0), poly._prime(1), 12345
+P, Q, A = fields._residue_prime(1, 0), fields._residue_prime(1, 1), 12345
 BIG = [-(2 ** 62 + 3), 2 ** 61 + 1, 1]         # needs three primes to lift
 
 
@@ -692,11 +692,19 @@ def test_annihilation_check_packs_sums_at_full_width():
 def test_residue_map_checks_its_prime():
     F = CyclotomicField(12)
     p = fields._residue_prime(12)
-    assert p > 2 ** 30 and p % 12 == 1 and fields._is_prime(p)
+    assert p < 2 ** 30 and p % 12 == 1 and fields._is_prime(p)
     with pytest.raises(fields.BadResidueMap):
-        fields._root_of_unity_mod(F, fields._residue_prime(1))          # = 7 mod 12
+        fields._root_of_unity_mod(F, fields._residue_prime(1))          # = 5 mod 12
     with pytest.raises(fields.BadResidueMap):
         fields._root_of_unity_mod(F, p + 12)                           # not prime
+    # every modular kernel draws from one sequence per n, counting down
+    # from 2^30; for n = 1 it is the primes below 2^30, from the largest
+    for n in (1, 3, 4, 5, 12, 20, 127, 256):
+        ps = [fields._residue_prime(n, k) for k in range(4)]
+        assert all(fields._is_prime(q) and (q - 1) % n == 0 for q in ps)
+        assert 2 ** 30 > ps[0] > ps[1] > ps[2] > ps[3]
+    assert [fields._residue_prime(1, k) for k in range(4)] == \
+        [1073741789, 1073741783, 1073741741, 1073741723]
     assert [n for n in range(2, 60) if fields._is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     # strong pseudoprime to the bases 2, 3, 5 and 7

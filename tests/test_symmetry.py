@@ -5,7 +5,7 @@ import pytest
 from test_poly import gauss_jordan_nullspace
 
 from ratsym import poly, symmetry
-from ratsym.fields import QQ, CyclotomicField, QuadraticField
+from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
 from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
                            standard_generators)
 from ratsym.poly import Poly
@@ -364,7 +364,8 @@ def test_simple_families_cover_all_entries():
 
 def test_rational_perfect_root_is_exact_on_large_inputs():
     from fractions import Fraction
-    from ratsym.symmetry import _rational_perfect_root
+    from ratsym.fields import _rational_perfect_root
+    assert _rational_perfect_root(Fraction(0), 3) == 0
     big = Fraction(3 ** 700)
     assert _rational_perfect_root(big, 2) == 3 ** 350
     assert _rational_perfect_root(big, 7) == 3 ** 100
@@ -373,3 +374,16 @@ def test_rational_perfect_root_is_exact_on_large_inputs():
     assert _rational_perfect_root(Fraction(3 ** 700, 2 ** 700), 700) == Fraction(3, 2)
     assert _rational_perfect_root(Fraction(-3 ** 7), 7) == -3
     assert _rational_perfect_root(Fraction(-9), 2) is None
+
+
+@pytest.mark.parametrize("n", [127, 60])
+def test_square_roots_of_a_high_order_root_of_unity(n):
+    # zeta_n is a root of unity of order above 24 M: its square roots are the
+    # coset of a primitive 2n-th root, not sqrt(zeta_n) as a quadratic layer,
+    # which over Q(zeta_127) has a square radicand (zeta^64)^2
+    gamma = CyclotomicField(n).zeta()
+    roots = symmetry._solve_power_equation(2, gamma)
+    assert len(roots) == 2
+    for mu in roots:
+        assert not isinstance(mu.field, QuadraticField)
+        assert mu * mu == lift(gamma, mu.field)
