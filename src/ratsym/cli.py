@@ -153,7 +153,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # a RecursionError is nesting deeper than the decoder's stack
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -237,6 +238,8 @@ def _generated_group(autos) -> GroupSpec | None:
 
 def cmd_validate(args) -> int:
     doc = _load_json(args.certificate)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{args.certificate} does not hold a JSON object")
     kind = doc.get("certificate_type")
     try:
         if kind == "path":

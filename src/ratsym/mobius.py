@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
                      _absolute_degree, _integral_ring, common_field, lift,
                      root_of_unity)
-from .ratmap import ProjPoint, RationalMap, make_map
+from .ratmap import ProjPoint, RationalMap, _scaled
 from .poly import Poly
 
 __all__ = [
@@ -127,9 +127,9 @@ class MobiusMap:
         return self.apply(point)
 
     def as_map(self) -> RationalMap:
-        """Degree-one rational map (az + b)/(cz + d)."""
-        return make_map(Poly(self.field, (self.b, self.a)),
-                        Poly(self.field, (self.d, self.c)))
+        """The degree-1 map (az + b)/(cz + d); a nonsingular matrix needs no gcd."""
+        return _scaled(Poly(self.field, (self.b, self.a)),
+                       Poly(self.field, (self.d, self.c)), 1)
 
     def __repr__(self):
         return (f"MobiusMap([{self.a!r}, {self.b!r}; "

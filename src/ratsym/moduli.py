@@ -538,15 +538,12 @@ def _inverted(leg: ConjugationLeg) -> ConjugationLeg:
                           source=leg.target, target=leg.source)
 
 
-def _reduce_to_order2(fam: CyclicFamily, strategy: str, rng, precision: int):
-    """Legs from a prime-order family to a map in -z standard form, plus the
-    resulting order-2 family."""
-    p, d = fam.n, fam.degree
-    w = lemma_witness(p, d)
-    leg = PathLeg(build_path(fam, w.family, strategy, rng, precision))
+def _order2_hand_off(fam: CyclicFamily):
+    """The witness family of fam's order and degree, the leg putting the
+    witness's involution at -z, and the order-2 family that leg lands in."""
+    w = lemma_witness(fam.n, fam.degree)
     S = next(T for T, order in w.autos if order == 2)
-    conj_leg, c2fam = _standard_involution_leg(w.map, S)
-    return [leg, conj_leg], c2fam
+    return (w.family, *_standard_involution_leg(w.map, S))
 
 
 def _same_order_legs(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
@@ -581,7 +578,9 @@ def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
     odd prime).  Odd-prime sides are routed through an explicit witness map
     carrying an extra involution, which is then conjugated into -z standard
     position (conjugator recorded); the middle legs run inside the order-2
-    locus, through its D2 member when they join case A to case C.
+    locus, through its D2 member when they join case A to case C.  Each leg
+    is built in the direction the chain runs, and rng is drawn by the near
+    path, then the far path, then the middle legs.
     """
     if rng is None:
         rng = random.Random(0)
@@ -597,20 +596,18 @@ def connectivity_certificate(fam0: CyclicFamily, fam1: CyclicFamily,
             legs = [ConjugationLeg(identity(phi.field), phi, phi)]
         return ConnectivityCertificate(d, tuple(legs))
 
-    pre0, c2fam0 = ([], fam0) if fam0.n == 2 else _reduce_to_order2(
-        fam0, strategy, rng, precision)
-    pre1, c2fam1 = ([], fam1) if fam1.n == 2 else _reduce_to_order2(
-        fam1, strategy, rng, precision)
-
-    legs = pre0 + _same_order_legs(c2fam0, c2fam1, strategy, rng, precision)
-    for leg in reversed(pre1):
-        if isinstance(leg, ConjugationLeg):
-            legs.append(_inverted(leg))
-        else:
-            legs.append(PathLeg(_reverse_path_certificate(leg.cert, precision)))
-    return ConnectivityCertificate(d, tuple(legs))
+    near, far, c2fam0, c2fam1 = [], [], fam0, fam1
+    if fam0.n != 2:
+        w0, conj0, c2fam0 = _order2_hand_off(fam0)
+        near = [PathLeg(build_path(fam0, w0, strategy, rng, precision)), conj0]
+    if fam1.n != 2:
+        w1, conj1, c2fam1 = _order2_hand_off(fam1)
+        far = [_inverted(conj1), PathLeg(build_path(w1, fam1, strategy, rng, precision))]
+    middle = _same_order_legs(c2fam0, c2fam1, strategy, rng, precision)
+    return ConnectivityCertificate(d, tuple(near + middle + far))
 
 
+# unused; kept because bench/tracer.py patches it by name (ROADMAP item 5)
 def _reverse_path_certificate(cert: PathCertificate, precision: int) -> PathCertificate:
     """The same path run backwards, each segment recertified with the kind
     of its own proof (an interval proof at the caller's precision).  A

@@ -4,15 +4,14 @@ A :class:`RationalMap` is a reduced pair (P, Q) with a certified degree:
 gcd(P, Q) is constant and max(deg P, deg Q) = d >= 1, which together are
 equivalent to the nonvanishing of the Sylvester resultant at formal degrees
 (d, d).  Construction goes through :func:`make_map`, so every later
-operation may assume nondegeneracy; only :func:`conjugate` and
-:meth:`RationalMap.lift` skip its gcd, because a Moebius substitution and a
-field extension both keep a reduced pair reduced.  Derivatives may drop
-degree and are returned as unchecked :class:`FormalRatFunc` values instead.
-:func:`conjugate` and :func:`is_automorphism` run over the integral ring
-that every supported field has (:mod:`ratsym.fields`), at one integer point
-X = 2^S (Kronecker substitution): each substitution (P, Q)(U, V) of linear
-forms is a single ring element, taken by Horner's rule in O(d) ring
-products, and S comes from a bound on the power-basis coordinates of the
+operation may assume nondegeneracy; :func:`compose`, :func:`conjugate`,
+:meth:`RationalMap.lift` and ``MobiusMap.as_map`` skip its gcd, because
+each keeps a reduced pair reduced.  Derivatives may drop degree and are
+returned as unchecked :class:`FormalRatFunc` values instead.
+:func:`maps_equal`, :func:`compose`, :func:`conjugate` and
+:func:`is_automorphism` run over the integral ring of the field
+(:mod:`ratsym.fields`) at one integer point X = 2^S (Kronecker
+substitution), with S from a bound on the power-basis coordinates of the
 polynomials it stands for, at which evaluation at X is injective.
 """
 
@@ -155,13 +154,23 @@ def _scaled(P: Poly, Q: Poly, d: int) -> RationalMap:
 
 
 def maps_equal(phi: RationalMap, psi: RationalMap) -> bool:
-    """Projective equality of reduced maps via cross multiplication."""
-    if phi.field != psi.field:
-        k = common_field(phi.field, psi.field)
-        phi, psi = phi.lift(k), psi.lift(k)
+    """Projective equality of reduced maps: equal degrees and P Q' = P' Q,
+    on the pairs of :func:`_cleared_map` at one integer point X = 2^S.
+
+    *The point.*  With h as in :func:`_substituted`, each product expanded
+    is a sum of products of two ring elements whose heights come to at most
+    h(P) h(Q') or h(P') h(Q), so at most H H' for H = h(P) + h(Q) and
+    H' = h(P') + h(Q'); S for 2 factors and that bound covers both, so they
+    are equal exactly when their values at X are (:func:`poly._slot_width`)."""
+    field = common_field(phi.field, psi.field)
     if phi.degree != psi.degree:
         return False
-    return phi.num * psi.den == psi.num * phi.den
+    ring = _integral_ring(field)
+    (P, Q), (P2, Q2) = _cleared_map(ring, phi), _cleared_map(ring, psi)
+    h = functools.partial(_coordinate_height, ring)
+    S = _slot_width(ring, 2, sum(map(h, P + Q)) * sum(map(h, P2 + Q2)))
+    p, q, p2, q2 = (_pack(ring, f, S) for f in (P, Q, P2, Q2))
+    return ring.mul(p, q2) == ring.mul(p2, q)
 
 
 def eval_proj(phi: RationalMap, p: ProjPoint) -> ProjPoint:
@@ -186,33 +195,15 @@ def eval_proj(phi: RationalMap, p: ProjPoint) -> ProjPoint:
     return ProjPoint(num, den)
 
 
-def _subst_homogeneous(f: Poly, d: int, U: Poly, V: Poly) -> Poly:
-    """sum_k f_k U^k V^(d-k) for f of formal degree d."""
-    field = f.field
-    upow = [Poly(field, (field.one(),))]
-    vpow = [Poly(field, (field.one(),))]
-    for _ in range(d):
-        upow.append(upow[-1] * U)
-        vpow.append(vpow[-1] * V)
-    out = Poly.zero(field)
-    for k in range(d + 1):
-        c = f[k]
-        if not c.is_zero():
-            out = out + (upow[k] * vpow[d - k]) * c
-    return out
-
-
 def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
-    """phi o psi, reduced; degree is the product of degrees."""
-    if phi.field != psi.field:
-        k = common_field(phi.field, psi.field)
-        phi, psi = phi.lift(k), psi.lift(k)
-    N = _subst_homogeneous(phi.num, phi.degree, psi.num, psi.den)
-    D = _subst_homogeneous(phi.den, phi.degree, psi.num, psi.den)
-    result = make_map(N, D)
-    if result.degree != phi.degree * psi.degree:
-        raise DegenerateMap("composition degree drop")
-    return result
+    """phi o psi = (P, Q)(U, V) of degree d e, for phi = P/Q and psi = U/V
+    of degrees d and e, by :func:`_substituted`.  It needs no gcd: at a
+    common zero on P^1 of the composite pair, either U and V both vanish or
+    (U : V) is a common zero of P and Q, and reduced pairs have neither."""
+    field = common_field(phi.field, psi.field)
+    ring = _integral_ring(field)
+    S, A, B = _substituted(ring, *_cleared_map(ring, phi), *_cleared_map(ring, psi), 1)
+    return _read_map(field, ring, S, A, B, phi.degree * psi.degree)
 
 
 def _homogeneous_at(ring, fs: list, u, v) -> list:
@@ -237,15 +228,17 @@ def _homogeneous_at(ring, fs: list, u, v) -> list:
 
 def _substituted(ring, P: list, Q: list, U: list, V: list, k: int):
     """(S, A, B): the values A, B at X = 2^S of the pair (P, Q)(U, V) of
-    formal degree d, for linear forms U and V given by their coefficient
+    formal degree d, for polynomials U and V given by their coefficient
     lists.  Here h is the coordinate height summed over a polynomial's
     coefficients (:func:`poly._coordinate_height`), H = h(P) + h(Q) and
     M = max(h(U), h(V)).  Expanded, A and B are sums of products of a
-    coefficient of P or Q and d entries of U and V, whose heights come to
-    at most M^d H in all.  S is the slot width of :func:`poly._slot_width`
-    for d + 1 + k factors and the bound M^(d+1) H^k, which covers A and B
-    times one ring element of height at most M (k = 1), or times a
-    combination of P and Q with two such weights (k = 2)."""
+    coefficient of P or Q and one entry of each of d factors U or V, whose
+    heights come to at most M^d H in all.  S is the slot width of
+    :func:`poly._slot_width` for d + 1 + k factors and the bound
+    M^(d+1) H^k, which covers A and B times one ring element of height at
+    most M (k = 1), and so A and B themselves, as M >= 1 and the product
+    constant never falls as factors are added, or times a combination of P
+    and Q with two such weights (k = 2)."""
     h = functools.partial(_coordinate_height, ring)
     d = len(P) - 1
     H = sum(map(h, P)) + sum(map(h, Q))
@@ -275,26 +268,28 @@ def _power_products(ring, U: list, V: list, d: int, js: list[int]) -> list[list]
 
 
 def _integral_data(phi: RationalMap, T):
-    """The field of phi and T together, its ring, and the numerator,
-    denominator and matrix entries with denominators cleared (each up to a
-    scalar, which changes neither the map nor the Moebius transformation).
-    Each is cleared in the ring of its own field and then lifted into that
-    ring (:func:`fields._ring_lift`), so a map over a subfield clears only
-    its own coordinates."""
+    """The field of phi and T together, its ring, the pair of
+    :func:`_cleared_map` and the matrix entries of T cleared likewise."""
     from .mobius import MobiusMap  # local import to avoid a cycle
     if not isinstance(T, MobiusMap):
         raise TypeError("conjugator must be a MobiusMap")
     field = common_field(phi.field, T.field)
     ring = _integral_ring(field)
+    return (field, ring, *_cleared_map(ring, phi), _cleared(ring, T.field, T.entries()))
+
+
+def _cleared_map(ring, phi: RationalMap) -> tuple[list, list]:
+    """P and Q at formal degree d, cleared together (up to a scalar, which
+    changes no map) by :func:`_cleared`."""
     d = phi.degree
-    pq = _cleared(ring, phi.field, [phi.num[k] for k in range(d + 1)]
-                  + [phi.den[k] for k in range(d + 1)])
-    return field, ring, pq[:d + 1], pq[d + 1:], _cleared(ring, T.field, T.entries())
+    pq = _cleared(ring, phi.field, [f[k] for f in (phi.num, phi.den) for k in range(d + 1)])
+    return pq[:d + 1], pq[d + 1:]
 
 
 def _cleared(ring, field: Field, elems) -> list:
     """The elements of the field, cleared of denominators together in the
-    field's own ring and lifted into ``ring``."""
+    field's own ring and lifted into ``ring`` (:func:`fields._ring_lift`),
+    so a map or matrix over a subfield clears only its own coordinates."""
     src = _integral_ring(field)
     return [_ring_lift(x, src, ring) for x in src.clear(elems)[1]]
 
@@ -304,14 +299,11 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
 
     With T^{-1} = (dw - b)/(-cw + a), phi o T^{-1} is the pair
     (P, Q)(dw - b, -cw + a) of formal degree d = deg phi, and T o phi o T^{-1}
-    is (aP + bQ, cP + dQ) of that pair.  Computed over the field's integral
-    ring (Z, Z[zeta_n], or pairs over it for a quadratic layer) at one
-    integer point X = 2^S (Kronecker substitution): one Horner pass on
-    single ring elements gives the values N(X) and D(X) of the result, and
-    N and D are read off the signed base-2^S digits of their coordinates
-    (:func:`poly._unpack`).  A Moebius map sends a coprime homogeneous pair
-    of degree d to another, so the result needs no gcd, only the canonical
-    scaling of :func:`make_map`.
+    is (aP + bQ, cP + dQ) of that pair.  One Horner pass on single ring
+    elements gives the values N(X) and D(X) of the result at X = 2^S, and
+    :func:`_read_map` reads N and D off their digits.  A Moebius map sends a
+    coprime homogeneous pair of degree d to another, so the result needs no
+    gcd, only the canonical scaling of :func:`_scaled`.
 
     *The point.*  With h, H and M as in :func:`_substituted`, N and D
     expanded are sums of products of d + 2 ring elements: one of
@@ -322,11 +314,14 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
     field, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
     zero, add, sub, mul = ring.zero, ring.add, ring.sub, ring.mul
     S, A, B = _substituted(ring, P, Q, [sub(zero, b), e], [a, sub(zero, c)], 1)
-    count = phi.degree + 1
-    N = _unpack(ring, add(mul(a, A), mul(b, B)), S, count)
-    D = _unpack(ring, add(mul(c, A), mul(e, B)), S, count)
-    return _scaled(Poly(field, [ring.to_field(x, 1) for x in N]),
-                   Poly(field, [ring.to_field(x, 1) for x in D]), phi.degree)
+    return _read_map(field, ring, S, add(mul(a, A), mul(b, B)),
+                     add(mul(c, A), mul(e, B)), phi.degree)
+
+
+def _read_map(field: Field, ring, S: int, N, D, d: int) -> RationalMap:
+    """The scaled pair of formal degree d with the values N, D at X = 2^S."""
+    return _scaled(*(Poly(field, [ring.to_field(x, 1) for x in _unpack(ring, v, S, d + 1)])
+                     for v in (N, D)), d)
 
 
 class FormalRatFunc:
@@ -370,10 +365,8 @@ def is_automorphism(phi: RationalMap, T) -> bool:
     Decides phi o T = T o phi without composing, inverting or reducing:
     with A, B = (P, Q)(aw + b, cw + d) at the formal degree d of phi, both
     sides are coprime pairs of formal degree d, so they agree exactly when
-    A (cP + dQ) = B (aP + bQ).  The test runs over the field's integral ring
-    after clearing denominators once, on the values of both sides at one
-    integer point X = 2^S (Kronecker substitution): O(d) ring products, and
-    nothing unpacked.
+    A (cP + dQ) = B (aP + bQ), which is tested on the values of both sides
+    at X = 2^S: O(d) ring products, and nothing unpacked.
 
     *The point.*  With h, H and M as in :func:`_substituted`, both sides
     expanded are sums of products of d + 3 ring elements: a term of A or B,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
-                     _absolute_degree, _integral_ring, _is_prime, _rational_perfect_root,
+                     _integral_ring, _is_prime, _rational_perfect_root,
                      common_field, lift, root_of_unity, root_of_unity_field)
-from .mobius import (GroupSpec, MobiusMap, _largest_order, inversion, mobius_order,
+from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order,
                      rotation, scaling, standard_generators)
 from .poly import Poly, nullspace, poly_gcd, resultant
 from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
@@ -676,6 +676,24 @@ def _unit_coset(mu0: FieldElement, M: int):
     return out
 
 
+def _root_of_unity_order(gamma: FieldElement) -> Optional[int]:
+    """The order of gamma as a root of unity, or None if it is not one.
+
+    Over F = Q or Q(zeta_n) every root of unity has order dividing
+    w = lcm(2, n) (2 over Q).  A layer K = F(sqrt(delta)) holds mu_M with
+    w | M and [Q(zeta_M):F] dividing [K:F] = 2, so M is w, 2w or 3w (a
+    square-radicand layer, F x F, only orders dividing w).  So the order is
+    the least divisor t of W = w (6w on a layer) with gamma^t = 1, each
+    power taken by repeated squaring, and there is none if gamma^W != 1."""
+    field, one = gamma.field, gamma.field.one()
+    layer = isinstance(field, QuadraticField)
+    base = field.base if layer else field
+    w = (2 if base == QQ else math.lcm(2, base.n)) * (6 if layer else 1)
+    if gamma ** w != one:
+        return None
+    return next(t for t in range(1, w + 1) if w % t == 0 and gamma ** t == one)
+
+
 def _solve_power_equation(M: int, gamma: FieldElement):
     """All complex solutions of mu^M = gamma, exactly, within the supported
     field tower (cyclotomic lifts and a single square-root layer).
@@ -683,21 +701,19 @@ def _solve_power_equation(M: int, gamma: FieldElement):
     field = gamma.field
     if M == 1:
         return [gamma]
-    # gamma a root of unity, of order s with phi(s) <= [K:Q]: a cyclotomic coset
-    acc = field.one()
-    for s in range(1, _largest_order(_absolute_degree(field)) + 1):
-        acc = acc * gamma
-        if acc == field.one():
-            Ms = M * s
-            K = common_field(field, root_of_unity_field(Ms))
-            wMs = lift(root_of_unity(Ms), K)
-            glift = lift(gamma, K)
-            cur = K.one()
-            for _ in range(Ms):
-                if cur ** M == glift:
-                    return _unit_coset(cur, M)
-                cur = cur * wMs
-            return None
+    # gamma a root of unity, of order s: a cyclotomic coset
+    s = _root_of_unity_order(gamma)
+    if s is not None:
+        Ms = M * s
+        K = common_field(field, root_of_unity_field(Ms))
+        wMs = lift(root_of_unity(Ms), K)
+        glift = lift(gamma, K)
+        cur = K.one()
+        for _ in range(Ms):
+            if cur ** M == glift:
+                return _unit_coset(cur, M)
+            cur = cur * wMs
+        return None
     if field == QQ:
         root = _rational_perfect_root(gamma.payload, M)
         if root is not None:

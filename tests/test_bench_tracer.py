@@ -24,6 +24,8 @@ def test_tracer_counts_the_tiles_of_an_interval_path():
     item = workloads._path_item("traced", f0, f1, "interval", 3)
     original = moduli._interval_segment_proof
     tracer = Tracer()
+    # install resolves every name in SPANS and COUNTS and raises on a missing
+    # one, which is why names the library no longer calls stay (ROADMAP item 5)
     tracer.install()
     try:
         text = tracer.call("bench.build", 0, item.build)

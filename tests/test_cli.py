@@ -459,6 +459,18 @@ def test_validate_rejects_a_conductor_before_building_a_field(tmp_path, capsys,
     assert "conductor" in json.loads(out)["reason"]
 
 
+@pytest.mark.parametrize("text", ["[1]", "[" * 10 ** 5], ids=["array", "deep"])
+def test_validate_reports_a_file_it_cannot_read_as_a_parse_error(tmp_path, capsys,
+                                                                text):
+    # an array has no certificate type, and nesting that deep overruns the
+    # decoder's recursion limit; neither may escape as a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 @pytest.mark.parametrize("argv", [
     ["witness", "3", "4", "--output", "csv", "--strategy", "interval"],
     ["admissible", "--dmax", "3", "--seed", "1"],

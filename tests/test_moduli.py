@@ -484,8 +484,9 @@ def test_connectivity_needs_a_leg_that_carries_a_map():
 
 
 def test_reversed_legs_keep_the_callers_precision():
-    # the order-3 side comes second, so its path leg is certified forwards
-    # and then reversed; every interval proof must keep precision 64
+    # the order-3 side comes second, so its path leg runs from the witness
+    # to f0 and is built in that direction; every interval proof, that
+    # leg's included, must keep precision 64
     f0 = random_cyclic_family(random.Random(9), 3, 1, "A")
     f1 = random_cyclic_family(random.Random(10), 2, 2, "B")
     cert = connectivity_certificate(f1, f0, "interval", random.Random(12),
@@ -495,6 +496,38 @@ def test_reversed_legs_keep_the_callers_precision():
     proofs = [seg.proof for leg in legs for seg in leg.cert.segments]
     assert proofs and all(isinstance(p, IntervalProof) for p in proofs)
     assert {p.precision for p in proofs} == {64}
+    validate_connectivity_certificate(cert)
+
+
+def test_far_legs_are_built_forwards_and_certified_once(monkeypatch):
+    # the chains workload's shape: from the order-2 end to an order-3
+    # family, whose path leg comes last and runs from the witness to it
+    rng = random.Random(4031)
+    case, r = cyclic_admissible(4, 3)[0]
+    f3 = random_cyclic_family(rng, 3, r, case)
+    f2 = random_cyclic_family(rng, 2, 2, "B")
+
+    def refuse(*args):
+        raise AssertionError("a path leg was reversed")
+    certified = []
+    certify = moduli._certify_segment
+
+    def spy(f0, f1, strategy, precision):
+        seg = certify(f0, f1, strategy, precision)
+        if seg is not None:
+            certified.append(frozenset({(f0.a, f0.b), (f1.a, f1.b)}))
+        return seg
+    monkeypatch.setattr(moduli, "_reverse_path_certificate", refuse)
+    monkeypatch.setattr(moduli, "_certify_segment", spy)
+    cert = connectivity_certificate(f2, f3, "sturm", random.Random(7))
+    monkeypatch.undo()
+    *_, conj, far = cert.legs
+    assert isinstance(conj, ConjugationLeg) and far.cert.n == 3
+    assert maps_equal(build_cyclic(far.cert.end_family()), build_cyclic(f3))
+    assert far.cert.segments
+    for seg in far.cert.segments:
+        ends = frozenset({(seg.start_a, seg.start_b), (seg.end_a, seg.end_b)})
+        assert certified.count(ends) == 1
     validate_connectivity_certificate(cert)
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField
+from ratsym.fields import (QQ, CyclotomicField, FieldMismatch, InexactDivision,
+                           QuadraticField, common_field)
 from ratsym.mobius import (MobiusMap, icosahedral_field, identity, inversion,
                            rotation, scaling)
 from ratsym.poly import Poly
@@ -244,14 +245,178 @@ def test_perturbed_witness_rejected():
 
 
 def test_degree_drops_raise_not_assert():
-    # RationalMap's constructor is internal; these pairs break its invariants
-    z = make_map(qpoly(0, 1), qpoly(1))
-    unreduced = RationalMap(QQ, qpoly(0, 0, 1), qpoly(0, 1), 2)
-    with pytest.raises(DegenerateMap):
-        compose(z, unreduced)
-    # a pair of degree 2 that claims degree 3: conjugators fixing infinity
+    # RationalMap's constructor is internal; this pair breaks its invariants.
+    # A pair of degree 2 that claims degree 3: conjugators fixing infinity
     # leave both degree-3 coefficients zero
     overstated = RationalMap(QQ, qpoly(0, 0, 1), qpoly(1), 3)
     for T in (scaling(QQ(2)), MobiusMap(QQ, 1, 1, 0, 2)):
         with pytest.raises(DegenerateMap):
             conjugate(overstated, T)
+
+
+# --- compose and maps_equal against the Poly routes they replaced ------------
+
+def _subst_homogeneous(f, d, U, V):
+    """sum_k f_k U^k V^(d-k) for f of formal degree d, by Poly products."""
+    field = f.field
+    upow = [Poly(field, (field.one(),))]
+    vpow = [Poly(field, (field.one(),))]
+    for _ in range(d):
+        upow.append(upow[-1] * U)
+        vpow.append(vpow[-1] * V)
+    out = Poly.zero(field)
+    for k in range(d + 1):
+        if not f[k].is_zero():
+            out = out + (upow[k] * vpow[d - k]) * f[k]
+    return out
+
+
+def _reference_compose(phi, psi):
+    """phi o psi by Poly products, reduced by make_map's gcd."""
+    if phi.field != psi.field:
+        k = common_field(phi.field, psi.field)
+        phi, psi = phi.lift(k), psi.lift(k)
+    N = _subst_homogeneous(phi.num, phi.degree, psi.num, psi.den)
+    D = _subst_homogeneous(phi.den, phi.degree, psi.num, psi.den)
+    result = make_map(N, D)
+    if result.degree != phi.degree * psi.degree:
+        raise DegenerateMap("composition degree drop")
+    return result
+
+
+def _reference_maps_equal(phi, psi):
+    """Equal degrees and P Q' = P' Q by Poly cross multiplication."""
+    if phi.field != psi.field:
+        k = common_field(phi.field, psi.field)
+        phi, psi = phi.lift(k), psi.lift(k)
+    return phi.degree == psi.degree and phi.num * psi.den == psi.num * phi.den
+
+
+# 48 - 48 z + 24 z^3 = (6 - 2 sqrt(3))^2 over Q(zeta_12): a square radicand
+SQUARE_LAYER = QuadraticField(Q12, Q12.from_coeffs([48, -48, 0, 24]))
+Q5 = CyclotomicField(5)
+MAP_FIELDS = [QQ, Q5, Q12, ICOSA, SQUARE_LAYER]
+MAP_IDS = ["Q", "Qz5", "Qz12", "icosa", "square"]
+
+
+def _random_layer_map(K, d, rng):
+    """A reduced map of degree at most d; over a quadratic layer its
+    coefficients are a + b sqrt(delta) with a, b drawn over the base."""
+    if not isinstance(K, QuadraticField):
+        return _random_map(K, d, rng)
+    while True:
+        P, Q = (Poly(K, [K.from_parts(_random_element(K.base, rng),
+                                      _random_element(K.base, rng))
+                         for _ in range(d + 1)]) for _ in range(2))
+        try:
+            return make_map(P, Q)
+        except (DegenerateMap, InexactDivision, ZeroDivisionError):
+            continue
+
+
+def _one_coefficient_changed(phi, rng):
+    """phi with 1 added to one coefficient of its numerator or denominator,
+    reduced again, or None if that leaves no map."""
+    k = rng.randrange(phi.degree + 1)
+    bump = Poly(phi.field, [0] * k + [1])
+    P, Q = (phi.num + bump, phi.den) if rng.random() < 0.5 else (phi.num, phi.den + bump)
+    try:
+        return make_map(P, Q)
+    except (DegenerateMap, InexactDivision, ZeroDivisionError):
+        return None
+
+
+@pytest.mark.parametrize("K", MAP_FIELDS, ids=MAP_IDS)
+def test_compose_matches_the_poly_route(K):
+    rng = random.Random(f"compose/{K!r}")
+    small = isinstance(K, QuadraticField)
+    for _ in range(6 if small else 12):
+        phi = _random_layer_map(K, rng.randint(1, 2 if small else 4), rng)
+        psi = _random_layer_map(K, rng.randint(1, 2 if small else 3), rng)
+        got, expected = compose(phi, psi), _reference_compose(phi, psi)
+        assert (got.num, got.den, got.degree) == (expected.num, expected.den,
+                                                   expected.degree)
+    # over a subfield on either side
+    phi = _random_map(QQ, 3, rng)
+    psi = _random_layer_map(K, 2, rng)
+    for pair in ((phi, psi), (psi, phi)):
+        got, expected = compose(*pair), _reference_compose(*pair)
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+@pytest.mark.parametrize("K", MAP_FIELDS, ids=MAP_IDS)
+def test_maps_equal_matches_the_poly_route(K):
+    rng = random.Random(f"equal/{K!r}")
+    small = isinstance(K, QuadraticField)
+    seen = set()
+    for _ in range(8 if small else 16):
+        phi = _random_layer_map(K, rng.randint(1, 3 if small else 6), rng)
+        psi = _random_layer_map(K, phi.degree, rng)
+        changed = _one_coefficient_changed(phi, rng)
+        s = _random_element(K, rng)
+        while s.is_zero():
+            s = _random_element(K, rng)
+        # the same map as an unscaled pair over the field
+        scaled = RationalMap(K, phi.num * s, phi.den * s, phi.degree)
+        for other in (psi, changed, scaled, phi):
+            if other is None:
+                continue
+            verdict = maps_equal(phi, other)
+            assert verdict is _reference_maps_equal(phi, other)
+            assert maps_equal(other, phi) is verdict
+            seen.add(verdict)
+    assert seen == {True, False}
+    # a map over Q against its lift
+    phi = _random_map(QQ, 3, rng)
+    assert maps_equal(phi, phi.lift(K)) and maps_equal(phi.lift(K), phi)
+
+
+def test_maps_equal_over_unrelated_fields_raises():
+    phi = _random_map(ICOSA, 2, random.Random(1))
+    psi = _random_map(CyclotomicField(3), 2, random.Random(2))
+    with pytest.raises(FieldMismatch):
+        maps_equal(phi, psi)
+    with pytest.raises(FieldMismatch):
+        _reference_maps_equal(phi, psi)
+    # found before the degrees are compared
+    with pytest.raises(FieldMismatch):
+        maps_equal(phi, _random_map(CyclotomicField(3), 3, random.Random(3)))
+
+
+def test_maps_equal_takes_a_slot_width_that_bounds_both_products(monkeypatch):
+    # _slot_width promises h(y) < 2^(S-2) for each product y, which makes
+    # evaluation at 2^S injective on their difference; A z against 1/(B z)
+    # nearly attains the bound H H', since P Q' = A B z^2
+    from ratsym import ratmap
+    from ratsym.fields import _integral_ring
+    from ratsym.poly import _coordinate_height, _ring_mul
+    widths = []
+    pack = ratmap._pack
+    monkeypatch.setattr(ratmap, "_pack",
+                        lambda ring, f, S: widths.append(S) or pack(ring, f, S))
+    A = B = 2 ** 20
+    pairs = [(make_map(qpoly(0, A), qpoly(1)), make_map(qpoly(1), qpoly(0, B)))]
+    for K in MAP_FIELDS:
+        rng = random.Random(f"width/{K!r}")
+        found = 0
+        while found < 3:
+            phi, psi = (_random_layer_map(K, 3, rng) for _ in range(2))
+            if phi.degree == psi.degree:
+                pairs += [(phi, psi), (phi, phi)]
+                found += 1
+    for phi, psi in pairs:
+        widths.clear()
+        maps_equal(phi, psi)
+        (S,) = set(widths)
+        ring = _integral_ring(phi.field)
+        (P, Q), (P2, Q2) = ratmap._cleared_map(ring, phi), ratmap._cleared_map(ring, psi)
+        for y in (_ring_mul(ring, P, Q2), _ring_mul(ring, P2, Q)):
+            assert sum(_coordinate_height(ring, c) for c in y) < 2 ** (S - 2)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 8, 30, 62])
+def test_maps_equal_is_not_fooled_by_a_root_at_a_power_of_two(s):
+    # z Q' - P' Q = 2 (z - 2^s) for z against 2^(s+1) - z: the products
+    # agree at X = 2^s, so the slot width must exceed s
+    z = make_map(qpoly(0, 1), qpoly(1))
+    assert not maps_equal(z, make_map(qpoly(2 ** (s + 1), -1), qpoly(1)))

@@ -387,3 +387,98 @@ def test_square_roots_of_a_high_order_root_of_unity(n):
     for mu in roots:
         assert not isinstance(mu.field, QuadraticField)
         assert mu * mu == lift(gamma, mu.field)
+
+
+def _walked_order(gamma):
+    """The order of gamma as a root of unity by a running product up to the
+    largest s with phi(s) <= [K:Q], the search's former route."""
+    from ratsym.fields import _absolute_degree
+    from ratsym.mobius import _largest_order
+    acc = one = gamma.field.one()
+    for s in range(1, _largest_order(_absolute_degree(gamma.field)) + 1):
+        acc = acc * gamma
+        if acc == one:
+            return s
+    return None
+
+
+def _unit_order_cases():
+    cases = [QQ(1), QQ(-1), QQ(2), QQ(-3)]
+    for n in (4, 5, 12, 127):
+        F = CyclotomicField(n)
+        z = F.zeta()
+        cases += [z, -z, z * z, z ** 3, F.one(), -F.one(), 2 + z, z + F.zeta(n - 1)]
+    K = QuadraticField(CyclotomicField(3), CyclotomicField(3)(-1))   # holds i
+    cases += [K.sqrt_delta(), K.sqrt_delta() + 1, -K.one(),
+              K.sqrt_delta() * lift(CyclotomicField(3).zeta(), K)]        # order 12 = 2w
+    E = QuadraticField(QQ, QQ(-3))                                          # mu_6 = mu_3w
+    cases += [(1 + E.sqrt_delta()) / 2, (E.sqrt_delta() - 1) / 2, E.sqrt_delta()]
+    L = QuadraticField(CyclotomicField(5), CyclotomicField(5)(-3))         # mu_30 = mu_3w
+    cases += [lift(CyclotomicField(5).zeta(), L) * (1 + L.sqrt_delta()) / 2]
+    # 48 - 48 z + 24 z^3 = (6 - 2 sqrt(3))^2 over Q(zeta_12): F x F, whose
+    # sqrt(delta) / (6 - 2 sqrt(3)) is a square root of 1 other than +-1
+    F = CyclotomicField(12)
+    z = F.zeta()
+    S = QuadraticField(F, 48 - 48 * z + 24 * z ** 3)
+    u = S.sqrt_delta() / lift(6 - 2 * (z + z ** 11), S)
+    return cases + [u, u * lift(z, S), S.sqrt_delta()]
+
+
+def test_root_of_unity_order_agrees_with_the_walk():
+    for gamma in _unit_order_cases():
+        assert symmetry._root_of_unity_order(gamma) == _walked_order(gamma), gamma
+
+
+@pytest.mark.parametrize("offset", [0, 2], ids=["zeta", "2+zeta"])
+def test_root_of_unity_order_over_q_zeta_127_takes_few_products(monkeypatch, offset):
+    # the walk takes 462 products over Q(zeta_127); powers of divisors of
+    # w = 254 by repeated squaring take at most 2 bits(w) each, and a
+    # non-root needs only gamma^w
+    from ratsym.fields import FieldElement
+    gamma = offset + CyclotomicField(127).zeta()
+    count = 0
+    original = FieldElement.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += 1
+        return original(self, other)
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    order = symmetry._root_of_unity_order(gamma)
+    monkeypatch.undo()
+    assert order == (None if offset else 127)
+    assert count <= (2 if offset else 8) * (254).bit_length()
+
+
+@pytest.mark.parametrize("root", [False, True], ids=["sqrt+1", "-zeta"])
+def test_root_of_unity_order_on_a_layer_takes_few_products(monkeypatch, root):
+    # over K = Q(zeta_127)(sqrt(2 + zeta_127)) the walk takes 1,050 products;
+    # every order divides W = 6 lcm(2, 127) = 1524, so a non-root needs only
+    # gamma^W and -zeta_127 (order 254) powers for the 8 divisors up to 254
+    from ratsym.fields import FieldElement
+    F = CyclotomicField(127)
+    K = QuadraticField(F, 2 + F.zeta())
+    gamma = -lift(F.zeta(), K) if root else K.sqrt_delta() + 1
+    count = 0
+    original = FieldElement.__mul__
+
+    def counting(self, other):
+        nonlocal count
+        count += self.field is K
+        return original(self, other)
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    order = symmetry._root_of_unity_order(gamma)
+    monkeypatch.undo()
+    assert order == (254 if root else None)
+    assert count <= (18 if root else 2) * (1524).bit_length()
+
+
+def test_square_roots_of_a_non_root_of_unity_need_one_layer():
+    # 2 + zeta_127 is no root of unity: its square roots generate
+    # Q(zeta_127)(sqrt(2 + zeta_127)), as before the order search changed
+    gamma = 2 + CyclotomicField(127).zeta()
+    roots = symmetry._solve_power_equation(2, gamma)
+    assert len(roots) == 2 and roots[0] == -roots[1]
+    K = roots[0].field
+    assert isinstance(K, QuadraticField) and K.base == gamma.field
+    assert roots[0] == K.sqrt_delta() and roots[0] * roots[0] == lift(gamma, K)
