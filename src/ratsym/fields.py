@@ -38,8 +38,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
-
 __all__ = [
     "Field",
     "FieldElement",
@@ -162,32 +160,76 @@ def cyclotomic_coeffs(n: int) -> tuple[Fraction, ...]:
 Enclosure = tuple[int, int, int, int]
 
 
-def _scale_out(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int]:
-    """floor(lo * 2^prec) and ceil(hi * 2^prec)."""
-    return ((lo.numerator << prec) // lo.denominator,
-            -((-hi.numerator << prec) // hi.denominator))
-
-
 def _round_out(lo: int, hi: int, k: int) -> tuple[int, int]:
     """[lo, hi] at scale 2^-(p+k), rounded outward to scale 2^-p."""
     return lo >> k, -(-hi >> k)
 
 
+@functools.lru_cache(maxsize=32)
+def _pi(w: int) -> tuple[int, int]:
+    """(P, e) with |P - 2^w pi| < e, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), arctan(1/m) = sum_j +-1/(j m^j)
+    over odd j.  Each term floor(floor(2^w/m^j)/j) = floor(2^w/(j m^j)) lies
+    within 1 of its exact value; the sum stops at the first j with
+    floor(2^w/m^j) = 0, so the alternating, decreasing tail is below
+    2^w/(j m^j) < 1.  An arctan is off by less than its count of terms plus
+    one, and e counts those 16 and 4 times."""
+    total = err = 0
+    for c, m in ((16, 5), (-4, 239)):
+        p, j = (1 << w) // m, 1
+        while p:
+            total += c * (p // j)
+            c, j, p, err = -c, j + 2, p // (m * m), err + abs(c)
+        err += abs(c)
+    return total, err
+
+
 # every coefficient of a polynomial over Q(zeta_n) asks for the same roots
 @functools.lru_cache(maxsize=1024)
 def _unit_root_box(n: int, k: int, prec: int) -> Enclosure:
-    """Enclosure at 2^-prec of exp(2*pi*i*k/n), from mpmath at prec + 8 bits."""
-    k %= n
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec + 8
-        theta = (iv.pi * (2 * k)) / n
-        c_lo, c_hi, s_lo, s_hi = (Fraction(*map(int, mpmath.libmp.to_rational(raw)))
-                                  for raw in iv.cos(theta)._mpi_ + iv.sin(theta)._mpi_)
-    finally:
-        iv.prec = old
-    return _scale_out(c_lo, c_hi, prec) + _scale_out(s_lo, s_hi, prec)
+    """Enclosure at 2^-prec of exp(2*pi*i*k/n), in integers, with each side
+    at most 2 units wide.
+
+    Reduction: 4 (k mod n) = qn + r with 0 <= r < n makes the angle q
+    quarter turns plus (pi/2) r/n, and r -> n - r, swapping cos and sin,
+    brings it to a = (pi/2) r/n in [0, pi/4].  r = 0 is exact, and quarter
+    turns map boxes to boxes exactly.
+
+    Error: at w = prec + g bits, x = floor(P r/(2n)) for (P, e) of
+    :func:`_pi` is within e/4 + 1 < e of 2^w a, as r/(2n) <= 1/4 and
+    e >= 20.  With u = x/2^w < 1, the terms t_0 = 2^w,
+    t_j = floor(t_(j-1) x/(2^w j)) fall short of 2^w u^j/j! by
+    d_j < d_(j-1) u/j + 1 < 2; they stop at the first t_J = 0, and the exact
+    terms decrease, so each alternating tail is below 2.  cos and sin are
+    1-Lipschitz, so each sum is within E = e + 2J + 2 of 2^w cos a or
+    2^w sin a, and floor and ceiling of (sum -+ E)/2^g enclose.  The checked
+    2E <= 2^g makes each side at most 2 units wide; it also gives
+    e < 2^(g-1) <= 2^(w-2), so |u - a| < (e/4 + 1)/2^w < 1/8 and u < 1."""
+    q, r = divmod(4 * (k % n), n)
+    swap = 2 * r > n
+    if swap:
+        r = n - r
+    if r == 0:
+        cos, sin = (1 << prec, 1 << prec), (0, 0)
+    else:
+        g = prec.bit_length() + 8
+        w = prec + g
+        pi, err = _pi(w)
+        x = pi * r // (2 * n)
+        sums, t, j = [0, 0], 1 << w, 0
+        while t:
+            sums[j & 1] += t if j % 4 < 2 else -t
+            j += 1
+            t = ((t * x) >> w) // j
+        err += 2 * j + 2
+        if 2 * err > 1 << g:
+            raise ArithmeticError(f"enclosure error {err} exceeds 2^{g - 1}")
+        cos, sin = (((v - err) >> g, -((-v - err) >> g)) for v in sums)
+        if swap:
+            cos, sin = sin, cos
+    for _ in range(q):
+        cos, sin = (-sin[1], -sin[0]), cos
+    return cos + sin
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +431,9 @@ class RationalField(Field):
         return a
 
     def p_embed(self, a, prec):
-        return _scale_out(a, a, prec) + (0, 0)
+        # floor and ceiling of a * 2^prec
+        return ((a.numerator << prec) // a.denominator,
+                -((-a.numerator << prec) // a.denominator), 0, 0)
 
     def describe(self, payload):
         return str(payload)

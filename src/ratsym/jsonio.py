@@ -16,8 +16,9 @@ from fractions import Fraction
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
                      RationalField, _absolute_degree)
 from .mobius import GroupSpec, MobiusMap
-from .moduli import (ConjugationLeg, ConnectivityCertificate, IntervalProof,
-                     PathCertificate, PathLeg, PathSegment, SturmProof)
+from .moduli import (MAX_TILE_DEPTH, ConjugationLeg, ConnectivityCertificate,
+                     IntervalProof, PathCertificate, PathLeg, PathSegment,
+                     SturmProof)
 from .poly import Poly
 from .ratmap import RationalMap, make_map
 from .symmetry import CyclicFamily, WitnessReport
@@ -255,6 +256,18 @@ def _proof_to_json(proof):
     raise TypeError(f"unknown proof {proof!r}")
 
 
+def _tile_end(s: str) -> Fraction:
+    """A tile endpoint, as subdividing [0, 1] gives it: j/2^e in [0, 1]
+    with e <= MAX_TILE_DEPTH; anything else raises ValueError before any
+    enclosure is computed."""
+    t = _frac_parse(s)
+    d = t.denominator
+    if not 0 <= t <= 1 or d & (d - 1) or d > 1 << MAX_TILE_DEPTH:
+        raise ValueError(f"tile endpoint {s!r:.40} is not j/2^e in [0, 1] "
+                         f"with e <= {MAX_TILE_DEPTH}")
+    return t
+
+
 def _proof_from_json(obj, max_norm_coeffs: int):
     if obj["type"] == "sturm":
         # older files also store the root count in (0, 1] and the
@@ -267,7 +280,7 @@ def _proof_from_json(obj, max_norm_coeffs: int):
         return SturmProof(Poly(QQ, [_frac_parse(c) for c in coeffs]))
     if obj["type"] == "interval":
         # older files also store each tile's enclosure as "box": ignored
-        boxes = tuple((_frac_parse(rec["t_lo"]), _frac_parse(rec["t_hi"]))
+        boxes = tuple((_tile_end(rec["t_lo"]), _tile_end(rec["t_hi"]))
                       for rec in obj["boxes"])
         precision = obj["precision"]
         if type(precision) is not int:

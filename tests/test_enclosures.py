@@ -2,14 +2,15 @@
 supported kind of field, the complex embedding computed by mpmath at 4p bits
 lies inside ``interval_embed(a, p)``, whose sides are at most 2^(5 - p).
 
-Test-only use of hypothesis; the module is skipped when it is absent.
+Test-only use of hypothesis and mpmath; the module is skipped when either
+is absent.
 """
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 
+mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402

@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from ratsym.fields import (QQ, CyclotomicField, FieldMismatch, QuadraticField,
@@ -148,6 +147,7 @@ def test_interval_width_contract():
 
 
 def test_interval_product_contains_exact_value():
+    mpmath = pytest.importorskip("mpmath")
     F5 = CyclotomicField(5)
     v = F5.from_coeffs([1, 2, 3, 4])
     re_lo, re_hi, im_lo, im_hi = interval_embed(F5.zeta() * v, 80)

@@ -1,4 +1,5 @@
-"""Every name a module of ``ratsym`` imports is used in it or exported.
+"""Every name a module of ``ratsym`` imports is used in it or exported,
+and the package imports nothing outside the standard library.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with :mod:`ast`: a name bound by ``import`` or ``from ... import``
@@ -9,12 +10,15 @@ must be read somewhere in the module or listed in its ``__all__``.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "ratsym").glob("*.py")
-                 if p.name != "__init__.py")
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted(p for p in (SRC / "ratsym").glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -44,3 +48,18 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "__all__ = ['sep']\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # every module that importing the CLI adds to a fresh interpreter's
+    # start-up set: the package has no runtime dependency, and each module
+    # outside it would add to every fresh start
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys; before = set(sys.modules); import ratsym.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120, check=True).stdout.split()
+    assert "ratsym.cli" in out
+    assert [m for m in out if m.split(".")[0] not in sys.stdlib_module_names
+            and m.split(".")[0] != "ratsym"] == []

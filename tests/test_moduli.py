@@ -353,6 +353,29 @@ def test_validator_rejects_a_tampered_tiling(tiles, reason):
         validate_path_certificate(_with_tiles(cert, tiles))
 
 
+@pytest.mark.parametrize("end", ["1/3", f"1/{2 ** (moduli.MAX_TILE_DEPTH + 1)}",
+                                 "-1/2", "3/2"],
+                         ids=["not-dyadic", "too-deep", "below-0", "above-1"])
+def test_a_stored_tile_end_is_bounded_before_any_embedding(monkeypatch, end):
+    # every tile that subdividing [0, 1] gives ends at j/2^e in [0, 1] with
+    # e <= MAX_TILE_DEPTH; the reader rejects any other endpoint
+    import json
+    from ratsym.jsonio import path_cert_from_json, path_cert_to_json
+
+    def refuse(*args):
+        raise AssertionError("interval_embed ran")
+    doc = path_cert_to_json(_tiled_path())
+    deepest = f"1/{2 ** moduli.MAX_TILE_DEPTH}"
+    proof = doc["segments"][0]["proof"]
+    proof["boxes"] = [{"t_lo": "0", "t_hi": deepest}, {"t_lo": deepest, "t_hi": "1"}]
+    assert path_cert_from_json(json.loads(json.dumps(doc))).segments[0].proof.boxes[0] \
+        == (0, Fraction(1, 2 ** moduli.MAX_TILE_DEPTH))
+    proof["boxes"] = [{"t_lo": "0", "t_hi": end}, {"t_lo": end, "t_hi": "1"}]
+    monkeypatch.setattr(moduli, "interval_embed", refuse)
+    with pytest.raises(ValueError, match="tile endpoint"):
+        validate_path_certificate(path_cert_from_json(json.loads(json.dumps(doc))))
+
+
 @pytest.mark.parametrize("precision", [0, -1, moduli.MAX_PRECISION + 1, 10 ** 9])
 def test_interval_precision_is_bounded_before_any_embedding(monkeypatch, precision):
     def refuse(*args):

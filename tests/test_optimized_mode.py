@@ -3,7 +3,8 @@
 ``-O`` strips every ``assert``, so a check written as one would let a
 tampered certificate through.  These tests build and validate a witness,
 a connectivity chain, Sturm paths over Q(zeta_5) and over the quadratic
-layer Q(sqrt(-3)), and an interval path over Q in a subprocess of the
+layer Q(sqrt(-3)), and interval paths over Q and over Q(i), whose
+enclosures of the powers of i are the integer ones, in a subprocess of the
 optimising interpreter.
 """
 
@@ -162,3 +163,38 @@ def test_interval_path_validates_under_O(tmp_path):
     assert rejected.returncode == 4
     assert "contains zero" in rejected.stdout
     assert "Traceback" not in rejected.stderr
+
+
+def test_interval_path_over_gaussian_rationals_validates_under_O(tmp_path):
+    # the tiling of a straight segment over Q(i) at precision 32, the
+    # "gaussian" case of the pinned tilings in test_moduli
+    K = CyclotomicField(4)
+    ends = [[[(-5, 9), (3, -3)], [(-6, 6), (5, 6)]],
+            [[(-9, 3), (-6, 1)], [(-9, -9), (-2, 9)]]]
+    paths = [tmp_path / "f0.json", tmp_path / "f1.json"]
+    for (a, b), path in zip(ends, paths):
+        fam = CyclicFamily(2, 1, "A", tuple(map(K.from_coeffs, a)),
+                           tuple(map(K.from_coeffs, b)))
+        path.write_text(canon_dumps(family_to_json(fam)))
+    out = tmp_path / "path.json"
+    built = _ratsym_O("path", *map(str, paths), "--strategy", "interval",
+                      "--precision", "32", "--out-file", str(out))
+    assert built.returncode == 0, built.stderr
+    doc = json.loads(out.read_text())
+    assert doc["field"]["kind"] == "cyclotomic"
+    proof = doc["segments"][0]["proof"]
+    assert [tile["t_hi"] for tile in proof["boxes"]] == ["1/4", "1/2", "5/8", "3/4", "1"]
+    checked = _ratsym_O("validate", str(out))
+    assert checked.returncode == 0, checked.stderr
+    assert json.loads(checked.stdout) == {"valid": True}
+
+    bad = tmp_path / "bad.json"
+    for boxes, reason in [([{"t_lo": "0", "t_hi": "1"}], "contains zero"),
+                          ([{"t_lo": "0", "t_hi": "1/3"}, {"t_lo": "1/3", "t_hi": "1"}],
+                           "tile endpoint")]:
+        proof["boxes"] = boxes
+        bad.write_text(json.dumps(doc))
+        rejected = _ratsym_O("validate", str(bad))
+        assert rejected.returncode == 4
+        assert reason in rejected.stdout
+        assert "Traceback" not in rejected.stderr
