@@ -1,5 +1,6 @@
 """Univariate polynomials over the exact fields, with the certification kit:
-gcd (modular over Q, Euclidean elsewhere), Sylvester resultants at *formal*
+gcd (modular over Q, one residue image before Euclid over Q(zeta_n),
+Euclidean over a quadratic layer), Sylvester resultants at *formal*
 degrees, the norm over Q of a polynomial over any supported field, and
 counting of real roots over Q.
 
@@ -17,8 +18,9 @@ remainder join (:func:`_crt`): Brown's gcd over Z (:func:`_zgcd`),
 segment's obstruction polynomial is made of, over Z and Z[zeta_n] (Euclid
 over F_p under each residue map, up to a Hadamard bound), and
 :func:`nullspace` (row reduction over F_p, rational reconstruction and an
-exact check).  Over a quadratic layer :func:`pencil_resultant` takes
-sqrt(D) as an indeterminate and runs over the base ring at nodes in it.
+exact check) with :func:`kernel_vector`, its first vector alone.  Over a
+quadratic layer :func:`pencil_resultant` takes sqrt(D) as an
+indeterminate and runs over the base ring at nodes in it.
 :func:`resultant` is its value on two constant pencils.
 :func:`interpolate` takes forward differences in the ring.
 :func:`squarefree_norm` substitutes t = 2^S into the polynomial
@@ -55,6 +57,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "interpolate",
     "nullspace",
+    "kernel_vector",
     "BothZero",
     "InexactDivision",
 ]
@@ -354,7 +357,11 @@ def _zgcd(f: list[int], g: list[int]) -> list[int]:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; over Q the primitive gcd over Z of the cleared operands
-    (:func:`_zgcd`), elsewhere plain monic Euclid."""
+    (:func:`_zgcd`), elsewhere monic Euclid.  Over Q(zeta_n) one residue
+    image comes first: the cleared operands are taken to F_p by the first
+    residue map of :func:`_residue_maps`, and if both leading coefficients
+    survive there and the gcd modulo p is constant, then Res(f, g) is
+    nonzero modulo p, hence nonzero, and the gcd is 1 without Euclid."""
     if f.field != g.field:
         raise FieldMismatch("gcd operands in different fields")
     if f.is_zero() and g.is_zero():
@@ -366,6 +373,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if f.field == QQ:
         h = _zgcd(_integer_poly(f), _integer_poly(g))
         return Poly(QQ, [Fraction(c, h[-1]) for c in h])
+    if isinstance(f.field, CyclotomicField):
+        ring = f.field.ring
+        p, maps, _ = _residue_maps(ring.n, 0)
+        images = [_image(ring.clear(h.coeffs)[1], p, maps[0], False) for h in (f, g)]
+        if all(image[-1] for image in images) and len(_gcd_mod(*images, p)) == 1:
+            return Poly(f.field, [f.field.one()])
     a, b = f, g
     while not b.is_zero():
         a, b = b, (a % b)
@@ -378,13 +391,15 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 # null spaces modulo primes
 # ---------------------------------------------------------------------------
 
-def nullspace(ring, rows: Sequence[Sequence], ncols: int) -> list[list[FieldElement]]:
+def nullspace(ring, rows: Sequence[Sequence], ncols: int,
+              first: bool = False) -> list[list[FieldElement]]:
     """Exact basis of {v : rows * v = 0} for rows over Z or Z[zeta_n], the
     integral rings of Q and Q(zeta_n) in :mod:`ratsym.fields`: one vector
     per free column of the reduced row echelon form, in column order, which
     is one at that column, zero at the other free columns, and solves for
     the pivots; its entries are field elements.  This basis depends only
-    on the kernel, so the route taken does not change it.
+    on the kernel, so the route taken does not change it.  With ``first``
+    only its first vector is computed (:func:`kernel_vector`).
 
     The rows that are independent modulo the k-th prime, under its first
     residue map, are picked greedily (:func:`_independent_mod_prime`,
@@ -395,18 +410,21 @@ def nullspace(ring, rows: Sequence[Sequence], ncols: int) -> list[list[FieldElem
     over F_p joined by the Chinese remainder theorem and rational
     reconstruction (Cabay, SYMSAC 1971; Wang, SYMSAC 1981), checked exactly
     on those rows.  That kernel contains the full one, so if every vector
-    annihilates the other rows exactly the two are equal.  If one fails,
-    the picked rows' kernel is larger, so their rank over the field is
-    below that of all rows, and the rank of all rows dropped modulo the
-    k-th prime: the rows are picked again with the next prime that finds
-    more of them.  Only finitely many primes divide the norm of a nonzero
+    annihilates the other rows exactly the two are equal.  With ``first``
+    the one vector v, one at the picked kernel's first free column f and
+    zero beyond it, then lies in the full kernel; no nonzero vector of the
+    full kernel ends left of f, since none of the picked kernel does, so v
+    is the full kernel's first vector too.  If one fails, the picked rows'
+    kernel is larger, so their rank over the field is below that of all
+    rows, and the rank of all rows dropped modulo the k-th prime: the rows
+    are picked again with the next prime that finds more of them.  Only finitely many primes divide the norm of a nonzero
     minor of full rank, so this ends.
     """
     n, k = 1 if ring.base is None else ring.n, 0
     picked = _independent_mod_prime(rows, ncols, n, k)
     while len(picked) < ncols:
         chosen = set(picked)
-        cleared = _modular_kernel([rows[i] for i in picked], ncols, ring)
+        cleared = _modular_kernel([rows[i] for i in picked], ncols, ring, first=first)
         others = [row for i, row in enumerate(rows) if i not in chosen]
         if _annihilates(others, [w for _, w in cleared], ring):
             return [[ring.to_field(x, den) for x in w] for den, w in cleared]
@@ -417,10 +435,21 @@ def nullspace(ring, rows: Sequence[Sequence], ncols: int) -> list[list[FieldElem
     return []
 
 
-def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]]:
+def kernel_vector(ring, rows: Sequence[Sequence], ncols: int) -> list[FieldElement] | None:
+    """The first vector of :func:`nullspace`, or None when the kernel is
+    {0}, without the others: the reductions modulo p stop at the first free
+    column f, and only the vector that is one at f, solves for the pivots
+    0..f-1 and is zero beyond f is reconstructed and checked."""
+    basis = nullspace(ring, rows, ncols, first=True)
+    return basis[0] if basis else None
+
+
+def _modular_kernel(rows: list[list], ncols: int, ring,
+                    first: bool) -> list[tuple[int, list]]:
     """The reduced echelon kernel basis of r rows over Z or Z[zeta_n] that
     are linearly independent over the field, as pairs (e, e v) of the
-    common denominator e of a vector v's coordinates and e v over the ring.
+    common denominator e of a vector v's coordinates and e v over the ring;
+    with ``first``, its first vector only.
 
     *Images.*  For the k-th prime p = 1 (mod n) below 2^30, k = 0, 1, ...,
     each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
@@ -440,7 +469,11 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     |a| <= B and 0 < b <= B / e, B = isqrt((M - 1) / 2)
     (:func:`_rational_reconstruction`), and c = a / (b e).  The vectors are
     returned once every coordinate reconstructs and they annihilate every
-    row exactly.
+    row exactly.  With ``first`` each reduction stops at its first free
+    column f, and its pivots are 0..f-1: the key is the same, and the
+    argument below holds for the columns 0..f alone.  Since r rows have at
+    most r pivots, f <= r over the field and modulo every prime, so only
+    the columns 0..r are taken to F_p.
 
     *Why they are the reduced echelon basis.*  Let the key have rank r'
     and pivots P, and F be the other columns.  By construction v_f, f in
@@ -477,15 +510,17 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
     """
     scalar = ring.base is None
     n = 1 if scalar else ring.n
+    width = min(ncols, len(rows) + 1) if first else ncols
+    leading = [row[:width] for row in rows]
     best, coords, modulus, k = None, [], 1, 0
     while True:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
         kernels, done = [], {}
         for w in maps:
-            key = tuple(tuple(_image(row, p, w, scalar)) for row in rows)
+            key = tuple(tuple(_image(row, p, w, scalar)) for row in leading)
             if key not in done:
-                done[key] = _kernel_mod(list(map(list, key)), ncols, p)
+                done[key] = _kernel_mod(list(map(list, key)), width, p, first=first)
             kernels.append(done[key])
         pivots = kernels[0][0]
         if any(other != pivots for other, _ in kernels):
@@ -498,20 +533,21 @@ def _modular_kernel(rows: list[list], ncols: int, ring) -> list[tuple[int, list]
         residues = [sum(map(operator.mul, col, row)) % p
                     for col in zip(*(values for _, values in kernels)) for row in lagrange]
         coords, modulus = _crt(coords, modulus, residues, p), modulus * p
-        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring)
+        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring, first)
         if found is not None and _annihilates(rows, [w for _, w in found], ring):
             return found
 
 
 def _reconstruct_basis(coords: list[int], modulus: int, pivots: tuple, ncols: int,
-                       ring) -> list[tuple[int, list]] | None:
+                       ring, first: bool) -> list[tuple[int, list]] | None:
     """The pairs (e, e v) of :func:`_modular_kernel` from the coordinates
-    modulo M of the basis entries at the pivots; None when a coordinate does
-    not reconstruct within the bound."""
+    modulo M of the basis entries at the pivots, for the first free column
+    only with ``first``; None when a coordinate does not reconstruct within
+    the bound."""
     bound = math.isqrt((modulus - 1) // 2)
     size = 1 if ring.base is None else ring.m
     cleared, at = [], 0
-    for f in (c for c in range(ncols) if c not in pivots):
+    for f in _free_columns(pivots, ncols, first):
         left = [pc for pc in pivots if pc < f]
         den, fracs = 1, []
         for c in coords[at:at + size * len(left)]:
@@ -554,17 +590,21 @@ def _image(row: list, p: int, w: list[int], scalar: bool) -> list[int]:
     return [sum(map(operator.mul, x, w)) % p for x in row]
 
 
-def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[tuple, list[int]]:
+def _kernel_mod(rows: list[list[int]], ncols: int, p: int,
+                first: bool) -> tuple[tuple, list[int]]:
     """The pivot columns of the reduced row echelon form R of rows modulo p,
     and the entries -R[i][f] of its kernel basis for each free column f, in
     order, and each pivot i left of f.  The rows are reduced in place to
     echelon form, each 1 at its pivot; then only the free columns are
-    eliminated upwards."""
+    eliminated upwards.  With ``first`` the reduction stops at the first
+    free column, the only one returned, with the pivots left of it."""
     pivots = []
     for col in range(ncols):
         k = len(pivots)
         piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
         if piv is None:
+            if first:
+                break
             continue
         rows[k], rows[piv] = rows[piv], rows[k]
         inv = pow(rows[k][col], -1, p)
@@ -577,7 +617,7 @@ def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[tuple, list[
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    free = [c for c in range(ncols) if c not in pivots]
+    free = _free_columns(pivots, ncols, first)
     block = [[row[f] for f in free] for row in rows[:len(pivots)]]
     for k in range(len(pivots) - 1, 0, -1):
         col, below = pivots[k], block[k]
@@ -587,6 +627,13 @@ def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[tuple, list[
                 block[i] = [(x - c * y) % p for x, y in zip(block[i], below)]
     return tuple(pivots), [-block[i][j] % p for j, f in enumerate(free)
                            for i, pc in enumerate(pivots) if pc < f]
+
+
+def _free_columns(pivots, ncols: int, first: bool) -> list[int]:
+    """The columns that are not pivots, in order; only the first with
+    ``first``."""
+    free = [c for c in range(ncols) if c not in pivots]
+    return free[:1] if first else free
 
 
 def _independent_mod_prime(rows: list[list], ncols: int, n: int, k: int) -> list[int]:

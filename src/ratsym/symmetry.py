@@ -27,7 +27,7 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      common_field, lift, root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order,
                      rotation, scaling, standard_generators)
-from .poly import Poly, nullspace, poly_gcd, resultant
+from .poly import Poly, kernel_vector, nullspace, poly_gcd, resultant
 from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
                      is_automorphism, maps_equal, ProjPoint)
 
@@ -134,7 +134,7 @@ def platonic_admissible(d: int, spec: GroupSpec) -> bool:
     if spec.kind == "A4":
         return d % 2 == 1
     if spec.kind == "A5":
-        return d % 30 in (1, 11, 19, 21)
+        return d % 30 in (1, 11, 19, 29)
     if spec.kind == "S4":
         return math.gcd(d, 6) == 1
     raise ValueError("platonic admissibility is for A4, S4, A5")
@@ -350,9 +350,11 @@ def classify_lemma_case(p: int, d: int) -> str:
     a multiple of 2p, dihedral of order swallowing p, and the exceptional
     groups).  The cyclic types need d = 0, +-1 (mod 2pk) and the dihedral
     types d = +-1 (mod pk); neither holds for an odd multiple d of p.  So the
-    answer is 'exists_via_exceptional' exactly for p = 3 (the tetrahedral group is admissible in every odd degree) and
-    'provably_empty' for p >= 5 (the icosahedral group needs d mod 30 in
-    {1, 11, 19, 21}, which excludes multiples of 5).
+    answer is 'exists_via_exceptional' exactly for p = 3 (the tetrahedral
+    group is admissible in every odd degree) and 'provably_empty' for
+    p >= 5 (the icosahedral group needs d mod 30 in {1, 11, 19, 29}, the
+    degrees of its basic equivariants modulo 30, which excludes multiples
+    of 5).
     """
     if not _is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime")
@@ -392,17 +394,21 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     the homogeneous lift Phi = (N, D) satisfies Phi(M v) = lam * M Phi(v)
     with lam^2 = c^(d-1) (apply the identity twice), that is
     lam = +-c^((d-1)/2).  For each sign this is a linear system in the
-    a_k, b_k over Q(zeta_12); the first kernel basis vector that gives a
-    valid family of exact degree d is taken, scaled to a_r = 1.
+    a_k, b_k over Q(zeta_12); the first vector of its reduced echelon
+    kernel basis that gives a valid family of exact degree d is taken,
+    scaled to a_r = 1.  That is the first vector for d <= 99, which
+    :func:`kernel_vector` solves for alone; :func:`nullspace` gives the
+    others only when it fails.
 
     The system is built in Z[zeta_12]: the entries of M are cleared once,
     to s, t, u, w with a common denominator e, and the columns are the
     products U^j V^(d-j) of U = t + s z and V = w + u z
     (:func:`ratmap._power_products`), with the lam terms
     sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
-    the entry over the field, which leaves the kernel as it is, and
-    :func:`nullspace` takes the rows as they are.  The sign that fails has
-    kernel {0}, which it settles by its rank modulo a prime.
+    the entry over the field, which leaves the kernel as it is, and the
+    kernel is taken of the rows as they are.  The sign that fails has
+    kernel {0}, which :func:`kernel_vector` settles by its rank modulo a
+    prime.
     """
     T, B = standard_generators(GroupSpec("A4"))
     field = B.field
@@ -431,7 +437,7 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
             col[d + 1 + j] = ring.sub(bottom, ring.mul(lam, lo))
             cols.append(col)
         rows = [[col[i] for col in cols] for i in range(2 * d + 2)]
-        for v in nullspace(ring, rows, len(unknowns)):
+        for v in _kernel_basis(ring, rows, len(unknowns)):
             if v[r].is_zero():
                 continue
             norm = v[r].inv()
@@ -447,6 +453,15 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     raise WitnessUnavailable(
         f"witness for orders (3, 2) in degree {d}: no tetrahedral normal form "
         f"of exact degree {d} found", "exists_via_exceptional")
+
+
+def _kernel_basis(ring, rows: list, ncols: int):
+    """The reduced echelon kernel basis of rows, lazily: the first vector
+    by :func:`kernel_vector`, the others by :func:`nullspace` if asked for."""
+    v = kernel_vector(ring, rows, ncols)
+    if v is not None:
+        yield v
+        yield from nullspace(ring, rows, ncols)[1:]
 
 
 def lemma_witness(p: int, d: int) -> WitnessReport:

@@ -1,7 +1,9 @@
 import json
 import random
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -569,3 +571,14 @@ def test_validate_bounds_the_norm_polynomial_before_parsing_it(tmp_path, capsys,
     code, out = run_cli(["validate", str(bad)], capsys)
     assert code == EXIT_VALIDATION
     assert "norm polynomial" in json.loads(out)["reason"]
+
+
+def test_witness_sweep_tool(capsys):
+    # the sweep script on a small range: p in {3, 5, 7}, d <= 12, with the
+    # tetrahedral witness of degree 9 and the empty pairs (5, 5) and (7, 7)
+    path = Path(__file__).resolve().parents[1] / "tools" / "witness_sweep.py"
+    sweep = runpy.run_path(str(path))
+    assert sweep["main"](["--dmax", "12", "--pmax", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "witnesses 18, provably empty 2"
+    assert lines[2].startswith("sha256 ") and len(lines[2]) == 7 + 64

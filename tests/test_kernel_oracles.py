@@ -2,7 +2,8 @@
 
 The gcd over Z and the square-free parts it gives are compared with
 sympy's ``gcd`` and ``sqf_part`` on products with contents and leading
-coefficients that the modular gcd must skip a prime for.  The Sylvester
+coefficients that the modular gcd must skip a prime for, and the gcd over
+Q(zeta_n) with sympy's over QQ<zeta_n> and with Euclid.  The Sylvester
 resultants are compared with sympy's over Q, Q(i) and Q(zeta_n) at formal
 degrees above the actual ones, the segment obstruction polynomials with
 sympy's resultant over Q and Q(i), the modular pencil resultant with
@@ -24,16 +25,19 @@ Both oracles are test-only imports: the module is skipped when sympy or
 hypothesis is absent.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+pytest.importorskip("mpmath")     # sympy needs it; without it, skip, not error
 sp = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_poly import euclid_gcd  # noqa: E402
 
 from ratsym import poly  # noqa: E402
 from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
@@ -214,9 +218,9 @@ def _count_by_prime(monkeypatch, name):
     calls = {}
     real = getattr(poly, name)
 
-    def spy(*args):
+    def spy(*args, **kw):
         calls[args[-1]] = calls.get(args[-1], 0) + 1
-        return real(*args)
+        return real(*args, **kw)
     monkeypatch.setattr(poly, name, spy)
     return calls
 
@@ -575,6 +579,54 @@ def test_modular_gcd_matches_sympy(c, u, v, k, m):
     H = F * c
     h = _squarefree_z([int(a) for a in H.all_coeffs()[::-1]])
     assert Poly(QQ, h).monic() == _monic_qq(H.sqf_part())
+
+
+@st.composite
+def cyclotomic_gcd_pairs(draw):
+    """(u c, v c) over Q(zeta_n), n in {3, 5, 12}, with u, v and c of
+    degree 0..2: mostly coprime when c is constant, a common factor
+    otherwise."""
+    K = CyclotomicField(draw(st.sampled_from([3, 5, 12])))
+    coord = st.integers(-3, 3)
+    elem = st.lists(coord, min_size=K.degree, max_size=K.degree).map(K.from_coeffs)
+    u, v, c = (Poly(K, draw(st.lists(elem, min_size=1, max_size=3))) for _ in range(3))
+    hypothesis.assume(not (u.is_zero() or v.is_zero() or c.is_zero()))
+    return u * c, v * c
+
+
+@functools.cache
+def _sympy_cyclotomic_field(n):
+    # sympy's QQ<zeta_n>, whose elements it keeps in the power basis of
+    # zeta_n modulo Phi_n, as ours are
+    A = sp.QQ.algebraic_field(sp.exp(2 * sp.pi * sp.I / n))
+    assert A.mod.to_list() == [int(c) for c in CyclotomicField(n).phi_coeffs][::-1]
+    return A
+
+
+def _sympy_cyclotomic_gcd(f, g):
+    K = f.field
+    A = _sympy_cyclotomic_field(K.n)
+    F, G = (sp.Poly.from_list([A([sp.Rational(x.numerator, x.denominator)
+                                  for x in c.payload[::-1]]) for c in h.coeffs[::-1]],
+                              X, domain=A) for h in (f, g))
+    H = sp.gcd(F, G)
+    return Poly(K, [K.from_coeffs([Fraction(int(x.numerator), int(x.denominator))
+                                   for x in c.to_list()[::-1]])
+                    for c in H.rep.to_list()[::-1]])
+
+
+_P5, _MAPS5, _ = _residue_maps(5, 0)
+_LOST = CyclotomicField(5).zeta() - _MAPS5[0][1]       # zero under the first map
+
+
+@settings(SETTINGS, max_examples=20)
+@given(cyclotomic_gcd_pairs())
+@example((Poly(CyclotomicField(5), [3, 3 * _LOST + 1, _LOST]),      # ((zeta - w) x + 1)
+          Poly(CyclotomicField(5), [5, 5 * _LOST + 1, _LOST])))     # times x + 3, x + 5
+def test_cyclotomic_gcd_matches_euclid_and_sympy(pair):
+    f, g = pair
+    got = poly_gcd(f, g)
+    assert got == euclid_gcd(f, g) == _sympy_cyclotomic_gcd(f, g)
 
 
 # --- map layer: automorphism test and conjugation over Z and Z[i] ------------

@@ -9,7 +9,7 @@ from ratsym import fields, poly
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, _RationalIntegers, lift
 from ratsym.mobius import icosahedral_field
 from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
-                         interpolate, nullspace, pencil_resultant, poly_eval,
+                         interpolate, kernel_vector, nullspace, pencil_resultant, poly_eval,
                          poly_gcd, resultant, sturm_roots_in_interval)
 
 
@@ -36,6 +36,44 @@ def test_gcd_over_cyclotomic():
     p1 = common * Poly(F3, [1, 1])
     p2 = common * Poly(F3, [2, 1])
     assert poly_gcd(p1, p2) == common
+
+
+def euclid_gcd(f, g):
+    """Reference gcd: monic Euclid over the field."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_gcd_over_cyclotomic_tries_one_residue_image(n, monkeypatch):
+    # a coprime image modulo the first prime returns 1 with no division;
+    # an image that loses a leading coefficient, or that is not coprime,
+    # falls back to Euclid, as does a common factor.  The common factor
+    # (z - w) x + 1 of the first pair maps to 1, so its images are coprime:
+    # only the lost leading coefficient shows that they prove nothing
+    F = CyclotomicField(n)
+    p, maps, _ = poly._residue_maps(n, 0)
+    z, w, one = F.zeta(), F(maps[0][1]), F.one()
+    divisions = []
+    real = Poly.divmod
+
+    def spy(self, other):
+        divisions.append(other.degree)
+        return real(self, other)
+    monkeypatch.setattr(Poly, "divmod", spy)
+    f, g = Poly(F, [z, one / 3, z * z]), Poly(F, [F(2), z + 1])
+    assert poly_gcd(f, g) == Poly(F, [1]) and not divisions
+    lost, common = Poly(F, [one, z - w]), Poly(F, [z, one])
+    cases = [(lost * Poly(F, [3, 1]), lost * Poly(F, [5, 1])),  # lc lost modulo p
+             (Poly(F, [-z, one]), Poly(F, [-w, one])),          # x - z, x - w
+             (f * common, g * common)]
+    expected = [lost.monic(), Poly(F, [1]), common]
+    for (f, g), expect in zip(cases, expected):
+        divisions.clear()
+        assert euclid_gcd(f, g) == expect
+        divisions.clear()
+        assert poly_gcd(f, g) == expect and divisions
 
 
 def _zpoly(*factors):
@@ -341,6 +379,12 @@ def _nullspace(rows, ncols, K):
     return nullspace(ring, [ring.clear(row)[1] for row in rows], ncols)
 
 
+def _kernel_vector(rows, ncols, K):
+    # its first vector alone, or None
+    ring = fields._integral_ring(K)
+    return kernel_vector(ring, [ring.clear(row)[1] for row in rows], ncols)
+
+
 # the fields of KERNEL_FIELDS whose rings nullspace takes, Z and Z[zeta_n]
 NULLSPACE_FIELDS = [K for K in KERNEL_FIELDS if not isinstance(K, QuadraticField)]
 
@@ -363,7 +407,7 @@ def test_nullspace_matches_gauss_jordan(K, monkeypatch):
         rows = [row[:j] + [zero] + row[j:] for row in rows]
         _assert_gauss_jordan(rows, ncols + 1, K)
         assert len(_nullspace(rows, ncols + 1, K)) == ncols + 1 - rank
-    assert _nullspace([], 3, K) == gauss_jordan_nullspace([], 3, K)
+    _assert_gauss_jordan([], 3, K)
 
     # entries of about 300 bits over a kernel with small coordinates
     big = 2 ** 300 + 2 ** 151 + 1
@@ -396,6 +440,7 @@ def _height(x) -> int:
 def _assert_gauss_jordan(rows, ncols, K):
     basis = _nullspace(rows, ncols, K)
     assert basis == gauss_jordan_nullspace(rows, ncols, K)
+    assert _kernel_vector(rows, ncols, K) == (basis[0] if basis else None)
     for v in basis:
         for row in rows:
             assert sum((a * b for a, b in zip(row, v)), K.zero()).is_zero()
@@ -418,7 +463,9 @@ def _residue_map_calls(monkeypatch):
 def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
     # zeta - w^u vanishes under the residue map zeta -> w^u of the first
     # prime only: there the pivots of that map differ from the others', the
-    # prime is dropped, and the basis comes from the primes after it
+    # prime is dropped, and the basis comes from the primes after it; so it
+    # is for kernel_vector, whose reductions stop at the first free column,
+    # with pivots () under that map and (0,) under the others
     F = CyclotomicField(n)
     p, maps, _ = poly._residue_maps(n, 0)
     u = 2 if n == 5 else 5 if n == 12 else 3
@@ -431,15 +478,17 @@ def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
     kernels = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime):
-        out = real(images, ncols, prime)
-        kernels.append((prime, out[0]))
+    def spy(images, ncols, prime, first):
+        out = real(images, ncols, prime, first=first)
+        kernels.append((first, prime, out[0]))
         return out
     monkeypatch.setattr(poly, "_kernel_mod", spy)
     _assert_gauss_jordan(rows, 4, F)
-    first = [pivots for prime, pivots in kernels if prime == p]
-    assert len(set(first)) == 2 and len(first) == F.degree
-    assert any(prime != p for prime, _ in kernels)
+    for route in (False, True):
+        at_p = [pivots for first, prime, pivots in kernels if first == route and prime == p]
+        assert len(set(at_p)) == 2 and len(at_p) == F.degree
+        assert any(prime != p for first, prime, _ in kernels if first == route)
+    assert set(at_p) == {(), (0,)}         # kernel_vector's, the last route
 
 
 def test_tetrahedral_rows_reduce_two_images_per_prime(monkeypatch):
@@ -448,22 +497,22 @@ def test_tetrahedral_rows_reduce_two_images_per_prime(monkeypatch):
     # images, each reduced once per prime, and the basis is Gauss-Jordan's
     from ratsym import symmetry
     systems = []
-    real_nullspace = symmetry.nullspace
+    real_kernel_vector = symmetry.kernel_vector
 
     def capture(ring, rows, ncols):
         systems.append((ring, rows, ncols))
-        return real_nullspace(ring, rows, ncols)
-    monkeypatch.setattr(symmetry, "nullspace", capture)
+        return real_kernel_vector(ring, rows, ncols)
+    monkeypatch.setattr(symmetry, "kernel_vector", capture)
     symmetry._tetrahedral_witness(9)
-    monkeypatch.setattr(symmetry, "nullspace", real_nullspace)
+    monkeypatch.setattr(symmetry, "kernel_vector", real_kernel_vector)
     (ring, rows, ncols), = systems
     assert all(ring.at_power(x, 11) == x for row in rows for x in row)
     calls = {}
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime):
+    def spy(images, ncols, prime, first):
         calls[prime] = calls.get(prime, 0) + 1
-        return real(images, ncols, prime)
+        return real(images, ncols, prime, first=first)
     monkeypatch.setattr(poly, "_kernel_mod", spy)
     K = ring.field
     basis = nullspace(ring, rows, ncols)
@@ -480,8 +529,8 @@ def test_nullspace_restarts_at_a_better_prime(monkeypatch):
     kernels = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime):
-        out = real(images, ncols, prime)
+    def spy(images, ncols, prime, first):
+        out = real(images, ncols, prime, first=first)
         kernels.append(out[0])
         return out
     monkeypatch.setattr(poly, "_kernel_mod", spy)
@@ -612,9 +661,9 @@ def _kernel_routes(monkeypatch):
     calls = []
     real = poly._modular_kernel
 
-    def spy(rows, ncols, ring):
+    def spy(rows, ncols, ring, first):
         calls.append(len(rows))
-        return real(rows, ncols, ring)
+        return real(rows, ncols, ring, first=first)
     monkeypatch.setattr(poly, "_modular_kernel", spy)
     return calls
 
@@ -638,6 +687,8 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
         assert calls == [1, 2]
         assert basis == gauss_jordan_nullspace(rows, 4, K)
         assert len(basis) == 2
+        assert _kernel_vector(rows, 4, K) == basis[0]
+        assert calls == [1, 2] * 2
         monkeypatch.undo()
 
 
@@ -649,6 +700,7 @@ def test_nullspace_full_rank_mod_p_returns_nothing(monkeypatch):
             [F(0), F(3), z ** 3]]
     calls = _kernel_routes(monkeypatch)
     assert _nullspace(rows, 3, F) == [] == gauss_jordan_nullspace(rows, 3, F)
+    assert _kernel_vector(rows, 3, F) is None
     assert calls == []
 
 
@@ -663,9 +715,9 @@ def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
     eliminated = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, p):
+    def spy(images, ncols, p, first):
         eliminated.append(len(images))
-        return real(images, ncols, p)
+        return real(images, ncols, p, first=first)
     monkeypatch.setattr(poly, "_kernel_mod", spy)
     assert _nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
     assert calls == [2] and set(eliminated) == {2}

@@ -6,9 +6,9 @@ from test_poly import gauss_jordan_nullspace
 
 from ratsym import poly, symmetry
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
-from ratsym.mobius import (GroupSpec, inversion, mobius_order, rotation,
-                           standard_generators)
-from ratsym.poly import Poly
+from ratsym.mobius import (GroupSpec, MobiusMap, group_closure, inversion, mobius_order,
+                           rotation, standard_generators)
+from ratsym.poly import Poly, nullspace, resultant
 from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
 from ratsym.symmetry import (CoefficientConditionViolated,
                              CyclicFamily, DihedralFamily, NotAdmissible,
@@ -48,7 +48,34 @@ def test_platonic_admissible_examples():
     assert platonic_admissible(7, GroupSpec("S4"))
     assert not platonic_admissible(4, GroupSpec("A4"))
     assert [d for d in range(2, 32) if platonic_admissible(d, GroupSpec("A5"))] == \
-        [11, 19, 21, 31]
+        [11, 19, 29, 31]
+
+
+def test_icosahedral_symmetry_occurs_in_degree_29():
+    # Klein's coordinates over Q(zeta_5): the rotation z -> zeta z and
+    # Klein's involution generate the icosahedral group, and the symplectic
+    # gradient T^perp = (-T_y, T_x) of Klein's degree-30 invariant form
+    # T = x^30 + y^30 + 522 (x^25 y^5 - x^5 y^25) - 10005 (x^20 y^10 + x^10 y^20)
+    # is a degree-29 map that commutes with both, so 29 (mod 30) is admissible
+    F = CyclotomicField(5)
+    e = F.zeta()
+    S = MobiusMap(F, e, F.zero(), F.zero(), F.one())
+    B = MobiusMap(F, e ** 4 - e, e ** 2 - e ** 3, e ** 2 - e ** 3, e - e ** 4)
+    assert len(group_closure((S, B), 60)) == 60
+    form = {30: 1, 0: 1, 25: 522, 5: -522, 20: -10005, 10: -10005}
+    tx, ty = [0] * 30, [0] * 30
+    for k, c in form.items():
+        if k:
+            tx[k - 1] += k * c
+        if k < 30:
+            ty[k] -= (30 - k) * c
+    P, Q = Poly(F, ty), Poly(F, tx)
+    assert not resultant(P, Q, 29, 29).is_zero()
+    phi = make_map(P, Q)
+    assert phi.degree == 29
+    assert is_automorphism(phi, S) and is_automorphism(phi, B)
+    assert platonic_admissible(29, GroupSpec("A5"))
+    assert not platonic_admissible(21, GroupSpec("A5"))
 
 
 def test_family_validation():
@@ -243,37 +270,65 @@ def _reference_tetrahedral_rows(d, sign):
 
 @pytest.mark.parametrize("d", [3, 9, 15, 21])
 def test_tetrahedral_system_matches_poly_products(monkeypatch, d):
-    # the A4 system built over Z[zeta_12], as nullspace takes it, has the
-    # same rows as the Poly products over the field, and the witness is the
-    # first valid vector of the reference kernel (Gauss-Jordan over the field)
+    # the A4 system built over Z[zeta_12], as kernel_vector takes it, has
+    # the same rows as the Poly products over the field, and the witness is
+    # the first valid vector of the reference kernel (Gauss-Jordan over the
+    # field)
     seen = []
-    real = symmetry.nullspace
+    real = symmetry.kernel_vector
 
     def spy(ring, rows, ncols):
         seen.append([[ring.to_field(x, 1) for x in row] for row in rows])
         return real(ring, rows, ncols)
-    monkeypatch.setattr(symmetry, "nullspace", spy)
+    monkeypatch.setattr(symmetry, "kernel_vector", spy)
     report = symmetry._tetrahedral_witness(d)
     refs = [_reference_tetrahedral_rows(d, sign) for sign in (1, -1)]
     assert seen and seen == refs[:len(seen)]
-    field, r = report.family.field, d // 3
-    expected = None
-    for rows in refs:
-        for v in gauss_jordan_nullspace(rows, len(rows[0]), field):
+    field = report.family.field
+    bases = (gauss_jordan_nullspace(rows, len(rows[0]), field) for rows in refs)
+    expected = _first_tetrahedral_family(bases, d)
+    assert report.family == expected
+    assert report.map == build_cyclic(expected)
+
+
+def _first_tetrahedral_family(bases, d):
+    # the family of the first vector, over the kernel bases of both signs in
+    # turn, with a_r != 0 that gives a valid family of exact degree d
+    r = d // 3
+    for basis in bases:
+        for v in basis:
             if v[r].is_zero():
                 continue
+            field = v[r].field
             a = tuple(x / v[r] for x in v[:r + 1])
             b = (field.zero(),) + tuple(x / v[r] for x in v[r + 1:])
             try:
-                expected = CyclicFamily(3, r, "B", a, b)
-                build_cyclic(expected)
-                break
+                family = CyclicFamily(3, r, "B", a, b)
+                build_cyclic(family)
+                return family
             except (CoefficientConditionViolated, symmetry.UnexpectedDegree):
-                expected = None
-        if expected is not None:
-            break
-    assert report.family == expected
-    assert report.map == build_cyclic(expected)
+                continue
+    return None
+
+
+@pytest.mark.parametrize("d", range(3, 46, 6))
+def test_tetrahedral_family_is_the_first_valid_basis_vector(monkeypatch, d):
+    # kernel_vector gives nullspace's first basis vector, or None for the
+    # sign whose kernel is {0}, and the witness is the family that the first
+    # valid vector of the whole basis gives
+    systems = []
+    real = symmetry.kernel_vector
+
+    def spy(ring, rows, ncols):
+        v = real(ring, rows, ncols)
+        systems.append((nullspace(ring, rows, ncols), v))
+        return v
+    monkeypatch.setattr(symmetry, "kernel_vector", spy)
+    report = symmetry._tetrahedral_witness(d)
+    assert systems
+    for basis, v in systems:
+        assert v == (basis[0] if basis else None)
+    assert report.family == _first_tetrahedral_family((b for b, _ in systems), d)
 
 
 def test_lemma_witness_failed_verification_raises(monkeypatch):
