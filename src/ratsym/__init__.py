@@ -6,9 +6,8 @@ from .fields import (QQ, CyclotomicField, FieldElement, FieldMismatch,
                      lift, root_of_unity, sign_real)
 from .poly import (BothZero, Poly, cyclotomic_polynomial, interpolate, poly_eval,
                    poly_gcd, resultant, sturm_roots_in_interval)
-from .ratmap import (DegenerateMap, FormalRatFunc, ProjPoint, RationalMap,
-                     compose, conjugate, derivative, eval_proj, is_automorphism,
-                     make_map, maps_equal)
+from .ratmap import (DegenerateMap, ProjPoint, RationalMap, compose, conjugate,
+                     eval_proj, is_automorphism, make_map, maps_equal)
 from .mobius import (CapExceeded, GroupSpec, MobiusMap, group_closure, identity,
                      inversion, mobius_order, rotation, scaling,
                      standard_generators, translation)

@@ -25,8 +25,8 @@ products, inverses (a norm cofactor over the norm) and conjugates there.
 Z and Z[zeta_n] have residue homomorphisms onto F_p, zeta -> w^u for the
 roots w^u of Phi_n modulo primes p = 1 (mod n) below 2^30
 (:func:`_residue_prime`, :func:`_root_of_unity_mod`), on which every
-resultant (through ``poly.pencil_resultant``) and null space
-(``poly.nullspace``) over them runs; a quadratic layer has none, and its
+resultant (through ``poly.pencil_resultant``) and null-space vector
+(``poly.kernel_vector``) over them runs; a quadratic layer has none, and its
 resultants run over its base ring, with sqrt(D) as an indeterminate.
 """
 

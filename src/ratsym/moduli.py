@@ -30,7 +30,7 @@ from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
 from .poly import (Poly, _count_roots, _integer_poly, _ring_mul, interpolate,
                    pencil_resultant, resultant, squarefree_norm)
-from .ratmap import (ProjPoint, RationalMap, conjugate, derivative, eval_proj,
+from .ratmap import (ProjPoint, RationalMap, conjugate, eval_proj,
                      maps_equal)
 from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
                        build_cyclic, cyclic_admissible, cyclic_family_from_map,
@@ -678,11 +678,15 @@ def milnor_coordinates(phi: RationalMap) -> MilnorPoint:
     c = 0, 1, 2, ... until -c is not a fixed point; at most two finite fixed
     points exist, so this terminates by c = 2).  Then F(z) = z*Q(z) - P(z)
     is a genuine cubic whose roots z_1, z_2, z_3 are the fixed points.  With
-    U/V = phi', the multiplier polynomial
-    chi(lam) = Res_z(F, lam V - U) = lc(F)^e prod_i (lam V(z_i) - U(z_i)),
-    e = max(deg U, deg V), is a cubic in lam with roots the multipliers; it
+    U = P'Q - PQ' and V = Q^2, unreduced, so that U/V = phi', the
+    multiplier polynomial
+    chi(lam) = Res_z(F, lam V - U) = lc(F)^4 prod_i (lam V(z_i) - U(z_i)),
+    at formal degree 4, is a cubic in lam with roots the multipliers; it
     is interpolated from four resultants, and the symmetric functions are
-    ratios of its coefficients -- no root extraction needed.
+    ratios of its coefficients -- no root extraction needed.  Its leading
+    coefficient lc(F)^4 prod_i Q(z_i)^2 is nonzero, since Q(z_i) = 0 would
+    give P(z_i) = z_i Q(z_i) - F(z_i) = 0, a common zero of P and Q; so its
+    roots are U(z_i) / V(z_i) = phi'(z_i), with no gcd taken.
     """
     if phi.degree != 2:
         raise NotDegreeTwo(f"degree {phi.degree}")
@@ -701,12 +705,8 @@ def milnor_coordinates(phi: RationalMap) -> MilnorPoint:
     F = Poly.x(field) * Q - P
     if F.degree != 3:
         raise NormalizationFailed("fixed-point polynomial is not cubic")
-    dphi = derivative(phi)
-    U, V = dphi.num, dphi.den
-    e = max(U.degree, V.degree)
-    chi = interpolate(field, [resultant(F, V * lam - U, 3, e) for lam in range(4)])
-    if chi[3].is_zero():    # Res(F, V): V vanishes at a fixed point
-        raise NormalizationFailed("derivative denominator singular on fixed points")
+    U, V = P.derivative() * Q - P * Q.derivative(), Q * Q
+    chi = interpolate(field, [resultant(F, V * lam - U, 3, 4) for lam in range(4)])
     inv = chi[3].inv()
     return MilnorPoint(sigma1=-(chi[2] * inv), sigma2=chi[1] * inv,
                        sigma3=-(chi[0] * inv))

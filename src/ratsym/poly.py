@@ -17,8 +17,9 @@ remainder join (:func:`_crt`): Brown's gcd over Z (:func:`_zgcd`),
 :func:`pencil_resultant`, the resultant of two pencils in t that a path
 segment's obstruction polynomial is made of, over Z and Z[zeta_n] (Euclid
 over F_p under each residue map, up to a Hadamard bound), and
-:func:`nullspace` (row reduction over F_p, rational reconstruction and an
-exact check) with :func:`kernel_vector`, its first vector alone.  Over a
+:func:`kernel_vector`, the first vector of a null space (row reduction
+over F_p, rational reconstruction and an exact check), which
+:func:`nullspace` calls once per basis vector.  Over a
 quadratic layer :func:`pencil_resultant` takes sqrt(D) as an
 indeterminate and runs over the base ring at nodes in it.
 :func:`resultant` is its value on two constant pencils.
@@ -391,179 +392,175 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 # null spaces modulo primes
 # ---------------------------------------------------------------------------
 
-def nullspace(ring, rows: Sequence[Sequence], ncols: int,
-              first: bool = False) -> list[list[FieldElement]]:
+def nullspace(ring, rows: Sequence[Sequence], ncols: int) -> list[list[FieldElement]]:
     """Exact basis of {v : rows * v = 0} for rows over Z or Z[zeta_n], the
     integral rings of Q and Q(zeta_n) in :mod:`ratsym.fields`: one vector
     per free column of the reduced row echelon form, in column order, which
     is one at that column, zero at the other free columns, and solves for
     the pivots; its entries are field elements.  This basis depends only
-    on the kernel, so the route taken does not change it.  With ``first``
-    only its first vector is computed (:func:`kernel_vector`).
+    on the kernel.  It is :func:`_kernel_vectors` in a list."""
+    return list(_kernel_vectors(ring, rows, ncols))
+
+
+def _kernel_vectors(ring, rows: Sequence[Sequence], ncols: int):
+    """The vectors of :func:`nullspace` in order, lazily: the first is
+    :func:`kernel_vector` of the rows, and each next one is
+    :func:`kernel_vector` of the rows with the unit rows e_f appended, f
+    the last nonzero column of each vector found.
+
+    Let v_g be the basis vector of the free column g.  It is zero at every
+    other free column, so v_(f2), v_(f3), ... satisfy e_(f1) v = 0, and
+    they are independent, as many as the dimension of the smaller kernel
+    (v_(f1) leaves it), and each is one at its column and zero at the other
+    free columns, f1 now a pivot: they are its reduced echelon basis, whose
+    first vector is v_(f2), zero beyond f2."""
+    rows = list(rows)
+    while (v := kernel_vector(ring, rows, ncols)) is not None:
+        yield v
+        unit = [ring.zero] * ncols
+        unit[max(j for j, x in enumerate(v) if not x.is_zero())] = ring.one
+        rows.append(unit)
+
+
+def kernel_vector(ring, rows: Sequence[Sequence], ncols: int) -> list[FieldElement] | None:
+    """The first vector of :func:`nullspace`, or None when the kernel is
+    {0}: one at the first free column f, zero beyond it, and solving for
+    the pivots 0..f-1.
 
     The rows that are independent modulo the k-th prime, under its first
     residue map, are picked greedily (:func:`_independent_mod_prime`,
     k = 0 first); a minor that is nonzero modulo p is nonzero in the ring,
     so they are independent over the field, and when there are ``ncols`` of
     them the kernel is {0}.  Otherwise :func:`_modular_kernel` gives the
-    reduced echelon basis of the picked rows' kernel, by row reductions
-    over F_p joined by the Chinese remainder theorem and rational
-    reconstruction (Cabay, SYMSAC 1971; Wang, SYMSAC 1981), checked exactly
-    on those rows.  That kernel contains the full one, so if every vector
-    annihilates the other rows exactly the two are equal.  With ``first``
-    the one vector v, one at the picked kernel's first free column f and
-    zero beyond it, then lies in the full kernel; no nonzero vector of the
-    full kernel ends left of f, since none of the picked kernel does, so v
-    is the full kernel's first vector too.  If one fails, the picked rows'
+    first vector v of the picked rows' kernel, by row reductions over F_p
+    joined by the Chinese remainder theorem and rational reconstruction
+    (Cabay, SYMSAC 1971; Wang, SYMSAC 1981), checked exactly on those
+    rows.  That kernel contains the full one, so if v annihilates the other
+    rows exactly, v lies in the full kernel; no nonzero vector of the full
+    kernel ends left of f, since none of the picked kernel does, so v is
+    the full kernel's first vector too.  If v fails, the picked rows'
     kernel is larger, so their rank over the field is below that of all
     rows, and the rank of all rows dropped modulo the k-th prime: the rows
-    are picked again with the next prime that finds more of them.  Only finitely many primes divide the norm of a nonzero
-    minor of full rank, so this ends.
+    are picked again with the next prime that finds more of them.  Only
+    finitely many primes divide the norm of a nonzero minor of full rank,
+    so this ends.
     """
     n, k = 1 if ring.base is None else ring.n, 0
     picked = _independent_mod_prime(rows, ncols, n, k)
     while len(picked) < ncols:
         chosen = set(picked)
-        cleared = _modular_kernel([rows[i] for i in picked], ncols, ring, first=first)
-        others = [row for i, row in enumerate(rows) if i not in chosen]
-        if _annihilates(others, [w for _, w in cleared], ring):
-            return [[ring.to_field(x, den) for x in w] for den, w in cleared]
+        den, w = _modular_kernel([rows[i] for i in picked], ncols, ring)
+        if _annihilates([row for i, row in enumerate(rows) if i not in chosen], w, ring):
+            return [ring.to_field(x, den) for x in w]
         rank = len(picked)
         while len(picked) <= rank:
             k += 1
             picked = _independent_mod_prime(rows, ncols, n, k)
-    return []
+    return None
 
 
-def kernel_vector(ring, rows: Sequence[Sequence], ncols: int) -> list[FieldElement] | None:
-    """The first vector of :func:`nullspace`, or None when the kernel is
-    {0}, without the others: the reductions modulo p stop at the first free
-    column f, and only the vector that is one at f, solves for the pivots
-    0..f-1 and is zero beyond f is reconstructed and checked."""
-    basis = nullspace(ring, rows, ncols, first=True)
-    return basis[0] if basis else None
-
-
-def _modular_kernel(rows: list[list], ncols: int, ring,
-                    first: bool) -> list[tuple[int, list]]:
-    """The reduced echelon kernel basis of r rows over Z or Z[zeta_n] that
-    are linearly independent over the field, as pairs (e, e v) of the
-    common denominator e of a vector v's coordinates and e v over the ring;
-    with ``first``, its first vector only.
+def _modular_kernel(rows: list[list], ncols: int, ring) -> tuple[int, list]:
+    """The first vector v of the reduced echelon kernel basis of r rows over
+    Z or Z[zeta_n] that are linearly independent over the field, as the pair
+    (e, e v) of the common denominator e of its coordinates and e v over
+    the ring.
 
     *Images.*  For the k-th prime p = 1 (mod n) below 2^30, k = 0, 1, ...,
     each residue map sigma_u: zeta -> w^u of :func:`_residue_maps` takes
-    the rows to F_p, where :func:`_kernel_mod` finds the pivots of the
-    reduced echelon form R and the entries -R[i][f] of the kernel basis.
-    Maps that give the same rows modulo p give the same reduction, so each
-    distinct image is reduced once: the rows of a matrix over Z[zeta_m]
-    lifted into Z[zeta_n] have at most phi(m) distinct images.  A prime
-    whose phi(n) maps disagree on the pivots is dropped.  The others are
-    ranked by the key (-rank, pivots): a worse key than the best
-    seen is dropped, and a better one restarts the Chinese remainder
-    theorem (:func:`_crt`), as a lower degree does in :func:`_zgcd`.  The Lagrange matrix
-    of :func:`_residue_maps` takes the images to power-basis coordinates
-    modulo p, and the primes are joined to a modulus M.  Each coordinate c
-    is recovered against the common denominator e of those before it in
-    its vector: the residue of e c is reconstructed as a / b with
+    the rows to F_p, where :func:`_kernel_mod` finds the first free column
+    f of the reduced echelon form R and the entries -R[i][f], i < f.  Since
+    r rows have at most r pivots, f <= r over the field and modulo every
+    prime, so only the columns 0..r are taken to F_p.  Maps that give the
+    same rows modulo p give the same reduction, so each distinct image is
+    reduced once: the rows of a matrix over Z[zeta_m] lifted into
+    Z[zeta_n] have at most phi(m) distinct images.  A prime whose phi(n)
+    maps disagree on f is dropped.  A smaller f than the largest seen is
+    dropped too, and a larger one restarts the Chinese remainder theorem
+    (:func:`_crt`), as a lower degree does in :func:`_zgcd`.  The Lagrange
+    matrix of :func:`_residue_maps` takes the images to power-basis
+    coordinates modulo p, and the primes are joined to a modulus M.  Each
+    coordinate c is recovered against the common denominator e of those
+    before it: the residue of e c is reconstructed as a / b with
     |a| <= B and 0 < b <= B / e, B = isqrt((M - 1) / 2)
-    (:func:`_rational_reconstruction`), and c = a / (b e).  The vectors are
-    returned once every coordinate reconstructs and they annihilate every
-    row exactly.  With ``first`` each reduction stops at its first free
-    column f, and its pivots are 0..f-1: the key is the same, and the
-    argument below holds for the columns 0..f alone.  Since r rows have at
-    most r pivots, f <= r over the field and modulo every prime, so only
-    the columns 0..r are taken to F_p.
+    (:func:`_rational_reconstruction`), and c = a / (b e).  The vector is
+    returned once every coordinate reconstructs and it annihilates every
+    row exactly.
 
-    *Why they are the reduced echelon basis.*  Let the key have rank r'
-    and pivots P, and F be the other columns.  By construction v_f, f in
-    F, is one at f, zero at the rest of F, and nonzero elsewhere only on
-    pivots left of f, so the vectors are independent and the last nonzero
-    entry of v_f is at f.  (1) They annihilate every row, so
-    dim ker >= |F|.  (2) A minor of the rows on the columns P is nonzero
-    modulo p, hence nonzero, so dim ker <= ncols - r' = |F|; they are a
-    basis.  (3) The last nonzero positions of the vectors of a space of
-    dimension |F| form a set of |F| columns, here F, and a kernel vector
-    that vanishes on F is zero.  So F and the vectors depend on the kernel
-    alone: they are its reduced echelon basis.
+    *Why it is the first basis vector.*  It is one at f and zero beyond,
+    and it annihilates every row, so the first free column over the field
+    is at most f.  The columns 0..f-1 are independent modulo p, so some
+    minor on them is nonzero modulo p, hence nonzero, and they are
+    independent over the field: f is the first free column, and v, the one
+    kernel vector that is one at f and zero beyond, is the first basis
+    vector.
 
-    *Why it ends.*  Over the field R = A_P^(-1) A for the true pivots P
-    and delta = det A_P.  A map with sigma_u(delta) != 0 modulo p keeps
-    the columns P independent, and the rank of every leading block of
-    columns can only drop modulo p, so its pivots are P and its reduced
-    form is the image of R; any other map has a lower rank, or the same
-    rank with pivots further right, a worse key.  Such a bad prime divides
-    N(delta) = prod_u sigma_u(delta), a nonzero integer, so only finitely
-    many primes are bad, and after them only good primes are joined.  Let
-    H^2 = prod_i sum_j ||a_ij||_1^2, with ||x||_1 the sum of the absolute
-    values of the coordinates.  Since |sigma(x)| <= ||x||_1 for every
-    complex embedding sigma, Hadamard's inequality gives |sigma(m)| <= H
-    for every r x r minor m.  By Cramer's rule an entry of a basis vector
-    is m / delta = m c / N(delta), c the product of the other conjugates
-    of delta, and |sigma(m c)| <= H^phi(n); so, by the Lagrange bound C_n
-    of :func:`_lagrange_bound`, its coordinates are x / N(delta) with
-    |x| <= C_n H^phi(n) and |N(delta)| <= H^phi(n).  Let X be the larger
-    bound.  Each e divides N(delta), so e c reduces to a fraction with
-    numerator at most |x| and denominator at most |N(delta)| / e.  Once
-    M > 2 X^2 + 1, B >= X and 2 B^2 < M, so the reconstruction of every
-    coordinate is unique and true, and the vectors pass the check.
+    *Why it ends.*  Let f* be the first free column over the field, and
+    delta a nonzero f* x f* minor on the columns 0..f*-1.  The rank of
+    every leading block of columns can only drop modulo p, so every map
+    gives at most f*, and a map with sigma_u(delta) != 0 modulo p gives f*
+    and the image of v, the unique solution there too.  Such a bad prime
+    divides N(delta) = prod_u sigma_u(delta), a nonzero integer, so only
+    finitely many primes are bad, and after them only good primes are
+    joined.  Let H^2 = prod_i sum_j ||a_ij||_1^2, with ||x||_1 the sum of
+    the absolute values of the coordinates.  Since |sigma(x)| <= ||x||_1
+    for every complex embedding sigma, Hadamard's inequality gives
+    |sigma(m)| <= H for every minor m of the rows.  By Cramer's rule an
+    entry of v is m / delta = m c / N(delta), c the product of the other
+    conjugates of delta, and |sigma(m c)| <= H^phi(n); so, by the Lagrange
+    bound C_n of :func:`_lagrange_bound`, its coordinates are x / N(delta)
+    with |x| <= C_n H^phi(n) and |N(delta)| <= H^phi(n).  Let X be the
+    larger bound.  Each e divides N(delta), so e c reduces to a fraction
+    with numerator at most |x| and denominator at most |N(delta)| / e.
+    Once M > 2 X^2 + 1, B >= X and 2 B^2 < M, so the reconstruction of
+    every coordinate is unique and true, and the vector passes the check.
     """
     scalar = ring.base is None
     n = 1 if scalar else ring.n
-    width = min(ncols, len(rows) + 1) if first else ncols
+    width = min(ncols, len(rows) + 1)
     leading = [row[:width] for row in rows]
-    best, coords, modulus, k = None, [], 1, 0
+    best, coords, modulus, k = -1, [], 1, 0
     while True:
         p, maps, lagrange = _residue_maps(n, k)
         k += 1
         kernels, done = [], {}
         for w in maps:
-            key = tuple(tuple(_image(row, p, w, scalar)) for row in leading)
-            if key not in done:
-                done[key] = _kernel_mod(list(map(list, key)), width, p, first=first)
-            kernels.append(done[key])
-        pivots = kernels[0][0]
-        if any(other != pivots for other, _ in kernels):
+            image = tuple(tuple(_image(row, p, w, scalar)) for row in leading)
+            if image not in done:
+                done[image] = _kernel_mod(list(map(list, image)), width, p)
+            kernels.append(done[image])
+        f = kernels[0][0]
+        if any(other != f for other, _ in kernels) or f < best:
             continue
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        if key != best:
-            best, coords, modulus = key, [], 1
+        if f > best:
+            best, coords, modulus = f, [], 1
         residues = [sum(map(operator.mul, col, row)) % p
                     for col in zip(*(values for _, values in kernels)) for row in lagrange]
         coords, modulus = _crt(coords, modulus, residues, p), modulus * p
-        found = _reconstruct_basis(coords, modulus, pivots, ncols, ring, first)
-        if found is not None and _annihilates(rows, [w for _, w in found], ring):
+        found = _reconstruct_vector(coords, modulus, f, ncols, ring)
+        if found is not None and _annihilates(rows, found[1], ring):
             return found
 
 
-def _reconstruct_basis(coords: list[int], modulus: int, pivots: tuple, ncols: int,
-                       ring, first: bool) -> list[tuple[int, list]] | None:
-    """The pairs (e, e v) of :func:`_modular_kernel` from the coordinates
-    modulo M of the basis entries at the pivots, for the first free column
-    only with ``first``; None when a coordinate does not reconstruct within
-    the bound."""
+def _reconstruct_vector(coords: list[int], modulus: int, f: int, ncols: int,
+                        ring) -> tuple[int, list] | None:
+    """The pair (e, e v) of :func:`_modular_kernel` from the coordinates
+    modulo M of the entries of v at the pivots 0..f-1; None when a
+    coordinate does not reconstruct within the bound."""
     bound = math.isqrt((modulus - 1) // 2)
     size = 1 if ring.base is None else ring.m
-    cleared, at = [], 0
-    for f in _free_columns(pivots, ncols, first):
-        left = [pc for pc in pivots if pc < f]
-        den, fracs = 1, []
-        for c in coords[at:at + size * len(left)]:
-            q = _rational_reconstruction(c * den % modulus, modulus, bound, bound // den)
-            if q is None:
-                return None
-            den *= q[1]
-            fracs.append((q[0], den))
-        at += size * len(left)
-        w = [ring.zero] * ncols
-        w[f] = ring.scale(ring.one, den)
-        for j, pc in enumerate(left):
-            x = [a * (den // d) for a, d in fracs[j * size:(j + 1) * size]]
-            w[pc] = x[0] if size == 1 else tuple(x)
-        cleared.append((den, w))
-    return cleared
+    den, fracs = 1, []
+    for c in coords:
+        q = _rational_reconstruction(c * den % modulus, modulus, bound, bound // den)
+        if q is None:
+            return None
+        den *= q[1]
+        fracs.append((q[0], den))
+    w = [ring.zero] * ncols
+    w[f] = ring.scale(ring.one, den)
+    for j in range(f):
+        x = [a * (den // d) for a, d in fracs[j * size:(j + 1) * size]]
+        w[j] = x[0] if size == 1 else tuple(x)
+    return den, w
 
 
 def _rational_reconstruction(t: int, modulus: int, nbound: int, dbound: int):
@@ -590,50 +587,32 @@ def _image(row: list, p: int, w: list[int], scalar: bool) -> list[int]:
     return [sum(map(operator.mul, x, w)) % p for x in row]
 
 
-def _kernel_mod(rows: list[list[int]], ncols: int, p: int,
-                first: bool) -> tuple[tuple, list[int]]:
-    """The pivot columns of the reduced row echelon form R of rows modulo p,
-    and the entries -R[i][f] of its kernel basis for each free column f, in
-    order, and each pivot i left of f.  The rows are reduced in place to
-    echelon form, each 1 at its pivot; then only the free columns are
-    eliminated upwards.  With ``first`` the reduction stops at the first
-    free column, the only one returned, with the pivots left of it."""
-    pivots = []
-    for col in range(ncols):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+def _kernel_mod(rows: list[list[int]], ncols: int, p: int) -> tuple[int, list[int]]:
+    """The first free column f of the reduced row echelon form R of rows
+    modulo p, and the entries -R[i][f] of its first kernel vector, i < f.
+    The rows are reduced in place to echelon form, each 1 at its pivot,
+    until a column has no pivot, so the pivots are 0..f-1; then column f
+    alone is eliminated upwards.  Since ncols > len(rows), column
+    len(rows) has no pivot if no column before it lacks one."""
+    for f in range(ncols):
+        piv = next((i for i in range(f, len(rows)) if rows[i][f]), None)
         if piv is None:
-            if first:
-                break
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        inv = pow(rows[k][col], -1, p)
-        rows[k] = [x * inv % p for x in rows[k]]
-        tail = rows[k][col:]
-        for row in rows[k + 1:]:
-            c = row[col]
-            if c:
-                row[col:] = [(x - c * y) % p for x, y in zip(row[col:], tail)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
             break
-    free = _free_columns(pivots, ncols, first)
-    block = [[row[f] for f in free] for row in rows[:len(pivots)]]
-    for k in range(len(pivots) - 1, 0, -1):
-        col, below = pivots[k], block[k]
-        for i in range(k):
-            c = rows[i][col]
+        rows[f], rows[piv] = rows[piv], rows[f]
+        inv = pow(rows[f][f], -1, p)
+        rows[f] = [x * inv % p for x in rows[f]]
+        tail = rows[f][f:]
+        for row in rows[f + 1:]:
+            c = row[f]
             if c:
-                block[i] = [(x - c * y) % p for x, y in zip(block[i], below)]
-    return tuple(pivots), [-block[i][j] % p for j, f in enumerate(free)
-                           for i, pc in enumerate(pivots) if pc < f]
-
-
-def _free_columns(pivots, ncols: int, first: bool) -> list[int]:
-    """The columns that are not pivots, in order; only the first with
-    ``first``."""
-    free = [c for c in range(ncols) if c not in pivots]
-    return free[:1] if first else free
+                row[f:] = [(x - c * y) % p for x, y in zip(row[f:], tail)]
+    x = [row[f] for row in rows[:f]]
+    for k in range(f - 1, 0, -1):
+        for i in range(k):
+            c = rows[i][k]
+            if c:
+                x[i] = (x[i] - c * x[k]) % p
+    return f, [-c % p for c in x]
 
 
 def _independent_mod_prime(rows: list[list], ncols: int, n: int, k: int) -> list[int]:
@@ -665,8 +644,8 @@ def _independent_mod_prime(rows: list[list], ncols: int, n: int, k: int) -> list
     return picked
 
 
-def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
-    """Whether every row times every vector is exactly zero over Z or
+def _annihilates(rows: list[list], w: list, ring) -> bool:
+    """Whether every row times the vector w is exactly zero over Z or
     Z[zeta_n].
 
     Over Z[zeta_n] the coordinates of an element sum_k c_k zeta^k are
@@ -678,8 +657,19 @@ def _annihilates(rows: list[list], vectors: list[list], ring) -> bool:
     :func:`_slot_width` gives s, so the sum unpacks into its signed
     coefficients (:func:`_signed_digits`), which the ring reduces modulo
     Phi_n (:meth:`at_power`)."""
-    if not rows or not vectors:
+    if not rows:
         return True
+    if ring.base is None:
+        return not any(sum(map(operator.mul, row, w)) for row in rows)
+    m, Z = ring.m, _RationalIntegers
+    top = max(abs(c) for row in rows for x in row for c in x)
+    s = _slot_width(Z, 2, len(w) * m * top * max(abs(c) for x in w for c in x))
+    packed = [_pack(Z, x, s) for x in w]
+    for row in rows:
+        total = sum(map(operator.mul, (_pack(Z, x, s) for x in row), packed))
+        if total and any(ring.at_power(_signed_digits(total, s, 2 * m - 1), 1)):
+            return False
+    return True
     if ring.base is None:
         return not any(sum(map(operator.mul, row, w)) for row in rows for w in vectors)
     m, Z = ring.m, _RationalIntegers

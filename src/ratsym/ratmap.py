@@ -6,8 +6,7 @@ equivalent to the nonvanishing of the Sylvester resultant at formal degrees
 (d, d).  Construction goes through :func:`make_map`, so every later
 operation may assume nondegeneracy; :func:`compose`, :func:`conjugate`,
 :meth:`RationalMap.lift` and ``MobiusMap.as_map`` skip its gcd, because
-each keeps a reduced pair reduced.  Derivatives may drop degree and are
-returned as unchecked :class:`FormalRatFunc` values instead.
+each keeps a reduced pair reduced.
 :func:`maps_equal`, :func:`compose`, :func:`conjugate` and
 :func:`is_automorphism` run over the integral ring of the field
 (:mod:`ratsym.fields`) at one integer point X = 2^S (Kronecker
@@ -28,13 +27,11 @@ from .poly import (Poly, _coordinate_height, _pack, _slot_width, _unpack,
 __all__ = [
     "ProjPoint",
     "RationalMap",
-    "FormalRatFunc",
     "DegenerateMap",
     "make_map",
     "eval_proj",
     "compose",
     "conjugate",
-    "derivative",
     "is_automorphism",
     "maps_equal",
 ]
@@ -322,41 +319,6 @@ def _read_map(field: Field, ring, S: int, N, D, d: int) -> RationalMap:
     """The scaled pair of formal degree d with the values N, D at X = 2^S."""
     return _scaled(*(Poly(field, [ring.to_field(x, 1) for x in _unpack(ring, v, S, d + 1)])
                      for v in (N, D)), d)
-
-
-class FormalRatFunc:
-    """Reduced quotient of polynomials without the degree certificate."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        s = den.lc().inv()
-        self.field = num.field
-        self.num = num * s
-        self.den = den * s
-
-    def __call__(self, a: FieldElement) -> FieldElement:
-        from .poly import poly_eval
-        return poly_eval(self.num, a) / poly_eval(self.den, a)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __repr__(self):
-        return f"FormalRatFunc(({self.num!r}) / ({self.den!r}))"
-
-
-def derivative(phi: RationalMap) -> FormalRatFunc:
-    """(P'Q - PQ')/Q^2 as a reduced formal rational function."""
-    P, Q = phi.num, phi.den
-    num = P.derivative() * Q - P * Q.derivative()
-    return FormalRatFunc(num, Q * Q)
 
 
 def is_automorphism(phi: RationalMap, T) -> bool:

@@ -27,7 +27,7 @@ from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
                      common_field, lift, root_of_unity, root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order,
                      rotation, scaling, standard_generators)
-from .poly import Poly, kernel_vector, nullspace, poly_gcd, resultant
+from .poly import Poly, _kernel_vectors, poly_gcd, resultant
 from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
                      is_automorphism, maps_equal, ProjPoint)
 
@@ -77,7 +77,7 @@ class WitnessUnavailable(RuntimeError):
     symmetry types admissible in that degree), or 'exists_via_exceptional'
     when only an exceptional-group witness would do and the tetrahedral
     normal-form search found no map of exact degree d (not observed for
-    d <= 51).
+    any d = 3*r, r odd, up to 99).
     """
 
     def __init__(self, message: str, analysis: str):
@@ -396,9 +396,9 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     lam = +-c^((d-1)/2).  For each sign this is a linear system in the
     a_k, b_k over Q(zeta_12); the first vector of its reduced echelon
     kernel basis that gives a valid family of exact degree d is taken,
-    scaled to a_r = 1.  That is the first vector for d <= 99, which
-    :func:`kernel_vector` solves for alone; :func:`nullspace` gives the
-    others only when it fails.
+    scaled to a_r = 1.  The basis is taken lazily
+    (:func:`poly._kernel_vectors`), one :func:`poly.kernel_vector` call per
+    vector, and for d <= 99 the first vector is the one taken.
 
     The system is built in Z[zeta_12]: the entries of M are cleared once,
     to s, t, u, w with a common denominator e, and the columns are the
@@ -407,8 +407,8 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     sign * (s^2 + t u)^((d-1)/2) * (s, t, u, w); every entry is e^d times
     the entry over the field, which leaves the kernel as it is, and the
     kernel is taken of the rows as they are.  The sign that fails has
-    kernel {0}, which :func:`kernel_vector` settles by its rank modulo a
-    prime.
+    kernel {0}, which :func:`poly.kernel_vector` settles by its rank modulo
+    a prime.
     """
     T, B = standard_generators(GroupSpec("A4"))
     field = B.field
@@ -437,7 +437,7 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
             col[d + 1 + j] = ring.sub(bottom, ring.mul(lam, lo))
             cols.append(col)
         rows = [[col[i] for col in cols] for i in range(2 * d + 2)]
-        for v in _kernel_basis(ring, rows, len(unknowns)):
+        for v in _kernel_vectors(ring, rows, len(unknowns)):
             if v[r].is_zero():
                 continue
             norm = v[r].inv()
@@ -453,15 +453,6 @@ def _tetrahedral_witness(d: int) -> WitnessReport:
     raise WitnessUnavailable(
         f"witness for orders (3, 2) in degree {d}: no tetrahedral normal form "
         f"of exact degree {d} found", "exists_via_exceptional")
-
-
-def _kernel_basis(ring, rows: list, ncols: int):
-    """The reduced echelon kernel basis of rows, lazily: the first vector
-    by :func:`kernel_vector`, the others by :func:`nullspace` if asked for."""
-    v = kernel_vector(ring, rows, ncols)
-    if v is not None:
-        yield v
-        yield from nullspace(ring, rows, ncols)[1:]
 
 
 def lemma_witness(p: int, d: int) -> WitnessReport:
@@ -626,8 +617,7 @@ def cyclic_family_from_map(phi: RationalMap, n: int) -> tuple[CyclicFamily, Mobi
         # transitional shape: invert once to land in the standard case
         U = inversion(field)
         phi = conjugate(phi, U)
-        img0, imginf = imginf, eval_proj(phi, inf)
-        img0 = eval_proj(phi, zero)
+        img0, imginf = eval_proj(phi, zero), eval_proj(phi, inf)
     d = phi.degree
     N, D = phi.num, phi.den
     if img0 == zero and imginf == inf:

@@ -1,10 +1,15 @@
 """Every name a module of ``ratsym`` imports is used in it or exported,
-and the package imports nothing outside the standard library.
+every private definition is used, and the package imports nothing outside
+the standard library.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree with :mod:`ast`: a name bound by ``import`` or ``from ... import``
 must be read somewhere in the module or listed in its ``__all__``.
-``__init__.py`` re-exports by design and is left out.
+``__init__.py`` re-exports by design and is left out.  A module-level
+function or class whose name starts with one underscore must be read
+somewhere in the package outside its own definition, or be a name that
+the benchmark's tracer wraps (``bench/tracer.py``), which resolves every
+such name when it installs.
 """
 
 from __future__ import annotations
@@ -16,6 +21,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from tracer import COUNTS, SPANS  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted(p for p in (SRC / "ratsym").glob("*.py") if p.name != "__init__.py")
@@ -48,6 +58,41 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "__all__ = ['sep']\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def _unused_private_definitions(trees: list[ast.Module], kept: set[str]) -> list[str]:
+    defined, read = [], set()
+    for tree in trees:
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append(own)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return sorted(name for name in defined if name not in read | kept)
+
+
+def test_every_private_definition_is_used():
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted((SRC / "ratsym").glob("*.py"))]
+    kept = {attr for _, attr in {**SPANS, **COUNTS}}
+    assert _unused_private_definitions(trees, kept) == []
+
+
+def test_an_unused_private_definition_is_found():
+    # _a is read through an attribute, _b only by itself, _c nowhere; _d is
+    # a name the tracer wraps, and public names are not checked
+    trees = [ast.parse("def _a():\n    pass\n\n"
+                       "def _b(n):\n    return _b(n - 1)\n\n"
+                       "class _c:\n    pass\n\n"
+                       "def _d():\n    pass\n\n"
+                       "def public():\n    pass\n"),
+             ast.parse("import m\nm._a()\n")]
+    assert _unused_private_definitions(trees, {"_d"}) == ["_b", "_c"]
 
 
 def test_the_cli_imports_only_the_standard_library():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField, QuadraticField
-from ratsym.mobius import MobiusMap, inversion, rotation, scaling
+from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
+from ratsym.mobius import MobiusMap, icosahedral_field, inversion, rotation, scaling
 from ratsym import poly
 from ratsym.poly import Poly, poly_eval, squarefree_norm
 from ratsym.ratmap import (DegenerateMap, conjugate, is_automorphism, make_map,
@@ -689,10 +689,11 @@ def test_milnor_conjugation_invariance():
 
 
 def _companion_milnor(phi):
-    """Reference multiplier coordinates: the multipliers are phi' evaluated
-    on the companion matrix M of the fixed-point cubic, sigma1 and sigma2
-    come from traces of L = U(M) V(M)^-1, and sigma3 = det L."""
-    from ratsym.ratmap import ProjPoint, derivative, eval_proj
+    """Reference multiplier coordinates, with no resultant: the multipliers
+    are phi' = U / V, U = P'Q - PQ' and V = Q^2 unreduced, evaluated on the
+    companion matrix M of the fixed-point cubic, sigma1 and sigma2 come
+    from traces of L = U(M) V(M)^-1, and sigma3 = det L."""
+    from ratsym.ratmap import ProjPoint, eval_proj
     field = phi.field
     zero, one = field.zero(), field.one()
 
@@ -728,8 +729,8 @@ def _companion_milnor(phi):
         phi = conjugate(phi, MobiusMap(field, 0, 1, 1, field(c)))
     F = (Poly.x(field) * phi.den - phi.num).monic()
     M = [[zero, zero, -F[0]], [one, zero, -F[1]], [zero, one, -F[2]]]
-    dphi = derivative(phi)
-    L = mul(at(dphi.num, M), inverse(at(dphi.den, M)))
+    P, Q = phi.num, phi.den
+    L = mul(at(P.derivative() * Q - P * Q.derivative(), M), inverse(at(Q * Q, M)))
     s1 = L[0][0] + L[1][1] + L[2][2]
     L2 = mul(L, L)
     s2 = (s1 * s1 - (L2[0][0] + L2[1][1] + L2[2][2])) / 2
@@ -739,10 +740,14 @@ def _companion_milnor(phi):
     return s1, s2, s3
 
 
-@pytest.mark.parametrize("K", [QQ, CyclotomicField(4), CyclotomicField(3)], ids=repr)
+@pytest.mark.parametrize("K", [QQ, CyclotomicField(4), CyclotomicField(3),
+                               icosahedral_field()], ids=repr)
 def test_milnor_matches_the_companion_matrix(K):
     rng = random.Random(53)
-    gens = [K.one()] + ([K.zeta()] if isinstance(K, CyclotomicField) else [])
+    base = K.base if isinstance(K, QuadraticField) else K
+    gens = [K.one()] + ([lift(base.zeta(), K)] if isinstance(base, CyclotomicField) else [])
+    if isinstance(K, QuadraticField):
+        gens.append(K.sqrt_delta())
 
     def relem():
         return sum((Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * g for g in gens),

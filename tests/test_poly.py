@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -462,10 +463,12 @@ def _residue_map_calls(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 12])
 def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
     # zeta - w^u vanishes under the residue map zeta -> w^u of the first
-    # prime only: there the pivots of that map differ from the others', the
-    # prime is dropped, and the basis comes from the primes after it; so it
-    # is for kernel_vector, whose reductions stop at the first free column,
-    # with pivots () under that map and (0,) under the others
+    # prime only: there the first free column of that map differs from the
+    # others', the prime is dropped, and each vector comes from the primes
+    # after it.  The first vector is one at column 1: its free column is 0
+    # under that map and 1 under the others.  nullspace's second call has
+    # the unit row e_1 appended, and its free column is 0 under that map and
+    # 3 under the others
     F = CyclotomicField(n)
     p, maps, _ = poly._residue_maps(n, 0)
     u = 2 if n == 5 else 5 if n == 12 else 3
@@ -478,17 +481,20 @@ def test_nullspace_drops_a_prime_whose_embeddings_disagree(n, monkeypatch):
     kernels = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime, first):
-        out = real(images, ncols, prime, first=first)
-        kernels.append((first, prime, out[0]))
+    def spy(images, ncols, prime):
+        out = real(images, ncols, prime)
+        kernels.append((prime, out[0]))
         return out
     monkeypatch.setattr(poly, "_kernel_mod", spy)
-    _assert_gauss_jordan(rows, 4, F)
-    for route in (False, True):
-        at_p = [pivots for first, prime, pivots in kernels if first == route and prime == p]
-        assert len(set(at_p)) == 2 and len(at_p) == F.degree
-        assert any(prime != p for first, prime, _ in kernels if first == route)
-    assert set(at_p) == {(), (0,)}         # kernel_vector's, the last route
+    basis = _nullspace(rows, 4, F)
+    assert basis == gauss_jordan_nullspace(rows, 4, F) and len(basis) == 2
+    assert Counter(f for prime, f in kernels if prime == p) == {
+        0: 2, 1: F.degree - 1, 3: F.degree - 1}
+    assert any(prime != p for prime, _ in kernels)
+    kernels.clear()
+    assert _kernel_vector(rows, 4, F) == basis[0]
+    assert Counter(f for prime, f in kernels if prime == p) == {0: 1, 1: F.degree - 1}
+    assert any(prime != p for prime, _ in kernels)
 
 
 def test_tetrahedral_rows_reduce_two_images_per_prime(monkeypatch):
@@ -497,46 +503,48 @@ def test_tetrahedral_rows_reduce_two_images_per_prime(monkeypatch):
     # images, each reduced once per prime, and the basis is Gauss-Jordan's
     from ratsym import symmetry
     systems = []
-    real_kernel_vector = symmetry.kernel_vector
+    real_kernel_vector = poly.kernel_vector
 
     def capture(ring, rows, ncols):
         systems.append((ring, rows, ncols))
         return real_kernel_vector(ring, rows, ncols)
-    monkeypatch.setattr(symmetry, "kernel_vector", capture)
+    monkeypatch.setattr(poly, "kernel_vector", capture)
     symmetry._tetrahedral_witness(9)
-    monkeypatch.setattr(symmetry, "kernel_vector", real_kernel_vector)
+    monkeypatch.setattr(poly, "kernel_vector", real_kernel_vector)
     (ring, rows, ncols), = systems
     assert all(ring.at_power(x, 11) == x for row in rows for x in row)
     calls = {}
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime, first):
+    def spy(images, ncols, prime):
         calls[prime] = calls.get(prime, 0) + 1
-        return real(images, ncols, prime, first=first)
+        return real(images, ncols, prime)
     monkeypatch.setattr(poly, "_kernel_mod", spy)
-    K = ring.field
-    basis = nullspace(ring, rows, ncols)
-    assert basis
-    assert basis == gauss_jordan_nullspace([[ring.to_field(x, 1) for x in row]
-                                            for row in rows], ncols, K)
+    v = kernel_vector(ring, rows, ncols)
     assert calls and set(calls.values()) == {2}
+    monkeypatch.undo()
+    basis = nullspace(ring, rows, ncols)
+    assert basis and basis[0] == v
+    assert basis == gauss_jordan_nullspace([[ring.to_field(x, 1) for x in row]
+                                            for row in rows], ncols, ring.field)
 
 
 def test_nullspace_restarts_at_a_better_prime(monkeypatch):
-    # over Q the first prime puts the pivot of (p, 1) in column 1, the next
-    # prime in column 0: its key is better and the reconstruction restarts
+    # over Q the first free column of (p, 1) is column 0 modulo the first
+    # prime and column 1 modulo the next: a later free column is better, and
+    # the reconstruction restarts
     p = fields._residue_prime(1)
     kernels = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, prime, first):
-        out = real(images, ncols, prime, first=first)
+    def spy(images, ncols, prime):
+        out = real(images, ncols, prime)
         kernels.append(out[0])
         return out
     monkeypatch.setattr(poly, "_kernel_mod", spy)
     basis = _assert_gauss_jordan([[QQ(p), QQ(1)]], 2, QQ)
     assert basis == [[QQ(Fraction(-1, p)), QQ(1)]]
-    assert kernels[:2] == [(1,), (0,)]
+    assert kernels[:2] == [0, 1]
 
 
 def test_integer_kernel_divisions_raise():
@@ -661,9 +669,9 @@ def _kernel_routes(monkeypatch):
     calls = []
     real = poly._modular_kernel
 
-    def spy(rows, ncols, ring, first):
+    def spy(rows, ncols, ring):
         calls.append(len(rows))
-        return real(rows, ncols, ring, first=first)
+        return real(rows, ncols, ring)
     monkeypatch.setattr(poly, "_modular_kernel", spy)
     return calls
 
@@ -672,7 +680,11 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
     # an entry that is a multiple of the prime over Q, and zeta - w over
     # Q(zeta_12), vanishes modulo p: the picked rows then have a kernel too
     # large, the exact check on the other rows rejects it, and the rows are
-    # picked again with the next prime, which finds both
+    # picked again with the next prime, which finds one more.  The kernel
+    # has free columns 2 and 3, so nullspace calls kernel_vector three
+    # times, and each call falls back once: on the rows (1 row picked, then
+    # 2), with e_2 appended (2, then 3), and with e_2 and e_3 appended (3,
+    # then all 4, so the kernel is {0})
     for K, n in ((QQ, 1), (CyclotomicField(12), 12)):
         p, maps, _ = poly._residue_maps(n, 0)
         small = QQ(p) if n == 1 else K.zeta() - K(maps[0][1])
@@ -684,11 +696,12 @@ def test_nullspace_falls_back_when_rank_drops_mod_p(monkeypatch):
                 [one + one, one + one, zero, one + one]]
         calls = _kernel_routes(monkeypatch)
         basis = _nullspace(rows, 4, K)
-        assert calls == [1, 2]
+        assert calls == [1, 2, 2, 3, 3]
         assert basis == gauss_jordan_nullspace(rows, 4, K)
         assert len(basis) == 2
+        del calls[:]
         assert _kernel_vector(rows, 4, K) == basis[0]
-        assert calls == [1, 2] * 2
+        assert calls == [1, 2]
         monkeypatch.undo()
 
 
@@ -706,7 +719,9 @@ def test_nullspace_full_rank_mod_p_returns_nothing(monkeypatch):
 
 def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
     # rank 2 in 4 rows: two rows are reduced modulo primes, and the exact
-    # check on the other two passes
+    # check on the other two passes; for the second vector the unit row
+    # appended is picked too, and with the second unit row the rank modulo
+    # p is full
     F = CyclotomicField(12)
     z = F.zeta()
     r1, r2 = [F(1), z, F(0), F(2)], [F(0), F(1), z, z ** 2]
@@ -715,12 +730,13 @@ def test_nullspace_eliminates_only_the_picked_rows(monkeypatch):
     eliminated = []
     real = poly._kernel_mod
 
-    def spy(images, ncols, p, first):
+    def spy(images, ncols, p):
         eliminated.append(len(images))
-        return real(images, ncols, p, first=first)
+        return real(images, ncols, p)
     monkeypatch.setattr(poly, "_kernel_mod", spy)
     assert _nullspace(rows, 4, F) == gauss_jordan_nullspace(rows, 4, F)
-    assert calls == [2] and set(eliminated) == {2}
+    assert calls == [2, 3]
+    assert set(eliminated) == {2, 3} and eliminated == sorted(eliminated)
 
 
 def test_annihilation_check_packs_sums_at_full_width():
@@ -733,12 +749,12 @@ def test_annihilation_check_packs_sums_at_full_width():
     c1, c2 = 2 ** 61 - 1, (2 ** 62 - 1) // 3
     row = [(0, 0, c1, c2)] * 3 + [(c1, c2, 0, 0)] * 3
     w = [(0, 0, 1, 0)] * 3 + [(1, 0, -1, 0)] * 3
-    assert poly._annihilates([row], [w], ring)
+    assert poly._annihilates([row], w, ring)
     w[-1] = (1, 0, -1, 1)
-    assert not poly._annihilates([row], [w], ring)
+    assert not poly._annihilates([row], w, ring)
     integers = fields._RationalIntegers
-    assert poly._annihilates([[c1, -2 * c1]], [[2 * c1, c1]], integers)
-    assert not poly._annihilates([[c1, -2 * c1]], [[2 * c1, c1 + 1]], integers)
+    assert poly._annihilates([[c1, -2 * c1]], [2 * c1, c1], integers)
+    assert not poly._annihilates([[c1, -2 * c1]], [2 * c1, c1 + 1], integers)
 
 
 def test_residue_map_checks_its_prime():

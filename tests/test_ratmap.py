@@ -9,8 +9,8 @@ from ratsym.mobius import (MobiusMap, icosahedral_field, identity, inversion,
                            rotation, scaling)
 from ratsym.poly import Poly
 from ratsym.ratmap import (DegenerateMap, ProjPoint, RationalMap, compose,
-                           conjugate, derivative, eval_proj, is_automorphism,
-                           make_map, maps_equal)
+                           conjugate, eval_proj, is_automorphism, make_map,
+                           maps_equal)
 from ratsym.symmetry import lemma_witness
 
 
@@ -106,18 +106,6 @@ def test_conjugate_inverse_roundtrip_and_equivariance():
         p = ProjPoint.finite(QQ(rng.randint(-5, 5)))
         assert eval_proj(conjugate(phi, T), T.apply(p)) == T.apply(eval_proj(phi, p))
         done += 1
-
-
-def test_derivative_examples():
-    z2 = make_map(qpoly(0, 0, 1), qpoly(1))
-    d = derivative(z2)
-    assert d.num == qpoly(0, 2) and d.den == qpoly(1)
-    inv2 = make_map(qpoly(1), qpoly(0, 0, 1))
-    d2 = derivative(inv2)
-    assert d2.num == qpoly(-2) and d2.den == qpoly(0, 0, 0, 1)
-    phi = make_map(qpoly(1, 0, 1), qpoly(0, 1))
-    d3 = derivative(phi)
-    assert d3.num == qpoly(-1, 0, 1) and d3.den == qpoly(0, 0, 1)
 
 
 def test_is_automorphism_examples():

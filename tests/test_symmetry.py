@@ -275,12 +275,12 @@ def test_tetrahedral_system_matches_poly_products(monkeypatch, d):
     # the first valid vector of the reference kernel (Gauss-Jordan over the
     # field)
     seen = []
-    real = symmetry.kernel_vector
+    real = poly.kernel_vector
 
     def spy(ring, rows, ncols):
         seen.append([[ring.to_field(x, 1) for x in row] for row in rows])
         return real(ring, rows, ncols)
-    monkeypatch.setattr(symmetry, "kernel_vector", spy)
+    monkeypatch.setattr(poly, "kernel_vector", spy)
     report = symmetry._tetrahedral_witness(d)
     refs = [_reference_tetrahedral_rows(d, sign) for sign in (1, -1)]
     assert seen and seen == refs[:len(seen)]
@@ -315,20 +315,25 @@ def _first_tetrahedral_family(bases, d):
 def test_tetrahedral_family_is_the_first_valid_basis_vector(monkeypatch, d):
     # kernel_vector gives nullspace's first basis vector, or None for the
     # sign whose kernel is {0}, and the witness is the family that the first
-    # valid vector of the whole basis gives
+    # valid vector of the whole basis gives.  The witness never asks for a
+    # second vector: for d = 3 (mod 12) the first sign's kernel is {0} and
+    # the second sign's first vector gives the witness, and for d = 9
+    # (mod 12) the first sign's does
     systems = []
-    real = symmetry.kernel_vector
+    real = poly.kernel_vector
 
     def spy(ring, rows, ncols):
         v = real(ring, rows, ncols)
-        systems.append((nullspace(ring, rows, ncols), v))
+        systems.append((ring, rows, ncols, v))
         return v
-    monkeypatch.setattr(symmetry, "kernel_vector", spy)
+    monkeypatch.setattr(poly, "kernel_vector", spy)
     report = symmetry._tetrahedral_witness(d)
-    assert systems
-    for basis, v in systems:
+    monkeypatch.undo()
+    assert [v is not None for *_, v in systems] == ([False, True] if d % 12 == 3 else [True])
+    bases = [nullspace(ring, rows, ncols) for ring, rows, ncols, _ in systems]
+    for basis, (*_, v) in zip(bases, systems):
         assert v == (basis[0] if basis else None)
-    assert report.family == _first_tetrahedral_family((b for b, _ in systems), d)
+    assert report.family == _first_tetrahedral_family(bases, d)
 
 
 def test_lemma_witness_failed_verification_raises(monkeypatch):
