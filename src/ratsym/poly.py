@@ -670,21 +670,6 @@ def _annihilates(rows: list[list], w: list, ring) -> bool:
         if total and any(ring.at_power(_signed_digits(total, s, 2 * m - 1), 1)):
             return False
     return True
-    if ring.base is None:
-        return not any(sum(map(operator.mul, row, w)) for row in rows for w in vectors)
-    m, Z = ring.m, _RationalIntegers
-
-    def top(vs: list[list]) -> int:
-        return max(abs(c) for v in vs for x in v for c in x)
-    s = _slot_width(Z, 2, len(rows[0]) * m * top(rows) * top(vectors))
-    packed = [[_pack(Z, x, s) for x in w] for w in vectors]
-    for row in rows:
-        a = [_pack(Z, x, s) for x in row]
-        for w in packed:
-            total = sum(map(operator.mul, a, w))
-            if total and any(ring.at_power(_signed_digits(total, s, 2 * m - 1), 1)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ validates such families, decides admissibility of each finite symmetry type
 for a given degree, produces explicit witness maps realising a rotation of
 odd prime order together with an extra involution, and searches for
 automorphisms inside the rotation normaliser {lam*z, mu/z}.
+
+Both the search and the recovery of a family from a map read the
+coefficients of phi = N/D alone: a coprime pair of formal degree d
+determines its map up to a scalar, so T commutes with phi exactly when
+T o phi o T^{-1} has the pair kappa*(N, D) for some kappa != 0.
 """
 
 from __future__ import annotations
@@ -22,14 +27,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
-                     _integral_ring, _is_prime, _rational_perfect_root,
-                     common_field, lift, root_of_unity, root_of_unity_field)
+from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
+                     QuadraticField, _integral_ring, _is_prime,
+                     _rational_perfect_root, common_field, lift, root_of_unity,
+                     root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order,
                      rotation, scaling, standard_generators)
-from .poly import Poly, _kernel_vectors, poly_gcd, resultant
-from .ratmap import (RationalMap, _power_products, _scaled, conjugate, eval_proj,
-                     is_automorphism, maps_equal, ProjPoint)
+from .poly import Poly, _kernel_vectors, resultant
+from .ratmap import (RationalMap, _power_products, _scaled, conjugate,
+                     is_automorphism, maps_equal)
 
 __all__ = [
     "CyclicFamily",
@@ -606,21 +612,19 @@ def cyclic_family_from_map(phi: RationalMap, n: int) -> tuple[CyclicFamily, Mobi
     Returns (family, U) where U is the recorded conjugator with
     build_cyclic(family) == U o phi o U^{-1}; U is the identity except for
     maps that swallow both 0 and infinity into 0, which are first turned
-    around by the inversion.
+    around by the inversion.  Where 0 and infinity go, and so the case, is
+    read from which of N_0, D_0, N_d and D_d vanish.
     """
     field = phi.field
     U = MobiusMap(field, 1, 0, 0, 1)
-    zero = ProjPoint.finite(field.zero())
-    inf = ProjPoint.infinity(field)
-    img0, imginf = eval_proj(phi, zero), eval_proj(phi, inf)
-    if img0 == zero and imginf == zero:
+    # phi(0) = (N_0 : D_0) and phi(inf) = (N_d : D_d)
+    N, D, d = phi.num, phi.den, phi.degree
+    if N[0].is_zero() and N[d].is_zero():
         # transitional shape: invert once to land in the standard case
         U = inversion(field)
         phi = conjugate(phi, U)
-        img0, imginf = eval_proj(phi, zero), eval_proj(phi, inf)
-    d = phi.degree
-    N, D = phi.num, phi.den
-    if img0 == zero and imginf == inf:
+        N, D = phi.num, phi.den
+    if N[0].is_zero() and D[d].is_zero():
         r, case = (d - 1) // n, "A"
         if d != n * r + 1:
             raise CoefficientConditionViolated("degree incompatible with fixing 0 and inf")
@@ -634,9 +638,9 @@ def cyclic_family_from_map(phi: RationalMap, n: int) -> tuple[CyclicFamily, Mobi
         ell = (v + 1) // n
         qhat = Poly(field, D.coeffs[v:]).deflate(n)
         P = N.deflate(n)
-        if img0 == inf and imginf == inf:
+        if D[0].is_zero() and D[d].is_zero():
             r, case = d // n, "B"
-        elif img0 == inf and imginf == zero:
+        elif D[0].is_zero() and N[d].is_zero():
             r, case = (d + 1) // n, "C"
         else:
             raise CoefficientConditionViolated("map does not stabilise {0, inf}")
@@ -653,22 +657,6 @@ def cyclic_family_from_map(phi: RationalMap, n: int) -> tuple[CyclicFamily, Mobi
 # ---------------------------------------------------------------------------
 # automorphisms inside the rotation normaliser
 # ---------------------------------------------------------------------------
-
-def _scaling_order_bound(phi: RationalMap) -> int:
-    """Largest M such that z -> lam z is an automorphism exactly for the
-    M-th roots of unity lam; 0 means every scaling works (degree-1 maps)."""
-    suppN = phi.num.support()
-    suppD = phi.den.support()
-    g = 0
-    for s in (suppN, suppD):
-        for i in s:
-            for j in s:
-                g = math.gcd(g, abs(i - j))
-    for i in suppN:
-        for j in suppD:
-            g = math.gcd(g, abs(i - 1 - j))
-    return g
-
 
 def _unit_coset(mu0: FieldElement, M: int):
     """mu0 times all M-th roots of unity, lifted to one field."""
@@ -719,16 +707,20 @@ def _solve_power_equation(M: int, gamma: FieldElement):
                 return _unit_coset(cur, M)
             cur = cur * wMs
         return None
-    if field == QQ:
-        root = _rational_perfect_root(gamma.payload, M)
+    # gamma rational: over Q, or a cyclotomic payload (q, 0, ..., 0)
+    q = gamma.payload if field == QQ else None
+    if isinstance(field, CyclotomicField) and not any(gamma.payload[1:]):
+        q = gamma.payload[0]
+    if q is not None:
+        root = _rational_perfect_root(q, M)
         if root is not None:
-            return _unit_coset(QQ(root), M)
+            return _unit_coset(field(root), M)
         if M % 2 == 0:
             # split mu^M = gamma into mu^(M/2) = +-eta when gamma = eta^2
-            eta = _rational_perfect_root(gamma.payload, 2)
+            eta = _rational_perfect_root(q, 2)
             if eta is not None:
-                lower_p = _solve_power_equation(M // 2, QQ(eta))
-                lower_m = _solve_power_equation(M // 2, QQ(-eta))
+                lower_p = _solve_power_equation(M // 2, field(eta))
+                lower_m = _solve_power_equation(M // 2, field(-eta))
                 if lower_p is not None and lower_m is not None:
                     return lower_p + lower_m
     if M == 2 and not isinstance(field, QuadraticField):
@@ -738,89 +730,79 @@ def _solve_power_equation(M: int, gamma: FieldElement):
     return None
 
 
-def aut_in_normalizer(phi: RationalMap, n: int) -> list[MobiusMap]:
+def _binomial_system(eqs: list[tuple[int, FieldElement]]
+                     ) -> Optional[tuple[int, FieldElement]]:
+    """The one equation mu^g = gamma, g >= 0, with the same solutions as
+    the equations mu^e = c for (e, c) in eqs, or None if they have none.
+
+    Euclid's algorithm runs on the exponents: from mu^g = gamma and
+    mu^e = c it takes mu^(g - q e) = gamma c^(-q), so g ends as the gcd of
+    the exponents and mu^g = gamma holds wherever the equations do.  The
+    equations then have a solution exactly when each is a power of that
+    one, c = gamma^(e/g), which is checked; for g = 0 every c must be 1."""
+    g, gamma = 0, eqs[0][1].field.one()
+    for e, c in eqs:
+        while e:
+            q = g // e
+            g, gamma, e, c = e, c, g - q * e, gamma * c ** -q
+    if g < 0:
+        g, gamma = -g, gamma.inv()
+    if any(gamma ** (e // g if g else 0) != c for e, c in eqs):
+        return None
+    return g, gamma
+
+
+def aut_in_normalizer(phi: RationalMap) -> list[MobiusMap]:
     """All nontrivial automorphisms of phi of the forms lam*z and mu/z.
 
-    The scaling part is complete: the valid lam form exactly the M-th roots
-    of unity for M the gcd of the exponent constraints.  The inversion part
-    solves the exact functional equation z^d N(mu/z) N(z) = mu z^d D(mu/z) D(z);
-    its solutions are a single coset mu0 * (M-th roots of unity) and are
-    returned whenever mu0 lives in a cyclotomic extension, is a rational
-    perfect power, or needs only one square root; otherwise
+    A coprime pair (N, D) of formal degree d determines its map up to a
+    scalar, so T commutes with phi exactly when T o phi o T^{-1} has the
+    pair kappa*(N, D) for some kappa != 0.  With k0 the least index of a
+    nonzero N_k0, the identity reads off the coefficients as binomial
+    equations, which :func:`_binomial_system` folds into one:
+
+    * lam*z: lam^(k - k0) = 1 where N_k != 0 and lam^(k - k0 + 1) = 1
+      where D_k != 0, so the valid lam are exactly the M-th roots of unity
+      for M the gcd of these exponents;
+    * mu/z: N_k = kappa mu^(d-k+1) D_(d-k) and D_k = kappa mu^(d-k) N_(d-k)
+      for every k.  There is no solution unless the supports mirror,
+      N_k != 0 exactly when D_(d-k) != 0; then, with
+      beta = N_k0 / D_(d-k0), mu^(k0-k) = N_k / (beta D_(d-k)) where
+      N_k != 0 and mu^(k0-k-1) = D_k / (beta N_(d-k)) where D_k != 0.
+
+    The mu exponents are the lam exponents negated, so the fold gives
+    mu^M = gamma, whose solutions are a coset mu0 * (M-th roots of unity).
+    They are returned whenever mu0 lives in a cyclotomic extension, is a
+    rational perfect power, or needs only one square root; otherwise
     :class:`AutSearchIncomplete` is raised.
     """
-    field = phi.field
-    d = phi.degree
-    M = _scaling_order_bound(phi)
+    field, d = phi.field, phi.degree
+    N, D = phi.num, phi.den
+    suppN, suppD = N.support(), D.support()
+    k0, one = suppN[0], field.one()
+    M, _ = _binomial_system([(k - k0, one) for k in suppN]
+                            + [(k - k0 + 1, one) for k in suppD])
     if M == 0:
         raise ValueError("degree-one scaling stabiliser is infinite")
     autos: list[MobiusMap] = []
-    FM = root_of_unity_field(M)
-    K = common_field(field, FM)
+    K = common_field(field, root_of_unity_field(M))
     wM = lift(root_of_unity(M), K) if M > 1 else K.one()
     cur = wM
     for _ in range(M - 1):
         autos.append(scaling(cur))
         cur = cur * wM
 
-    # inversion part: collect the coefficient equations of
-    # N~(z) N(z) - mu D~(z) D(z) = 0 as polynomials in mu
-    N, D = phi.num, phi.den
-    mu_polys: dict[int, dict[int, FieldElement]] = {}
-
-    def add(zdeg: int, mudeg: int, val: FieldElement):
-        if val.is_zero():
-            return
-        row = mu_polys.setdefault(zdeg, {})
-        row[mudeg] = row.get(mudeg, field.zero()) + val
-
-    for k in range(d + 1):          # z^k coefficient of N~ is N[d-k] mu^{d-k}
-        nk = N[d - k]
-        if not nk.is_zero():
-            for j in range(d + 1):
-                if not N[j].is_zero():
-                    add(k + j, d - k, nk * N[j])
-        dk = D[d - k]
-        if not dk.is_zero():
-            for j in range(d + 1):
-                if not D[j].is_zero():
-                    add(k + j, d - k + 1, -(dk * D[j]))
-    eqs = []
-    for zdeg in sorted(mu_polys):
-        row = mu_polys[zdeg]
-        top = max(row)
-        eqs.append(Poly(field, [row.get(i, field.zero()) for i in range(top + 1)]))
-    G: Optional[Poly] = None
-    for eq in eqs:
-        if eq.is_zero():
-            continue
-        G = eq if G is None else poly_gcd(G, eq)
-        if G.degree == 0:
-            break
-    if G is not None and G.degree > 0:
-        # strip the mu = 0 root and the multiplicity
-        v = G.valuation()
-        if v:
-            G = Poly(field, G.coeffs[v:])
-        if G.degree > 0:
-            Gp = G.derivative()
-            if not Gp.is_zero():
-                g2 = poly_gcd(G, Gp)
-                if g2.degree > 0:
-                    G = G // g2
-            G = G.monic()
-            B = G.degree
-            middle = [G[k] for k in range(1, B)]
-            if any(not c.is_zero() for c in middle):
-                raise AutSearchIncomplete(
-                    "inversion-equation gcd is not a binomial; no exact root "
-                    "extraction available")
-            gamma = -G[0]
-            coset = _solve_power_equation(B, gamma)
-            if coset is None:
-                raise AutSearchIncomplete(
-                    f"inversion coefficient satisfies mu^{B} = {gamma!r}, which "
-                    f"needs a radical tower outside the supported fields")
-            for mu in coset:
-                autos.append(inversion(mu.field, mu))
-    return autos
+    if {d - k for k in suppN} != set(suppD):
+        return autos
+    beta = N[k0] / D[d - k0]
+    system = _binomial_system([(k0 - k, N[k] / (beta * D[d - k])) for k in suppN]
+                              + [(k0 - k - 1, D[k] / (beta * N[d - k])) for k in suppD])
+    if system is None:
+        return autos
+    _, gamma = system
+    coset = _solve_power_equation(M, gamma)
+    if coset is None:
+        raise AutSearchIncomplete(
+            f"inversion coefficient satisfies mu^{M} = {gamma!r}, which "
+            f"needs a radical tower outside the supported fields")
+    return autos + [inversion(mu.field, mu) for mu in coset]

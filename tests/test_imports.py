@@ -9,7 +9,9 @@ must be read somewhere in the module or listed in its ``__all__``.
 function or class whose name starts with one underscore must be read
 somewhere in the package outside its own definition, or be a name that
 the benchmark's tracer wraps (``bench/tracer.py``), which resolves every
-such name when it installs.
+such name when it installs.  No statement may follow a ``return``,
+``raise``, ``continue`` or ``break`` in the same block, where it could
+never run.
 """
 
 from __future__ import annotations
@@ -93,6 +95,45 @@ def test_an_unused_private_definition_is_found():
                        "def public():\n    pass\n"),
              ast.parse("import m\nm._a()\n")]
     assert _unused_private_definitions(trees, {"_d"}) == ["_b", "_c"]
+
+
+def _unreachable_statements(tree: ast.Module) -> list[int]:
+    jumps = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    lines = []
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            lines += [after.lineno for stmt, after in zip(block, block[1:])
+                      if isinstance(stmt, jumps)]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_statement_is_unreachable(path):
+    assert _unreachable_statements(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_an_unreachable_statement_is_found():
+    # each jump ends its own block only: the loop's else, the handler and
+    # the statement after the loop still run
+    tree = ast.parse("def f(xs):\n"
+                     "    for x in xs:\n"
+                     "        if x:\n"
+                     "            continue\n"
+                     "            x += 1\n"
+                     "        break\n"
+                     "    else:\n"
+                     "        raise ValueError\n"
+                     "    try:\n"
+                     "        return 1\n"
+                     "    except ValueError:\n"
+                     "        return 2\n"
+                     "        pass\n"
+                     "    return 3\n"
+                     "    f(xs)\n")
+    assert _unreachable_statements(tree) == [5, 13, 15]
 
 
 def test_the_cli_imports_only_the_standard_library():

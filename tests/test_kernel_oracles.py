@@ -15,7 +15,9 @@ against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
 ``count_roots``.  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
-compositions.  The residue maps of Z[zeta_n] that the modular kernels take
+compositions, and the inversions that :func:`aut_in_normalizer` finds are
+counted against the nonzero roots of sympy's gcd of the inversion
+equations.  The residue maps of Z[zeta_n] that the modular kernels take
 are checked to respect sums and products, and the kernel bases of rows
 over Z are compared with sympy's ``Matrix.nullspace`` over Q.  Products,
 inverses and complex conjugates in Q(zeta_n), which run on the integral ring
@@ -43,7 +45,7 @@ from ratsym import poly  # noqa: E402
 from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _absolute_degree, _integral_ring, _RationalIntegers,
                            _residue_prime, lift)
-from ratsym.mobius import MobiusMap, icosahedral_field  # noqa: E402
+from ratsym.mobius import MobiusMap, icosahedral_field, scaling  # noqa: E402
 from ratsym.moduli import _segment_obstruction  # noqa: E402
 from ratsym.poly import (Poly, _integer_norm, _residue_maps,  # noqa: E402
                          _ring_mul, _trim, _squarefree_z, nullspace, pencil_resultant,
@@ -51,7 +53,9 @@ from ratsym.poly import (Poly, _integer_norm, _residue_maps,  # noqa: E402
                          sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
-from ratsym.symmetry import lemma_witness, random_cyclic_family  # noqa: E402
+from ratsym.symmetry import (AutSearchIncomplete, aut_in_normalizer,  # noqa: E402
+                             build_cyclic, cyclic_admissible, lemma_witness,
+                             random_cyclic_family, simple_cyclic_family)
 
 QI = CyclotomicField(4)
 X, T = sp.symbols("x t")
@@ -697,6 +701,60 @@ def test_conjugated_witness_automorphisms_match_composition(T, pair):
         assert is_automorphism(phi, S2)
         bad = make_map(phi.num + 1, phi.den)
         assert is_automorphism(bad, S2) is maps_equal(_oracle_conjugate(bad, S2), bad)
+
+
+# --- normaliser search against the gcd of the inversion equations ------------
+
+MU = sp.Symbol("mu")
+
+
+def _inversion_root_count(phi):
+    """The number of distinct nonzero mu with mu/z an automorphism: the
+    common roots, over Q(i), of the z-coefficients of
+    z^d N(mu/z) N(z) - mu z^d D(mu/z) D(z)."""
+    d = phi.degree
+    N = [_to_sympy(phi.num[k]) for k in range(d + 1)]
+    D = [_to_sympy(phi.den[k]) for k in range(d + 1)]
+    expr = sum(N[j] * N[k] * MU ** j * X ** (d - j + k)
+               - D[j] * D[k] * MU ** (j + 1) * X ** (d - j + k)
+               for j in range(d + 1) for k in range(d + 1))
+    coeffs = [sp.Poly(c, MU, extension=sp.I)
+              for c in sp.Poly(sp.expand(expr), X).all_coeffs() if c != 0]
+    g = functools.reduce(sp.Poly.gcd, coeffs).sqf_part()
+    return g.degree() - (g.eval(0) == 0)
+
+
+def _normaliser_maps():
+    rng = random.Random(3)
+    for n in range(2, 8):
+        for d in range(2, 16):
+            for case, _ in cyclic_admissible(d, n):
+                phi = build_cyclic(simple_cyclic_family(d, n, case))
+                yield phi
+                yield conjugate(phi, scaling(QQ(2)))
+    for K in (QQ, QI):
+        for d, c in [(2, 3), (3, 2), (3, 4), (4, -1), (5, 4), (5, 16), (6, 9)]:
+            yield make_map(Poly(K, [0] * d + [1]), Poly(K, [c]))
+            yield make_map(Poly(K, [c] + [0] * (d - 1) + [1]),
+                           Poly(K, [0] * (d - 1) + [1]))
+    for n, r, case in [(2, 1, "A"), (2, 2, "C"), (3, 1, "B"), (4, 1, "C")]:
+        yield build_cyclic(random_cyclic_family(rng, n, r, case, QI))
+
+
+def test_normaliser_inversions_match_the_gcd_of_the_inversion_equations():
+    searched = 0
+    for phi in _normaliser_maps():
+        expected = _inversion_root_count(phi)
+        try:
+            autos = aut_in_normalizer(phi)
+        except AutSearchIncomplete:
+            # an inversion exists but its mu is out of the field tower's reach
+            assert expected > 0
+            continue
+        searched += 1
+        assert sum(T.a.is_zero() for T in autos) == expected, phi
+        assert all(is_automorphism(phi, T) for T in autos)
+    assert searched > 100
 
 
 @st.composite

@@ -358,20 +358,20 @@ def test_lemma_emptiness_is_exhaustively_checked():
 
 def test_aut_in_normalizer_examples():
     inv2 = make_map(Poly(QQ, [1]), Poly(QQ, [0, 0, 1]))
-    autos = aut_in_normalizer(inv2, 3)
+    autos = aut_in_normalizer(inv2)
     assert len(autos) == 5
     assert sorted(mobius_order(T) for T in autos) == [2, 2, 2, 3, 3]
     for T in autos:
         assert is_automorphism(inv2, T)
 
     phi = make_map(Poly(QQ, [0, 2, 0, 0, 1]), Poly(QQ, [1]))   # z(z^3+2)
-    autos2 = aut_in_normalizer(phi, 3)
+    autos2 = aut_in_normalizer(phi)
     assert len(autos2) == 2
     assert all(mobius_order(T) == 3 for T in autos2)
     assert all(T.b.is_zero() and T.c.is_zero() for T in autos2)
 
     cube = make_map(Poly(QQ, [0, 0, 0, 1]), Poly(QQ, [1]))     # z^3
-    autos3 = aut_in_normalizer(cube, 2)
+    autos3 = aut_in_normalizer(cube)
     assert len(autos3) == 3
     assert sorted(mobius_order(T) for T in autos3) == [2, 2, 2]
     for T in autos3:
@@ -382,11 +382,45 @@ def test_aut_in_normalizer_scaled_coset():
     # z^5 / 2 has inversion-type automorphisms with mu^4 = 4; the coset is
     # sqrt(2) times the fourth roots of unity, exactly representable
     phi = make_map(Poly(QQ, [0, 0, 0, 0, 0, 1]), Poly(QQ, [2]))
-    autos = aut_in_normalizer(phi, 4)
+    autos = aut_in_normalizer(phi)
     invs = [T for T in autos if T.a.is_zero()]
     assert len(invs) == 4
     for T in invs:
         assert is_automorphism(phi, T)
+
+
+def test_binomial_system_folds_to_one_equation():
+    solve = symmetry._binomial_system
+    assert solve([(4, QQ(16)), (6, QQ(64))]) == (2, QQ(4))
+    assert solve([(2, QQ(4)), (3, QQ(9))]) is None
+    # negative exponents: mu^-2 = 1/4 and mu^3 = 8 leave mu = 2, and a
+    # lone negative exponent turns round
+    assert solve([(-2, QQ(1) / 4), (3, QQ(8))]) == (1, QQ(2))
+    assert solve([(-4, QQ(1) / 16)]) == (4, QQ(16))
+    assert solve([(3, QQ(1)), (-6, QQ(1))]) == (3, QQ(1))
+    # all exponents zero: solvable exactly when every right side is 1
+    assert solve([(0, QQ(1)), (0, QQ(1))]) == (0, QQ(1))
+    assert solve([(0, QQ(1)), (0, QQ(2))]) is None
+    F = CyclotomicField(3)
+    w = F.zeta()
+    assert solve([(3, F.one()), (2, w * w)]) == (1, w)
+
+
+@pytest.mark.parametrize("F", [CyclotomicField(3), CyclotomicField(4)],
+                         ids=["zeta_3", "i"])
+@pytest.mark.parametrize("c", [2, 4, 9])
+def test_rational_gamma_in_a_cyclotomic_field(F, c):
+    # z^3/c has the inversions mu/z with mu^2 = c^2, so mu = +-c in F
+    # itself, never a layer F(sqrt(c^2)) with zero divisors
+    cube = make_map(Poly(F, [0, 0, 0, 1]), Poly(F, [c]))
+    invs = [T for T in aut_in_normalizer(cube) if T.a.is_zero()]
+    assert [T.field for T in invs] == [F, F]
+    assert sorted(T.b.payload for T in invs) == [F(-c).payload, F(c).payload]
+    # z^5/c: mu^4 = c^2 has four roots, as over Q
+    quintic = make_map(Poly(F, [0, 0, 0, 0, 0, 1]), Poly(F, [c]))
+    invs = [T for T in aut_in_normalizer(quintic) if T.a.is_zero()]
+    assert len(invs) == 4
+    assert all(is_automorphism(quintic, T) for T in invs)
 
 
 def test_family_from_map_roundtrip():
