@@ -122,6 +122,16 @@ def _rational_perfect_root(fr: Fraction, k: int) -> Optional[Fraction]:
     return Fraction(-rn if fr < 0 else rn, rd)
 
 
+def _rational_value(x: FieldElement) -> Optional[Fraction]:
+    """x as a Fraction when it is rational: any element of Q, or a
+    cyclotomic payload (q, 0, ..., 0); else None (always on a layer)."""
+    if isinstance(x.field, RationalField):
+        return x.payload
+    if isinstance(x.field, CyclotomicField) and not any(x.payload[1:]):
+        return x.payload[0]
+    return None
+
+
 def euler_phi(n: int) -> int:
     result, m, p = n, n, 2
     while p * p <= m:
@@ -587,10 +597,10 @@ class QuadraticField(Field):
         delta = base(delta)
         if delta.is_zero():
             raise ValueError("radicand must be nonzero")
-        if isinstance(base, RationalField) and \
-                _rational_perfect_root(delta.payload, 2) is not None:
+        q = _rational_value(delta)
+        if q is not None and _rational_perfect_root(q, 2) is not None:
             # sqrt(delta) would be rational: 2 - sqrt(4) is a zero divisor
-            raise ValueError(f"radicand {delta.payload} is a square in Q")
+            raise ValueError(f"radicand {q} is a square in Q")
         self.base = base
         self.delta = delta
         self._sqrt_sign = None  # +1 real branch, -1 imaginary branch

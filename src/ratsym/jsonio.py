@@ -21,7 +21,7 @@ from .moduli import (MAX_TILE_DEPTH, ConjugationLeg, ConnectivityCertificate,
                      SturmProof)
 from .poly import Poly
 from .ratmap import RationalMap, make_map
-from .symmetry import CyclicFamily, WitnessReport
+from .symmetry import CASE_OFFSET, CyclicFamily, WitnessReport
 
 __all__ = [
     "canon_dumps",
@@ -198,7 +198,7 @@ def _family_shape(obj) -> tuple[int, int, str]:
     if type(n) is not int or type(r) is not int or n < 2 or r < 1:
         raise ValueError(f"family order n = {n!r} and r = {r!r} must be "
                          f"integers with n >= 2 and r >= 1")
-    offset = {"A": 1, "B": 0, "C": -1}.get(case)
+    offset = CASE_OFFSET.get(case)
     if offset is None:
         raise ValueError(f"unknown family case {case!r}")
     if n * r + offset > MAX_DEGREE:

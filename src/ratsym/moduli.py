@@ -24,18 +24,18 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     QuadraticField, _integral_ring, _rational_perfect_root, common_field,
-                     interval_embed, lift)
+                     _integral_ring, common_field, interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
 from .poly import (Poly, _count_roots, _integer_poly, _ring_mul, interpolate,
                    pencil_resultant, resultant, squarefree_norm)
 from .ratmap import (ProjPoint, RationalMap, conjugate, eval_proj,
                      maps_equal)
-from .symmetry import (CyclicFamily, CoefficientConditionViolated, NotAdmissible,
-                       build_cyclic, cyclic_admissible, cyclic_family_from_map,
+from .symmetry import (CASE_OFFSET, DIHEDRAL_CASE, CyclicFamily,
+                       CoefficientConditionViolated, NotAdmissible, build_cyclic,
+                       case_conditions, cyclic_admissible, cyclic_family_from_map,
                        dihedral_admissible, lemma_witness, random_cyclic_family,
-                       simple_dihedral_family)
+                       _solve_power_equation, simple_dihedral_family)
 
 __all__ = [
     "DimensionReport",
@@ -97,39 +97,41 @@ class DimensionReport:
     dimension: int
 
 
+def _select_case(cases: list[tuple[str, int]], case: Optional[str], d: int,
+                 n: int, missing: str) -> tuple[str, int]:
+    """The (case, r) pair of an admissibility list named by ``case``, or its
+    only pair when ``case`` is None."""
+    pairs = dict(cases)
+    if not pairs:
+        raise NotAdmissible(missing)
+    if case is None:
+        if len(pairs) > 1:
+            raise ValueError(f"ambiguous cases {sorted(pairs)}; select one")
+        case = next(iter(pairs))
+    if case not in pairs:
+        raise NotAdmissible(f"case {case} does not occur for (d, n) = ({d}, {n})")
+    return case, pairs[case]
+
+
 def dim_cyclic(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
     """Complex dimension of the degree-d locus with an order-n rotation:
-    2(d-1)/n, (2d-n)/n or 2(d+1-n)/n for d congruent to 1, 0, -1 mod n,
-    that is 2r, 2r - 1 or 2r - 2 in the inner degree r of case A, B or C."""
-    cases = dict(cyclic_admissible(d, n))
-    if not cases:
-        raise NotAdmissible(f"order {n} does not occur in degree {d}")
-    if case is None:
-        if len(cases) > 1:
-            raise ValueError(f"ambiguous cases {sorted(cases)}; select one")
-        case = next(iter(cases))
-    if case not in cases:
-        raise NotAdmissible(f"case {case} does not occur for (d, n) = ({d}, {n})")
-    r = cases[case]
-    dimension = {"A": 2 * r, "B": 2 * r - 1, "C": 2 * r - 2}[case]
-    return DimensionReport(d, n, "cyclic", case, dimension)
+    2r - 1 + (d - n*r) in the inner degree r, that is 2r, 2r - 1 or 2r - 2
+    in case A, B or C -- the coefficients left free by the case, less the
+    scale and the scaling orbit."""
+    case, r = _select_case(cyclic_admissible(d, n), case, d, n,
+                           f"order {n} does not occur in degree {d}")
+    return DimensionReport(d, n, "cyclic", case, 2 * r - 1 + CASE_OFFSET[case])
 
 
 def dim_dihedral(d: int, n: int, case: Optional[str] = None) -> DimensionReport:
-    """Dimension of the dihedral locus: (d-1)/n = r in case I, (d+1-n)/n =
-    r - 1 in case II."""
-    cases = dict(dihedral_admissible(d, n))
-    if not cases:
-        raise NotAdmissible(f"dihedral symmetry of order 2*{n} does not occur "
-                            f"in degree {d}")
-    if case is None:
-        if len(cases) > 1:
-            raise ValueError(f"ambiguous cases {sorted(cases)}; select one")
-        case = next(iter(cases))
-    if case not in cases:
-        raise NotAdmissible(f"case {case} does not occur for (d, n) = ({d}, {n})")
-    r = cases[case]
-    return DimensionReport(d, n, "dihedral", case, r if case == "I" else r - 1)
+    """Dimension of the dihedral locus: half that of its cyclic row (r in
+    case I, r - 1 in case II), since a self-reciprocal family has half the
+    coefficients and loses only the scale."""
+    case, r = _select_case(dihedral_admissible(d, n), case, d, n,
+                           f"dihedral symmetry of order 2*{n} does not occur "
+                           f"in degree {d}")
+    row = dim_cyclic(d, n, DIHEDRAL_CASE[case]).dimension
+    return DimensionReport(d, n, "dihedral", case, row // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +214,6 @@ class PathCertificate:
         return CyclicFamily(self.n, self.r, self.case, s.end_a, s.end_b)
 
 
-def _formal_degrees(case: str, r: int) -> tuple[int, int]:
-    # case C has a_r identically zero, so the honest numerator slot is r-1;
-    # at (r, r) the determinant would vanish for structural reasons alone
-    return (r - 1, r) if case == "C" else (r, r)
-
-
 def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     """Polynomial in t whose nonvanishing on [0,1] certifies the segment:
     pencil resultant at the case formal degrees, times the case conditions.
@@ -231,19 +227,22 @@ def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     it."""
     K = fam0.field
     ring = _integral_ring(K)
-    r, case = fam0.r, fam0.case
-    fa, fb = _formal_degrees(case, r)
-    den_f, f0, df = _cleared_pencil(ring, fam0.a[:fa + 1], fam1.a[:fa + 1])
-    den_g, g0, dg = _cleared_pencil(ring, fam0.b, fam1.b)
+    r = fam0.r
+    conds = case_conditions(fam0.case, r)
+    # where a_r is identically zero the honest numerator slot is r-1; at
+    # (r, r) the determinant would vanish for structural reasons alone
+    fa, fb = (r if conds["a", r] else r - 1), r
+    pencils = {"a": _cleared_pencil(ring, fam0.a[:fa + 1], fam1.a[:fa + 1]),
+               "b": _cleared_pencil(ring, fam0.b, fam1.b)}
+    (den_f, f0, df), (den_g, g0, dg) = pencils["a"], pencils["b"]
     G = pencil_resultant(ring, f0, df, g0, dg)
     den = den_f ** fb * den_g ** fa
-    # the conditions a_r != 0 (cases A, B), b_0 != 0 (A) and b_r != 0 (C)
-    conds = {"A": ((f0, df, den_f, r), (g0, dg, den_g, 0)),
-             "B": ((f0, df, den_f, r),),
-             "C": ((g0, dg, den_g, r),)}[case]
-    for v0, dv, d, k in conds:
-        G = _ring_mul(ring, G, [v0[k], dv[k]])
-        den *= d
+    # times each coefficient the case needs nonzero
+    for (v, k), nonzero in conds.items():
+        if nonzero:
+            d, v0, dv = pencils[v]
+            G = _ring_mul(ring, G, [v0[k], dv[k]])
+            den *= d
     return Poly(K, [ring.to_field(c, den) for c in G])
 
 
@@ -483,21 +482,13 @@ class ConnectivityCertificate:
     legs: tuple
 
 
-def _exact_sqrt(x: FieldElement) -> FieldElement:
-    if x.field == QQ:
-        root = _rational_perfect_root(x.payload, 2)
-        if root is not None:
-            return QQ(root)
-    K = QuadraticField(x.field, x)
-    return K.sqrt_delta()
-
-
 def involution_to_standard(S: MobiusMap) -> MobiusMap:
     """A conjugator U with U o S o U^{-1} = -z, for any order-2 map S.
 
     U sends the two fixed points of S to 0 and infinity; the fixed points
-    may require one square root, in which case the result lives in a
-    quadratic extension.
+    may require one square root, taken by
+    :func:`symmetry._solve_power_equation`: in the field, in a cyclotomic
+    field for a root of unity, or else in a quadratic extension.
     """
     if mobius_order(S) != 2:
         raise ValueError("input is not an involution")
@@ -508,11 +499,12 @@ def involution_to_standard(S: MobiusMap) -> MobiusMap:
         zstar = S.b / (S.d - S.a)
         return translation(-zstar)
     disc = (S.d - S.a) * (S.d - S.a) + 4 * (S.b * S.c)
-    s = _exact_sqrt(disc)
+    roots = _solve_power_equation(2, disc)
+    if roots is None:
+        raise ValueError("nested quadratic extensions are not supported")
+    s = roots[0]
     K = s.field
-    a = lift(S.a, K) if K != field else S.a
-    d = lift(S.d, K) if K != field else S.d
-    c = lift(S.c, K) if K != field else S.c
+    a, d, c = (lift(x, K) for x in (S.a, S.d, S.c))
     two_c = c * 2
     xi1 = ((a - d) + s) / two_c
     xi2 = ((a - d) - s) / two_c

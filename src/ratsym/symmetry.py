@@ -3,17 +3,18 @@ symmetries.
 
 A degree-d map with an order-n rotation symmetry z -> w_n z is, after the
 rotation is put in standard position, of the shape phi(z) = z * psi(z^n)
-with psi = P/Q of degree r and exactly one of
+with psi = P/Q of degree r, in one of the cases A, B and C, whose offsets
+d - n*r are 1, 0 and -1 (:data:`CASE_OFFSET`).  For the coefficients a_k,
+b_k of P and Q every case fact follows from the offset: a_r != 0 exactly
+when it is >= 0, b_0 != 0 exactly when it is 1, and case C also needs
+b_r != 0; a_k sits at z^(nk+s) in the numerator and b_k at z^(nk+s-1) in
+the denominator, with s = 1 in case A and s = 0 otherwise.
 
-* case A: a_r * b_0 != 0         and d = n*r + 1,
-* case B: a_r != 0, b_0 = 0      and d = n*r,
-* case C: a_r = b_0 = 0, b_r != 0 and d = n*r - 1,
-
-where a_k, b_k are the coefficients of P and Q.  This module builds and
-validates such families, decides admissibility of each finite symmetry type
-for a given degree, produces explicit witness maps realising a rotation of
-odd prime order together with an extra involution, and searches for
-automorphisms inside the rotation normaliser {lam*z, mu/z}.
+This module builds and validates such families, decides admissibility of
+each finite symmetry type for a given degree, produces explicit witness maps
+realising a rotation of odd prime order together with an extra involution,
+and searches for automorphisms inside the rotation normaliser
+{lam*z, mu/z}.
 
 Both the search and the recovery of a family from a map read the
 coefficients of phi = N/D alone: a coprime pair of formal degree d
@@ -27,9 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
-                     QuadraticField, _integral_ring, _is_prime,
-                     _rational_perfect_root, common_field, lift, root_of_unity,
+from .fields import (QQ, Field, FieldElement, FieldMismatch, QuadraticField,
+                     _integral_ring, _is_prime, _rational_perfect_root,
+                     _rational_value, common_field, lift, root_of_unity,
                      root_of_unity_field)
 from .mobius import (GroupSpec, MobiusMap, inversion, mobius_order,
                      rotation, scaling, standard_generators)
@@ -41,12 +42,15 @@ __all__ = [
     "CyclicFamily",
     "DihedralFamily",
     "WitnessReport",
+    "CASE_OFFSET",
+    "DIHEDRAL_CASE",
     "NotAdmissible",
     "CoefficientConditionViolated",
     "UnexpectedDegree",
     "WitnessUnavailable",
     "WitnessVerificationFailed",
     "AutSearchIncomplete",
+    "case_conditions",
     "cyclic_admissible",
     "dihedral_admissible",
     "platonic_admissible",
@@ -96,42 +100,51 @@ class WitnessVerificationFailed(RuntimeError):
 
 
 class AutSearchIncomplete(RuntimeError):
-    """An inversion-type automorphism exists but its coefficient needs a
-    radical extension outside the supported field tower."""
+    """The normaliser search needs numbers outside the supported field
+    tower: the roots of unity of the scalings, or an inversion coefficient
+    that needs a further radical extension."""
 
 
 # ---------------------------------------------------------------------------
 # admissibility predicates
 # ---------------------------------------------------------------------------
 
+# d - n*r in each case of the normal form; the module docstring derives the rest
+CASE_OFFSET = {"A": 1, "B": 0, "C": -1}
+
+# the dihedral cases I and II are the rows A and C of the same table
+DIHEDRAL_CASE = {"I": "A", "II": "C"}
+
+
+def case_conditions(case: str, r: int) -> dict[tuple[str, int], bool]:
+    """The coefficient conditions of a case as {(vector, index): nonzero}:
+    whether a_r, b_0 (and in case C b_r) must be nonzero or zero."""
+    offset = CASE_OFFSET[case]
+    conds = {("a", r): offset >= 0, ("b", 0): offset == 1}
+    if offset < 0:
+        conds["b", r] = True
+    return conds
+
+
 def cyclic_admissible(d: int, n: int) -> list[tuple[str, int]]:
-    """All (case, r) pairs realising an order-n rotation in degree d.
+    """All (case, r) pairs realising an order-n rotation in degree d, in the
+    order A, B, C: those with d - n*r equal to the case offset.
 
     Empty when d is not congruent to -1, 0 or 1 modulo n.  For n = 2 and odd
     d both case A (r = (d-1)/2) and case C (r = (d+1)/2) apply.
     """
     if d < 2 or n < 2:
         return []
-    out = []
-    if d % n == 1:
-        out.append(("A", (d - 1) // n))
-    if d % n == 0:
-        out.append(("B", d // n))
-    if d % n == n - 1:
-        out.append(("C", (d + 1) // n))
-    return out
+    return [(case, (d - offset) // n) for case, offset in CASE_OFFSET.items()
+            if (d - offset) % n == 0]
 
 
 def dihedral_admissible(d: int, n: int) -> list[tuple[str, int]]:
-    """All (case, r) pairs realising a full dihedral symmetry of order 2n."""
-    if d < 2 or n < 2:
-        return []
-    out = []
-    if d % n == 1:
-        out.append(("I", (d - 1) // n))
-    if d % n == n - 1:
-        out.append(("II", (d + 1) // n))
-    return out
+    """All (case, r) pairs realising a full dihedral symmetry of order 2n:
+    the cyclic rows A and C, renamed I and II."""
+    cyclic = dict(cyclic_admissible(d, n))
+    return [(dcase, cyclic[case]) for dcase, case in DIHEDRAL_CASE.items()
+            if case in cyclic]
 
 
 def platonic_admissible(d: int, spec: GroupSpec) -> bool:
@@ -163,7 +176,7 @@ class CyclicFamily:
     def __post_init__(self):
         if self.n < 2 or self.r < 1:
             raise CoefficientConditionViolated("need n >= 2 and r >= 1")
-        if self.case not in ("A", "B", "C"):
+        if self.case not in CASE_OFFSET:
             raise CoefficientConditionViolated(f"unknown case {self.case!r}")
         if len(self.a) != self.r + 1 or len(self.b) != self.r + 1:
             raise CoefficientConditionViolated("coefficient vectors must have length r+1")
@@ -178,9 +191,7 @@ class CyclicFamily:
 
     @property
     def degree(self) -> int:
-        return {"A": self.n * self.r + 1,
-                "B": self.n * self.r,
-                "C": self.n * self.r - 1}[self.case]
+        return self.n * self.r + CASE_OFFSET[self.case]
 
     def psi_num(self) -> Poly:
         return Poly(self.field, self.a)
@@ -193,17 +204,12 @@ class CyclicFamily:
         Res(P, Q) at the actual degrees is nonzero, which :func:`resultant`
         decides over the field's integral ring: modulo primes over Z and
         Z[zeta_n], and through the base ring over a quadratic layer."""
-        ar, b0, br = self.a[self.r], self.b[0], self.b[self.r]
-        if self.case == "A":
-            if ar.is_zero() or b0.is_zero():
-                raise CoefficientConditionViolated("case A needs a_r != 0 and b_0 != 0")
-        elif self.case == "B":
-            if ar.is_zero() or not b0.is_zero():
-                raise CoefficientConditionViolated("case B needs a_r != 0 and b_0 = 0")
-        else:
-            if not ar.is_zero() or not b0.is_zero() or br.is_zero():
-                raise CoefficientConditionViolated(
-                    "case C needs a_r = b_0 = 0 and b_r != 0")
+        conds = case_conditions(self.case, self.r)
+        vecs = {"a": self.a, "b": self.b}
+        if any(vecs[v][k].is_zero() == nonzero for (v, k), nonzero in conds.items()):
+            need = " and ".join(f"{v}_{k} {'!=' if nonzero else '='} 0"
+                                for (v, k), nonzero in conds.items())
+            raise CoefficientConditionViolated(f"case {self.case} needs {need}")
         P, Q = self.psi_num(), self.psi_den()
         if P.is_zero() or Q.is_zero():
             raise CoefficientConditionViolated("psi must be a nonzero quotient")
@@ -261,7 +267,7 @@ class DihedralFamily:
     a: tuple[FieldElement, ...]
 
     def __post_init__(self):
-        if self.case not in ("I", "II"):
+        if self.case not in DIHEDRAL_CASE:
             raise CoefficientConditionViolated(f"unknown dihedral case {self.case!r}")
         if self.sign not in (1, -1):
             raise CoefficientConditionViolated("sign must be +1 or -1")
@@ -275,14 +281,14 @@ class DihedralFamily:
 
     @property
     def degree(self) -> int:
-        return self.n * self.r + (1 if self.case == "I" else -1)
+        return self.n * self.r + CASE_OFFSET[DIHEDRAL_CASE[self.case]]
 
     def to_cyclic(self) -> CyclicFamily:
         s = self.field(self.sign)
         b = tuple(self.a[self.r - k] * s for k in range(self.r + 1))
-        case = "A" if self.case == "I" else "C"
         try:
-            return CyclicFamily(self.n, self.r, case, tuple(self.a), b)
+            return CyclicFamily(self.n, self.r, DIHEDRAL_CASE[self.case],
+                                tuple(self.a), b)
         except CoefficientConditionViolated as exc:
             raise CoefficientConditionViolated(f"dihedral family invalid: {exc}") from exc
 
@@ -368,9 +374,7 @@ def classify_lemma_case(p: int, d: int) -> str:
     if not cases:
         raise NotAdmissible(f"order {p} does not occur in degree {d}")
     case, r = cases[0]
-    if case in ("A", "C"):
-        return "constructible"
-    if r % 2 == 0:
+    if case in DIHEDRAL_CASE.values() or r % 2 == 0:
         return "constructible"
     # case B with odd r: the even-support construction degenerates.  Check
     # every other finite symmetry type containing orders p and 2.
@@ -481,12 +485,12 @@ def lemma_witness(p: int, d: int) -> WitnessReport:
     cases = cyclic_admissible(d, p)
     if not cases:
         raise NotAdmissible(f"order {p} does not occur in degree {d}")
-    case, r = cases[0]
+    r = cases[0][1]
     Tp = rotation(p)
 
-    if case in ("A", "C"):
-        dcase = "I" if case == "A" else "II"
-        dfam = simple_dihedral_family(d, p, dcase, sign=1, field=QQ)
+    dcases = dihedral_admissible(d, p)
+    if dcases:
+        dfam = simple_dihedral_family(d, p, dcases[0][0], sign=1, field=QQ)
         fam = dfam.to_cyclic()
         phi = build_cyclic(fam)
         inv = inversion(QQ)
@@ -624,29 +628,20 @@ def cyclic_family_from_map(phi: RationalMap, n: int) -> tuple[CyclicFamily, Mobi
         U = inversion(field)
         phi = conjugate(phi, U)
         N, D = phi.num, phi.den
-    if N[0].is_zero() and D[d].is_zero():
-        r, case = (d - 1) // n, "A"
-        if d != n * r + 1:
-            raise CoefficientConditionViolated("degree incompatible with fixing 0 and inf")
-        a = tuple(N[n * k + 1] for k in range(r + 1))
-        b = tuple(D[n * k] for k in range(r + 1))
-    else:
-        # psi has a pole at 0: phi = P(z^n) / (z^(l*n-1) * Qhat(z^n))
-        v = D.valuation()
-        if (v + 1) % n != 0:
-            raise CoefficientConditionViolated("map is not in rotation normal form")
-        ell = (v + 1) // n
-        qhat = Poly(field, D.coeffs[v:]).deflate(n)
-        P = N.deflate(n)
-        if D[0].is_zero() and D[d].is_zero():
-            r, case = d // n, "B"
-        elif D[0].is_zero() and N[d].is_zero():
-            r, case = (d + 1) // n, "C"
-        else:
-            raise CoefficientConditionViolated("map does not stabilise {0, inf}")
-        Q = qhat.shift(ell)
-        a = tuple(P[k] for k in range(r + 1))
-        b = tuple(Q[k] for k in range(r + 1))
+    if not (N[0].is_zero() or D[0].is_zero()) or not (N[d].is_zero() or D[d].is_zero()):
+        raise CoefficientConditionViolated("map does not stabilise {0, inf}")
+    # s = 1 exactly when phi fixes 0; the offset is s, less one when phi
+    # sends inf to 0
+    s = 1 if N[0].is_zero() else 0
+    offset = s if D[d].is_zero() else s - 1
+    case = next(c for c, o in CASE_OFFSET.items() if o == offset)
+    r, rest = divmod(d - offset, n)
+    if rest:
+        raise CoefficientConditionViolated(
+            f"degree {d} is not that of a case-{case} form for order {n}")
+    # a_k at z^(nk+s) in N, b_k at z^(nk+s-1) in D (D[-1] is zero)
+    a = tuple(N[n * k + s] for k in range(r + 1))
+    b = tuple(D[n * k + s - 1] for k in range(r + 1))
     fam = CyclicFamily(n, r, case, a, b)
     rebuilt = build_cyclic(fam)
     if not maps_equal(rebuilt, phi):
@@ -698,7 +693,10 @@ def _solve_power_equation(M: int, gamma: FieldElement):
     s = _root_of_unity_order(gamma)
     if s is not None:
         Ms = M * s
-        K = common_field(field, root_of_unity_field(Ms))
+        try:
+            K = common_field(field, root_of_unity_field(Ms))
+        except FieldMismatch:       # a layer whose base lacks mu_Ms
+            return None
         wMs = lift(root_of_unity(Ms), K)
         glift = lift(gamma, K)
         cur = K.one()
@@ -707,10 +705,7 @@ def _solve_power_equation(M: int, gamma: FieldElement):
                 return _unit_coset(cur, M)
             cur = cur * wMs
         return None
-    # gamma rational: over Q, or a cyclotomic payload (q, 0, ..., 0)
-    q = gamma.payload if field == QQ else None
-    if isinstance(field, CyclotomicField) and not any(gamma.payload[1:]):
-        q = gamma.payload[0]
+    q = _rational_value(gamma)
     if q is not None:
         root = _rational_perfect_root(q, M)
         if root is not None:
@@ -773,8 +768,10 @@ def aut_in_normalizer(phi: RationalMap) -> list[MobiusMap]:
     The mu exponents are the lam exponents negated, so the fold gives
     mu^M = gamma, whose solutions are a coset mu0 * (M-th roots of unity).
     They are returned whenever mu0 lives in a cyclotomic extension, is a
-    rational perfect power, or needs only one square root; otherwise
-    :class:`AutSearchIncomplete` is raised.
+    rational perfect power, or needs only one square root; otherwise, and
+    when no supported field holds the M-th roots of unity with phi's field
+    (a quadratic layer whose base lacks them), :class:`AutSearchIncomplete`
+    is raised.
     """
     field, d = phi.field, phi.degree
     N, D = phi.num, phi.den
@@ -784,13 +781,12 @@ def aut_in_normalizer(phi: RationalMap) -> list[MobiusMap]:
                             + [(k - k0 + 1, one) for k in suppD])
     if M == 0:
         raise ValueError("degree-one scaling stabiliser is infinite")
-    autos: list[MobiusMap] = []
-    K = common_field(field, root_of_unity_field(M))
-    wM = lift(root_of_unity(M), K) if M > 1 else K.one()
-    cur = wM
-    for _ in range(M - 1):
-        autos.append(scaling(cur))
-        cur = cur * wM
+    try:
+        autos = [scaling(w) for w in _unit_coset(field.one(), M)[1:]]
+    except FieldMismatch as exc:
+        raise AutSearchIncomplete(
+            f"the scalings are the {M}-th roots of unity, which no supported "
+            f"field holds together with {field!r}") from exc
 
     if {d - k for k in suppN} != set(suppD):
         return autos

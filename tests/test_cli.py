@@ -356,6 +356,32 @@ def test_zero_divisor_exits_4_inside_validate(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_validate_exits_4_on_a_rational_square_radicand(tmp_path, capsys):
+    # the witness of (3, 4) lifted to Q(zeta_3)(sqrt 2) validates; naming
+    # the radicand 4 instead, a square in Q, must not: 2 - sqrt 4 would be
+    # a zero divisor.  The lifted coefficients have no sqrt part, so only
+    # the field record changes.
+    from ratsym.fields import QuadraticField
+    from ratsym.jsonio import elem_to_json, field_to_json, witness_to_json
+    from ratsym.symmetry import WitnessReport, lemma_witness
+    F = CyclotomicField(3)
+    K = QuadraticField(F, F(2))
+    w = lemma_witness(3, 4)
+    lifted = WitnessReport(map=w.map.lift(K),
+                           autos=tuple((T.lift(K), k) for T, k in w.autos),
+                           group=w.group, family=w.family.lift(K))
+    good = canon_dumps(witness_to_json(lifted))
+    square = {**field_to_json(K), "delta": elem_to_json(F(4))}
+    target = tmp_path / "w.json"
+    for text, expected in ((good, 0), (good.replace(canon_dumps(field_to_json(K))[:-1],
+                                                    canon_dumps(square)[:-1]),
+                                       EXIT_VALIDATION)):
+        target.write_text(text)
+        code, out = run_cli(["validate", str(target)], capsys)
+        assert code == expected, out
+    assert "square" in json.loads(out)["reason"]
+
+
 @pytest.mark.parametrize("value", ["1e5000", "0.5", "1_000", " 3/4", 1.5, 3])
 def test_validate_exits_4_on_a_coefficient_that_is_not_p_over_q(tmp_path, capsys, value):
     # Fraction() would read all but the JSON numbers, and "1e1000000" would
@@ -582,3 +608,7 @@ def test_witness_sweep_tool(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "witnesses 18, provably empty 2"
     assert lines[2].startswith("sha256 ") and len(lines[2]) == 7 + 64
+    # it checks the generated group, as `ratsym validate` does
+    sweep["main"].__globals__["_generated_group"] = lambda autos: None
+    with pytest.raises(SystemExit, match="failed verification"):
+        sweep["main"](["--dmax", "4", "--pmax", "3"])

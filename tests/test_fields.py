@@ -194,6 +194,18 @@ def test_rational_square_radicand_rejected():
         assert s * s == K(delta.payload) and x * x.inv() == K.one()
 
 
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_rational_square_radicand_rejected_over_cyclotomic_bases(n):
+    F = CyclotomicField(n)
+    for delta in (4, Fraction(9, 4), 1):
+        with pytest.raises(ValueError):
+            QuadraticField(F, F(delta))
+    # 2 is no square in Q(zeta_3), Q(i) or Q(zeta_12) = Q(i, sqrt 3)
+    K = QuadraticField(F, F(2))
+    x = K.sqrt_delta() + K(2)
+    assert x * x.inv() == K.one()
+
+
 def test_negative_radicand_branch():
     K = QuadraticField(QQ, QQ(-1))
     s = K.sqrt_delta()

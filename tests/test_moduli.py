@@ -460,6 +460,30 @@ def test_involution_to_standard():
         assert U.compose(S.lift(K)).compose(U.inverse()) == scaling(K(-1))
 
 
+@pytest.mark.parametrize("S, field", [
+    # 1/z over Q(zeta_3): the discriminant 4 has its root 2 in the field,
+    # not in a layer Q(zeta_3)(sqrt 4) with zero divisors
+    (inversion(CyclotomicField(3)), CyclotomicField(3)),
+    # -4/z over Q: the discriminant -1 is a root of unity, whose roots lie
+    # in Q(i) itself
+    (MobiusMap(QQ, 0, -1, Fraction(1, 4), 0), CyclotomicField(4)),
+    (inversion(QQ), QQ),
+], ids=["zeta_3", "i", "QQ"])
+def test_involution_to_standard_stays_in_a_cyclotomic_field(S, field):
+    U = involution_to_standard(S)
+    assert U.field == field
+    assert U.compose(S.lift(field)).compose(U.inverse()) == scaling(field(-1))
+
+
+def test_involution_to_standard_over_a_layer_raises_value_error():
+    # the discriminants 4 and -1 over Q(sqrt 2) would need a second layer
+    # and Q(i) joined to the layer, neither of which is supported
+    K = QuadraticField(QQ, QQ(2))
+    for S in (inversion(K), MobiusMap(K, 0, -1, Fraction(1, 4), 0)):
+        with pytest.raises(ValueError, match="nested"):
+            involution_to_standard(S)
+
+
 def test_involution_to_standard_raises_when_check_fails(monkeypatch):
     # the final conjugation check is an exception, so python -O keeps it
     monkeypatch.setattr(moduli, "scaling", lambda lam: scaling(lam.field(2)))

@@ -6,11 +6,11 @@ from test_poly import gauss_jordan_nullspace
 
 from ratsym import poly, symmetry
 from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
-from ratsym.mobius import (GroupSpec, MobiusMap, group_closure, inversion, mobius_order,
-                           rotation, standard_generators)
+from ratsym.mobius import (GroupSpec, MobiusMap, group_closure, icosahedral_field,
+                           inversion, mobius_order, rotation, standard_generators)
 from ratsym.poly import Poly, nullspace, resultant
 from ratsym.ratmap import conjugate, is_automorphism, make_map, maps_equal
-from ratsym.symmetry import (CoefficientConditionViolated,
+from ratsym.symmetry import (AutSearchIncomplete, CoefficientConditionViolated,
                              CyclicFamily, DihedralFamily, NotAdmissible,
                              WitnessReport, WitnessUnavailable,
                              WitnessVerificationFailed, aut_in_normalizer,
@@ -26,7 +26,7 @@ from ratsym.symmetry import (CoefficientConditionViolated,
 def test_cyclic_admissible_examples():
     assert cyclic_admissible(7, 5) == []
     assert cyclic_admissible(2, 3) == [("C", 1)]
-    assert sorted(cyclic_admissible(3, 2)) == [("A", 1), ("C", 2)]
+    assert cyclic_admissible(3, 2) == [("A", 1), ("C", 2)]
     # the accepted rotation orders never exceed d+1
     for d in range(2, 25):
         for n in range(2, 3 * d):
@@ -423,15 +423,65 @@ def test_rational_gamma_in_a_cyclotomic_field(F, c):
     assert all(is_automorphism(quintic, T) for T in invs)
 
 
-def test_family_from_map_roundtrip():
+@pytest.mark.parametrize("F", [QQ, CyclotomicField(4)], ids=["QQ", "i"])
+def test_family_from_map_roundtrip(F):
+    # every admissible (n, case, r) with n <= 6 and r <= 3, as built and
+    # conjugated by 1/z: that swaps 0 and infinity, so case B turns into
+    # the transitional shape and is inverted back, while A and C stay
     rng = random.Random(5)
-    for n, r, case in [(3, 1, "A"), (3, 2, "B"), (4, 1, "C"), (2, 2, "B"), (2, 3, "A")]:
-        fam = random_cyclic_family(rng, n, r, case)
-        phi = build_cyclic(fam)
+    offset = {"A": 1, "B": 0, "C": -1}
+    shapes = [(n, case, r) for n in range(2, 7) for case in "ABC" for r in range(1, 4)
+              if (case, r) in cyclic_admissible(n * r + offset[case], n)]
+    assert len(shapes) == 44
+    for n, case, r in shapes:
+        phi = build_cyclic(random_cyclic_family(rng, n, r, case, field=F))
         fam2, U = cyclic_family_from_map(phi, n)
-        assert (fam2.case, fam2.r) == (case, r)
+        assert (fam2.n, fam2.case, fam2.r, fam2.field) == (n, case, r, F)
         assert U.is_identity()
         assert maps_equal(build_cyclic(fam2), phi)
+        psi = conjugate(phi, inversion(F))
+        fam3, U = cyclic_family_from_map(psi, n)
+        assert (fam3.case, fam3.r) == (case, r)
+        assert U.is_identity() == (case != "B")
+        assert maps_equal(build_cyclic(fam3), conjugate(psi, U))
+
+
+def test_family_from_map_rejects_what_is_not_a_normal_form():
+    # (z^3 + z + 1) / z^2 sends 0 and infinity to infinity, the shape of
+    # case B for n = 3, but z^1 is not a slot of that form
+    phi = make_map(Poly(QQ, [1, 1, 0, 1]), Poly(QQ, [0, 0, 1]))
+    with pytest.raises(CoefficientConditionViolated):
+        cyclic_family_from_map(phi, 3)
+    # the degree of no case: z^3 fixes 0 and infinity, but 3 is not 4k + 1
+    with pytest.raises(CoefficientConditionViolated):
+        cyclic_family_from_map(make_map(Poly(QQ, [0, 0, 0, 1]), Poly(QQ, [1])), 4)
+    # 1 is neither 0 nor infinity
+    with pytest.raises(CoefficientConditionViolated):
+        cyclic_family_from_map(make_map(Poly(QQ, [1, 0, 1]), Poly(QQ, [1, 0, 2])), 2)
+
+
+def test_dihedral_cases_are_the_cyclic_rows_a_and_c():
+    rename = {"A": "I", "C": "II"}
+    for d in range(2, 41):
+        for n in range(2, d + 2):
+            cyclic = cyclic_admissible(d, n)
+            assert dihedral_admissible(d, n) == [
+                (rename[case], r) for case, r in cyclic if case in rename]
+
+
+def test_aut_search_beyond_the_field_tower_is_incomplete():
+    # (z^3 + sqrt 2)/z^2 commutes with the scalings by cube roots of unity,
+    # and z^5 with those by fourth roots; no supported field holds them
+    # together with Q(sqrt 2) or the icosahedral layer over Q(zeta_5)
+    K = QuadraticField(QQ, QQ(2))
+    phi = make_map(Poly(K, [K.sqrt_delta(), 0, 0, 1]), Poly(K, [0, 0, 1]))
+    L = icosahedral_field()
+    quintic = make_map(Poly(L, [0, 0, 0, 0, 0, 1]), Poly(L, [1]))
+    for f in (phi, quintic):
+        with pytest.raises(AutSearchIncomplete):
+            aut_in_normalizer(f)
+    # mu^2 = -1 needs i, which Q(sqrt 2) lacks: out of reach, not a TypeError
+    assert symmetry._solve_power_equation(2, K(-1)) is None
 
 
 def test_family_from_map_transitional_shape():

@@ -5,7 +5,8 @@ order p occurs, ``lemma_witness(p, d)`` is built and serialised to
 canonical JSON; a pair raising ``WitnessUnavailable`` with analysis
 ``provably_empty`` is counted and skipped.  Each certificate is then parsed
 back and checked as ``ratsym validate`` checks a witness: its automorphisms
-exactly, and its family against its map.  The script prints the CPU time of
+exactly, its family against its map, and the group its automorphisms
+generate against the group it names.  The script prints the CPU time of
 each phase, the counts, and the SHA-256 of all certificates, one per line in
 the order built, so that a change to the library can be checked to leave
 every byte as it was.
@@ -20,6 +21,7 @@ import hashlib
 import json
 import time
 
+from ratsym.cli import _generated_group
 from ratsym.jsonio import canon_dumps, witness_from_json, witness_to_json
 from ratsym.ratmap import maps_equal
 from ratsym.symmetry import (WitnessUnavailable, build_cyclic, cyclic_admissible,
@@ -55,7 +57,9 @@ def main(argv=None) -> int:
     start = time.process_time()
     for text in texts:
         report = witness_from_json(json.loads(text))
-        if not report.verify() or not maps_equal(build_cyclic(report.family), report.map):
+        if (not report.verify()
+                or not maps_equal(build_cyclic(report.family), report.map)
+                or _generated_group(report.autos) != report.group):
             raise SystemExit("a witness failed verification")
     verify = time.process_time() - start
 
