@@ -123,12 +123,15 @@ def _rational_perfect_root(fr: Fraction, k: int) -> Optional[Fraction]:
 
 
 def _rational_value(x: FieldElement) -> Optional[Fraction]:
-    """x as a Fraction when it is rational: any element of Q, or a
-    cyclotomic payload (q, 0, ..., 0); else None (always on a layer)."""
+    """x as a Fraction when it is rational: any element of Q, a cyclotomic
+    payload (q, 0, ..., 0), or a layer element a + 0 sqrt(delta) with a
+    rational; else None."""
     if isinstance(x.field, RationalField):
         return x.payload
     if isinstance(x.field, CyclotomicField) and not any(x.payload[1:]):
         return x.payload[0]
+    if isinstance(x.field, QuadraticField) and x.payload[1].is_zero():
+        return _rational_value(x.payload[0])
     return None
 
 

@@ -120,7 +120,7 @@ def elem_to_json(e: FieldElement):
 
 def elem_from_json(obj, field: Field) -> FieldElement:
     if isinstance(field, RationalField):
-        return QQ(_frac_parse(obj))
+        return FieldElement(QQ, _frac_parse(obj))
     if isinstance(field, CyclotomicField):
         if obj["conductor"] != field.n:
             raise ValueError("conductor mismatch")

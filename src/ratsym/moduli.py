@@ -203,16 +203,6 @@ class PathCertificate:
     field: Field
     segments: tuple[PathSegment, ...]
 
-    def start_family(self) -> CyclicFamily:
-        if not self.segments:
-            raise ValueError("empty certificate has no stored endpoints")
-        s = self.segments[0]
-        return CyclicFamily(self.n, self.r, self.case, s.start_a, s.start_b)
-
-    def end_family(self) -> CyclicFamily:
-        s = self.segments[-1]
-        return CyclicFamily(self.n, self.r, self.case, s.end_a, s.end_b)
-
 
 def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
     """Polynomial in t whose nonvanishing on [0,1] certifies the segment:
@@ -410,7 +400,8 @@ def build_path(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str = "sturm",
         f"(n={fam0.n}, r={fam0.r}, case {fam0.case}) after {MAX_DETOURS} detours")
 
 
-def validate_path_certificate(cert: PathCertificate) -> None:
+def validate_path_certificate(cert: PathCertificate
+                              ) -> Optional[tuple[CyclicFamily, CyclicFamily]]:
     """Independent revalidation: rebuild every family and recompute every
     obstruction polynomial from the stored endpoint vectors.  A Sturm proof
     must equal its recomputation: the obstruction is nonzero at t = 0, and
@@ -419,17 +410,24 @@ def validate_path_certificate(cert: PathCertificate) -> None:
     at 0, be nonempty, chain and end at 1, and the enclosure of the
     obstruction on each tile, computed again at the stored precision, must
     exclude zero.  Raises :class:`CertificateInvalid`.
+
+    Each segment must start where the one before it ends, compared on the
+    stored vectors, so each endpoint family is validated once.  Returns the
+    validated families at the two ends of the path, or None when it has no
+    segments.
     """
-    prev_end = None
+    first = f1 = None
     for idx, seg in enumerate(cert.segments):
+        if idx and (seg.start_a, seg.start_b) != (f1.a, f1.b):
+            raise CertificateInvalid(f"segment {idx}: endpoints do not chain")
         try:
-            f0 = CyclicFamily(cert.n, cert.r, cert.case, seg.start_a, seg.start_b)
+            f0 = f1 if idx else CyclicFamily(cert.n, cert.r, cert.case,
+                                             seg.start_a, seg.start_b)
             f1 = CyclicFamily(cert.n, cert.r, cert.case, seg.end_a, seg.end_b)
         except CoefficientConditionViolated as exc:
             raise CertificateInvalid(f"segment {idx}: invalid endpoint family: {exc}")
-        if prev_end is not None and (f0.a, f0.b) != prev_end:
-            raise CertificateInvalid(f"segment {idx}: endpoints do not chain")
-        prev_end = (f1.a, f1.b)
+        if idx == 0:
+            first = f0
         G = _segment_obstruction(f0, f1)
         proof = seg.proof
         if isinstance(proof, SturmProof):
@@ -456,6 +454,7 @@ def validate_path_certificate(cert: PathCertificate) -> None:
                 raise CertificateInvalid(f"segment {idx}: subdivision stops early")
         else:
             raise CertificateInvalid(f"segment {idx}: unknown proof type")
+    return None if f1 is None else (first, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +624,9 @@ def validate_connectivity_certificate(cert: ConnectivityCertificate) -> None:
     prev_map: Optional[RationalMap] = None
     for idx, leg in enumerate(cert.legs):
         if isinstance(leg, PathLeg):
-            validate_path_certificate(leg.cert)
-            if leg.cert.segments:
-                start = build_cyclic(leg.cert.start_family())
-                end = build_cyclic(leg.cert.end_family())
+            ends = validate_path_certificate(leg.cert)
+            if ends is not None:
+                start, end = map(build_cyclic, ends)
                 if start.degree != cert.degree:
                     raise CertificateInvalid(f"leg {idx}: degree mismatch")
                 if prev_map is not None and not maps_equal(prev_map, start):

@@ -166,7 +166,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             s = other if isinstance(other, FieldElement) else self.field(other)
-            return Poly(self.field, (c * s for c in self.coeffs))
+            return Poly(self.field, (c if c.is_zero() else c * s for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():

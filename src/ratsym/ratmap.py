@@ -85,7 +85,9 @@ class ProjPoint:
 
 
 class RationalMap:
-    __slots__ = ("field", "num", "den", "degree")
+    # _pair: the integral pair of _cleared_map in the map's own ring, filled
+    # on first use; nothing assigns num, den or degree after construction
+    __slots__ = ("field", "num", "den", "degree", "_pair")
 
     def __init__(self, field: Field, num: Poly, den: Poly, degree: int):
         # internal: use make_map
@@ -93,6 +95,7 @@ class RationalMap:
         self.num = num
         self.den = den
         self.degree = degree
+        self._pair = None
 
     def __repr__(self):
         return f"RationalMap(({self.num!r}) / ({self.den!r}), degree={self.degree})"
@@ -146,8 +149,10 @@ def _scaled(P: Poly, Q: Poly, d: int) -> RationalMap:
     scale = P[d] if not P[d].is_zero() else Q[d]
     if scale.is_zero():
         raise DegenerateMap(f"pair has dropped below degree {d}")
-    inv = scale.inv()
-    return RationalMap(P.field, P * inv, Q * inv, d)
+    if scale != 1:
+        inv = scale.inv()
+        P, Q = P * inv, Q * inv
+    return RationalMap(P.field, P, Q, d)
 
 
 def maps_equal(phi: RationalMap, psi: RationalMap) -> bool:
@@ -277,10 +282,16 @@ def _integral_data(phi: RationalMap, T):
 
 def _cleared_map(ring, phi: RationalMap) -> tuple[list, list]:
     """P and Q at formal degree d, cleared together (up to a scalar, which
-    changes no map) by :func:`_cleared`."""
-    d = phi.degree
-    pq = _cleared(ring, phi.field, [f[k] for f in (phi.num, phi.den) for k in range(d + 1)])
-    return pq[:d + 1], pq[d + 1:]
+    changes no map) in the map's own ring once per map, and lifted into
+    ``ring`` as by :func:`_cleared`."""
+    src = _integral_ring(phi.field)
+    if phi._pair is None:
+        d = phi.degree
+        pq = src.clear([f[k] for f in (phi.num, phi.den) for k in range(d + 1)])[1]
+        phi._pair = (pq[:d + 1], pq[d + 1:])
+    if src is ring:
+        return phi._pair
+    return tuple([_ring_lift(x, src, ring) for x in f] for f in phi._pair)
 
 
 def _cleared(ring, field: Field, elems) -> list:

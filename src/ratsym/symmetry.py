@@ -709,7 +709,10 @@ def _solve_power_equation(M: int, gamma: FieldElement):
     if q is not None:
         root = _rational_perfect_root(q, M)
         if root is not None:
-            return _unit_coset(field(root), M)
+            try:
+                return _unit_coset(field(root), M)
+            except FieldMismatch:   # a layer whose base lacks mu_M
+                return None
         if M % 2 == 0:
             # split mu^M = gamma into mu^(M/2) = +-eta when gamma = eta^2
             eta = _rational_perfect_root(q, 2)

@@ -380,14 +380,14 @@ def test_a_stored_tile_end_is_bounded_before_any_embedding(monkeypatch, end):
 def test_interval_precision_is_bounded_before_any_embedding(monkeypatch, precision):
     def refuse(*args):
         raise AssertionError("interval_embed ran")
-    cert = _with_tiles(_tiled_path(), [(0, "1/4"), ("1/4", "1/2"), ("1/2", 1)],
-                       precision)
+    path = _tiled_path()
+    f0, f1 = validate_path_certificate(path)
+    cert = _with_tiles(path, [(0, "1/4"), ("1/4", "1/2"), ("1/2", 1)], precision)
     monkeypatch.setattr(moduli, "interval_embed", refuse)
     with pytest.raises(ValueError, match="precision"):
         validate_path_certificate(cert)
     with pytest.raises(ValueError, match="precision"):
-        build_path(cert.start_family(), cert.end_family(), "interval",
-                   precision=precision)
+        build_path(f0, f1, "interval", precision=precision)
 
 
 def test_path_certificate_samples_stay_valid():
@@ -450,6 +450,61 @@ def test_path_certificate_tamper_detected():
         validate_path_certificate(broken)
 
 
+def test_validate_path_certificate_returns_the_end_families():
+    f0 = CyclicFamily(2, 1, "A", (QQ(1), QQ(1)), (QQ(1), QQ(2)))
+    f1 = CyclicFamily(2, 1, "A", (QQ(-3), QQ(1)), (QQ(-4), QQ(1)))
+    cert = build_path(f0, f1, "sturm", rng=random.Random(1))
+    assert len(cert.segments) == 2
+    start, end = validate_path_certificate(cert)
+    g0, g1 = f0.lift(cert.field), f1.lift(cert.field)   # the detour's field
+    assert (start.a, start.b, end.a, end.b) == (g0.a, g0.b, g1.a, g1.b)
+    assert validate_path_certificate(
+        PathCertificate(cert.n, cert.r, cert.case, cert.field, ())) is None
+
+
+def test_validate_path_certificate_names_what_is_wrong():
+    two = build_path(CyclicFamily(2, 1, "A", (QQ(1), QQ(1)), (QQ(1), QQ(2))),
+                     CyclicFamily(2, 1, "A", (QQ(-3), QQ(1)), (QQ(-4), QQ(1))),
+                     "sturm", rng=random.Random(1))
+    s0, s1 = two.segments
+    K = two.field
+    # a second segment that starts elsewhere, even at an invalid family
+    for start_a in ((K(9), K(1)), (K(1), K(0))):
+        broken = PathCertificate(two.n, two.r, two.case, K,
+                                 (s0, PathSegment(start_a, s1.start_b,
+                                                  s1.end_a, s1.end_b, s1.proof)))
+        with pytest.raises(CertificateInvalid, match="do not chain"):
+            validate_path_certificate(broken)
+    # an end family that violates case A (a_1 = 0)
+    bad_end = PathCertificate(two.n, two.r, two.case, K,
+                              (s0, PathSegment(s1.start_a, s1.start_b,
+                                               (K(1), K(0)), s1.end_b, s1.proof)))
+    with pytest.raises(CertificateInvalid, match="invalid endpoint family"):
+        validate_path_certificate(bad_end)
+
+
+def test_validating_a_chain_validates_each_endpoint_family_once(monkeypatch):
+    import json
+    from ratsym import symmetry
+    from ratsym.jsonio import (canon_dumps, connectivity_from_json,
+                               connectivity_to_json)
+    rng = random.Random(4031)
+    case, r = cyclic_admissible(4, 3)[0]
+    f3 = random_cyclic_family(rng, 3, r, case)
+    f2 = random_cyclic_family(rng, 2, 2, "B")
+    cert = connectivity_certificate(f2, f3, "sturm", random.Random(7))
+    back = connectivity_from_json(json.loads(canon_dumps(connectivity_to_json(cert))))
+    paths = [leg.cert for leg in back.legs
+             if isinstance(leg, PathLeg) and leg.cert.segments]
+    assert paths
+    calls = []
+    validate = symmetry.CyclicFamily.validate
+    monkeypatch.setattr(symmetry.CyclicFamily, "validate",
+                        lambda fam: calls.append(fam) or validate(fam))
+    validate_connectivity_certificate(back)
+    assert len(calls) == sum(len(p.segments) + 1 for p in paths)
+
+
 def test_involution_to_standard():
     for S in (inversion(QQ), scaling(QQ(-1)),
               MobiusMap(QQ, 1, 1, 0, -1),          # z + 1 reflected: order 2
@@ -475,13 +530,17 @@ def test_involution_to_standard_stays_in_a_cyclotomic_field(S, field):
     assert U.compose(S.lift(field)).compose(U.inverse()) == scaling(field(-1))
 
 
-def test_involution_to_standard_over_a_layer_raises_value_error():
-    # the discriminants 4 and -1 over Q(sqrt 2) would need a second layer
-    # and Q(i) joined to the layer, neither of which is supported
+def test_involution_to_standard_over_a_layer():
+    # 1/z over Q(sqrt 2) has the discriminant 4 = 2^2 and the rational fixed
+    # points +-1, so it is normalised in the layer itself
     K = QuadraticField(QQ, QQ(2))
-    for S in (inversion(K), MobiusMap(K, 0, -1, Fraction(1, 4), 0)):
-        with pytest.raises(ValueError, match="nested"):
-            involution_to_standard(S)
+    U = involution_to_standard(inversion(K))
+    assert U.field == K
+    assert U.compose(inversion(K)).compose(U.inverse()) == scaling(K(-1))
+    # -4/z has the discriminant -1, whose roots need Q(i) joined to the
+    # layer, which is not supported
+    with pytest.raises(ValueError, match="nested"):
+        involution_to_standard(MobiusMap(K, 0, -1, Fraction(1, 4), 0))
 
 
 def test_involution_to_standard_raises_when_check_fails(monkeypatch):
@@ -570,7 +629,8 @@ def test_far_legs_are_built_forwards_and_certified_once(monkeypatch):
     monkeypatch.undo()
     *_, conj, far = cert.legs
     assert isinstance(conj, ConjugationLeg) and far.cert.n == 3
-    assert maps_equal(build_cyclic(far.cert.end_family()), build_cyclic(f3))
+    _, end = validate_path_certificate(far.cert)
+    assert maps_equal(build_cyclic(end), build_cyclic(f3))
     assert far.cert.segments
     for seg in far.cert.segments:
         ends = frozenset({(seg.start_a, seg.start_b), (seg.end_a, seg.end_b)})
@@ -601,9 +661,13 @@ def _check_chain(cert, f0, f1):
     import json
     from ratsym.jsonio import (canon_dumps, connectivity_from_json,
                                connectivity_to_json)
-    assert maps_equal(build_cyclic(cert.legs[0].cert.start_family()),
+    first, last = cert.legs[0].cert, cert.legs[-1].cert
+    start, end = first.segments[0], last.segments[-1]
+    assert maps_equal(build_cyclic(CyclicFamily(first.n, first.r, first.case,
+                                                start.start_a, start.start_b)),
                       build_cyclic(f0))
-    assert maps_equal(build_cyclic(cert.legs[-1].cert.end_family()),
+    assert maps_equal(build_cyclic(CyclicFamily(last.n, last.r, last.case,
+                                                end.end_a, end.end_b)),
                       build_cyclic(f1))
     text = canon_dumps(connectivity_to_json(cert))
     assert not any(f'"{key}"' in text for key in _DROPPED_KEYS)

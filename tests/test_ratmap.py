@@ -408,3 +408,77 @@ def test_maps_equal_is_not_fooled_by_a_root_at_a_power_of_two(s):
     # agree at X = 2^s, so the slot width must exceed s
     z = make_map(qpoly(0, 1), qpoly(1))
     assert not maps_equal(z, make_map(qpoly(2 ** (s + 1), -1), qpoly(1)))
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 10), (3, 9)])
+def test_validating_a_witness_clears_each_map_once(monkeypatch, p, d):
+    # the witness checks of `ratsym validate` on a parsed certificate: its
+    # map is cleared once for both automorphisms and the comparison with
+    # the map its family rebuilds, which is cleared once too
+    import json
+    from ratsym import fields
+    from ratsym.jsonio import canon_dumps, witness_from_json, witness_to_json
+    from ratsym.symmetry import build_cyclic
+    report = witness_from_json(json.loads(canon_dumps(witness_to_json(lemma_witness(p, d)))))
+    phi = report.map
+    coeffs = [f[k] for f in (phi.num, phi.den) for k in range(d + 1)]
+    ring = fields._integral_ring(phi.field)
+    seen = []
+    clear = ring.clear
+    monkeypatch.setattr(ring, "clear", lambda elems: seen.append(list(elems)) or clear(elems))
+    assert report.verify()
+    assert maps_equal(build_cyclic(report.family), phi)
+    assert seen.count(coeffs) == 2
+
+
+SQUARE_ROOT_2 = QuadraticField(QQ, QQ(2))
+SCALE_FIELDS = [QQ, QI, Q5, SQUARE_ROOT_2]
+
+
+def _scale_factor(K):
+    """A nonzero element of K with a nonrational part where K has one."""
+    if K == QQ:
+        return K(Fraction(3, 2))
+    if K == SQUARE_ROOT_2:
+        return K.one() + K.sqrt_delta()
+    return K.zeta() + 2
+
+
+def _dense_scaled(N, D, d):
+    """The reference scaling: every coefficient, zeros included, times the
+    inverse of the degree-d coefficient of N, or of D when N drops."""
+    scale = N[d] if not N[d].is_zero() else D[d]
+    inv = scale.inv()
+    return [[c.payload for c in Poly(f.field, [c * inv for c in f.coeffs]).coeffs]
+            for f in (N, D)]
+
+
+def _payloads(phi):
+    return [[c.payload for c in f.coeffs] for f in (phi.num, phi.den)]
+
+
+@pytest.mark.parametrize("K", SCALE_FIELDS, ids=["Q", "Qi", "Qz5", "sqrt2"])
+def test_scaling_matches_a_dense_reference(K):
+    from ratsym.ratmap import _scaled
+    from ratsym.symmetry import CyclicFamily, build_cyclic, random_cyclic_family
+    rng = random.Random(f"scaled/{K!r}")
+    s = _scale_factor(K)
+    for n, r, case in ((2, 2, "A"), (3, 1, "B"), (3, 2, "C"), (5, 2, "A")):
+        fam = random_cyclic_family(rng, n, r, case, field=K)
+        fam = CyclicFamily(n, r, case, tuple(c * s for c in fam.a), fam.b)
+        # z P(z^n) over Q(z^n), divided by z when b_0 = 0
+        N = [K.zero()] * (n * r + 2)
+        D = [K.zero()] * (n * r + 1)
+        for k in range(r + 1):
+            N[n * k + 1], D[n * k] = fam.a[k], fam.b[k]
+        if fam.b[0].is_zero():
+            N, D = N[1:], D[1:]
+        N, D, d = Poly(K, N), Poly(K, D), fam.degree
+        expected = _dense_scaled(N, D, d)
+        assert _payloads(build_cyclic(fam)) == expected
+        assert _payloads(make_map(N, D)) == expected
+        assert _payloads(_scaled(N, D, d)) == expected
+        # a pair already scaled comes back with the same coefficients
+        phi = _scaled(N, D, d)
+        assert _payloads(_scaled(phi.num, phi.den, d)) == expected
+        assert _payloads(make_map(phi.num * s, phi.den * s)) == expected

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from test_poly import gauss_jordan_nullspace
@@ -482,6 +483,21 @@ def test_aut_search_beyond_the_field_tower_is_incomplete():
             aut_in_normalizer(f)
     # mu^2 = -1 needs i, which Q(sqrt 2) lacks: out of reach, not a TypeError
     assert symmetry._solve_power_equation(2, K(-1)) is None
+
+
+def test_rational_gamma_on_a_quadratic_layer():
+    # (z^3 + 2z)/(3z^2 + 2/3) has the inversions mu/z with mu^2 = 4/9 over
+    # Q; over Q(sqrt 2) the roots +-2/3 lie in the base, so the same three
+    # automorphisms are found
+    K = QuadraticField(QQ, QQ(2))
+    phi = make_map(Poly(K, [0, 2, 0, 1]), Poly(K, [Fraction(2, 3), 0, 3]))
+    autos = aut_in_normalizer(phi)
+    assert all(T.field == K and is_automorphism(phi, T) for T in autos)
+    assert len(autos) == 3
+    assert {(T.a, T.b) for T in autos} == {
+        (K(a), K(b)) for a, b in ((-1, 0), (0, Fraction(2, 3)), (0, Fraction(-2, 3)))}
+    # mu^4 = 16 has the roots +-2 and +-2i, and Q(sqrt 2) lacks i
+    assert symmetry._solve_power_equation(4, K(16)) is None
 
 
 def test_family_from_map_transitional_shape():
