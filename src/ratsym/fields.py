@@ -499,7 +499,8 @@ class CyclotomicField(Field):
         return tuple(v)
 
     def from_coeffs(self, coeffs: Iterable[Scalar]) -> FieldElement:
-        v = [Fraction(c) for c in coeffs]
+        # a Fraction is immutable, so one already built is taken as it is
+        v = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(v) > self.degree:
             den, x = _clear(v)
             return FieldElement(self, _fractions(self.ring.at_power(x, 1), den))
@@ -736,9 +737,12 @@ def _ring_lift(x, src, ring):
     in the integral ring ``ring`` of a field that :func:`lift` maps that
     field into: an integer is a multiple of one, Z[zeta_m] goes into
     Z[zeta_n] by zeta_m = zeta_n^(n/m) (:meth:`_CyclotomicIntegers.at_power`),
-    and the base's ring into a quadratic layer's as the pairs (x, 0)."""
+    and the base's ring into a quadratic layer's as the pairs (x, 0).
+    A zero goes to the target ring's zero."""
     if src is ring:
         return x
+    if x == src.zero:
+        return ring.zero
     if src.base is None:
         return ring.scale(ring.one, x)
     if isinstance(ring, _QuadraticIntegers):

@@ -231,18 +231,6 @@ class Poly:
             out[k * n] = c
         return Poly(self.field, out)
 
-    def deflate(self, n: int) -> "Poly":
-        """Inverse of inflate; every exponent must be divisible by n."""
-        if n == 1:
-            return self
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if k % n == 0:
-                out.append(c)
-            elif not c.is_zero():
-                raise ValueError("polynomial is not supported on multiples of n")
-        return Poly(self.field, out)
-
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k, for k >= 0."""
         if k < 0:
@@ -250,14 +238,6 @@ class Poly:
         if self.is_zero() or k == 0:
             return self
         return Poly(self.field, (self.field.zero(),) * k + self.coeffs)
-
-    def valuation(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no valuation")
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        raise AssertionError
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, c in enumerate(self.coeffs) if not c.is_zero())
@@ -1130,10 +1110,12 @@ def _signed_digits(x: int, S: int, count: int) -> list[int]:
 
 
 def _pack(ring, f: list, S: int):
-    """f(2^S) for a coefficient list f over the ring, by Horner's rule."""
-    x, X = ring.zero, 1 << S
-    for c in reversed(f):
-        x = ring.add(ring.scale(x, X), c)
+    """f(2^S) for a coefficient list f over the ring: the sum of the terms
+    c_k 2^(S k) over the nonzero coefficients c_k only."""
+    x = zero = ring.zero
+    for k, c in enumerate(f):
+        if c != zero:
+            x = ring.add(x, ring.scale(c, 1 << (S * k)))
     return x
 
 

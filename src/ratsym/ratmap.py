@@ -4,9 +4,9 @@ A :class:`RationalMap` is a reduced pair (P, Q) with a certified degree:
 gcd(P, Q) is constant and max(deg P, deg Q) = d >= 1, which together are
 equivalent to the nonvanishing of the Sylvester resultant at formal degrees
 (d, d).  Construction goes through :func:`make_map`, so every later
-operation may assume nondegeneracy; :func:`compose`, :func:`conjugate`,
-:meth:`RationalMap.lift` and ``MobiusMap.as_map`` skip its gcd, because
-each keeps a reduced pair reduced.
+operation may assume nondegeneracy; :func:`compose`, :func:`conjugate`
+and :meth:`RationalMap.lift` skip its gcd, because each keeps a reduced
+pair reduced.
 :func:`maps_equal`, :func:`compose`, :func:`conjugate` and
 :func:`is_automorphism` run over the integral ring of the field
 (:mod:`ratsym.fields`) at one integer point X = 2^S (Kronecker
@@ -210,21 +210,60 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
 
 def _homogeneous_at(ring, fs: list, u, v) -> list:
     """f(u, v) = sum_k f_k u^k v^(d-k) for each coefficient list f in fs,
-    all of formal degree d, at single ring elements u and v: Horner in u
-    over the shared powers of v, O(d) ring products."""
+    all of formal degree d, at single ring elements u and v.
+
+    Horner runs only over the exponents k_0 < ... < k_t at which some f has
+    a nonzero coefficient: for each gap g between neighbours each
+    accumulator is multiplied by u^g and the shared power v^(k_t - k) by
+    v^g, and one last product puts in u^(k_0) v^(d - k_t).  The powers of
+    u and v are taken once each, by squaring (:func:`_powers`).  With
+    n = len(fs), that is at most (2n + 1) t + n + 1 ring products, plus
+    O(log d) to take each distinct gap and k_0 and d - k_t as powers: a
+    dense list has gaps of 1, which need no power, and costs what a dense
+    Horner pass does, and a normal form z psi(z^m), whose nonzero terms
+    sit on two residues modulo m, costs its nonzero terms, not d."""
     d = len(fs[0]) - 1
     zero, add, mul = ring.zero, ring.add, ring.mul
-    vpows = [ring.one]
-    for _ in range(d):
-        vpows.append(mul(vpows[-1], v))
+    zeros = (zero,) * len(fs)
+    ks = [k for k, cs in enumerate(zip(*fs)) if cs != zeros]
+    if not ks:
+        return [zero] * len(fs)
+    lo, hi = ks[0], ks[-1]
+    gaps = [b - a for a, b in zip(ks, ks[1:])]
+    upow, vpow = _powers(ring, u, {*gaps, lo}), _powers(ring, v, {*gaps, d - hi})
+    steps, w = [], None    # (k, u^g, v^(hi - k)) from k = hi - g down to lo
+    for k, g in zip(reversed(ks[:-1]), reversed(gaps)):
+        w = vpow[g] if w is None else mul(w, vpow[g])
+        steps.append((k, upow[g], w))
     out = []
     for f in fs:
-        acc = f[d]
-        for k in range(d - 1, -1, -1):
-            acc = mul(acc, u)
+        acc = f[hi]
+        for k, ug, w in steps:
+            acc = mul(acc, ug)
             if f[k] != zero:
-                acc = add(acc, mul(f[k], vpows[d - k]))
+                acc = add(acc, mul(f[k], w))
         out.append(acc)
+    ends = [pows[e] for pows, e in ((upow, lo), (vpow, d - hi)) if e]
+    if ends:
+        end = functools.reduce(mul, ends)
+        out = [mul(acc, end) for acc in out]
+    return out
+
+
+def _powers(ring, x, exps: set) -> dict:
+    """{e: x^e} for the positive exponents e in exps, by square and
+    multiply over one shared table of the squares x^(2^i)."""
+    mul, squares, out = ring.mul, [x], {}
+    for e in exps:
+        if e < 1:
+            continue
+        acc = None
+        for i in range(e.bit_length()):
+            if i == len(squares):
+                squares.append(mul(squares[-1], squares[-1]))
+            if e >> i & 1:
+                acc = squares[i] if acc is None else mul(acc, squares[i])
+        out[e] = acc
     return out
 
 
@@ -339,7 +378,9 @@ def is_automorphism(phi: RationalMap, T) -> bool:
     with A, B = (P, Q)(aw + b, cw + d) at the formal degree d of phi, both
     sides are coprime pairs of formal degree d, so they agree exactly when
     A (cP + dQ) = B (aP + bQ), which is tested on the values of both sides
-    at X = 2^S: O(d) ring products, and nothing unpacked.
+    at X = 2^S, and nothing unpacked: a few ring products for each
+    exponent at which P or Q is nonzero, and O(log d) for each distinct
+    gap between those exponents (:func:`_homogeneous_at`).
 
     *The point.*  With h, H and M as in :func:`_substituted`, both sides
     expanded are sums of products of d + 3 ring elements: a term of A or B,

@@ -40,6 +40,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_poly import euclid_gcd  # noqa: E402
+from test_ratmap import mobius_as_map  # noqa: E402
 
 from ratsym import poly  # noqa: E402
 from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
@@ -651,7 +652,7 @@ def test_cyclotomic_gcd_matches_euclid_and_sympy(pair):
 
 def _oracle_conjugate(phi, T):
     """T o phi o T^{-1} by two compositions, each reduced by make_map."""
-    return compose(compose(T.as_map(), phi), T.inverse().as_map())
+    return compose(compose(mobius_as_map(T), phi), mobius_as_map(T.inverse()))
 
 
 @st.composite

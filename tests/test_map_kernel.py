@@ -8,8 +8,10 @@ are Z, Z[zeta_n] for n in {3, 4, 5, 12} and the icosahedral quadratic
 layer over Z[zeta_5].  The inputs are true automorphisms (the witnesses'
 and the standard generators') and copies of the maps with one coordinate
 changed, on which both routes and a composition must agree.  The
-tetrahedral columns U^j V^(d-j) are checked against products of powers.
-Skips when hypothesis is absent.
+tetrahedral columns U^j V^(d-j) are checked against products of powers,
+and the sparse ``_homogeneous_at`` and ``_pack`` against the dense loops of
+``test_sparse_kernel`` on random lists with many zeros.  Skips when
+hypothesis is absent.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_ratmap import mobius_as_map  # noqa: E402
+from test_sparse_kernel import _dense_at, _dense_pack  # noqa: E402
 
 from ratsym.fields import (QQ, CyclotomicField, FieldElement,  # noqa: E402
                            QuadraticField, _integral_ring)
 from ratsym.mobius import GroupSpec, MobiusMap, standard_generators  # noqa: E402
-from ratsym.poly import (Poly, _coordinate_height, _product_constant,  # noqa: E402
-                         _ring_mul)
-from ratsym.ratmap import (DegenerateMap, RationalMap, _integral_data,  # noqa: E402
-                           _power_products, _scaled, compose, conjugate,
+from ratsym.poly import (Poly, _coordinate_height, _pack,  # noqa: E402
+                         _product_constant, _ring_mul)
+from ratsym.ratmap import (DegenerateMap, RationalMap, _homogeneous_at,  # noqa: E402
+                           _integral_data, _power_products, _scaled, compose, conjugate,
                            is_automorphism, make_map, maps_equal)
 from ratsym.symmetry import (build_cyclic, lemma_witness,  # noqa: E402
                              random_cyclic_family)
@@ -79,7 +83,7 @@ def reference_conjugate(phi: RationalMap, T: MobiusMap) -> RationalMap:
 
 
 def commutes_by_composition(phi: RationalMap, T: MobiusMap) -> bool:
-    return maps_equal(compose(phi, T.as_map()), compose(T.as_map(), phi))
+    return maps_equal(compose(phi, mobius_as_map(T)), compose(mobius_as_map(T), phi))
 
 
 # --- true automorphisms over each ring ---------------------------------------
@@ -285,3 +289,18 @@ def test_product_constant_bounds_sums_of_products(ring, k, terms, data):
             prod, hs = ring.mul(prod, data.draw(st.sampled_from(images))), hs * h(x)
         total, bound = ring.add(total, prod), bound + hs
     assert h(total) <= _product_constant(ring, k) * bound
+
+
+# --- the sparse kernel against a dense Horner --------------------------------
+
+@SETTINGS
+@given(st.sampled_from(RINGS), st.integers(0, 30), st.integers(1, 3),
+       st.integers(1, 90), st.data())
+def test_sparse_kernel_matches_dense_horner(ring, d, count, S, data):
+    # half the coefficients zero, so the gaps between nonzero exponents vary
+    coeff = lambda: ring.zero if data.draw(st.booleans()) \
+        else _ring_element(ring, data.draw)  # noqa: E731
+    fs = [[coeff() for _ in range(d + 1)] for _ in range(count)]
+    u, v = _ring_element(ring, data.draw), _ring_element(ring, data.draw)
+    assert _homogeneous_at(ring, fs, u, v) == [_dense_at(ring, f, u, v) for f in fs]
+    assert [_pack(ring, f, S) for f in fs] == [_dense_pack(ring, f, S) for f in fs]

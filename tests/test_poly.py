@@ -875,10 +875,6 @@ def test_interpolation():
 def test_structure_maps():
     f = Poly(QQ, [1, 2, 3])
     assert f.inflate(3).support() == (0, 3, 6)
-    assert f.inflate(3).deflate(3) == f
-    with pytest.raises(ValueError):
-        Poly(QQ, [1, 1]).deflate(2)
     assert f.shift(2)[2] == 1 and f.shift(2).degree == 4
     with pytest.raises(ValueError):
         f.shift(-1)
-    assert Poly(QQ, [0, 0, 5, 1]).valuation() == 2

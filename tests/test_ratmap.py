@@ -129,9 +129,14 @@ def test_automorphism_group_property():
 
 # --- the composition route as an oracle --------------------------------------
 
+def mobius_as_map(T):
+    """The degree-1 map (az + b)/(cz + d) of a Moebius map T."""
+    return make_map(Poly(T.field, [T.b, T.a]), Poly(T.field, [T.d, T.c]))
+
+
 def _oracle_conjugate(phi, T):
     """T o phi o T^{-1} by two compositions, each reduced by make_map."""
-    return compose(compose(T.as_map(), phi), T.inverse().as_map())
+    return compose(compose(mobius_as_map(T), phi), mobius_as_map(T.inverse()))
 
 
 def _agrees_with_oracle(phi, T):
