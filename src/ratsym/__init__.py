@@ -4,8 +4,8 @@ projective line with prescribed finite symmetry groups."""
 from .fields import (QQ, CyclotomicField, FieldElement, FieldMismatch,
                      QuadraticField, RationalField, common_field, interval_embed,
                      lift, root_of_unity, sign_real)
-from .poly import (BothZero, Poly, cyclotomic_polynomial, interpolate, poly_eval,
-                   poly_gcd, resultant, sturm_roots_in_interval)
+from .poly import (BothZero, Poly, interpolate, poly_gcd, resultant,
+                   sturm_roots_in_interval)
 from .ratmap import (DegenerateMap, ProjPoint, RationalMap, compose, conjugate,
                      eval_proj, is_automorphism, make_map, maps_equal)
 from .mobius import (CapExceeded, GroupSpec, MobiusMap, group_closure, identity,

@@ -10,7 +10,11 @@ Three kinds of field are supported, forming a small tower:
   of either of the above (nested radical towers are not supported).
 
 Every element is a :class:`FieldElement` holding a reference to its field and
-an immutable payload; all arithmetic is exact and pure.  Elements of distinct
+an immutable payload; all arithmetic is exact and pure.  Payloads are
+canonical, so equality and hashing read them and take no arithmetic: a
+reduced ``Fraction`` over Q, the phi(n)-tuple of ``Fraction`` coordinates in
+the power basis over Q(zeta_n), and the pair (a, b) of base elements for
+a + b sqrt(delta) over a quadratic layer.  Elements of distinct
 fields never mix implicitly -- use :func:`lift` / :func:`common_field`.  The
 declared complex embedding sends zeta_n to exp(2*pi*i/n) and picks the branch
 of sqrt(delta) with nonnegative real part (positive imaginary part on ties);
@@ -258,7 +262,9 @@ class Field:
                 return value
             raise FieldMismatch(f"cannot reinterpret element of {value.field} in {self}")
         if isinstance(value, (int, Fraction)):
-            return FieldElement(self, self.from_fraction(Fraction(value)))
+            # a Fraction is immutable, so one already built is taken as it is
+            return FieldElement(self, self.from_fraction(
+                value if type(value) is Fraction else Fraction(value)))
         raise TypeError(f"cannot build element of {self} from {value!r}")
 
     def zero(self) -> "FieldElement":
@@ -398,8 +404,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             if not (other.field is self.field or other.field == self.field):
                 return False
-            return self.field.p_is_zero(
-                self.field.p_add(self.payload, self.field.p_neg(other.payload)))
+            return self.payload == other.payload
         if isinstance(other, (int, Fraction)):
             return self == self.field(other)
         return NotImplemented

@@ -16,9 +16,9 @@ from fractions import Fraction
 from .fields import (QQ, CyclotomicField, Field, FieldElement, QuadraticField,
                      RationalField, _absolute_degree)
 from .mobius import GroupSpec, MobiusMap
-from .moduli import (MAX_TILE_DEPTH, ConjugationLeg, ConnectivityCertificate,
-                     IntervalProof, PathCertificate, PathLeg, PathSegment,
-                     SturmProof)
+from .moduli import (MAX_TILE_DEPTH, MAX_TILES, ConjugationLeg,
+                     ConnectivityCertificate, IntervalProof, PathCertificate,
+                     PathLeg, PathSegment, SturmProof)
 from .poly import Poly
 from .ratmap import RationalMap, make_map
 from .symmetry import CASE_OFFSET, CyclicFamily, WitnessReport
@@ -45,6 +45,11 @@ MAX_CONDUCTOR = 256
 # the largest map degree a document may name: a family of rotation order n
 # and degree d inflates psi into about d coefficients before any check
 MAX_DEGREE = 1000
+
+# the most segments a path may have: each costs two families, a resultant
+# and a proof to validate, and build_path makes at most 2 (a straight
+# segment, or the two of a detour)
+MAX_SEGMENTS = 16
 
 
 def canon_dumps(obj) -> str:
@@ -306,13 +311,22 @@ def path_cert_to_json(cert: PathCertificate):
 
 def path_cert_from_json(obj) -> PathCertificate:
     n, r, case = _family_shape(obj)
+    # counts first, before any coefficient is parsed or family built
+    records = obj["segments"]
+    if len(records) > MAX_SEGMENTS:
+        raise ValueError(f"a path has {len(records)} segments, more than {MAX_SEGMENTS}")
+    for rec in records:
+        proof = rec["proof"]
+        if proof["type"] == "interval" and len(proof["boxes"]) > MAX_TILES:
+            raise ValueError(f"an interval proof has {len(proof['boxes'])} tiles, "
+                             f"more than {MAX_TILES}")
     field = field_from_json(obj["field"])
     # an obstruction has degree at most 2r + 2 (a resultant of degree at
     # most 2r times two case conditions), so its norm over Q has degree at
     # most deg_Q(K) (2r + 2); checked before any coefficient is parsed
     max_norm_coeffs = _absolute_degree(field) * (2 * r + 2) + 1
     segments = []
-    for rec in obj["segments"]:
+    for rec in records:
         segments.append(PathSegment(
             start_a=tuple(elem_from_json(c, field) for c in rec["start_a"]),
             start_b=tuple(elem_from_json(c, field) for c in rec["start_b"]),

@@ -27,8 +27,8 @@ from .fields import (QQ, CyclotomicField, Field, FieldElement, FieldMismatch,
                      _integral_ring, common_field, interval_embed, lift)
 from .mobius import (MobiusMap, identity, inversion, mobius_order, scaling,
                      translation)
-from .poly import (Poly, _count_roots, _integer_poly, _ring_mul, interpolate,
-                   pencil_resultant, resultant, squarefree_norm)
+from .poly import (Poly, _count_roots, _monic_q, _ring_mul, _squarefree_norm_z,
+                   interpolate, pencil_resultant, resultant)
 from .ratmap import (ProjPoint, RationalMap, conjugate, eval_proj,
                      maps_equal)
 from .symmetry import (CASE_OFFSET, DIHEDRAL_CASE, CyclicFamily,
@@ -147,15 +147,16 @@ class SturmProof:
     root in (0, 1], and requires the obstruction to be nonzero at t = 0.
     A zero of the obstruction at t = 1 is a root of the norm there.
 
-    The norm and the root count are computed over Z: the norm as the
-    product of the distinct images of the obstruction's value at t = 2^S,
-    a single element of the field's integral ring, whose digits in base
-    2^S are the coefficients of a polynomial with the full norm as a power
-    (:func:`squarefree_norm`), and the count by Descartes bisection on
-    that square-free norm as it is (:func:`poly._count_roots`).  A power
-    has the same square-free part, so they are the same polynomial and
-    count as a Sturm chain over Q gives, and stored proofs keep their
-    meaning."""
+    The norm and the root count are computed over Z, on the integral
+    coefficients of the cleared obstruction: the norm as the product of
+    the distinct images of its value at t = 2^S, a single element of the
+    field's integral ring, whose digits in base 2^S are the coefficients of
+    a polynomial with the full norm as a power
+    (:func:`poly._squarefree_norm_z`), and the count by Descartes
+    bisection on that integer square-free norm (:func:`poly._count_roots`).
+    A power, and an integer multiple, has the same square-free part and
+    the same roots, so they are the same monic polynomial and count as a
+    Sturm chain over Q gives, and stored proofs keep their meaning."""
     norm_poly: Poly                # over Q, square-free, monic
 
     @property
@@ -204,17 +205,21 @@ class PathCertificate:
     segments: tuple[PathSegment, ...]
 
 
-def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
-    """Polynomial in t whose nonvanishing on [0,1] certifies the segment:
-    pencil resultant at the case formal degrees, times the case conditions.
+def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily
+                         ) -> tuple[Field, int, list]:
+    """The polynomial G(t) whose nonvanishing on [0,1] certifies the
+    segment: pencil resultant at the case formal degrees, times the case
+    conditions.  It is returned cleared, as (K, D, g) with G = g / D: the
+    field, a positive integer and the ascending coefficients of g over K's
+    integral ring, with no zero at the top (none at all for G = 0).
 
     Each side's start vector and end vector are cleared of denominators
     once, into the field's integral ring; there the resultant of the two
     pencils is taken by :func:`pencil_resultant` -- modulo primes over Z and
     Z[zeta_n], and over the base ring with sqrt(D) as an indeterminate over
     a quadratic layer -- and multiplied by the condition pencils, which are
-    entries of the same vectors.  One division by the denominators ends
-    it."""
+    entries of the same vectors.  The denominator D is the product of the
+    vectors' denominators to the powers they enter the product with."""
     K = fam0.field
     ring = _integral_ring(K)
     r = fam0.r
@@ -233,7 +238,9 @@ def _segment_obstruction(fam0: CyclicFamily, fam1: CyclicFamily) -> Poly:
             d, v0, dv = pencils[v]
             G = _ring_mul(ring, G, [v0[k], dv[k]])
             den *= d
-    return Poly(K, [ring.to_field(c, den) for c in G])
+    while G and G[-1] == ring.zero:
+        G.pop()
+    return K, den, G
 
 
 def _cleared_pencil(ring, start, end) -> tuple[int, list, list]:
@@ -244,14 +251,21 @@ def _cleared_pencil(ring, start, end) -> tuple[int, list, list]:
     return den, v0, list(map(ring.sub, v[len(start):], v0))
 
 
-def _sturm_segment_proof(G: Poly) -> Optional[SturmProof]:
+def _sturm_segment_proof(obstruction: tuple[Field, int, list]) -> Optional[SturmProof]:
+    """The Sturm proof of a cleared obstruction (K, D, g) of
+    :func:`_segment_obstruction`, or None when g vanishes at t = 0 or its
+    norm has a root in (0, 1].  The denominator D changes no root, so the
+    norm is taken of g and counted on the integer square-free norm that
+    :func:`poly._squarefree_norm_z` returns; only the stored record is made
+    monic over Q."""
     # a root at t = 1 is a root of the norm, which _count_roots counts
-    if G[0].is_zero():
+    K, _, g = obstruction
+    if not g or g[0] == _integral_ring(K).zero:
         return None
-    sf = squarefree_norm(G)
-    if _count_roots(_integer_poly(sf), Fraction(0), Fraction(1)) != 0:
+    sf = _squarefree_norm_z(K, g)
+    if _count_roots(sf, Fraction(0), Fraction(1)) != 0:
         return None
-    return SturmProof(norm_poly=sf)
+    return SturmProof(norm_poly=_monic_q(sf))
 
 
 # largest interval precision in bits that a proof may ask for
@@ -262,13 +276,23 @@ MAX_PRECISION = 4096
 MAX_TILE_DEPTH = 40
 
 
-def _interval_boxes(G: Poly, precision: int):
+# the most tiles an interval proof may have: the validator encloses the
+# obstruction once per tile, and depth alone would allow 2^40 of them; the
+# builder gives up past it, so every proof it writes can be read back
+MAX_TILES = 1024
+
+
+def _interval_boxes(obstruction: tuple[Field, int, list], precision: int):
     """Enclosures of the coefficients of G and G', shifted to the working
-    scale 2^-(precision + 16)."""
+    scale 2^-(precision + 16), for the cleared obstruction (K, D, g) of
+    :func:`_segment_obstruction`, G = g / D."""
     # a stored precision is untrusted: bound it before any embedding
     if not 1 <= precision <= MAX_PRECISION:
         raise ValueError(f"interval precision {precision} outside "
                          f"[1, {MAX_PRECISION}]")
+    K, den, g = obstruction
+    ring = _integral_ring(K)
+    G = Poly(K, [ring.to_field(c, den) for c in g])
     return tuple([tuple(v << 16 for v in interval_embed(c, precision))
                   for c in P.coeffs] for P in (G, G.derivative()))
 
@@ -311,14 +335,15 @@ def _contains_zero(box) -> bool:
     return box[0] <= 0 <= box[1] and box[2] <= 0 <= box[3]
 
 
-def _interval_segment_proof(G: Poly, precision: int) -> Optional[IntervalProof]:
-    coeff_boxes, deriv_boxes = _interval_boxes(G, precision)
+def _interval_segment_proof(obstruction: tuple[Field, int, list],
+                            precision: int) -> Optional[IntervalProof]:
+    coeff_boxes, deriv_boxes = _interval_boxes(obstruction, precision)
     boxes = []
 
     def cover(lo: Fraction, hi: Fraction, depth: int) -> bool:
         if not _contains_zero(_interval_eval(coeff_boxes, deriv_boxes, lo, hi)):
             boxes.append((lo, hi))
-            return True
+            return len(boxes) <= MAX_TILES
         if depth >= MAX_TILE_DEPTH:
             return False
         mid = (lo + hi) / 2
@@ -332,7 +357,7 @@ def _interval_segment_proof(G: Poly, precision: int) -> Optional[IntervalProof]:
 def _certify_segment(fam0: CyclicFamily, fam1: CyclicFamily, strategy: str,
                      precision: int) -> Optional[PathSegment]:
     G = _segment_obstruction(fam0, fam1)
-    if G.is_zero():
+    if not G[2]:            # the obstruction is zero
         return None
     proof: Optional[Union[SturmProof, IntervalProof]] = None
     if strategy == "sturm":

@@ -54,8 +54,6 @@ __all__ = [
     "pencil_resultant",
     "squarefree_norm",
     "sturm_roots_in_interval",
-    "poly_eval",
-    "cyclotomic_polynomial",
     "interpolate",
     "nullspace",
     "kernel_vector",
@@ -74,7 +72,7 @@ class Poly:
     def __init__(self, field: Field, coeffs: Iterable = ()):
         elems = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
+            if type(c) is FieldElement:
                 if not (c.field is field or c.field == field):
                     raise FieldMismatch("coefficient from a different field")
                 elems.append(c)
@@ -241,21 +239,6 @@ class Poly:
 
     def support(self) -> tuple[int, ...]:
         return tuple(k for k, c in enumerate(self.coeffs) if not c.is_zero())
-
-
-def poly_eval(f: Poly, a: FieldElement) -> FieldElement:
-    """Horner evaluation; lifts the argument or coefficients as needed."""
-    if not isinstance(a, FieldElement):
-        a = f.field(a)
-    if a.field != f.field:
-        from .fields import common_field
-        k = common_field(f.field, a.field)
-        f = f.lift(k)
-        a = lift(a, k)
-    acc = f.field.zero()
-    for c in reversed(f.coeffs):
-        acc = acc * a + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -1011,11 +994,17 @@ def _count_roots(g: list[int], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi], lo < hi, of a nonzero
     square-free integer polynomial g: g is mapped onto (0, 1] by
     x = lo + (hi - lo) y and counted by Descartes bisection."""
-    # c^n g((a + b y) / c) with a / c = lo and b / c = hi - lo
+    # c^n g((a + b y) / c) with a / c = lo and b / c = hi - lo; on [0, 1]
+    # (a = 0, b = c = 1) there is nothing to shift or scale
     c = math.lcm(lo.denominator, hi.denominator)
-    a, b, n = int(lo * c), int((hi - lo) * c), len(g) - 1
-    g = _taylor_shift([x * c ** (n - k) for k, x in enumerate(g)], a)
-    g = [x * b ** k for k, x in enumerate(g)]
+    a = lo.numerator * (c // lo.denominator)
+    b, n = hi.numerator * (c // hi.denominator) - a, len(g) - 1
+    if c != 1:
+        g = [x * c ** (n - k) for k, x in enumerate(g)]
+    if a:
+        g = _taylor_shift(g, a)
+    if b != 1:
+        g = [x * b ** k for k, x in enumerate(g)]
     while g[0] == 0:        # a root at lo, which (lo, hi] leaves out
         g = g[1:]
     return int(sum(g) == 0) + _roots_in_unit_interval(g)
@@ -1024,28 +1013,42 @@ def _count_roots(g: list[int], lo: Fraction, hi: Fraction) -> int:
 def squarefree_norm(G: Poly) -> Poly:
     """Monic square-free part, over Q, of the norm N = prod_sigma sigma(G)
     of a nonzero polynomial G over any supported field, over all its
-    embeddings sigma into C (Trager, SYMSAC 1976).  It is taken over Z from
-    :func:`_integer_norm`, the product of the distinct images of G only,
-    whose e-th power is N for some e >= 1; a power has the same square-free
-    part.  The identity is among those images, so the declared embedding of
-    G is a factor of both, and a real root of G is a root of N."""
+    embeddings sigma into C (Trager, SYMSAC 1976): :func:`_squarefree_norm_z`
+    of G cleared into its field's integral ring, made monic."""
     if G.is_zero():
         raise ValueError("zero polynomial")
+    return _monic_q(_squarefree_norm_z(G.field, _integral_ring(G.field).clear(G.coeffs)[1]))
+
+
+def _monic_q(f: list[int]) -> Poly:
+    """The monic polynomial over Q that a nonzero integer polynomial f is a
+    multiple of."""
+    return Poly(QQ, [FieldElement(QQ, Fraction(c, f[-1])) for c in f])
+
+
+def _squarefree_norm_z(field: Field, g: list) -> list[int]:
+    """The square-free part over Z of the norm of a polynomial g over the
+    field's integral ring with a nonzero leading coefficient, as integers.
+    It is taken from :func:`_integer_norm`, the product of the distinct
+    images of g only, whose e-th power is the full norm N for some e >= 1;
+    a power has the same square-free part, and so has N divided by its
+    content or by any integer.  The identity is among those images, so the
+    declared embedding of g is a factor of both, and a real root of g is a
+    root of N."""
     # a zero-divisor leading coefficient of a layer with a square radicand
     # has norm zero, which leaves N's top coefficients zero
-    N = _trim(_integer_norm(G))
+    N = _trim(_integer_norm(field, g))
     if not N:
         raise ValueError("the norm is zero: G is a zero divisor of its field's ring")
     cont = _int_content(N)
-    sf = _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
-    return Poly(QQ, [Fraction(c, sf[-1]) for c in sf])
+    return _squarefree_z([c // cont for c in N]) if len(N) > 1 else [1]
 
 
-def _integer_norm(G: Poly) -> list[int]:
+def _integer_norm(field: Field, g: list) -> list[int]:
     """The ascending coefficients over Z of N'(t), the product of the
-    distinct images of the multiple g of a nonzero G over the field's
-    integral ring, padded with zeros to k (len(g) - 1) + 1 of them for
-    k = [K:Q]; the full norm prod_sigma sigma(g) is N'^e for some e >= 1.
+    distinct images of a nonzero polynomial g over the field's integral
+    ring, padded with zeros to k (len(g) - 1) + 1 of them for k = [K:Q];
+    the full norm prod_sigma sigma(g) is N'^e for some e >= 1.
     By Kronecker substitution t = X = 2^S.
 
     g(X) is one ring element, taken by Horner's rule.  The tower is walked
@@ -1072,9 +1075,8 @@ def _integer_norm(G: Poly) -> list[int]:
     base[sqrt(D)] has zero divisors, but the conjugation is still a ring
     map and the bounds still hold; N' is zero when g(X) is a zero
     divisor."""
-    ring = _integral_ring(G.field)
-    _, g = ring.clear(G.coeffs)
-    k = _absolute_degree(G.field)
+    ring = _integral_ring(field)
+    k = _absolute_degree(field)
     S = _slot_width(ring, k, sum(_coordinate_height(ring, c) for c in g) ** k)
     x = _pack(ring, g, S)
     while ring.base is not None:
@@ -1199,11 +1201,6 @@ def _slot_width(ring, factors: int, bound: int) -> int:
 # ---------------------------------------------------------------------------
 # assorted exact tools
 # ---------------------------------------------------------------------------
-
-def cyclotomic_polynomial(n: int) -> Poly:
-    """The n-th cyclotomic polynomial as a monic Poly over Q."""
-    return Poly(QQ, cyclotomic_coeffs(n))
-
 
 def interpolate(field: Field, values: Sequence[FieldElement]) -> Poly:
     """The polynomial R of degree at most M with R(j) = values[j] for the

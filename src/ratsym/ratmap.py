@@ -85,8 +85,9 @@ class ProjPoint:
 
 
 class RationalMap:
-    # _pair: the integral pair of _cleared_map in the map's own ring, filled
-    # on first use; nothing assigns num, den or degree after construction
+    # _pair: the integral pair of _cleared_map in the map's own ring and its
+    # height, filled on first use; nothing assigns num, den or degree after
+    # construction
     __slots__ = ("field", "num", "den", "degree", "_pair")
 
     def __init__(self, field: Field, num: Poly, den: Poly, degree: int):
@@ -168,9 +169,8 @@ def maps_equal(phi: RationalMap, psi: RationalMap) -> bool:
     if phi.degree != psi.degree:
         return False
     ring = _integral_ring(field)
-    (P, Q), (P2, Q2) = _cleared_map(ring, phi), _cleared_map(ring, psi)
-    h = functools.partial(_coordinate_height, ring)
-    S = _slot_width(ring, 2, sum(map(h, P + Q)) * sum(map(h, P2 + Q2)))
+    (P, Q, H), (P2, Q2, H2) = _cleared_map(ring, phi), _cleared_map(ring, psi)
+    S = _slot_width(ring, 2, H * H2)
     p, q, p2, q2 = (_pack(ring, f, S) for f in (P, Q, P2, Q2))
     return ring.mul(p, q2) == ring.mul(p2, q)
 
@@ -204,7 +204,8 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     (U : V) is a common zero of P and Q, and reduced pairs have neither."""
     field = common_field(phi.field, psi.field)
     ring = _integral_ring(field)
-    S, A, B = _substituted(ring, *_cleared_map(ring, phi), *_cleared_map(ring, psi), 1)
+    U, V, _ = _cleared_map(ring, psi)
+    S, A, B = _substituted(ring, *_cleared_map(ring, phi), U, V, 1)
     return _read_map(field, ring, S, A, B, phi.degree * psi.degree)
 
 
@@ -267,23 +268,21 @@ def _powers(ring, x, exps: set) -> dict:
     return out
 
 
-def _substituted(ring, P: list, Q: list, U: list, V: list, k: int):
+def _substituted(ring, P: list, Q: list, H: int, U: list, V: list, k: int):
     """(S, A, B): the values A, B at X = 2^S of the pair (P, Q)(U, V) of
     formal degree d, for polynomials U and V given by their coefficient
     lists.  Here h is the coordinate height summed over a polynomial's
-    coefficients (:func:`poly._coordinate_height`), H = h(P) + h(Q) and
-    M = max(h(U), h(V)).  Expanded, A and B are sums of products of a
-    coefficient of P or Q and one entry of each of d factors U or V, whose
-    heights come to at most M^d H in all.  S is the slot width of
-    :func:`poly._slot_width` for d + 1 + k factors and the bound
-    M^(d+1) H^k, which covers A and B times one ring element of height at
-    most M (k = 1), and so A and B themselves, as M >= 1 and the product
-    constant never falls as factors are added, or times a combination of P
-    and Q with two such weights (k = 2)."""
-    h = functools.partial(_coordinate_height, ring)
+    coefficients (:func:`_height`), H = h(P) + h(Q), as
+    :func:`_cleared_map` gives it, and M = max(h(U), h(V)).  Expanded, A
+    and B are sums of products of a coefficient of P or Q and one entry of
+    each of d factors U or V, whose heights come to at most M^d H in all.
+    S is the slot width of :func:`poly._slot_width` for d + 1 + k factors
+    and the bound M^(d+1) H^k, which covers A and B times one ring element
+    of height at most M (k = 1), and so A and B themselves, as M >= 1 and
+    the product constant never falls as factors are added, or times a
+    combination of P and Q with two such weights (k = 2)."""
     d = len(P) - 1
-    H = sum(map(h, P)) + sum(map(h, Q))
-    M = max(sum(map(h, U)), sum(map(h, V)))
+    M = max(_height(ring, U), _height(ring, V))
     S = _slot_width(ring, d + 1 + k, M ** (d + 1) * H ** k)
     return (S, *_homogeneous_at(ring, [P, Q], _pack(ring, U, S), _pack(ring, V, S)))
 
@@ -298,8 +297,7 @@ def _power_products(ring, U: list, V: list, d: int, js: list[int]) -> list[list]
     linear forms, expanded, is a sum of products of d of their entries,
     whose heights come to at most M^d in all; S is the slot width of
     :func:`poly._slot_width` for d factors and that bound."""
-    h = functools.partial(_coordinate_height, ring)
-    S = _slot_width(ring, d, max(sum(map(h, U)), sum(map(h, V))) ** d)
+    S = _slot_width(ring, d, max(_height(ring, U), _height(ring, V)) ** d)
     u, v = _pack(ring, U, S), _pack(ring, V, S)
     upow, vpow = [ring.one], [ring.one]
     for _ in range(d):
@@ -309,7 +307,7 @@ def _power_products(ring, U: list, V: list, d: int, js: list[int]) -> list[list]
 
 
 def _integral_data(phi: RationalMap, T):
-    """The field of phi and T together, its ring, the pair of
+    """The field of phi and T together, its ring, the pair and height of
     :func:`_cleared_map` and the matrix entries of T cleared likewise."""
     from .mobius import MobiusMap  # local import to avoid a cycle
     if not isinstance(T, MobiusMap):
@@ -319,18 +317,27 @@ def _integral_data(phi: RationalMap, T):
     return (field, ring, *_cleared_map(ring, phi), _cleared(ring, T.field, T.entries()))
 
 
-def _cleared_map(ring, phi: RationalMap) -> tuple[list, list]:
-    """P and Q at formal degree d, cleared together (up to a scalar, which
-    changes no map) in the map's own ring once per map, and lifted into
-    ``ring`` as by :func:`_cleared`."""
+def _height(ring, f: list) -> int:
+    """h(f), the sum of the coordinate heights of the coefficients of f
+    (:func:`poly._coordinate_height`)."""
+    return sum(_coordinate_height(ring, c) for c in f)
+
+
+def _cleared_map(ring, phi: RationalMap) -> tuple[list, list, int]:
+    """(P, Q, H): P and Q at formal degree d, cleared together (up to a
+    scalar, which changes no map) in the map's own ring once per map, and
+    lifted into ``ring`` as by :func:`_cleared`, with H = h(P) + h(Q)
+    (:func:`_height`).  H is kept with the pair in the map's own ring; a
+    lift may change the coordinates, so a lifted pair is measured again."""
     src = _integral_ring(phi.field)
     if phi._pair is None:
         d = phi.degree
         pq = src.clear([f[k] for f in (phi.num, phi.den) for k in range(d + 1)])[1]
-        phi._pair = (pq[:d + 1], pq[d + 1:])
+        phi._pair = (pq[:d + 1], pq[d + 1:], _height(src, pq))
     if src is ring:
         return phi._pair
-    return tuple([_ring_lift(x, src, ring) for x in f] for f in phi._pair)
+    P, Q = ([_ring_lift(x, src, ring) for x in f] for f in phi._pair[:2])
+    return P, Q, _height(ring, P) + _height(ring, Q)
 
 
 def _cleared(ring, field: Field, elems) -> list:
@@ -358,9 +365,9 @@ def conjugate(phi: RationalMap, T) -> RationalMap:
     Their heights come to at most M^(d+1) H in all, which the slot width S
     taken with k = 1 covers.
     """
-    field, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    field, ring, P, Q, H, (a, b, c, e) = _integral_data(phi, T)
     zero, add, sub, mul = ring.zero, ring.add, ring.sub, ring.mul
-    S, A, B = _substituted(ring, P, Q, [sub(zero, b), e], [a, sub(zero, c)], 1)
+    S, A, B = _substituted(ring, P, Q, H, [sub(zero, b), e], [a, sub(zero, c)], 1)
     return _read_map(field, ring, S, add(mul(a, A), mul(b, B)),
                      add(mul(c, A), mul(e, B)), phi.degree)
 
@@ -388,8 +395,8 @@ def is_automorphism(phi: RationalMap, T) -> bool:
     at most M^d H times M H in all, which the slot width S taken with k = 2
     covers, so the two sides are equal exactly when their values at X are.
     """
-    _, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    _, ring, P, Q, H, (a, b, c, e) = _integral_data(phi, T)
     add, mul = ring.add, ring.mul
-    S, A, B = _substituted(ring, P, Q, [b, a], [e, c], 2)
+    S, A, B = _substituted(ring, P, Q, H, [b, a], [e, c], 2)
     p, q = _pack(ring, P, S), _pack(ring, Q, S)
     return mul(A, add(mul(c, p), mul(e, q))) == mul(B, add(mul(a, p), mul(b, q)))

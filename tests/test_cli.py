@@ -10,11 +10,11 @@ import pytest
 from ratsym.cli import (EXIT_CERTIFICATION, EXIT_NOT_ADMISSIBLE, EXIT_PARSE,
                         EXIT_VALIDATION, main)
 from ratsym.fields import QQ, CyclotomicField, InexactDivision
-from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, canon_dumps,
+from ratsym.jsonio import (MAX_CONDUCTOR, MAX_DEGREE, MAX_SEGMENTS, canon_dumps,
                            family_to_json, map_to_json, mobius_to_json,
                            path_cert_to_json)
 from ratsym.mobius import MobiusMap
-from ratsym.moduli import PathCertificate
+from ratsym.moduli import MAX_TILES, PathCertificate
 from ratsym.poly import Poly
 from ratsym.ratmap import DegenerateMap, make_map
 from ratsym.symmetry import build_cyclic, random_cyclic_family, simple_cyclic_family
@@ -428,6 +428,43 @@ def test_validate_exits_4_on_an_unbounded_interval_precision(tmp_path, capsys,
         code, out = run_cli(["validate", str(bad)], capsys)
         assert code == EXIT_VALIDATION
         assert "precision" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("count", ["segments", "tiles"])
+def test_validate_counts_segments_and_tiles_before_parsing(tmp_path, capsys,
+                                                           monkeypatch, count):
+    # a path may have MAX_SEGMENTS segments and an interval proof MAX_TILES
+    # tiles, at least what the library writes; both counts are checked
+    # before any coefficient is parsed or any family is built
+    from ratsym import jsonio
+    f0 = random_cyclic_family(random.Random(5), 2, 1, "A")
+    f1 = random_cyclic_family(random.Random(6), 2, 1, "A")
+    p0, p1 = tmp_path / "f0.json", tmp_path / "f1.json"
+    p0.write_text(canon_dumps(family_to_json(f0)))
+    p1.write_text(canon_dumps(family_to_json(f1)))
+    path = tmp_path / "path.json"
+    code, _ = run_cli(["path", str(p0), str(p1), "--strategy", "interval",
+                       "--precision", "32", "--out-file", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(path.read_text())
+    seg = doc["segments"][0]
+    assert len(doc["segments"]) <= min(2, MAX_SEGMENTS)
+    assert len(seg["proof"]["boxes"]) <= MAX_TILES
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was parsed or a family built")
+    monkeypatch.setattr(jsonio, "elem_from_json", refuse)
+    monkeypatch.setattr(jsonio, "CyclicFamily", refuse)
+    if count == "segments":
+        doc["segments"] = [seg] * (MAX_SEGMENTS + 1)
+    else:
+        seg["proof"]["boxes"] = seg["proof"]["boxes"][:1] * (MAX_TILES + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(canon_dumps(doc))
+    code, out = run_cli(["validate", str(bad)], capsys)
+    assert code == EXIT_VALIDATION
+    assert count in json.loads(out)["reason"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_stored_maps_are_bounded_before_any_polynomial(tmp_path, capsys,

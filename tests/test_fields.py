@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ratsym.fields import (QQ, CyclotomicField, FieldMismatch, QuadraticField,
-                           cyclotomic_coeffs, interval_embed, lift, sign_real)
+                           RationalField, cyclotomic_coeffs, interval_embed, lift,
+                           sign_real)
 
 
 def test_rational_arithmetic():
@@ -13,6 +14,27 @@ def test_rational_arithmetic():
     assert QQ(3) / QQ(7) == Fraction(3, 7)
     with pytest.raises(ZeroDivisionError):
         QQ(1) / QQ(0)
+
+
+def test_equality_runs_no_arithmetic(monkeypatch):
+    # payloads are canonical, so elements compare by payload: no sum or
+    # negation is taken, over Q, Q(zeta_5) or a layer over it
+    F5 = CyclotomicField(5)
+    K = QuadraticField(F5, F5(2) - F5.zeta(1) - F5.zeta(4))
+    pairs = [(QQ(Fraction(2, 6)), QQ(Fraction(1, 3))), (QQ(1), QQ(2)),
+             (F5.from_coeffs([1, 2, 0, 0, 3]), F5.from_coeffs([-2, -1, -3, -3])),
+             (F5.zeta(), F5.zeta(6)), (F5.zeta(), F5.zeta(2)),
+             (K.from_parts(F5.zeta(), 1), K.from_parts(F5.zeta(6), 1)),
+             (K.sqrt_delta(), K.one())]
+
+    def refuse(*args):
+        raise AssertionError("equality took a sum or a negation")
+    for cls in (RationalField, CyclotomicField, QuadraticField):
+        monkeypatch.setattr(cls, "p_add", refuse)
+        monkeypatch.setattr(cls, "p_neg", refuse)
+    assert [x == y for x, y in pairs] == [True, False, True, True, False, True, False]
+    assert QQ(Fraction(1, 3)) == Fraction(1, 3) and F5.zeta(5) == 1
+    assert K.from_parts(3, 0) == 3 and K.sqrt_delta() != 0
 
 
 def test_root_of_unity_product():

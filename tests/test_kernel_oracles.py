@@ -13,7 +13,9 @@ patching the kernels modulo p), the square-free norms over every kind
 of supported field with ``sqf_part`` of sympy's resultants
 against the minimal polynomials of zeta_n and sqrt(delta), and the
 real-root count (:func:`sturm_roots_in_interval`) with sympy's
-``count_roots``.  At the map layer, :func:`conjugate` and
+``count_roots``, as are the integer square-free norm and root count of
+a segment's Sturm proof, on random segments over Q, Q(i), Q(zeta_3),
+Q(zeta_5) and Q(sqrt 2).  At the map layer, :func:`conjugate` and
 :func:`is_automorphism` are compared with the route through two reduced
 compositions, and the inversions that :func:`aut_in_normalizer` finds are
 counted against the nonzero roots of sympy's gcd of the inversion
@@ -39,7 +41,8 @@ sp = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_poly import euclid_gcd  # noqa: E402
+from test_moduli import obstruction_poly  # noqa: E402
+from test_poly import euclid_gcd, poly_eval  # noqa: E402
 from test_ratmap import mobius_as_map  # noqa: E402
 
 from ratsym import poly  # noqa: E402
@@ -47,14 +50,15 @@ from ratsym.fields import (QQ, CyclotomicField, QuadraticField,  # noqa: E402
                            _absolute_degree, _integral_ring, _RationalIntegers,
                            _residue_prime, lift)
 from ratsym.mobius import MobiusMap, icosahedral_field, scaling  # noqa: E402
-from ratsym.moduli import _segment_obstruction  # noqa: E402
-from ratsym.poly import (Poly, _integer_norm, _residue_maps,  # noqa: E402
-                         _ring_mul, _trim, _squarefree_z, nullspace, pencil_resultant,
-                         poly_eval, poly_gcd, resultant, squarefree_norm,
-                         sturm_roots_in_interval)
+from ratsym.moduli import _segment_obstruction, _sturm_segment_proof  # noqa: E402
+from ratsym.poly import (Poly, _count_roots, _integer_norm, _residue_maps,  # noqa: E402
+                         _ring_mul, _trim, _squarefree_norm_z, _squarefree_z,
+                         nullspace, pencil_resultant, poly_gcd, resultant,
+                         squarefree_norm, sturm_roots_in_interval)
 from ratsym.ratmap import (DegenerateMap, compose, conjugate,  # noqa: E402
                            is_automorphism, make_map, maps_equal)
-from ratsym.symmetry import (AutSearchIncomplete, aut_in_normalizer,  # noqa: E402
+from ratsym.symmetry import (AutSearchIncomplete, CoefficientConditionViolated,  # noqa: E402
+                             CyclicFamily, aut_in_normalizer,
                              build_cyclic, cyclic_admissible, lemma_witness,
                              random_cyclic_family, simple_cyclic_family)
 
@@ -323,7 +327,7 @@ def test_segment_obstruction_matches_sympy(K, family_type, seed):
     cond = {"A": a[r] * b[0], "B": a[r], "C": b[r]}[case]
     expect = sp.expand(_sympy_resultant(P, Q, m, r) * cond)
     coeffs = sp.Poly(expect, T).all_coeffs()[::-1] if expect != 0 else []
-    assert _segment_obstruction(f0, f1) == Poly(K, [_from_sympy(c, K) for c in coeffs])
+    assert obstruction_poly(f0, f1) == Poly(K, [_from_sympy(c, K) for c in coeffs])
 
 
 NORM_FIELDS = [QQ, QI, CyclotomicField(3), CyclotomicField(5), CyclotomicField(12),
@@ -375,6 +379,58 @@ def test_squarefree_norm_matches_sympy(coeffs):
     hypothesis.assume(not G.is_zero())
     expect = sp.Poly(_sympy_norm(G), TR).sqf_part().monic().all_coeffs()[::-1]
     assert squarefree_norm(G) == Poly(QQ, [_from_sympy(c, QQ) for c in expect])
+
+
+@st.composite
+def segments(draw):
+    """Two families of one shape over Q, Q(i), Q(zeta_3), Q(zeta_5) or
+    Q(sqrt 2), with small coefficients in the power basis, denominators
+    included, and the zeros their case asks for."""
+    K = draw(st.sampled_from([QQ, QI, CyclotomicField(3), CyclotomicField(5),
+                              QuadraticField(QQ, QQ(2))]))
+    n, r, case = draw(st.sampled_from(FAMILY_TYPES[:4]))
+    families = []
+    for _ in range(2):
+        a, b = (draw(st.lists(_element(K), min_size=r + 1, max_size=r + 1))
+                for _ in range(2))
+        if case in "BC":
+            b[0] = K.zero()
+        if case == "C":
+            a[r] = K.zero()
+        try:
+            families.append(CyclicFamily(n, r, case, tuple(a), tuple(b)))
+        except CoefficientConditionViolated:
+            hypothesis.assume(False)
+    return families
+
+
+@SETTINGS
+@given(segments())
+def test_sturm_route_matches_sympy(families):
+    # the integer square-free norm of the cleared obstruction, made monic,
+    # is sympy's monic sqf_part of the norm, and its count on (0, 1] is
+    # sympy's; the proof exists exactly when G(0) != 0 and that count is 0
+    obstruction = _segment_obstruction(*families)
+    K, _, g = obstruction
+    hypothesis.assume(g)
+    G = obstruction_poly(*families)
+    sqf = sp.Poly(_sympy_norm(G), TR).sqf_part().monic()
+    expect = Poly(QQ, [_from_sympy(c, QQ) for c in sqf.all_coeffs()[::-1]])
+    count = sqf.count_roots(0, 1) - (sqf.eval(0) == 0)
+    sf = _squarefree_norm_z(K, g)
+    assert Poly(QQ, [Fraction(c, sf[-1]) for c in sf]) == expect
+    assert _count_roots(sf, Fraction(0), Fraction(1)) == count
+    proof = _sturm_segment_proof(obstruction)
+    hypothesis.event(f"proof {'refused' if proof is None else 'found'}")
+    if G[0].is_zero() or count:
+        assert proof is None
+    else:
+        assert proof.norm_poly == expect
+
+
+def _norm_digits(G):
+    """_integer_norm of G cleared into its field's integral ring."""
+    return _integer_norm(G.field, _integral_ring(G.field).clear(G.coeffs)[1])
 
 
 def _product_norm(G):
@@ -485,7 +541,7 @@ def test_integer_norm_matches_the_product_of_conjugates(coeffs):
     # leading coefficient included
     G = Poly(coeffs[0].field, coeffs)
     hypothesis.assume(not G.is_zero())
-    full, norm = _product_norm(G), _integer_norm(G)
+    full, norm = _product_norm(G), _norm_digits(G)
     assert len(norm) == len(full) == _absolute_degree(G.field) * G.degree + 1
     assert _trim(_z_power(norm, _orbit_index(G))) == _trim(full)
 
@@ -501,7 +557,7 @@ def test_integer_norm_of_a_polynomial_over_a_subfield(F, K, coeffs, e):
     # the digits are those of the norm from the subfield, of degree
     # [F:Q] (len(g) - 1); the full norm is its e-th power
     G = Poly(K, _lifted(F, K, coeffs))
-    norm = _trim(_integer_norm(G))
+    norm = _trim(_norm_digits(G))
     assert _orbit_index(G) == e
     assert len(norm) - 1 == _absolute_degree(K) // e * G.degree
     assert _z_power(norm, e) == _product_norm(G)
@@ -527,7 +583,7 @@ def test_integer_norm_with_every_coordinate_at_the_height(K, pattern):
     # Q(sqrt(2^61 - 1)) the radicand's own height dominates the bound
     signs = itertools.cycle(pattern)
     G = Poly(K, [_at_height(K, 2 ** 64 - 1, signs) for _ in range(3)])
-    norm = _integer_norm(G)
+    norm = _norm_digits(G)
     assert _trim(_z_power(norm, _orbit_index(G))) == _trim(_product_norm(G))
 
 

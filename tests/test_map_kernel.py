@@ -67,14 +67,14 @@ def _pencil(ring, s, f: list, t, g: list) -> list:
 
 
 def reference_is_automorphism(phi: RationalMap, T: MobiusMap) -> bool:
-    _, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    _, ring, P, Q, _, (a, b, c, e) = _integral_data(phi, T)
     A, B = _substitute(ring, [P, Q], [b, a], [e, c])
     return _ring_mul(ring, A, _pencil(ring, c, P, e, Q)) == \
         _ring_mul(ring, B, _pencil(ring, a, P, b, Q))
 
 
 def reference_conjugate(phi: RationalMap, T: MobiusMap) -> RationalMap:
-    field, ring, P, Q, (a, b, c, e) = _integral_data(phi, T)
+    field, ring, P, Q, _, (a, b, c, e) = _integral_data(phi, T)
     zero = ring.zero
     N, D = _substitute(ring, [P, Q], [ring.sub(zero, b), e], [a, ring.sub(zero, c)])
     N, D = _pencil(ring, a, N, b, D), _pencil(ring, c, N, e, D)

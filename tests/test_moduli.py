@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from ratsym.fields import QQ, CyclotomicField, QuadraticField, lift
+from ratsym.fields import QQ, CyclotomicField, QuadraticField, _integral_ring, lift
 from ratsym.mobius import MobiusMap, icosahedral_field, inversion, rotation, scaling
 from ratsym import poly
-from ratsym.poly import Poly, poly_eval, squarefree_norm
+from ratsym.poly import Poly, squarefree_norm
 from ratsym.ratmap import (DegenerateMap, conjugate, is_automorphism, make_map,
                            maps_equal)
 from ratsym.symmetry import (CoefficientConditionViolated, CyclicFamily,
@@ -22,6 +22,20 @@ from ratsym.moduli import (CertificateInvalid, ConjugationLeg, FamilyMismatch,
                            validate_path_certificate, _certify_segment,
                            _segment_obstruction)
 from ratsym.symmetry import NotAdmissible
+from test_poly import poly_eval
+
+
+def obstruction_poly(fam0, fam1) -> Poly:
+    """The cleared obstruction (K, D, g) of _segment_obstruction as the
+    polynomial g / D over K."""
+    K, den, g = _segment_obstruction(fam0, fam1)
+    ring = _integral_ring(K)
+    return Poly(K, [ring.to_field(c, den) for c in g])
+
+
+def cleared(G: Poly) -> tuple:
+    """A polynomial G over K as a cleared obstruction (K, D, g), G = g / D."""
+    return (G.field, *_integral_ring(G.field).clear(G.coeffs))
 
 
 def test_sturm_proof_takes_the_square_free_part_once(monkeypatch):
@@ -33,7 +47,7 @@ def test_sturm_proof_takes_the_square_free_part_once(monkeypatch):
     squarefree_z = poly._squarefree_z
     monkeypatch.setattr(poly, "_squarefree_z",
                         lambda f: calls.append(f) or squarefree_z(f))
-    proof = moduli._sturm_segment_proof(G)
+    proof = moduli._sturm_segment_proof(cleared(G))
     assert proof == SturmProof(norm_poly=Poly(QQ, [2, 0, 1]))
     assert len(calls) == 1
     assert squarefree_norm(G) == proof.norm_poly
@@ -99,7 +113,7 @@ def test_engineered_degenerate_segment_rerouted():
     # through Gaussian-integer coefficients succeeds
     f0 = CyclicFamily(2, 1, "A", (QQ(1), QQ(1)), (QQ(1), QQ(2)))
     f1 = CyclicFamily(2, 1, "A", (QQ(-3), QQ(1)), (QQ(-4), QQ(1)))
-    G = _segment_obstruction(f0, f1)
+    G = obstruction_poly(f0, f1)
     assert poly_eval(G, QQ(Fraction(1, 2))).is_zero()
     assert _certify_segment(f0, f1, "sturm", 128) is None
     assert _certify_segment(f0, f1, "interval", 128) is None
@@ -231,6 +245,19 @@ def _with_tiles(cert, tiles, precision=32):
                                         seg.end_b, proof),))
 
 
+def test_interval_proof_gives_up_past_the_tile_cap(monkeypatch):
+    # the segment of _tiled_path needs three tiles: under a cap of two the
+    # builder gives up on it rather than write a proof the reader refuses
+    seg = _tiled_path().segments[0]
+    f0 = CyclicFamily(2, 1, "A", seg.start_a, seg.start_b)
+    f1 = CyclicFamily(2, 1, "A", seg.end_a, seg.end_b)
+    assert len(seg.proof.boxes) == 3 <= moduli.MAX_TILES
+    monkeypatch.setattr(moduli, "MAX_TILES", 3)
+    assert _certify_segment(f0, f1, "interval", 32).proof == seg.proof
+    monkeypatch.setattr(moduli, "MAX_TILES", 2)
+    assert _certify_segment(f0, f1, "interval", 32) is None
+
+
 def test_interval_proof_stores_only_its_tiling():
     import json
     from ratsym.jsonio import canon_dumps, path_cert_from_json, path_cert_to_json
@@ -285,7 +312,7 @@ def test_interval_eval_encloses_exact_values(K):
         coeffs = [K.from_coeffs([Fraction(rng.randint(-40, 40), rng.randint(1, 9))
                                  for _ in range(2)]) for _ in range(7)]
     G = Poly(K, coeffs)
-    coeff_boxes, deriv_boxes = _interval_boxes(G, 20)
+    coeff_boxes, deriv_boxes = _interval_boxes(cleared(G), 20)
     scale = 2 ** (20 + 16)
 
     def parts(t):

@@ -7,15 +7,29 @@ from fractions import Fraction
 import pytest
 
 from ratsym import fields, poly
-from ratsym.fields import QQ, CyclotomicField, QuadraticField, _RationalIntegers, lift
+from ratsym.fields import (QQ, CyclotomicField, FieldElement, QuadraticField,
+                           _RationalIntegers, common_field, cyclotomic_coeffs, lift)
 from ratsym.mobius import icosahedral_field
-from ratsym.poly import (BothZero, InexactDivision, Poly, cyclotomic_polynomial,
-                         interpolate, kernel_vector, nullspace, pencil_resultant, poly_eval,
-                         poly_gcd, resultant, sturm_roots_in_interval)
+from ratsym.poly import (BothZero, InexactDivision, Poly, interpolate, kernel_vector,
+                         nullspace, pencil_resultant, poly_gcd, resultant,
+                         sturm_roots_in_interval)
 
 
 def x():
     return Poly.x(QQ)
+
+
+def poly_eval(f: Poly, a) -> FieldElement:
+    """f(a) by Horner's rule, in the smaller field that holds both."""
+    if not isinstance(a, FieldElement):
+        a = f.field(a)
+    if a.field != f.field:
+        k = common_field(f.field, a.field)
+        f, a = f.lift(k), lift(a, k)
+    acc = f.field.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * a + c
+    return acc
 
 
 def test_gcd_examples():
@@ -789,7 +803,7 @@ def test_squarefree_norm_of_a_zero_divisor_leading_coefficient():
     K = CyclotomicField(12)
     L = QuadraticField(K, K.from_coeffs([48, -48, 0, 24]))
     zd = L.from_parts(K.from_coeffs([6, -4, 0, 2]), K(-1))
-    norm = poly._integer_norm(Poly(L, [L(1), zd]))
+    norm = poly._integer_norm(L, fields._integral_ring(L).clear([L(1), zd])[1])
     assert norm == [1, 24, 96, 0, 0, 0, 0, 0, 0]
     square = poly._ring_mul(_RationalIntegers, norm[:3], norm[:3])
     assert square + [0] * 4 == [1, 48, 768, 4608, 9216, 0, 0, 0, 0]
@@ -828,6 +842,24 @@ def test_sturm_examples():
     assert sturm_roots_in_interval((t - 1) * (t - 1) * (t + 2), 0, 1) == 1
 
 
+def test_counting_on_the_unit_interval_shifts_nothing(monkeypatch):
+    # on [0, 1] the map x = lo + (hi - lo) y is the identity: no Taylor
+    # shift by 0 (and no scaling by 1), only the shifts by 1 of the
+    # Descartes bisection
+    shifts = []
+    shift = poly._taylor_shift
+    monkeypatch.setattr(poly, "_taylor_shift",
+                        lambda f, a: shifts.append(a) or shift(f, a))
+    # (4x - 1)(3x - 2)(x - 1)(x + 1) and x^2 + 1 over (0, 1]
+    g = [-2, 11, -10, -11, 12]
+    assert poly._count_roots(g, Fraction(0), Fraction(1)) == 3
+    assert poly._count_roots([1, 0, 1], Fraction(0), Fraction(1)) == 0
+    assert shifts and set(shifts) == {1}
+    shifts.clear()
+    assert poly._count_roots(g, Fraction(-2), Fraction(1, 2)) == 2
+    assert 0 not in shifts and -4 in shifts     # c = 2, a = -4, b = 5
+
+
 def test_sturm_against_bruteforce():
     rng = random.Random(23)
     for _ in range(60):
@@ -846,7 +878,7 @@ def test_eval_examples():
     F4 = CyclotomicField(4)
     assert poly_eval(Poly(QQ, [1, 0, 1]), F4.zeta()).is_zero()
     F12 = CyclotomicField(12)
-    assert poly_eval(cyclotomic_polynomial(12), F12.zeta()).is_zero()
+    assert poly_eval(Poly(QQ, cyclotomic_coeffs(12)), F12.zeta()).is_zero()
     assert poly_eval(Poly(QQ, [1, 0, 0, 2]), QQ(Fraction(1, 2))) == Fraction(5, 4)
 
 
@@ -860,9 +892,9 @@ def test_eval_multiplicative():
 
 
 def test_cyclotomic_polynomial_poly():
-    assert cyclotomic_polynomial(1) == Poly(QQ, [-1, 1])
-    assert cyclotomic_polynomial(4) == Poly(QQ, [1, 0, 1])
-    assert cyclotomic_polynomial(12) == Poly(QQ, [1, 0, -1, 0, 1])
+    assert Poly(QQ, cyclotomic_coeffs(1)) == Poly(QQ, [-1, 1])
+    assert Poly(QQ, cyclotomic_coeffs(4)) == Poly(QQ, [1, 0, 1])
+    assert Poly(QQ, cyclotomic_coeffs(12)) == Poly(QQ, [1, 0, -1, 0, 1])
 
 
 def test_interpolation():

@@ -402,7 +402,7 @@ def test_maps_equal_takes_a_slot_width_that_bounds_both_products(monkeypatch):
         maps_equal(phi, psi)
         (S,) = set(widths)
         ring = _integral_ring(phi.field)
-        (P, Q), (P2, Q2) = ratmap._cleared_map(ring, phi), ratmap._cleared_map(ring, psi)
+        (P, Q, _), (P2, Q2, _) = ratmap._cleared_map(ring, phi), ratmap._cleared_map(ring, psi)
         for y in (_ring_mul(ring, P, Q2), _ring_mul(ring, P2, Q)):
             assert sum(_coordinate_height(ring, c) for c in y) < 2 ** (S - 2)
 
@@ -434,6 +434,24 @@ def test_validating_a_witness_clears_each_map_once(monkeypatch, p, d):
     assert report.verify()
     assert maps_equal(build_cyclic(report.family), phi)
     assert seen.count(coeffs) == 2
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 10)])
+def test_maps_equal_measures_each_pair_once(monkeypatch, p, d):
+    # the height of a map's cleared pair is kept with the pair: the first
+    # comparison measures each of the 2 (d + 1) coefficients of both maps
+    # once, and a second comparison of the same maps measures none
+    from ratsym import ratmap
+    w = lemma_witness(p, d)
+    phi, psi = (make_map(w.map.num, w.map.den) for _ in range(2))
+    calls = []
+    height = ratmap._coordinate_height
+    monkeypatch.setattr(ratmap, "_coordinate_height",
+                        lambda ring, x: calls.append(x) or height(ring, x))
+    assert maps_equal(phi, psi)
+    assert len(calls) == 4 * (d + 1)
+    assert maps_equal(phi, psi) and maps_equal(psi, phi)
+    assert len(calls) == 4 * (d + 1)
 
 
 SQUARE_ROOT_2 = QuadraticField(QQ, QQ(2))
